@@ -32,11 +32,6 @@ int agg_tag(const simpi::Comm& comm, int src_rank) {
   return tagspace::agg_tag(comm.world_rank_of(src_rank));
 }
 
-std::string dir_str(Dim3 d) {
-  auto c = [](std::int64_t v) { return v > 0 ? "+" : v < 0 ? "-" : "0"; };
-  return std::string(c(d.x)) + c(d.y) + c(d.z);
-}
-
 }  // namespace
 
 DistributedDomain::~DistributedDomain() = default;
@@ -128,11 +123,6 @@ const Placement& DistributedDomain::placement() const {
   return *placement_;
 }
 
-LocalDomain* DistributedDomain::local_by_gpu(int ggpu) {
-  auto it = local_index_by_gpu_.find(ggpu);
-  return it == local_index_by_gpu_.end() ? nullptr : locals_[it->second].get();
-}
-
 LocalDomain* DistributedDomain::local_by_subdomain(Dim3 idx) {
   if (placement_ == nullptr) return nullptr;
   const auto it =
@@ -178,7 +168,6 @@ void DistributedDomain::realize() {
       const Dim3 origin = hp.subdomain_origin(idx);
       locals_.push_back(std::make_unique<LocalDomain>(ctx_.rt, ggpu, idx, origin, sz, radius_,
                                                       quantities_));
-      local_index_by_gpu_[ggpu] = locals_.size() - 1;
       local_index_by_subdomain_[idx.linearize(hp.global_extent())] = locals_.size() - 1;
     }
   }
@@ -209,45 +198,44 @@ void DistributedDomain::realize() {
   }
   build_transfer_states();
   plan_.export_metrics(telemetry_.metrics());
-  if (aggregate_remote_) build_aggregation_groups();
   record_specialization();
-  record_aggregation();
+  build_aggregation_groups();
   colocated_setup();
   ctx_.comm.barrier();
   realized_ = true;
 }
 
 void DistributedDomain::build_aggregation_groups() {
+  if (!aggregate_remote_ && ledger() == nullptr) return;
   // Group staged transfers by peer rank, separately for the send and
-  // receive sides, in deterministic (plan) order so both ends compute the
-  // same member offsets.
-  std::map<int, std::vector<TransferState*>> by_dst, by_src;
-  for (auto& xp : xfers_) {
-    TransferState& x = *xp;
+  // receive sides, with the layout verify_model derives for every rank.
+  std::vector<xfer::AggMember> sends, recvs;
+  for (std::size_t i = 0; i < xfers_.size(); ++i) {
+    const TransferState& x = *xfers_[i];
     if (x.t.method != Method::kStaged || x.bytes == 0) continue;
-    if (x.i_send) by_dst[x.t.dst_rank].push_back(&x);
-    if (x.i_recv) by_src[x.t.src_rank].push_back(&x);
+    if (x.i_send) sends.push_back({x.t.dst_rank, x.t.tag, i});
+    if (x.i_recv) recvs.push_back({x.t.src_rank, x.t.tag, i});
   }
-  const auto build = [&](std::map<int, std::vector<TransferState*>>& sides,
-                         std::vector<std::unique_ptr<AggGroup>>& out) {
-    for (auto& [peer, members] : sides) {
+  const auto send_layout = xfer::aggregation_layout(sends);
+  const auto recv_layout = xfer::aggregation_layout(recvs);
+  record_aggregation(sends.size() + recvs.size(), send_layout.size() + recv_layout.size());
+  if (!aggregate_remote_) return;
+  const auto build = [&](const auto& layout, std::vector<std::unique_ptr<AggGroup>>& out) {
+    for (const auto& [peer, indices] : layout) {
       auto g = std::make_unique<AggGroup>();
       g->peer_rank = peer;
-      // Both ends must agree on member offsets; the transfer tag is unique
-      // and identical on both sides, so it defines the layout.
-      std::sort(members.begin(), members.end(),
-                [](const TransferState* a, const TransferState* b) { return a->t.tag < b->t.tag; });
-      for (TransferState* x : members) {
+      for (std::size_t i : indices) {
+        TransferState* x = xfers_[i].get();
         x->aggregated = true;
-        g->members.emplace_back(x, g->bytes);
+        g->members.emplace_back(x, 0);
         g->bytes += x->bytes;
       }
       g->host = ctx_.rt.alloc_pinned_host(ctx_.node(), g->bytes);
       out.push_back(std::move(g));
     }
   };
-  build(by_dst, send_groups_);
-  build(by_src, recv_groups_);
+  build(send_layout, send_groups_);
+  build(recv_layout, recv_groups_);
 }
 
 void DistributedDomain::build_one_transfer(TransferState& x, const Transfer& t) {
@@ -261,59 +249,14 @@ void DistributedDomain::build_one_transfer(TransferState& x, const Transfer& t) 
   x.dst_region = halo_slab(dst_sz, t.dir, radius_);
   if (x.src_region.extent != x.dst_region.extent) {
     throw std::logic_error("transfer " + t.src_idx.str() + "->" + t.dst_idx.str() + " dir " +
-                           dir_str(t.dir) + ": slab shapes differ");
+                           xfer::dir_str(t.dir) + ": slab shapes differ");
   }
   x.bytes = static_cast<std::size_t>(x.src_region.volume()) * bytes_per_point_;
   if (x.bytes == 0) return;  // asymmetric radius: nothing moves this way
   if (x.i_send) x.src_ld = local_by_subdomain(t.src_idx);
   if (x.i_recv) x.dst_ld = local_by_subdomain(t.dst_idx);
 
-  auto& rt = ctx_.rt;
-  switch (t.method) {
-    case Method::kKernel:
-      if (x.i_send) x.src_stream = rt.create_stream(t.src_gpu);
-      break;
-    case Method::kPeer:
-      // Same rank: both halves are ours.
-      x.src_stream = rt.create_stream(t.src_gpu);
-      x.dst_stream = rt.create_stream(t.dst_gpu);
-      x.src_pack = rt.alloc_device(t.src_gpu, x.bytes);
-      x.dst_pack = rt.alloc_device(t.dst_gpu, x.bytes);
-      break;
-    case Method::kColocated:
-      if (x.i_send) {
-        x.src_stream = rt.create_stream(t.src_gpu);
-        x.src_pack = rt.alloc_device(t.src_gpu, x.bytes);
-      }
-      if (x.i_recv) {
-        x.dst_stream = rt.create_stream(t.dst_gpu);
-        x.dst_pack = rt.alloc_device(t.dst_gpu, x.bytes);
-        x.channel = std::make_unique<IpcEventChannel>();
-      }
-      break;
-    case Method::kCudaAwareMpi:
-      if (x.i_send) {
-        x.src_stream = rt.create_stream(t.src_gpu);
-        x.src_pack = rt.alloc_device(t.src_gpu, x.bytes);
-      }
-      if (x.i_recv) {
-        x.dst_stream = rt.create_stream(t.dst_gpu);
-        x.dst_pack = rt.alloc_device(t.dst_gpu, x.bytes);
-      }
-      break;
-    case Method::kStaged:
-      if (x.i_send) {
-        x.src_stream = rt.create_stream(t.src_gpu);
-        x.src_pack = rt.alloc_device(t.src_gpu, x.bytes);
-        x.src_host = rt.alloc_pinned_host(ctx_.machine.node_of(t.src_gpu), x.bytes);
-      }
-      if (x.i_recv) {
-        x.dst_stream = rt.create_stream(t.dst_gpu);
-        x.dst_pack = rt.alloc_device(t.dst_gpu, x.bytes);
-        x.dst_host = rt.alloc_pinned_host(ctx_.machine.node_of(t.dst_gpu), x.bytes);
-      }
-      break;
-  }
+  ensure_buffers(x);
 }
 
 void DistributedDomain::build_transfer_states() {
@@ -350,13 +293,7 @@ void DistributedDomain::record_specialization() {
   explain::Ledger* led = ledger();
   if (led == nullptr) return;
   const sim::Time now = ctx_.engine().now();
-  std::map<Method, std::pair<std::uint64_t, std::uint64_t>> per;  // (transfers, bytes)
-  for (const auto& xp : xfers_) {
-    auto& [n, b] = per[xp->t.method];
-    ++n;
-    b += xp->bytes;
-  }
-  for (const auto& [m, nb] : per) {
+  for (const auto& [m, nb] : method_bytes_histogram()) {  // (transfers, bytes)
     explain::DecisionRecord rec;
     rec.kind = explain::DecisionKind::kSpecialization;
     rec.at = now;
@@ -378,26 +315,10 @@ void DistributedDomain::record_specialization() {
   }
 }
 
-void DistributedDomain::record_aggregation() {
+void DistributedDomain::record_aggregation(std::uint64_t msgs, std::size_t groups) {
   explain::Ledger* led = ledger();
-  if (led == nullptr) return;
-  // Staged MPI messages this rank moves per exchange when each transfer
-  // ships alone, vs one grouped message per (peer, direction).
-  std::uint64_t msgs = 0;
-  std::set<int> send_peers, recv_peers;
-  for (const auto& xp : xfers_) {
-    if (xp->t.method != Method::kStaged || xp->bytes == 0) continue;
-    if (xp->i_send) {
-      ++msgs;
-      send_peers.insert(xp->t.dst_rank);
-    }
-    if (xp->i_recv) {
-      ++msgs;
-      recv_peers.insert(xp->t.src_rank);
-    }
-  }
-  if (msgs == 0) return;  // no staged traffic: aggregation is moot
-  const auto grouped = static_cast<double>(send_peers.size() + recv_peers.size());
+  if (led == nullptr || msgs == 0) return;  // no staged traffic makes aggregation moot
+  const auto grouped = static_cast<double>(groups);
   explain::DecisionRecord rec;
   rec.kind = explain::DecisionKind::kAggregation;
   rec.at = ctx_.engine().now();
@@ -451,45 +372,8 @@ void DistributedDomain::demote_transfer(TransferState& x, Method target) {
   // rebuilds only those entries (partial invalidation, not a recompile).
   ++topo_epoch_;
   plan_cache_.invalidate_tag(x.t.tag);
-}
-
-vgpu::AccessList DistributedDomain::pack_access(const TransferState& x,
-                                                const vgpu::Buffer& dst) const {
-  vgpu::AccessList a;
-  if (ctx_.rt.checker() != nullptr) {
-    x.src_ld->append_region_accesses(x.src_region, active_qs_, false, a);
-    a.push_back({&dst, 0, x.active_bytes, true});
-  }
-  return a;
-}
-
-vgpu::AccessList DistributedDomain::unpack_access(const TransferState& x,
-                                                  const vgpu::Buffer& src) const {
-  vgpu::AccessList a;
-  if (ctx_.rt.checker() != nullptr) {
-    a.push_back({&src, 0, x.active_bytes, false});
-    x.dst_ld->append_region_accesses(x.dst_region, active_qs_, true, a);
-  }
-  return a;
-}
-
-vgpu::AccessList DistributedDomain::self_access(const TransferState& x) const {
-  vgpu::AccessList a;
-  if (ctx_.rt.checker() != nullptr) {
-    x.src_ld->append_region_accesses(x.src_region, active_qs_, false, a);
-    x.src_ld->append_region_accesses(x.dst_region, active_qs_, true, a);
-  }
-  return a;
-}
-
-vgpu::AccessList DistributedDomain::copy3d_access(const TransferState& x, std::size_t q) const {
-  vgpu::AccessList a;
-  if (ctx_.rt.checker() != nullptr) {
-    const std::vector<std::size_t> one{q};
-    x.src_ld->append_region_accesses(x.src_region, one, false, a);
-    x.dst_ld->append_region_accesses(x.dst_region, one, true, a);
-  }
-  return a;
+  ensure_buffers(x);
+  x.ops = ops_of(x);
 }
 
 bool DistributedDomain::peer_use_3d(const TransferState& x) const {
@@ -511,21 +395,22 @@ bool DistributedDomain::peer_use_3d(const TransferState& x) const {
   return use_3d;
 }
 
-void DistributedDomain::ensure_staged_buffers(TransferState& x) {
+void DistributedDomain::ensure_buffers(TransferState& x) {
+  // KERNEL works in place on one stream; every other method packs on both
+  // ends, and STAGED also stages through pinned host memory.
   auto& rt = ctx_.rt;
-  if (x.i_send) {
-    if (!x.src_stream.valid()) x.src_stream = rt.create_stream(x.t.src_gpu);
-    if (!x.src_pack.valid()) x.src_pack = rt.alloc_device(x.t.src_gpu, x.bytes);
-    if (!x.src_host.valid()) {
-      x.src_host = rt.alloc_pinned_host(ctx_.machine.node_of(x.t.src_gpu), x.bytes);
+  const bool packs = x.t.method != Method::kKernel;
+  const auto side = [&](int gpu, vgpu::Stream& s, vgpu::Buffer& pack, vgpu::Buffer& host) {
+    if (!s.valid()) s = rt.create_stream(gpu);
+    if (packs && !pack.valid()) pack = rt.alloc_device(gpu, x.bytes);
+    if (x.t.method == Method::kStaged && !host.valid()) {
+      host = rt.alloc_pinned_host(ctx_.machine.node_of(gpu), x.bytes);
     }
-  }
-  if (x.i_recv) {
-    if (!x.dst_stream.valid()) x.dst_stream = rt.create_stream(x.t.dst_gpu);
-    if (!x.dst_pack.valid()) x.dst_pack = rt.alloc_device(x.t.dst_gpu, x.bytes);
-    if (!x.dst_host.valid()) {
-      x.dst_host = rt.alloc_pinned_host(ctx_.machine.node_of(x.t.dst_gpu), x.bytes);
-    }
+  };
+  if (x.i_send) side(x.t.src_gpu, x.src_stream, x.src_pack, x.src_host);
+  if (x.i_recv && packs) side(x.t.dst_gpu, x.dst_stream, x.dst_pack, x.dst_host);
+  if (x.t.method == Method::kColocated && x.i_recv && x.channel == nullptr) {
+    x.channel = std::make_unique<IpcEventChannel>();
   }
 }
 
@@ -558,7 +443,6 @@ void DistributedDomain::maybe_respecialize() {
     }
     if (target != x.t.method) {
       demote_transfer(x, target);
-      ensure_staged_buffers(x);
     }
   }
 }
@@ -606,10 +490,8 @@ void DistributedDomain::exchange_start(const std::vector<std::size_t>& quantitie
   for (auto groups : {&send_groups_, &recv_groups_}) {
     for (auto& gp : *groups) {
       gp->active_bytes = 0;
-      gp->active_offsets.clear();
-      for (auto& [x, full_off] : gp->members) {
-        (void)full_off;
-        gp->active_offsets.push_back(gp->active_bytes);
+      for (auto& [x, off] : gp->members) {
+        off = gp->active_bytes;
         gp->active_bytes += x->active_bytes;
       }
     }
@@ -617,6 +499,7 @@ void DistributedDomain::exchange_start(const std::vector<std::size_t>& quantitie
   // Fault degradation: re-check capabilities at every exchange boundary and
   // demote transfers whose method can no longer run (§III-C, downward only).
   maybe_respecialize();
+  for (auto& xp : xfers_) xp->ops = ops_of(*xp);
 
   inflight_.active = true;
   ++seq_;
@@ -631,134 +514,94 @@ void DistributedDomain::exchange_start(const std::vector<std::size_t>& quantitie
                             "tag=" + std::to_string(xp->t.tag), to_string(xp->t.method),
                             xp->active_bytes);
   }
+  // Planned mode: replay (or first compile, then replay) the frozen
+  // schedule for this configuration instead of interpreting the op lists.
+  plan::CompiledPlan* p = nullptr;
+  if (persistent_) {
+    try {
+      p = &acquire_plan();
+    } catch (const plan::AdmissionError&) {
+      // The rejected plan never ran and nothing was posted: the domain is
+      // idle again and this exchange does not count.
+      inflight_ = InFlight{};
+      --seq_;
+      throw;
+    }
+    cur_plan_ = p;
+    ++p->replays;
+    ++plan_cache_.stats().replays;
+    telemetry_.on_plan_event("replay");
+  }
   auto& comm = ctx_.comm;
   auto& rt = ctx_.rt;
 
-  // Planned mode: replay (or first compile, then replay) the frozen
-  // schedule for this configuration instead of interpreting the phases.
-  if (persistent_) {
-    planned_start(acquire_plan());
-    return;
-  }
-
-  // --- Phase 0: post every MPI receive up front (maximizes matching). ----
-  std::vector<simpi::Request>& recv_reqs = inflight_.recv_reqs;
-  auto& recv_map = inflight_.recv_map;
-  for (auto& gp : recv_groups_) {  // aggregated STAGED receives, one per peer
-    gp->req = comm.irecv(simpi::Payload::of(gp->host, 0, gp->active_bytes), gp->peer_rank,
-                         agg_tag(comm, gp->peer_rank));
-    recv_reqs.push_back(gp->req);
-    recv_map.emplace_back(nullptr, gp.get());
-  }
-  for (auto& xp : xfers_) {
-    TransferState& x = *xp;
-    if (!x.i_recv) continue;
-    if (x.t.method == Method::kStaged && !x.aggregated) {
-      x.recv_req =
-          comm.irecv(simpi::Payload::of(x.dst_host, 0, x.active_bytes), x.t.src_rank, x.t.tag);
-      recv_reqs.push_back(x.recv_req);
-      recv_map.emplace_back(&x, nullptr);
-    } else if (x.t.method == Method::kCudaAwareMpi) {
-      x.recv_req =
-          comm.irecv(simpi::Payload::of(x.dst_pack, 0, x.active_bytes), x.t.src_rank, x.t.tag);
-      recv_reqs.push_back(x.recv_req);
-      recv_map.emplace_back(&x, nullptr);
+  // --- Phase 0: post every receive up front (maximizes matching), the
+  // aggregated ones first. A plan re-arms its persistent receives and
+  // remembers each one's landing graph.
+  if (p != nullptr) {
+    for (plan::GroupProgram& g : p->recv_groups) {
+      comm.start(g.req);
+      inflight_.recv_reqs.push_back(g.req);
+      inflight_.recv_graphs.push_back(&g.graph);
     }
-  }
-
-  // --- Phase 1: pure-CUDA local transfers (KERNEL, PEER). ----------------
-  for (auto& xp : xfers_) {
-    TransferState& x = *xp;
-    if (x.t.method == Method::kKernel && x.i_send) {
-      rt.launch_kernel(x.src_stream, x.active_bytes, "self " + dir_str(x.t.dir),
-                       [&x, this] { x.src_ld->self_exchange(x.t.dir, active_qs_); },
-                       self_access(x));
-    } else if (x.t.method == Method::kPeer) {
-      // Pack-free path (§VI): a strided copy straight into the neighbor's
-      // halo, when configured — and under kAuto, whenever the modeled
-      // strided time beats pack kernel + dense copy + unpack kernel.
-      if (peer_use_3d(x)) {
-        for (std::size_t q : active_qs_) {
-          const std::size_t qbytes = static_cast<std::size_t>(x.src_region.volume()) *
-                                     quantities_[q].elem_size;
-          rt.memcpy3d_peer_async(
-              x.t.dst_gpu, x.t.src_gpu, qbytes, x.src_ld->row_bytes(x.src_region, q),
-              x.src_stream, "3d " + dir_str(x.t.dir),
-              [&x, q] {
-                LocalDomain::copy_region(*x.src_ld, x.src_region, *x.dst_ld, x.dst_region, q);
-              },
-              copy3d_access(x, q));
-        }
-        vgpu::Event copied;
-        rt.record_event(copied, x.src_stream);
-        rt.stream_wait_event(x.dst_stream, copied);
-      } else {
-        rt.launch_kernel(x.src_stream, x.active_bytes, "pack " + dir_str(x.t.dir),
-                         [&x, this] { x.src_ld->pack_region(x.src_pack, x.src_region, active_qs_); },
-                         pack_access(x, x.src_pack));
-        rt.memcpy_peer_async(x.dst_pack, 0, x.src_pack, 0, x.active_bytes, x.src_stream);
-        vgpu::Event copied;
-        rt.record_event(copied, x.src_stream);
-        rt.stream_wait_event(x.dst_stream, copied);
-        rt.launch_kernel(x.dst_stream, x.active_bytes, "unpack " + dir_str(x.t.dir),
-                         [&x, this] { x.dst_ld->unpack_region(x.dst_pack, x.dst_region, active_qs_); },
-                         unpack_access(x, x.dst_pack));
-      }
+    for (plan::TransferProgram& prog : p->programs) {
+      if (!prog.recv_req.valid()) continue;
+      comm.start(prog.recv_req);
+      inflight_.recv_reqs.push_back(prog.recv_req);
+      inflight_.recv_graphs.push_back(&prog.recv_graph);
     }
+  } else {
+    for (auto& gp : recv_groups_) {
+      gp->req = comm.irecv(simpi::Payload::of(gp->host, 0, gp->active_bytes), gp->peer_rank,
+                           agg_tag(comm, gp->peer_rank));
+      inflight_.recv_reqs.push_back(gp->req);
+      inflight_.recv_map.emplace_back(nullptr, gp.get());
+    }
+    for (auto& xp : xfers_) run_phase(*xp, xfer::Phase::kPost);
   }
 
-  // --- Phase 2: COLOCATED senders (pure CUDA after the setup handshake). -
-  for (auto& xp : xfers_) {
-    TransferState& x = *xp;
-    if (x.t.method != Method::kColocated || !x.i_send) continue;
-    colocated_send(x);
+  // --- Phase 1: pure-CUDA local transfers (KERNEL, PEER). A plan launches
+  // each frozen chain: the sender graphs with no message to start.
+  if (p != nullptr) {
+    for (plan::TransferProgram& prog : p->programs) {
+      if (prog.send_graph.valid() && !prog.send_req.valid()) rt.launch_graph(prog.send_graph);
+    }
+  } else {
+    for (auto& xp : xfers_) run_phase(*xp, xfer::Phase::kLocal);
   }
+
+  // --- Phase 2: COLOCATED senders, interpreted in both modes (their flow
+  // control is generation-dependent). A stale mapping demotes the transfer
+  // and queues a fallback send; demote_transfer dirties its programs, so
+  // the next acquire rebuilds them as persistent STAGED programs.
+  for (auto& xp : xfers_) run_phase(*xp, xfer::Phase::kColocatedSend);
 
   // --- Phase 3: STAGED / CUDA-aware senders enqueue pack (+ D2H). --------
   auto& pending = inflight_.pending_sends;
-  for (auto& xp : xfers_) {
-    TransferState& x = *xp;
-    if (!x.i_send) continue;
-    if (x.handled_seq == seq_) continue;  // COLOCATED fallback already queued it
-    if (x.t.method == Method::kStaged && !x.aggregated) {
-      if (staged_zero_copy_) {
-        // Zero-copy pack (§VI/[18]): the kernel's stores land directly in
-        // the pinned staging buffer — no separate D2H step.
-        rt.launch_zero_copy_kernel(
-            x.src_stream, x.active_bytes, "pack " + dir_str(x.t.dir),
-            [&x, this] { x.src_ld->pack_region(x.src_host, x.src_region, active_qs_); },
-            pack_access(x, x.src_host));
-      } else {
-        rt.launch_kernel(x.src_stream, x.active_bytes, "pack " + dir_str(x.t.dir),
-                         [&x, this] { x.src_ld->pack_region(x.src_pack, x.src_region, active_qs_); },
-                         pack_access(x, x.src_pack));
-        rt.memcpy_async(x.src_host, 0, x.src_pack, 0, x.active_bytes, x.src_stream);
+  if (p != nullptr) {
+    for (plan::TransferProgram& prog : p->programs) {
+      if (prog.send_req.valid()) rt.launch_graph(prog.send_graph);
+    }
+    for (plan::GroupProgram& g : p->send_groups) rt.launch_graph(g.graph);
+  } else {
+    for (auto& xp : xfers_) {
+      TransferState& x = *xp;
+      // Aggregation members pack with their group below; a COLOCATED
+      // fallback already packed and queued this generation's send.
+      if (x.aggregated || x.handled_seq == seq_) continue;
+      run_phase(x, xfer::Phase::kPack);
+      if (x.ops.has(xfer::Phase::kSend)) pending.emplace_back(x.ready_ev.completed_at, &x);
+    }
+    // Aggregated STAGED sends: every member packs and stages into its slot
+    // of the shared buffer; the group is ready when its slowest member is.
+    for (auto& gp : send_groups_) {
+      sim::Time ready = 0;
+      for (auto& [x, off] : gp->members) {
+        run_phase(*x, xfer::Phase::kPack, Slot{&gp->host, off});
+        ready = std::max(ready, x->ready_ev.completed_at);
       }
-      rt.record_event(x.ready_ev, x.src_stream);
-      pending.emplace_back(x.ready_ev.completed_at, &x);
-    } else if (x.t.method == Method::kCudaAwareMpi) {
-      rt.launch_kernel(x.src_stream, x.active_bytes, "pack " + dir_str(x.t.dir),
-                       [&x, this] { x.src_ld->pack_region(x.src_pack, x.src_region, active_qs_); },
-                       pack_access(x, x.src_pack));
-      rt.record_event(x.ready_ev, x.src_stream);
-      pending.emplace_back(x.ready_ev.completed_at, &x);
+      inflight_.pending_group_sends.emplace_back(ready, gp.get());
     }
-  }
-  // Aggregated STAGED sends: every member packs and stages into its slot of
-  // the shared buffer; the group is ready when its slowest member is.
-  for (auto& gp : send_groups_) {
-    sim::Time ready = 0;
-    for (std::size_t m = 0; m < gp->members.size(); ++m) {
-      TransferState* x = gp->members[m].first;
-      rt.launch_kernel(x->src_stream, x->active_bytes, "pack " + dir_str(x->t.dir),
-                       [x, this] { x->src_ld->pack_region(x->src_pack, x->src_region, active_qs_); },
-                       pack_access(*x, x->src_pack));
-      rt.memcpy_async(gp->host, gp->active_offsets[m], x->src_pack, 0, x->active_bytes,
-                      x->src_stream);
-      rt.record_event(x->ready_ev, x->src_stream);
-      ready = std::max(ready, x->ready_ev.completed_at);
-    }
-    inflight_.pending_group_sends.emplace_back(ready, gp.get());
   }
   std::stable_sort(pending.begin(), pending.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -766,7 +609,140 @@ void DistributedDomain::exchange_start(const std::vector<std::size_t>& quantitie
                    [](const auto& a, const auto& b) { return a.first < b.first; });
 }
 
-void DistributedDomain::colocated_send(TransferState& x) {
+xfer::OpList DistributedDomain::ops_of(const TransferState& x) const {
+  return xfer::ops_for({x.t.method, x.i_send, x.i_recv, x.active_bytes, x.aggregated,
+                        staged_zero_copy_, x.t.method == Method::kPeer && peer_use_3d(x)});
+}
+
+void DistributedDomain::run_phase(TransferState& x, xfer::Phase phase, const Slot& slot) {
+  if (!x.ops.has(phase)) return;
+  const xfer::OpList ops = x.ops;  // a COLOCATED fallback rewrites x.ops mid-phase
+  for (const xfer::Op* op = ops.begin(); op != ops.end(); ++op) {
+    if (op->phase != phase) continue;
+    switch (op->kind) {
+      case xfer::OpKind::kColocatedSend:
+        return colocated_send(x, op + 1, ops.end());
+      case xfer::OpKind::kColocatedRecv:
+        return colocated_recv(x, op + 1, ops.end());
+      case xfer::OpKind::kPostRecv:
+        x.recv_req = ctx_.comm.irecv(simpi::Payload::of(x.buffer(op->to), 0, x.active_bytes),
+                                     x.t.src_rank, x.t.tag);
+        inflight_.recv_reqs.push_back(x.recv_req);
+        inflight_.recv_map.emplace_back(&x, nullptr);
+        break;
+      case xfer::OpKind::kWaitRecv:
+      case xfer::OpKind::kSend:
+      case xfer::OpKind::kWaitSend:
+        break;  // the modes wait and start messages in their own order
+      default:
+        issue(x, *op, slot);
+    }
+  }
+}
+
+void DistributedDomain::issue(TransferState& x, const xfer::Op& op, const Slot& slot) {
+  using xfer::OpKind;
+  auto& rt = ctx_.rt;
+  vgpu::Stream& s = op.on_dst_stream() ? x.dst_stream : x.src_stream;
+  const auto label = [&x](const char* what) { return what + xfer::dir_str(x.t.dir); };
+  const auto at = [&slot](xfer::Operand o) { return o == xfer::Operand::kGroup ? slot.offset : 0; };
+  switch (op.kind) {
+    case OpKind::kSelf:
+      rt.launch_kernel(s, x.active_bytes, label("self "),
+                       [&x, this] { x.src_ld->self_exchange(x.t.dir, active_qs_); },
+                       op_access(x, op, active_qs_));
+      break;
+    case OpKind::kPack:
+    case OpKind::kPackZeroCopy: {
+      vgpu::Buffer* out = &x.buffer(op.to);
+      const auto body = [&x, out, this] { x.src_ld->pack_region(*out, x.src_region, active_qs_); };
+      if (op.kind == OpKind::kPack) {
+        rt.launch_kernel(s, x.active_bytes, label("pack "), body, op_access(x, op, active_qs_));
+      } else {
+        rt.launch_zero_copy_kernel(s, x.active_bytes, label("pack "), body,
+                                   op_access(x, op, active_qs_));
+      }
+      break;
+    }
+    case OpKind::kUnpack: {
+      vgpu::Buffer* in = &x.buffer(op.from);
+      rt.launch_kernel(s, x.active_bytes, label("unpack "),
+                       [&x, in, this] { x.dst_ld->unpack_region(*in, x.dst_region, active_qs_); },
+                       op_access(x, op, active_qs_));
+      break;
+    }
+    case OpKind::kCopyD2H:
+    case OpKind::kCopyH2D:
+      rt.memcpy_async(x.buffer(op.to, slot.host), at(op.to), x.buffer(op.from, slot.host),
+                      at(op.from), x.active_bytes, s);
+      break;
+    case OpKind::kCopyPeer:
+      rt.memcpy_peer_async(x.buffer(op.to), 0, x.buffer(op.from), 0, x.active_bytes, s);
+      break;
+    case OpKind::kCopyIpc:
+      rt.memcpy_to_ipc_async(x.mapped, 0, x.buffer(op.from), 0, x.active_bytes, s);
+      break;
+    case OpKind::kCopy3D:
+      for (std::size_t q : active_qs_) {
+        rt.memcpy3d_peer_async(
+            x.t.dst_gpu, x.t.src_gpu,
+            static_cast<std::size_t>(x.src_region.volume()) * quantities_[q].elem_size,
+            x.src_ld->row_bytes(x.src_region, q), s, label("3d "),
+            [&x, q] {
+              LocalDomain::copy_region(*x.src_ld, x.src_region, *x.dst_ld, x.dst_region, q);
+            },
+            op_access(x, op, {q}));
+      }
+      break;
+    case OpKind::kEventEdge:
+      rt.record_event(x.ready_ev, x.src_stream);
+      rt.stream_wait_event(x.dst_stream, x.ready_ev);
+      break;
+    case OpKind::kReady:
+      rt.record_event(x.ready_ev, x.src_stream);
+      break;
+    default:
+      throw std::logic_error("issue: not stream work");
+  }
+}
+
+vgpu::AccessList DistributedDomain::op_access(TransferState& x, const xfer::Op& op,
+                                              const std::vector<std::size_t>& qs) const {
+  vgpu::AccessList a;
+  if (ctx_.rt.checker() == nullptr) return a;
+  for (auto [o, write] : {std::pair{op.from, false}, std::pair{op.to, true}}) {
+    if (o == xfer::Operand::kSrcRegion) {
+      x.src_ld->append_region_accesses(x.src_region, qs, write, a);
+    } else if (o == xfer::Operand::kDstRegion) {
+      x.dst_ld->append_region_accesses(x.dst_region, qs, write, a);
+    } else {
+      a.push_back({&x.buffer(o), 0, x.active_bytes, write});
+    }
+  }
+  return a;
+}
+
+void DistributedDomain::start_send(TransferState& x) {
+  ctx_.rt.event_synchronize(x.ready_ev);
+  const xfer::Op* send = x.ops.find(xfer::OpKind::kSend);
+  x.send_req = ctx_.comm.isend(simpi::Payload::of(x.buffer(send->from), 0, x.active_bytes),
+                               x.t.dst_rank, x.t.tag);
+  inflight_.send_reqs.push_back(x.send_req);
+}
+
+vgpu::GraphExec DistributedDomain::capture(TransferState& x,
+                                           std::initializer_list<xfer::Phase> phases) {
+  if (std::none_of(phases.begin(), phases.end(), [&](xfer::Phase p) { return x.ops.has(p); })) {
+    return {};
+  }
+  auto& rt = ctx_.rt;
+  rt.begin_capture();
+  for (xfer::Phase p : phases) run_phase(x, p);
+  return rt.instantiate(rt.end_capture());
+}
+
+void DistributedDomain::colocated_send(TransferState& x, const xfer::Op* first,
+                                       const xfer::Op* last) {
   auto& rt = ctx_.rt;
   auto& eng = ctx_.engine();
   bool fell_back = false;
@@ -788,10 +764,9 @@ void DistributedDomain::colocated_send(TransferState& x) {
       if (x.peer_channel->done_ev.recorded) {
         rt.stream_wait_event(x.src_stream, x.peer_channel->done_ev);
       }
-      rt.launch_kernel(x.src_stream, x.active_bytes, "pack " + dir_str(x.t.dir),
-                       [&x, this] { x.src_ld->pack_region(x.src_pack, x.src_region, active_qs_); },
-                       pack_access(x, x.src_pack));
-      rt.memcpy_to_ipc_async(x.mapped, 0, x.src_pack, 0, x.active_bytes, x.src_stream);
+      for (; first != last && first->phase == xfer::Phase::kColocatedSend; ++first) {
+        issue(x, *first, {});
+      }
       rt.record_event(x.peer_channel->data_ev, x.src_stream);
       if (trace::Recorder* rec = ctx_.cluster.recorder();
           rec != nullptr && rec->causal()) {
@@ -810,23 +785,19 @@ void DistributedDomain::colocated_send(TransferState& x) {
   }
   if (fell_back) {
     // Demote to STAGED: tell the receiver (it owns no timeline of our
-    // mapping), then pack into the staging buffer and queue the send so
-    // Phase 4 posts it alongside the ordinary staged traffic.
+    // mapping), then run STAGED's pack phase and queue the send so Phase 4
+    // posts it alongside the ordinary staged traffic.
     demote_transfer(x, Method::kStaged);
-    ensure_staged_buffers(x);
     x.peer_channel->demoted = true;
     x.peer_channel->gate.notify_all(eng);
-    rt.launch_kernel(x.src_stream, x.active_bytes, "pack " + dir_str(x.t.dir),
-                     [&x, this] { x.src_ld->pack_region(x.src_pack, x.src_region, active_qs_); },
-                     pack_access(x, x.src_pack));
-    rt.memcpy_async(x.src_host, 0, x.src_pack, 0, x.active_bytes, x.src_stream);
-    rt.record_event(x.ready_ev, x.src_stream);
+    run_phase(x, xfer::Phase::kPack);
     inflight_.pending_sends.emplace_back(x.ready_ev.completed_at, &x);
     x.handled_seq = seq_;
   }
 }
 
-void DistributedDomain::colocated_recv(TransferState& x) {
+void DistributedDomain::colocated_recv(TransferState& x, const xfer::Op* first,
+                                       const xfer::Op* last) {
   auto& rt = ctx_.rt;
   auto& eng = ctx_.engine();
   colocated_gate_wait(x.channel->gate, x.t.src_rank, x.t.tag,
@@ -834,15 +805,14 @@ void DistributedDomain::colocated_recv(TransferState& x) {
                       "colocated data tag=" + std::to_string(x.t.tag));
   if (x.channel->demoted) {
     // The sender lost its IPC mapping and rerouted this generation over
-    // MPI. Adopt STAGED on this side too (no irecv was posted in Phase 0
-    // for a COLOCATED transfer, so receive blocking here) and unpack.
+    // MPI. Adopt STAGED on this side too and run its receive: no irecv was
+    // posted in Phase 0 for a COLOCATED transfer, so receive blocking here,
+    // then land it.
     demote_transfer(x, Method::kStaged);
-    ensure_staged_buffers(x);
-    ctx_.comm.recv(simpi::Payload::of(x.dst_host, 0, x.active_bytes), x.t.src_rank, x.t.tag);
-    rt.memcpy_async(x.dst_pack, 0, x.dst_host, 0, x.active_bytes, x.dst_stream);
-    rt.launch_kernel(x.dst_stream, x.active_bytes, "unpack " + dir_str(x.t.dir),
-                     [&x, this] { x.dst_ld->unpack_region(x.dst_pack, x.dst_region, active_qs_); },
-                     unpack_access(x, x.dst_pack));
+    const xfer::Op* post = x.ops.find(xfer::OpKind::kPostRecv);
+    ctx_.comm.recv(simpi::Payload::of(x.buffer(post->to), 0, x.active_bytes), x.t.src_rank,
+                   x.t.tag);
+    run_phase(x, xfer::Phase::kLand);
     x.channel->done_gen = seq_;
     return;
   }
@@ -857,9 +827,9 @@ void DistributedDomain::colocated_recv(TransferState& x) {
                   "ipc tag=" + std::to_string(x.t.tag));
     x.channel->data_span = 0;  // one arrow per generation
   }
-  rt.launch_kernel(x.dst_stream, x.active_bytes, "unpack " + dir_str(x.t.dir),
-                   [&x, this] { x.dst_ld->unpack_region(x.dst_pack, x.dst_region, active_qs_); },
-                   unpack_access(x, x.dst_pack));
+  for (; first != last && first->phase == xfer::Phase::kColocatedRecv; ++first) {
+    issue(x, *first, {});
+  }
   rt.record_event(x.channel->done_ev, x.dst_stream);
   x.channel->done_gen = seq_;
   x.channel->gate.notify_all(eng);
@@ -891,22 +861,12 @@ void DistributedDomain::colocated_gate_wait(sim::Gate& gate, int peer_rank, int 
 }
 
 Method DistributedDomain::forced_method(const Transfer& t) const {
-  const Method remote =
-      any(flags_ & MethodFlags::kCudaAwareMpi) ? Method::kCudaAwareMpi : Method::kStaged;
-  if (t.self()) {
-    if (any(flags_ & MethodFlags::kKernel)) return Method::kKernel;
-    if (any(flags_ & MethodFlags::kPeer)) return Method::kPeer;
-    return remote;
-  }
-  if (t.src_rank == t.dst_rank && any(flags_ & MethodFlags::kPeer) &&
-      (t.src_gpu == t.dst_gpu || ctx_.rt.peer_enabled(t.src_gpu, t.dst_gpu))) {
-    return Method::kPeer;
-  }
-  // Cross-rank: COLOCATED is deliberately excluded — its IPC handshake was
-  // negotiated against the pre-failure world and cannot be redone without a
-  // collective setup phase. The MPI envelope's dead-peer detection also only
-  // covers the message methods.
-  return remote;
+  // Cross-rank pairs count as off-node: COLOCATED is deliberately excluded
+  // — its IPC handshake was negotiated against the pre-failure world and
+  // cannot be redone without a collective setup phase. The MPI envelope's
+  // dead-peer detection also only covers the message methods.
+  return ExchangePlan::specialize(t, /*same_node=*/false, flags_,
+                                  ctx_.rt.peer_enabled(t.src_gpu, t.dst_gpu));
 }
 
 void DistributedDomain::recover_abort() {
@@ -1047,9 +1007,6 @@ std::vector<DistributedDomain::Rehome> DistributedDomain::recover_replace(
                                                     hp.subdomain_size(rh.idx), radius_,
                                                     quantities_));
     local_index_by_subdomain_[rh.lin] = locals_.size() - 1;
-    if (local_index_by_gpu_.find(rh.new_gpu) == local_index_by_gpu_.end()) {
-      local_index_by_gpu_[rh.new_gpu] = locals_.size() - 1;
-    }
   }
 
   // Re-derive the exchange plan against the re-homed placement and diff it
@@ -1121,98 +1078,79 @@ void DistributedDomain::resync_seq(std::uint64_t s) {
 
 void DistributedDomain::exchange_finish() {
   if (!inflight_.active) throw std::logic_error("exchange_finish() without exchange_start()");
-  if (inflight_.planned) {
-    planned_finish(*cur_plan_);
-    note_exchange_complete();
-    return;
-  }
+  plan::CompiledPlan* p = cur_plan_;  // null in eager mode
   auto& comm = ctx_.comm;
   auto& rt = ctx_.rt;
-  std::vector<simpi::Request>& recv_reqs = inflight_.recv_reqs;
-  auto& recv_map = inflight_.recv_map;
 
-  // --- Phase 4: post Isends in data-ready order (the Sender state
-  // machines' "advance when your CUDA phase completes" loop). Each send is
-  // gated on its ready_ev with an event synchronize — not a virtual-time
-  // sleep to the same instant — so the isend's read of the staging buffer
-  // has a happens-before edge from the pack/D2H writes it consumes.
-  std::vector<simpi::Request>& send_reqs = inflight_.send_reqs;
-  {
-    auto xi = inflight_.pending_sends.begin();
-    auto gi = inflight_.pending_group_sends.begin();
-    while (xi != inflight_.pending_sends.end() || gi != inflight_.pending_group_sends.end()) {
-      const bool take_group = xi == inflight_.pending_sends.end() ||
-                              (gi != inflight_.pending_group_sends.end() && gi->first < xi->first);
-      if (take_group) {
-        AggGroup& g = *gi->second;
-        for (auto& [mx, off] : g.members) {
-          (void)off;
-          rt.event_synchronize(mx->ready_ev);
-        }
-        g.req = comm.isend(simpi::Payload::of(g.host, 0, g.active_bytes), g.peer_rank,
-                           agg_tag(comm, comm.rank()));
-        send_reqs.push_back(g.req);
-        ++gi;
-      } else {
-        TransferState& x = *xi->second;
-        rt.event_synchronize(x.ready_ev);
-        if (x.t.method == Method::kStaged) {
-          x.send_req = comm.isend(simpi::Payload::of(x.src_host, 0, x.active_bytes), x.t.dst_rank,
-                                  x.t.tag);
-        } else {
-          x.send_req = comm.isend(simpi::Payload::of(x.src_pack, 0, x.active_bytes), x.t.dst_rank,
-                                  x.t.tag);
-        }
-        send_reqs.push_back(x.send_req);
-        ++xi;
+  // --- Phase 4: start the sends. Each start is gated on its data with an
+  // event synchronize — not a virtual-time sleep to the same instant — so
+  // the send's read of the staging buffer has a happens-before edge from
+  // the pack/D2H writes it consumes. Eager mode starts them in data-ready
+  // order, groups interleaved (the Sender state machines' "advance when
+  // your CUDA phase completes" loop). A plan starts them in its frozen
+  // order, transfers then groups, and COLOCATED fallback sends queued by
+  // Phase 2 ride as plain isends this generation.
+  const auto start_group = [&](AggGroup& g, simpi::Request& req) {
+    for (const auto& m : g.members) rt.event_synchronize(m.first->ready_ev);
+    if (p != nullptr) {
+      comm.start(req);
+    } else {
+      req = comm.isend(simpi::Payload::of(g.host, 0, g.active_bytes), g.peer_rank,
+                       agg_tag(comm, comm.rank()));
+    }
+    inflight_.send_reqs.push_back(req);
+  };
+  auto xi = inflight_.pending_sends.begin();
+  if (p != nullptr) {
+    for (plan::TransferProgram& prog : p->programs) {
+      if (!prog.send_req.valid()) continue;
+      rt.event_synchronize(xfers_[prog.xfer_index]->ready_ev);
+      comm.start(prog.send_req);
+      inflight_.send_reqs.push_back(prog.send_req);
+    }
+    for (plan::GroupProgram& g : p->send_groups) start_group(*send_groups_[g.group_index], g.req);
+  } else {
+    for (auto& [ready, gp] : inflight_.pending_group_sends) {
+      for (; xi != inflight_.pending_sends.end() && xi->first <= ready; ++xi) {
+        start_send(*xi->second);
       }
+      start_group(*gp, gp->req);
     }
   }
+  for (; xi != inflight_.pending_sends.end(); ++xi) start_send(*xi->second);
 
-  // --- Phase 5: as each MPI receive lands, enqueue H2D + unpack. ----------
+  // --- Phase 5: as each receive lands, enqueue its H2D + unpack (a plan
+  // launches the captured graph, or a group's fan-out).
   for (;;) {
-    const int i = comm.wait_any(recv_reqs);
+    const int i = comm.wait_any(inflight_.recv_reqs);
     if (i < 0) break;
-    auto [xp, gp] = recv_map[static_cast<std::size_t>(i)];
-    if (gp != nullptr) {
-      // A whole aggregated message landed: fan its members out to their GPUs.
-      for (std::size_t m = 0; m < gp->members.size(); ++m) {
-        TransferState* x = gp->members[m].first;
-        rt.memcpy_async(x->dst_pack, 0, gp->host, gp->active_offsets[m], x->active_bytes,
-                        x->dst_stream);
-        rt.launch_kernel(x->dst_stream, x->active_bytes, "unpack " + dir_str(x->t.dir),
-                         [x, this] { x->dst_ld->unpack_region(x->dst_pack, x->dst_region, active_qs_); },
-                         unpack_access(*x, x->dst_pack));
-      }
+    if (p != nullptr) {
+      rt.launch_graph(*inflight_.recv_graphs[static_cast<std::size_t>(i)]);
       continue;
     }
-    TransferState& x = *xp;
-    if (x.t.method == Method::kStaged) {
-      rt.memcpy_async(x.dst_pack, 0, x.dst_host, 0, x.active_bytes, x.dst_stream);
+    auto [xp, gp] = inflight_.recv_map[static_cast<std::size_t>(i)];
+    if (gp == nullptr) {
+      run_phase(*xp, xfer::Phase::kLand);
+      continue;
     }
-    rt.launch_kernel(x.dst_stream, x.active_bytes, "unpack " + dir_str(x.t.dir),
-                     [&x, this] { x.dst_ld->unpack_region(x.dst_pack, x.dst_region, active_qs_); },
-                     unpack_access(x, x.dst_pack));
+    // A whole aggregated message landed: fan its members out to their GPUs.
+    for (auto& [x, off] : gp->members) run_phase(*x, xfer::Phase::kLand, Slot{&gp->host, off});
   }
 
   // --- Phase 6: COLOCATED receivers unpack and acknowledge. ---------------
-  for (auto& xp : xfers_) {
-    TransferState& x = *xp;
-    if (x.t.method != Method::kColocated || !x.i_recv) continue;
-    colocated_recv(x);
-  }
+  for (auto& xp : xfers_) run_phase(*xp, xfer::Phase::kColocatedRecv);
 
   // --- Phase 7: drain sends, then quiesce every stream we touched. --------
-  comm.waitall(send_reqs);
+  comm.waitall(inflight_.send_reqs);
   for (auto& xp : xfers_) {
-    TransferState& x = *xp;
-    if (x.src_stream.valid()) rt.stream_synchronize(x.src_stream);
-    if (x.dst_stream.valid()) rt.stream_synchronize(x.dst_stream);
+    if (xp->src_stream.valid()) rt.stream_synchronize(xp->src_stream);
+    if (xp->dst_stream.valid()) rt.stream_synchronize(xp->dst_stream);
   }
-
+  cur_plan_ = nullptr;
   inflight_.active = false;
   inflight_.recv_reqs.clear();
   inflight_.send_reqs.clear();
+  inflight_.recv_graphs.clear();
   inflight_.recv_map.clear();
   inflight_.pending_sends.clear();
   inflight_.pending_group_sends.clear();
@@ -1254,70 +1192,86 @@ plan::CompiledPlan& DistributedDomain::acquire_plan() {
   plan::PlanStats& stats = plan_cache_.stats();
   plan::CompiledPlan* p =
       plan_cache_.find(static_cast<std::uint32_t>(flags_), aggregate_remote_, active_qs_);
-  if (p == nullptr) {
+  if (p != nullptr && p->key.topo_epoch == topo_epoch_ && p->dirty_count() == 0) {
+    ++stats.hits;
+    telemetry_.on_plan_event("hit");
+    // Hot path: one map find + O(1) counter bump, allocation-free.
+    if (explain::Ledger* led = ledger(); led != nullptr) {
+      const auto it = plan_record_ids_.find(p);
+      if (it != plan_record_ids_.end()) led->bump(it->second);
+    }
+    return *p;
+  }
+  // A miss compiles a fresh plan. A stale-epoch hit migrates: a demotion
+  // dirtied some programs since this plan was compiled, and only those are
+  // rebuilt — requests freed and re-initialized, graphs re-captured against
+  // the new method. Clean programs are untouched.
+  const bool fresh = p == nullptr;
+  if (fresh) {
     ++stats.compiles;
     telemetry_.on_plan_event("compile");
-    plan::CompiledPlan& np = compile_plan();
-    // Fail-fast admission: a plan with a protocol defect never replays.
-    plan_cache_.admit(np);
-    if (explain::Ledger* led = ledger(); led != nullptr) {
-      explain::DecisionRecord rec;
+    p = &plan_cache_.emplace(plan::PlanKey{topo_epoch_, static_cast<std::uint32_t>(flags_),
+                                           aggregate_remote_, active_qs_});
+    p->programs.reserve(xfers_.size());
+  } else {
+    ++stats.invalidations;
+    telemetry_.on_plan_event("invalidation");
+  }
+  const std::uint64_t epoch_before = p->key.topo_epoch;
+  std::uint64_t rebuilt = 0;
+  for (plan::TransferProgram& prog : p->programs) {
+    if (!prog.dirty) continue;
+    compile_program(prog);
+    ++rebuilt;
+  }
+  // Programs are index-aligned with xfers_: compile the missing ones. For a
+  // migrated plan these are transfers recovery appended (adopted subdomains
+  // bring new neighbor pairs), extending the frozen set instead of
+  // recompiling it wholesale.
+  std::uint64_t appended = 0;
+  for (std::size_t i = p->programs.size(); i < xfers_.size(); ++i) {
+    plan::TransferProgram& prog = p->programs.emplace_back();
+    prog.xfer_index = i;
+    compile_program(prog);
+    ++appended;
+  }
+  if (fresh) {
+    for (bool is_send : {true, false}) {
+      auto& groups = is_send ? p->send_groups : p->recv_groups;
+      for (std::size_t i = 0; i < (is_send ? send_groups_ : recv_groups_).size(); ++i) {
+        plan::GroupProgram& g = groups.emplace_back();
+        g.group_index = i;
+        g.is_send = is_send;
+        compile_group_program(g);
+      }
+    }
+  } else {
+    stats.rebuilt_programs += rebuilt + appended;
+    for (std::uint64_t i = 0; i < rebuilt + appended; ++i) telemetry_.on_plan_event("rebuild");
+    p->key.topo_epoch = topo_epoch_;
+  }
+  // Fail-fast admission: a plan with a protocol defect never replays. Clean
+  // cache hits skip the verifier; fresh and migrated plans do not.
+  admit(*p);
+  if (explain::Ledger* led = ledger(); led != nullptr) {
+    explain::DecisionRecord rec;
+    rec.at = ctx_.engine().now();
+    rec.actor = ctx_.comm.rank();
+    if (fresh) {
       rec.kind = explain::DecisionKind::kPlanCompile;
-      rec.at = ctx_.engine().now();
-      rec.actor = ctx_.comm.rank();
       rec.subject = "epoch " + std::to_string(topo_epoch_) + ", " +
                     std::to_string(active_qs_.size()) + " quantities" +
                     (aggregate_remote_ ? ", aggregated" : "");
-      rec.chosen = "compile " + std::to_string(np.programs.size()) + " programs, " +
-                   std::to_string(np.send_groups.size() + np.recv_groups.size()) + " groups";
-      rec.chosen_score = static_cast<double>(np.programs.size());
+      rec.chosen = "compile " + std::to_string(p->programs.size()) + " programs, " +
+                   std::to_string(p->send_groups.size() + p->recv_groups.size()) + " groups";
+      rec.chosen_score = static_cast<double>(p->programs.size());
       // The cheaper option did not exist: no compatible plan was cached.
       // Negative delta quantifies the cold-start cost; repeats counts the
       // later hits that did get it for free.
       rec.rejected.push_back({"cache hit (no compatible plan cached)", 0.0});
-      rec.work = np.programs.size();
-      rec.detail = "score = programs (re)built";
-      plan_record_ids_[&np] = led->append(std::move(rec));
-    }
-    return np;
-  }
-  if (p->key.topo_epoch != topo_epoch_ || p->dirty_count() > 0) {
-    // Fault-epoch migration: a demotion dirtied some programs since this
-    // plan was compiled. Rebuild only those — requests are freed and
-    // re-initialized, graphs re-captured against the new method — and stamp
-    // the plan with the current epoch. Clean programs are untouched.
-    ++stats.invalidations;
-    telemetry_.on_plan_event("invalidation");
-    const std::uint64_t epoch_before = p->key.topo_epoch;
-    std::uint64_t rebuilt = 0;
-    std::uint64_t appended = 0;
-    for (plan::TransferProgram& prog : p->programs) {
-      if (!prog.dirty) continue;
-      compile_program(prog);
-      ++rebuilt;
-      ++stats.rebuilt_programs;
-      telemetry_.on_plan_event("rebuild");
-    }
-    // Recovery can also *append* transfers (adopted subdomains bring new
-    // neighbor pairs): extend the frozen set — programs are index-aligned
-    // with xfers_ — instead of recompiling the plan wholesale.
-    for (std::size_t i = p->programs.size(); i < xfers_.size(); ++i) {
-      plan::TransferProgram prog;
-      prog.xfer_index = i;
-      compile_program(prog);
-      p->programs.push_back(std::move(prog));
-      ++appended;
-      ++stats.rebuilt_programs;
-      telemetry_.on_plan_event("rebuild");
-    }
-    p->key.topo_epoch = topo_epoch_;
-    // Re-verify only migrated plans: clean cache hits skip the verifier.
-    plan_cache_.admit(*p);
-    if (explain::Ledger* led = ledger(); led != nullptr) {
-      explain::DecisionRecord rec;
+      rec.work = p->programs.size();
+    } else {
       rec.kind = explain::DecisionKind::kPlanMigrate;
-      rec.at = ctx_.engine().now();
-      rec.actor = ctx_.comm.rank();
       rec.subject = "epoch " + std::to_string(epoch_before) + " -> " +
                     std::to_string(topo_epoch_);
       rec.chosen = "rebuild " + std::to_string(rebuilt) + " dirty + " +
@@ -1327,173 +1281,70 @@ plan::CompiledPlan& DistributedDomain::acquire_plan() {
       // Positive delta: programs the partial migration did NOT rebuild.
       rec.rejected.push_back({"full recompile", static_cast<double>(p->programs.size())});
       rec.work = rebuilt + appended;
-      rec.detail = "score = programs (re)built";
-      plan_record_ids_[p] = led->append(std::move(rec));
     }
-  } else {
-    ++stats.hits;
-    telemetry_.on_plan_event("hit");
-    // Hot path: one map find + O(1) counter bump, allocation-free.
-    if (explain::Ledger* led = ledger(); led != nullptr) {
-      const auto it = plan_record_ids_.find(p);
-      if (it != plan_record_ids_.end()) led->bump(it->second);
-    }
+    rec.detail = "score = programs (re)built";
+    plan_record_ids_[p] = led->append(std::move(rec));
   }
   return *p;
 }
 
-plan::CompiledPlan& DistributedDomain::compile_plan() {
-  plan::PlanKey key;
-  key.topo_epoch = topo_epoch_;
-  key.method_flags = static_cast<std::uint32_t>(flags_);
-  key.aggregated = aggregate_remote_;
-  key.quantities = active_qs_;
-  plan::CompiledPlan& p = plan_cache_.emplace(std::move(key));
-  p.programs.reserve(xfers_.size());
-  for (std::size_t i = 0; i < xfers_.size(); ++i) {
-    plan::TransferProgram prog;
-    prog.xfer_index = i;
-    compile_program(prog);
-    p.programs.push_back(std::move(prog));
+void DistributedDomain::admit(plan::CompiledPlan& p) {
+  try {
+    plan_cache_.admit(p);
+  } catch (const plan::AdmissionError&) {
+    auto& comm = ctx_.comm;
+    for (plan::TransferProgram& prog : p.programs) {
+      if (prog.send_req.valid()) comm.request_free(prog.send_req);
+      if (prog.recv_req.valid()) comm.request_free(prog.recv_req);
+    }
+    for (auto groups : {&p.send_groups, &p.recv_groups}) {
+      for (plan::GroupProgram& g : *groups) {
+        if (g.req.valid()) comm.request_free(g.req);
+      }
+    }
+    plan_record_ids_.erase(&p);
+    plan_cache_.erase(p);
+    throw;
   }
-  for (std::size_t i = 0; i < send_groups_.size(); ++i) {
-    plan::GroupProgram g;
-    g.group_index = i;
-    g.is_send = true;
-    compile_group_program(g);
-    p.send_groups.push_back(std::move(g));
-  }
-  for (std::size_t i = 0; i < recv_groups_.size(); ++i) {
-    plan::GroupProgram g;
-    g.group_index = i;
-    g.is_send = false;
-    compile_group_program(g);
-    p.recv_groups.push_back(std::move(g));
-  }
-  return p;
 }
 
 void DistributedDomain::compile_program(plan::TransferProgram& prog) {
   TransferState& x = *xfers_[prog.xfer_index];
-  auto& rt = ctx_.rt;
   auto& comm = ctx_.comm;
   // Rebuild path: release the superseded persistent envelope. Plans are
   // only (re)built between exchanges, so the requests are inactive and the
   // free is clean (no lint).
   if (prog.send_req.valid()) comm.request_free(prog.send_req);
   if (prog.recv_req.valid()) comm.request_free(prog.recv_req);
+  const xfer::OpList& ops = x.ops;
   prog.tag = x.t.tag;
   prog.method = x.t.method;
   prog.bytes = x.active_bytes;
   prog.i_send = x.i_send;
   prog.i_recv = x.i_recv;
-  prog.eager = x.t.method == Method::kColocated;
+  // COLOCATED stays interpreted: its IPC flow control depends on the
+  // generation counter, which a frozen node sequence cannot express.
+  prog.eager = ops.has(xfer::Phase::kColocatedSend) || ops.has(xfer::Phase::kColocatedRecv);
   prog.dirty = false;
   prog.send_req = {};
   prog.recv_req = {};
   prog.send_graph = {};
   prog.recv_graph = {};
-  // COLOCATED stays interpreted: its IPC flow control depends on the
-  // generation counter, which a frozen node sequence cannot express.
-  if (prog.eager) return;
+  // Aggregation members are frozen into their GroupProgram instead.
+  if (prog.eager || x.aggregated) return;
 
-  switch (x.t.method) {
-    case Method::kKernel:
-      if (x.i_send) {
-        rt.begin_capture();
-        rt.launch_kernel(x.src_stream, x.active_bytes, "self " + dir_str(x.t.dir),
-                         [&x, this] { x.src_ld->self_exchange(x.t.dir, active_qs_); },
-                         self_access(x));
-        prog.send_graph = rt.instantiate(rt.end_capture());
-      }
-      break;
-    case Method::kPeer: {
-      // Both halves are ours: the whole pack / copy / event-edge / unpack
-      // chain freezes into one graph. ready_ev carries the cross-stream
-      // edge (it has no MPI role for PEER), re-recorded at every launch.
-      rt.begin_capture();
-      if (peer_use_3d(x)) {
-        for (std::size_t q : active_qs_) {
-          const std::size_t qbytes =
-              static_cast<std::size_t>(x.src_region.volume()) * quantities_[q].elem_size;
-          rt.memcpy3d_peer_async(
-              x.t.dst_gpu, x.t.src_gpu, qbytes, x.src_ld->row_bytes(x.src_region, q),
-              x.src_stream, "3d " + dir_str(x.t.dir),
-              [&x, q] {
-                LocalDomain::copy_region(*x.src_ld, x.src_region, *x.dst_ld, x.dst_region, q);
-              },
-              copy3d_access(x, q));
-        }
-        rt.record_event(x.ready_ev, x.src_stream);
-        rt.stream_wait_event(x.dst_stream, x.ready_ev);
-      } else {
-        rt.launch_kernel(x.src_stream, x.active_bytes, "pack " + dir_str(x.t.dir),
-                         [&x, this] { x.src_ld->pack_region(x.src_pack, x.src_region, active_qs_); },
-                         pack_access(x, x.src_pack));
-        rt.memcpy_peer_async(x.dst_pack, 0, x.src_pack, 0, x.active_bytes, x.src_stream);
-        rt.record_event(x.ready_ev, x.src_stream);
-        rt.stream_wait_event(x.dst_stream, x.ready_ev);
-        rt.launch_kernel(x.dst_stream, x.active_bytes, "unpack " + dir_str(x.t.dir),
-                         [&x, this] { x.dst_ld->unpack_region(x.dst_pack, x.dst_region, active_qs_); },
-                         unpack_access(x, x.dst_pack));
-      }
-      prog.send_graph = rt.instantiate(rt.end_capture());
-      break;
-    }
-    case Method::kCudaAwareMpi:
-      if (x.i_send) {
-        rt.begin_capture();
-        rt.launch_kernel(x.src_stream, x.active_bytes, "pack " + dir_str(x.t.dir),
-                         [&x, this] { x.src_ld->pack_region(x.src_pack, x.src_region, active_qs_); },
-                         pack_access(x, x.src_pack));
-        rt.record_event(x.ready_ev, x.src_stream);
-        prog.send_graph = rt.instantiate(rt.end_capture());
-        prog.send_req = comm.send_init(simpi::Payload::of(x.src_pack, 0, x.active_bytes),
-                                       x.t.dst_rank, x.t.tag);
-      }
-      if (x.i_recv) {
-        rt.begin_capture();
-        rt.launch_kernel(x.dst_stream, x.active_bytes, "unpack " + dir_str(x.t.dir),
-                         [&x, this] { x.dst_ld->unpack_region(x.dst_pack, x.dst_region, active_qs_); },
-                         unpack_access(x, x.dst_pack));
-        prog.recv_graph = rt.instantiate(rt.end_capture());
-        prog.recv_req = comm.recv_init(simpi::Payload::of(x.dst_pack, 0, x.active_bytes),
-                                       x.t.src_rank, x.t.tag);
-      }
-      break;
-    case Method::kStaged:
-      if (x.aggregated) break;  // frozen in a GroupProgram instead
-      if (x.i_send) {
-        rt.begin_capture();
-        if (staged_zero_copy_) {
-          rt.launch_zero_copy_kernel(
-              x.src_stream, x.active_bytes, "pack " + dir_str(x.t.dir),
-              [&x, this] { x.src_ld->pack_region(x.src_host, x.src_region, active_qs_); },
-              pack_access(x, x.src_host));
-        } else {
-          rt.launch_kernel(x.src_stream, x.active_bytes, "pack " + dir_str(x.t.dir),
-                           [&x, this] { x.src_ld->pack_region(x.src_pack, x.src_region, active_qs_); },
-                           pack_access(x, x.src_pack));
-          rt.memcpy_async(x.src_host, 0, x.src_pack, 0, x.active_bytes, x.src_stream);
-        }
-        rt.record_event(x.ready_ev, x.src_stream);
-        prog.send_graph = rt.instantiate(rt.end_capture());
-        prog.send_req = comm.send_init(simpi::Payload::of(x.src_host, 0, x.active_bytes),
-                                       x.t.dst_rank, x.t.tag);
-      }
-      if (x.i_recv) {
-        rt.begin_capture();
-        rt.memcpy_async(x.dst_pack, 0, x.dst_host, 0, x.active_bytes, x.dst_stream);
-        rt.launch_kernel(x.dst_stream, x.active_bytes, "unpack " + dir_str(x.t.dir),
-                         [&x, this] { x.dst_ld->unpack_region(x.dst_pack, x.dst_region, active_qs_); },
-                         unpack_access(x, x.dst_pack));
-        prog.recv_graph = rt.instantiate(rt.end_capture());
-        prog.recv_req = comm.recv_init(simpi::Payload::of(x.dst_host, 0, x.active_bytes),
-                                       x.t.src_rank, x.t.tag);
-      }
-      break;
-    case Method::kColocated:
-      break;  // unreachable: eager-flagged above
+  // The sender's stream work freezes into one graph: a local chain (PEER's
+  // event edge rides along, re-recorded at every launch) or a pack that
+  // ends in the ready event the send start is gated on.
+  prog.send_graph = capture(x, {xfer::Phase::kLocal, xfer::Phase::kPack});
+  if (const xfer::Op* send = ops.find(xfer::OpKind::kSend)) {
+    prog.send_req = comm.send_init(simpi::Payload::of(x.buffer(send->from), 0, x.active_bytes),
+                                   x.t.dst_rank, x.t.tag);
+  }
+  prog.recv_graph = capture(x, {xfer::Phase::kLand});
+  if (const xfer::Op* post = ops.find(xfer::OpKind::kPostRecv)) {
+    prog.recv_req = comm.recv_init(simpi::Payload::of(x.buffer(post->to), 0, x.active_bytes),
+                                   x.t.src_rank, x.t.tag);
   }
 }
 
@@ -1506,23 +1357,9 @@ void DistributedDomain::compile_group_program(plan::GroupProgram& g) {
   g.bytes = grp.active_bytes;
   g.member_tags.clear();
   rt.begin_capture();
-  for (std::size_t m = 0; m < grp.members.size(); ++m) {
-    TransferState* x = grp.members[m].first;
+  for (auto& [x, off] : grp.members) {
     g.member_tags.push_back(x->t.tag);
-    if (g.is_send) {
-      rt.launch_kernel(x->src_stream, x->active_bytes, "pack " + dir_str(x->t.dir),
-                       [x, this] { x->src_ld->pack_region(x->src_pack, x->src_region, active_qs_); },
-                       pack_access(*x, x->src_pack));
-      rt.memcpy_async(grp.host, grp.active_offsets[m], x->src_pack, 0, x->active_bytes,
-                      x->src_stream);
-      rt.record_event(x->ready_ev, x->src_stream);
-    } else {
-      rt.memcpy_async(x->dst_pack, 0, grp.host, grp.active_offsets[m], x->active_bytes,
-                      x->dst_stream);
-      rt.launch_kernel(x->dst_stream, x->active_bytes, "unpack " + dir_str(x->t.dir),
-                       [x, this] { x->dst_ld->unpack_region(x->dst_pack, x->dst_region, active_qs_); },
-                       unpack_access(*x, x->dst_pack));
-    }
+    run_phase(*x, g.is_send ? xfer::Phase::kPack : xfer::Phase::kLand, Slot{&grp.host, off});
   }
   g.graph = rt.instantiate(rt.end_capture());
   g.req = g.is_send
@@ -1530,130 +1367,6 @@ void DistributedDomain::compile_group_program(plan::GroupProgram& g) {
                                agg_tag(comm, comm.rank()))
               : comm.recv_init(simpi::Payload::of(grp.host, 0, grp.active_bytes), grp.peer_rank,
                                agg_tag(comm, grp.peer_rank));
-}
-
-void DistributedDomain::planned_start(plan::CompiledPlan& p) {
-  auto& comm = ctx_.comm;
-  auto& rt = ctx_.rt;
-  cur_plan_ = &p;
-  inflight_.planned = true;
-  ++p.replays;
-  ++plan_cache_.stats().replays;
-  telemetry_.on_plan_event("replay");
-
-  // Phase 0': re-arm every persistent receive (groups first, matching the
-  // eager post order) and remember each one's landing graph.
-  std::vector<simpi::Request>& recv_reqs = inflight_.recv_reqs;
-  for (plan::GroupProgram& g : p.recv_groups) {
-    comm.start(g.req);
-    recv_reqs.push_back(g.req);
-    inflight_.recv_graphs.push_back(&g.graph);
-  }
-  for (plan::TransferProgram& prog : p.programs) {
-    if (!prog.recv_req.valid()) continue;
-    comm.start(prog.recv_req);
-    recv_reqs.push_back(prog.recv_req);
-    inflight_.recv_graphs.push_back(&prog.recv_graph);
-  }
-
-  // Phase 1': local transfers (KERNEL, PEER) — one launch per frozen chain.
-  for (plan::TransferProgram& prog : p.programs) {
-    if ((prog.method == Method::kKernel || prog.method == Method::kPeer) &&
-        prog.send_graph.valid()) {
-      rt.launch_graph(prog.send_graph);
-    }
-  }
-
-  // Phase 2': COLOCATED senders stay interpreted (generation-dependent flow
-  // control). A stale mapping demotes the transfer, queues an eager
-  // fallback send, and — via demote_transfer — dirties this plan entry, so
-  // the next acquire rebuilds it as a persistent STAGED program.
-  for (plan::TransferProgram& prog : p.programs) {
-    if (!prog.eager) continue;
-    TransferState& x = *xfers_[prog.xfer_index];
-    if (x.i_send) colocated_send(x);
-  }
-
-  // Phase 3': sender pack graphs (STAGED, CUDA-aware, aggregation groups).
-  for (plan::TransferProgram& prog : p.programs) {
-    if ((prog.method == Method::kStaged || prog.method == Method::kCudaAwareMpi) &&
-        prog.send_graph.valid()) {
-      rt.launch_graph(prog.send_graph);
-    }
-  }
-  for (plan::GroupProgram& g : p.send_groups) rt.launch_graph(g.graph);
-}
-
-void DistributedDomain::planned_finish(plan::CompiledPlan& p) {
-  auto& comm = ctx_.comm;
-  auto& rt = ctx_.rt;
-
-  // Phase 4': the frozen send schedule. Plan order replaces the eager
-  // path's per-iteration ready-time sort; each start is still gated on the
-  // transfer's ready event, so the persistent request's read of the staging
-  // buffer keeps the same happens-before edge as the eager isend.
-  std::vector<simpi::Request>& send_reqs = inflight_.send_reqs;
-  for (plan::TransferProgram& prog : p.programs) {
-    if (!prog.send_req.valid()) continue;
-    TransferState& x = *xfers_[prog.xfer_index];
-    rt.event_synchronize(x.ready_ev);
-    comm.start(prog.send_req);
-    send_reqs.push_back(prog.send_req);
-  }
-  for (plan::GroupProgram& g : p.send_groups) {
-    AggGroup& grp = *send_groups_[g.group_index];
-    for (auto& [mx, off] : grp.members) {
-      (void)off;
-      rt.event_synchronize(mx->ready_ev);
-    }
-    comm.start(g.req);
-    send_reqs.push_back(g.req);
-  }
-  // COLOCATED fallback sends queued by Phase 2' ride as plain isends this
-  // generation; their rebuilt persistent programs take over next exchange.
-  std::stable_sort(inflight_.pending_sends.begin(), inflight_.pending_sends.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (auto& [ready, xp] : inflight_.pending_sends) {
-    (void)ready;
-    TransferState& x = *xp;
-    rt.event_synchronize(x.ready_ev);
-    x.send_req =
-        comm.isend(simpi::Payload::of(x.src_host, 0, x.active_bytes), x.t.dst_rank, x.t.tag);
-    send_reqs.push_back(x.send_req);
-  }
-
-  // Phase 5': as each persistent receive lands, launch its captured
-  // H2D+unpack (or group fan-out) graph.
-  for (;;) {
-    const int i = comm.wait_any(inflight_.recv_reqs);
-    if (i < 0) break;
-    rt.launch_graph(*inflight_.recv_graphs[static_cast<std::size_t>(i)]);
-  }
-
-  // Phase 6': COLOCATED receivers (interpreted, like the send side).
-  for (plan::TransferProgram& prog : p.programs) {
-    if (!prog.eager) continue;
-    TransferState& x = *xfers_[prog.xfer_index];
-    if (x.i_recv) colocated_recv(x);
-  }
-
-  // Phase 7': drain sends, then quiesce every stream we touched.
-  comm.waitall(send_reqs);
-  for (auto& xp : xfers_) {
-    TransferState& x = *xp;
-    if (x.src_stream.valid()) rt.stream_synchronize(x.src_stream);
-    if (x.dst_stream.valid()) rt.stream_synchronize(x.dst_stream);
-  }
-
-  cur_plan_ = nullptr;
-  inflight_.active = false;
-  inflight_.planned = false;
-  inflight_.recv_reqs.clear();
-  inflight_.send_reqs.clear();
-  inflight_.recv_graphs.clear();
-  inflight_.recv_map.clear();
-  inflight_.pending_sends.clear();
-  inflight_.pending_group_sends.clear();
 }
 
 void DistributedDomain::launch_compute(LocalDomain& ld, const std::string& label,

@@ -16,6 +16,12 @@
 
 namespace stencil {
 
+namespace xfer {
+enum class Phase : std::uint8_t;
+struct Op;
+class OpList;
+}  // namespace xfer
+
 /// The library's user-facing type (mirroring the reference implementation):
 /// one instance per rank, holding that rank's subdomains and the machinery
 /// for overlapped halo exchanges.
@@ -262,9 +268,10 @@ class DistributedDomain {
   // (its IPC handshake belongs to the pre-failure world) and PEER requires
   // the peer link to actually be enabled.
   Method forced_method(const Transfer& t) const;
+  // Lay out the staged transfers as aggregation groups: record the choice
+  // (explain) and, with remote aggregation on, build the groups.
   void build_aggregation_groups();
   void colocated_setup();
-  LocalDomain* local_by_gpu(int ggpu);
 
   // --- runtime re-specialization (fault degradation, §III-C fail-down) ----
   // At each exchange boundary, demote any transfer whose capability was
@@ -274,12 +281,12 @@ class DistributedDomain {
   void maybe_respecialize();
   // Rewrite one transfer's method (state + plan, so method_histogram()
   // reflects it) and record the decision on the trace's "fault" lane.
-  // Also bumps the topology epoch and dirties the transfer's programs in
-  // every cached plan.
+  // Also bumps the topology epoch, dirties the transfer's programs in every
+  // cached plan, and allocates what the new method needs.
   void demote_transfer(TransferState& x, Method target);
-  // Lazily allocate the streams/buffers the STAGED path needs on whichever
-  // sides of the transfer this rank owns.
-  void ensure_staged_buffers(TransferState& x);
+  // Allocate the streams and buffers x's method needs on the sides of the
+  // transfer this rank owns, keeping any it already has.
+  void ensure_buffers(TransferState& x);
 
   // --- decision provenance (stencil::explain, DESIGN.md §17) --------------
   // The cluster-attached ledger, or nullptr (the common case). Every hook
@@ -290,26 +297,46 @@ class DistributedDomain {
   // ladder position (kernel 0 ... staged 4; lower = more specialized).
   void record_specialization();
   // realize(): the aggregation on/off choice, scored by staged message
-  // count per exchange (grouped vs per-transfer).
-  void record_aggregation();
+  // count per exchange: `msgs` per-transfer vs `groups` grouped.
+  void record_aggregation(std::uint64_t msgs, std::size_t groups);
   // demote_transfer(): the fault-forced rung change, with the revoked rung
   // as the rejected alternative (negative delta = capability lost).
   void record_demotion(const TransferState& x, Method from, Method to);
 
-  // --- checker annotations (byte ranges a kernel closure touches) ---------
-  vgpu::AccessList pack_access(const TransferState& x, const vgpu::Buffer& dst) const;
-  vgpu::AccessList unpack_access(const TransferState& x, const vgpu::Buffer& src) const;
-  vgpu::AccessList self_access(const TransferState& x) const;
-  vgpu::AccessList copy3d_access(const TransferState& x, std::size_t q) const;
+  // Checker annotation: the byte ranges a kernel or 3-D copy op touches in
+  // quantities `qs` (memcpys derive their own).
+  vgpu::AccessList op_access(TransferState& x, const xfer::Op& op,
+                             const std::vector<std::size_t>& qs) const;
 
   // PEER pack avoidance (§VI): strided 3D copy instead of pack kernels,
   // per configuration or the kAuto cost model.
   bool peer_use_3d(const TransferState& x) const;
 
+  // --- the transfer op list (core/transfer_ops.h) --------------------------
+  // An aggregation member's slot in its group's pinned buffer.
+  struct Slot {
+    vgpu::Buffer* host;
+    std::size_t offset;
+  };
+  // Build this rank's op list for `x` in the exchange in flight.
+  xfer::OpList ops_of(const TransferState& x) const;
+  // Issue `x`'s ops of one phase. Stream work goes to the runtime, or into
+  // the graph being captured; a post-recv becomes an irecv; an interpreted
+  // COLOCATED step takes over the rest of its phase. Sends are started by
+  // the callers, each mode in its own order.
+  void run_phase(TransferState& x, xfer::Phase phase, const Slot& slot = Slot{nullptr, 0});
+  void issue(TransferState& x, const xfer::Op& op, const Slot& slot);
+  // Eager send of `x`'s payload, gated on its ready event.
+  void start_send(TransferState& x);
+  // Capture `x`'s ops of the given phases into one graph (none if empty).
+  vgpu::GraphExec capture(TransferState& x, std::initializer_list<xfer::Phase> phases);
+
   // COLOCATED state machines, shared by the eager and planned paths (their
   // flow control is generation-dependent, so plans keep them interpreted).
-  void colocated_send(TransferState& x);
-  void colocated_recv(TransferState& x);
+  // Each runs the stream ops [first, last) that follow its step in the op
+  // list; a stale IPC mapping demotes the transfer and runs STAGED's ops.
+  void colocated_send(TransferState& x, const xfer::Op* first, const xfer::Op* last);
+  void colocated_recv(TransferState& x, const xfer::Op* first, const xfer::Op* last);
   // Park on a COLOCATED channel gate until `done` holds, but stay
   // failure-aware: a pending revoke or a dead peer surfaces as a
   // TransportError (kRevoked / kPeerDead) instead of a silent hang — the
@@ -330,16 +357,13 @@ class DistributedDomain {
   // The plan for the active configuration: exact cache hit, stale-epoch
   // migration (rebuild only dirty programs), or full compile on miss.
   plan::CompiledPlan& acquire_plan();
-  plan::CompiledPlan& compile_plan();
+  // Admission: a rejected plan never replays. Its persistent requests are
+  // freed and it leaves the cache, so the next acquire recompiles it.
+  void admit(plan::CompiledPlan& p);
   // (Re)build one frozen transfer: capture its stream phases into graphs,
   // create its persistent requests. Frees any superseded requests first.
   void compile_program(plan::TransferProgram& prog);
   void compile_group_program(plan::GroupProgram& g);
-  // Replay: planned_start re-arms receives and launches sender graphs;
-  // planned_finish starts sends in frozen order, fans out landed receives,
-  // and quiesces.
-  void planned_start(plan::CompiledPlan& p);
-  void planned_finish(plan::CompiledPlan& p);
 
   RankCtx& ctx_;
   Dim3 domain_;
@@ -358,7 +382,6 @@ class DistributedDomain {
   std::shared_ptr<const Placement> placement_;
   ExchangePlan plan_;
   std::vector<std::unique_ptr<LocalDomain>> locals_;
-  std::map<int, std::size_t> local_index_by_gpu_;
   // Keyed by linearized global subdomain index: after recovery re-homing a
   // GPU may host several subdomains, so gpu id no longer identifies one.
   std::map<std::int64_t, std::size_t> local_index_by_subdomain_;
@@ -376,7 +399,7 @@ class DistributedDomain {
   std::uint64_t topo_epoch_ = 0;
   telemetry::Telemetry telemetry_;
   plan::PlanCache plan_cache_;
-  plan::CompiledPlan* cur_plan_ = nullptr;  // plan driving the in-flight exchange
+  plan::CompiledPlan* cur_plan_ = nullptr;  // plan driving the in-flight exchange, if any
   // Latest provenance record per cached plan, so the hot path (cache hit)
   // is a single map find + O(1) ledger bump — no allocation, no string
   // formatting. Populated only on the cold compile/migrate paths.
@@ -401,7 +424,6 @@ class DistributedDomain {
   // Split-phase exchange state, valid between exchange_start/finish.
   struct InFlight {
     bool active = false;
-    bool planned = false;
     sim::Time start_time = 0;  // virtual time of exchange_start (telemetry)
     std::vector<simpi::Request> recv_reqs;
     // Posted sends, kept here (not on the stack) so recover_abort can reset

@@ -29,30 +29,28 @@ Transfer ExchangePlan::make_transfer(const Placement& placement, Dim3 src_idx, D
   t.dst_rank = rank_of(placement, t.dst_idx, ranks_per_node);
 
   const int gpn = static_cast<int>(hp.gpu_extent().volume());
-  const bool same_node = t.src_gpu / gpn == t.dst_gpu / gpn;
-  const Method remote =
-      any(flags & MethodFlags::kCudaAwareMpi) ? Method::kCudaAwareMpi : Method::kStaged;
-
-  if (t.self()) {
-    if (any(flags & MethodFlags::kKernel)) {
-      t.method = Method::kKernel;
-    } else if (any(flags & MethodFlags::kPeer)) {
-      t.method = Method::kPeer;  // pack/copy/unpack within one GPU
-    } else {
-      t.method = remote;  // MPI message to our own rank
-    }
-  } else if (t.src_rank == t.dst_rank) {
-    t.method = any(flags & MethodFlags::kPeer) ? Method::kPeer : remote;
-  } else if (same_node) {
-    t.method = any(flags & MethodFlags::kColocated) ? Method::kColocated : remote;
-  } else {
-    t.method = remote;
-  }
+  t.method = specialize(t, t.src_gpu / gpn == t.dst_gpu / gpn, flags);
 
   const int di = direction_index(dir);
   if (di < 0) throw std::logic_error("ExchangePlan: bad direction");
   t.tag = tagspace::data_tag(src_idx.linearize(hp.global_extent()), di, tenant);
   return t;
+}
+
+Method ExchangePlan::specialize(const Transfer& t, bool same_node, MethodFlags flags,
+                               bool peer_ok) {
+  const Method remote =
+      any(flags & MethodFlags::kCudaAwareMpi) ? Method::kCudaAwareMpi : Method::kStaged;
+  if (t.self()) {
+    if (any(flags & MethodFlags::kKernel)) return Method::kKernel;
+    // PEER packs, copies and unpacks within one GPU; otherwise an MPI
+    // message to our own rank.
+    return any(flags & MethodFlags::kPeer) ? Method::kPeer : remote;
+  }
+  if (t.src_rank == t.dst_rank) {
+    return any(flags & MethodFlags::kPeer) && peer_ok ? Method::kPeer : remote;
+  }
+  return same_node && any(flags & MethodFlags::kColocated) ? Method::kColocated : remote;
 }
 
 ExchangePlan ExchangePlan::for_rank(const Placement& placement, int rank, int ranks_per_node,

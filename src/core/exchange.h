@@ -73,6 +73,12 @@ class ExchangePlan {
   /// Rank owning a subdomain under this ownership layout.
   static int rank_of(const Placement& placement, Dim3 global_idx, int ranks_per_node);
 
+  /// The ladder above for one transfer whose ranks and GPUs are set.
+  /// `peer_ok` says whether two distinct GPUs of one rank can copy peer to
+  /// peer (a rebuild after a fault passes the live capability).
+  static Method specialize(const Transfer& t, bool same_node, MethodFlags flags,
+                           bool peer_ok = true);
+
   /// Export the specialization table as gauges: one
   /// `exchange_plan_transfers{method="..."}` series per realized method.
   /// Re-exported after every runtime demotion, so the gauges always show

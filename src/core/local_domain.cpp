@@ -27,21 +27,22 @@ LocalDomain::LocalDomain(vgpu::Runtime& rt, int ggpu, Dim3 global_idx, Dim3 orig
   compute_stream_ = rt_.create_stream(ggpu_);
 }
 
+std::size_t LocalDomain::row_offset(const Region3& region, std::int64_t y, std::int64_t z,
+                                   std::size_t q) const {
+  // Rows are contiguous runs along x, strided in the (sz + 2r)^3 storage box.
+  const Dim3 st = storage();
+  const Dim3 ho = radius_.offsets();
+  const std::int64_t sx = region.origin.x + ho.x;
+  const std::int64_t sy = region.origin.y + y + ho.y;
+  const std::int64_t sz2 = region.origin.z + z + ho.z;
+  return static_cast<std::size_t>(((sz2 * st.y + sy) * st.x + sx)) * quantities_[q].elem_size;
+}
+
 template <typename Fn>
 void LocalDomain::for_each_row(const Region3& region, std::size_t q, Fn&& fn) const {
-  // Rows are contiguous runs along x; the region's rows are strided in the
-  // (sz + 2r)^3 storage box.
-  const Dim3 st = storage();
-  const std::size_t e = quantities_[q].elem_size;
-  const std::size_t row_bytes = static_cast<std::size_t>(region.extent.x) * e;
   for (std::int64_t z = 0; z < region.extent.z; ++z) {
     for (std::int64_t y = 0; y < region.extent.y; ++y) {
-      const Dim3 ho = radius_.offsets();
-      const std::int64_t sx = region.origin.x + ho.x;
-      const std::int64_t sy = region.origin.y + y + ho.y;
-      const std::int64_t sz2 = region.origin.z + z + ho.z;
-      const std::size_t off = static_cast<std::size_t>(((sz2 * st.y + sy) * st.x + sx)) * e;
-      fn(off, row_bytes);
+      fn(row_offset(region, y, z, q), row_bytes(region, q));
     }
   }
 }
@@ -127,27 +128,10 @@ void LocalDomain::copy_region(const LocalDomain& src, const Region3& src_region,
   }
   const std::byte* sp = src.data_[q].data();
   std::byte* dp = dst.data_[q].data();
-  const std::size_t e = src.quantities_[q].elem_size;
-  const Dim3 sst = src.storage();
-  const Dim3 dst_st = dst.storage();
-  const Dim3 soff = src.radius_.offsets();
-  const Dim3 doff = dst.radius_.offsets();
-  const std::size_t row = static_cast<std::size_t>(src_region.extent.x) * e;
   for (std::int64_t z = 0; z < src_region.extent.z; ++z) {
     for (std::int64_t y = 0; y < src_region.extent.y; ++y) {
-      const std::size_t so =
-          static_cast<std::size_t>(((src_region.origin.z + z + soff.z) * sst.y +
-                                    (src_region.origin.y + y + soff.y)) *
-                                       sst.x +
-                                   (src_region.origin.x + soff.x)) *
-          e;
-      const std::size_t dofs =
-          static_cast<std::size_t>(((dst_region.origin.z + z + doff.z) * dst_st.y +
-                                    (dst_region.origin.y + y + doff.y)) *
-                                       dst_st.x +
-                                   (dst_region.origin.x + doff.x)) *
-          e;
-      std::memcpy(dp + dofs, sp + so, row);
+      std::memcpy(dp + dst.row_offset(dst_region, y, z, q),
+                  sp + src.row_offset(src_region, y, z, q), src.row_bytes(src_region, q));
     }
   }
 }
@@ -159,28 +143,7 @@ void LocalDomain::self_exchange(Dim3 dir) {
 void LocalDomain::self_exchange(Dim3 dir, const std::vector<std::size_t>& qs) {
   const Region3 src = interior_slab(sz_, dir, radius_);
   const Region3 dst = halo_slab(sz_, dir, radius_);
-  if (src.extent != dst.extent) {
-    throw std::logic_error("self_exchange: slab shape mismatch");
-  }
-  for (std::size_t q : qs) {
-    if (data_[q].mode() != vgpu::MemMode::kMaterialized) continue;
-    std::byte* base = data_[q].data();
-    const std::size_t e = quantities_[q].elem_size;
-    const Dim3 st = storage();
-    const std::size_t row_bytes = static_cast<std::size_t>(src.extent.x) * e;
-    for (std::int64_t z = 0; z < src.extent.z; ++z) {
-      for (std::int64_t y = 0; y < src.extent.y; ++y) {
-        auto off = [&](const Region3& r) {
-          const Dim3 ho = radius_.offsets();
-          const std::int64_t sx = r.origin.x + ho.x;
-          const std::int64_t sy = r.origin.y + y + ho.y;
-          const std::int64_t sz2 = r.origin.z + z + ho.z;
-          return static_cast<std::size_t>(((sz2 * st.y + sy) * st.x + sx)) * e;
-        };
-        std::memmove(base + off(dst), base + off(src), row_bytes);
-      }
-    }
-  }
+  for (std::size_t q : qs) copy_region(*this, src, *this, dst, q);
 }
 
 }  // namespace stencil

@@ -143,6 +143,9 @@ class LocalDomain {
  private:
   template <typename Fn>
   void for_each_row(const Region3& region, std::size_t q, Fn&& fn) const;
+  // Byte offset of row (y, z) of `region` in quantity q's storage.
+  std::size_t row_offset(const Region3& region, std::int64_t y, std::int64_t z,
+                         std::size_t q) const;
 
   vgpu::Runtime& rt_;
   int ggpu_;

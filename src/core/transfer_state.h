@@ -1,16 +1,20 @@
 #pragma once
 
 /// \file transfer_state.h
-/// Private definitions of DistributedDomain's per-transfer runtime state,
-/// shared by distributed_domain.cpp and verify_model.cpp (which lowers the
-/// state into the static verifier's IR). Not part of the public API.
+/// Private definitions of DistributedDomain's per-transfer runtime state:
+/// the streams, buffers and requests that the operands of a transfer's op
+/// list (core/transfer_ops.h) resolve to. Shared by distributed_domain.cpp,
+/// which issues the list, and verify_model.cpp, which lowers it into the
+/// static verifier's IR. Not part of the public API.
 
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "core/distributed_domain.h"
 #include "core/region.h"
+#include "core/transfer_ops.h"
 #include "simtime/engine.h"
 
 namespace stencil {
@@ -61,6 +65,10 @@ struct DistributedDomain::TransferState {
   IpcEventChannel* peer_channel = nullptr;   // COLOCATED sender's view
   vgpu::IpcMappedPtr mapped;                 // sender's mapping of dst_pack
 
+  // This rank's op list for the exchange in flight (ops_of), rebuilt at
+  // every exchange start and on demotion.
+  xfer::OpList ops;
+
   vgpu::Event ready_ev;  // sender: packed (+staged) data ready for MPI
   simpi::Request send_req;
   simpi::Request recv_req;
@@ -73,20 +81,33 @@ struct DistributedDomain::TransferState {
   // sees method == kStaged) must not send it twice.
   bool aggregated = false;
   std::uint64_t handled_seq = 0;
+
+  /// The pack or staging buffer behind an op operand; a slot lives in the
+  /// aggregation group's buffer `group`.
+  vgpu::Buffer& buffer(xfer::Operand o, vgpu::Buffer* group = nullptr) {
+    switch (o) {
+      case xfer::Operand::kSrcPack: return src_pack;
+      case xfer::Operand::kSrcHost: return src_host;
+      case xfer::Operand::kDstPack: return dst_pack;
+      case xfer::Operand::kDstHost: return dst_host;
+      case xfer::Operand::kGroup: return *group;
+      default: throw std::logic_error("TransferState::buffer: operand is not a buffer");
+    }
+  }
 };
 
 /// One aggregated STAGED message: every staged transfer between this rank
 /// and `peer_rank` (in one direction) rides in a single pinned buffer, each
-/// member at its `agg_offset`.
+/// member at its offset.
 struct DistributedDomain::AggGroup {
   int peer_rank = -1;
   std::size_t bytes = 0;
   vgpu::Buffer host;  // pinned, on this rank's node (sized for all quantities)
-  std::vector<std::pair<TransferState*, std::size_t>> members;  // (transfer, full offset)
-  simpi::Request req;
-  // Layout of the exchange in flight (selective exchanges shrink it).
+  // (transfer, offset), laid out for the exchange in flight: selective
+  // exchanges shrink it.
+  std::vector<std::pair<TransferState*, std::size_t>> members;
   std::size_t active_bytes = 0;
-  std::vector<std::size_t> active_offsets;
+  simpi::Request req;
 };
 
 }  // namespace stencil

@@ -1,4 +1,3 @@
-#include <algorithm>
 #include <map>
 #include <sstream>
 
@@ -11,36 +10,45 @@
 
 /// \file verify_model.cpp
 /// Lowers a plan::CompiledPlan into the verifier's ExchangeModel
-/// (DESIGN.md §14). The local rank is modeled from the compiled artifact
-/// itself — program tags, payload sizes, persistent-request sides, group
-/// layouts — while every remote rank's plan is re-derived deterministically
-/// from one cached ExchangePlan::full over the shared placement, with the
-/// local demotion table overriding the methods of shared transfers. A plan that
-/// drifted from the derivation (wrong tag, wrong bytes, missing side)
-/// therefore surfaces as a matching defect against its peers.
+/// (DESIGN.md §14) by walking the same per-transfer op lists the exchange
+/// runs (core/transfer_ops.h). The local rank's lists are built from the
+/// compiled artifact itself — program tags, methods, payload sizes, group
+/// sizes — while every remote rank's are built from transfers re-derived
+/// deterministically from one cached ExchangePlan::full over the shared
+/// placement, with the local demotion table overriding the methods of shared
+/// transfers. A plan that drifted from the derivation (wrong tag, wrong
+/// bytes, missing side) therefore surfaces as a matching defect against its
+/// peers.
 
 namespace stencil {
 
 namespace {
 
-struct ModelXfer {
-  Transfer t;
-  std::size_t bytes = 0;     // payload for the plan's quantity subset
-  Method method = Method::kStaged;  // current (post-demotion) method
-  bool agg_member = false;   // rides in an aggregated group
-};
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-struct ModelGroup {
-  int peer = -1;
-  int tag = 0;
+/// One unit of a rank's program: a transfer endpoint, or an aggregation
+/// group's merged message. Trivially copyable: remote ranks build one per
+/// transfer endpoint of the whole job.
+struct Item {
+  Transfer t;  // ranks, tag (the artifact's on the local rank), direction
   std::size_t bytes = 0;
-  std::vector<const ModelXfer*> members;  // tag-sorted
+  xfer::OpList ops;
+  bool agg_member = false;             // lowered through its group
+  bool group = false;                  // an aggregation group's message
+  std::size_t local = kNone;           // local rank: the domain's transfer index
+  vgpu::Buffer* group_host = nullptr;  // local group: its pinned buffer
+  // Lowering state: the last stream op before the ready event gates the
+  // send; a group's landing wait gates its members' landing.
+  std::size_t ready = kNone;
+  std::size_t wait = kNone;
 };
 
-std::string dir3(Dim3 d) {
-  auto c = [](std::int64_t v) { return v > 0 ? "+" : v < 0 ? "-" : "0"; };
-  return std::string(c(d.x)) + c(d.y) + c(d.z);
-}
+/// A group's message and its tag-sorted members, which pack into and land
+/// from their slots of the group's buffer.
+struct Group {
+  Item msg;
+  std::vector<std::size_t> members;  // indices into the rank's item list
+};
 
 verify::Box3 region_box(const Region3& r) {
   verify::Box3 b;
@@ -53,132 +61,27 @@ verify::Box3 region_box(const Region3& r) {
   return b;
 }
 
-verify::Access flat(std::uint64_t buffer, std::uint64_t bytes, bool write) {
+verify::Access flat(const vgpu::Buffer& buf, std::uint64_t off, std::uint64_t bytes, bool write) {
   verify::Access a;
-  a.buffer = buffer;
+  a.buffer = buf.id();
   a.write = write;
-  a.offset = 0;
+  a.offset = off;
   a.bytes = bytes;
   return a;
 }
 
-verify::Access flat_at(std::uint64_t buffer, std::uint64_t off, std::uint64_t bytes,
-                       bool write) {
-  verify::Access a = flat(buffer, bytes, write);
-  a.offset = off;
-  return a;
+std::string token(const char* what, int tag) {
+  return "colo:" + std::to_string(tag) + ":" + what;
 }
-
-std::string data_token(int tag) { return "colo:" + std::to_string(tag) + ":data"; }
-std::string done_token(int tag) { return "colo:" + std::to_string(tag) + ":done"; }
-
-/// Emits one rank's op sequence mirroring the planned replay phases
-/// (planned_start 0'–3', planned_finish 4'–7').
-class RankEmitter {
- public:
-  RankEmitter(verify::RankProgram& rp, int rank) : rp_(rp), rank_(rank) {}
-
-  void order(std::size_t from, std::size_t to) { rp_.order.emplace_back(from, to); }
-  /// Mark op `idx` as entitled to the named reserved tag range.
-  void claim(std::size_t idx, const char* range) { rp_.ops[idx].claims = range; }
-
-  std::size_t post_recv(int src, int tag, std::size_t bytes, std::string what) {
-    verify::Op& o = emit(verify::OpKind::kPostRecv);
-    o.peer = src;
-    o.tag = tag;
-    o.bytes = bytes;
-    o.what = std::move(what);
-    return rp_.ops.size() - 1;
-  }
-  std::size_t start_send(int dst, int tag, std::size_t bytes, std::string what,
-                         std::vector<verify::Access> acc = {}) {
-    verify::Op& o = emit(verify::OpKind::kStartSend);
-    o.peer = dst;
-    o.tag = tag;
-    o.bytes = bytes;
-    o.accesses = std::move(acc);
-    o.what = std::move(what);
-    return rp_.ops.size() - 1;
-  }
-  std::size_t wait_recv(int src, int tag, std::size_t bytes, std::string what,
-                        std::vector<verify::Access> acc = {}) {
-    verify::Op& o = emit(verify::OpKind::kWaitRecv);
-    o.peer = src;
-    o.tag = tag;
-    o.bytes = bytes;
-    o.accesses = std::move(acc);
-    o.what = std::move(what);
-    return rp_.ops.size() - 1;
-  }
-  std::size_t wait_send(int dst, int tag, std::size_t bytes, bool eager,
-                        std::string what) {
-    verify::Op& o = emit(verify::OpKind::kWaitSend);
-    o.peer = dst;
-    o.tag = tag;
-    o.bytes = bytes;
-    o.eager = eager;
-    o.what = std::move(what);
-    return rp_.ops.size() - 1;
-  }
-  std::size_t token_wait(std::string token, int gen_delta, int peer, int tag) {
-    verify::Op& o = emit(verify::OpKind::kTokenWait);
-    o.token = std::move(token);
-    o.gen_delta = gen_delta;
-    o.peer = peer;
-    o.tag = tag;
-    return rp_.ops.size() - 1;
-  }
-  std::size_t token_signal(std::string token, int peer, int tag) {
-    verify::Op& o = emit(verify::OpKind::kTokenSignal);
-    o.token = std::move(token);
-    o.peer = peer;
-    o.tag = tag;
-    return rp_.ops.size() - 1;
-  }
-  std::size_t stream_op(std::uint64_t stream, int tag, std::string what,
-                        std::vector<verify::Access> acc) {
-    verify::Op& o = emit(verify::OpKind::kStream);
-    o.stream = stream;
-    o.tag = tag;
-    o.accesses = std::move(acc);
-    o.what = std::move(what);
-    return rp_.ops.size() - 1;
-  }
-
- private:
-  /// Constructs the op in place; push-of-temporary moved three strings and an
-  /// access vector per op, which added up across the whole remote world.
-  verify::Op& emit(verify::OpKind kind) {
-    verify::Op& o = rp_.ops.emplace_back();
-    o.kind = kind;
-    o.rank = rank_;
-    return o;
-  }
-
-  verify::RankProgram& rp_;
-  int rank_;
-};
 
 std::uint64_t stream_key(const vgpu::Stream& s) {
   if (!s.valid()) return 0;
   return (static_cast<std::uint64_t>(s.device + 1) << 40) | s.id;
 }
 
-bool eager_send(Method m, std::size_t bytes) {
-  // Host-payload (STAGED / aggregated) sends at or below the eager limit
-  // buffer immediately; device payloads (CUDA-aware) always rendezvous.
-  return m == Method::kStaged && bytes <= simpi::Job::kEagerLimit;
-}
-
-/// Emit the message/token phases shared by the local-artifact and
-/// derived-remote paths. `emit_streams` adds the pack/unpack stream work
-/// (local rank only — remote access lists are not needed: hazards are
-/// per-rank, and remote blocking structure is fully captured without them).
-struct PhasePlan {
-  std::vector<const ModelXfer*> xfers;  // plan order, bytes > 0
-  std::vector<ModelGroup> send_groups;  // peer-ascending
-  std::vector<ModelGroup> recv_groups;
-};
+/// Stream-work names, indexed by xfer::OpKind (stream work comes first).
+constexpr const char* kStreamOpNames[] = {"self", "pack", "pack", "unpack", "d2h",
+                                          "h2d",  "peer-copy", "ipc-push", "3d"};
 
 }  // namespace
 
@@ -223,20 +126,29 @@ verify::ExchangeModel DistributedDomain::verify_model(const plan::CompiledPlan& 
   for (const Transfer& t : plan_.transfers()) my_method[t.tag] = t.method;
 
   // Per-rank transfer lists. The local rank's comes from the compiled
-  // artifact; remote ranks are re-derived from the shared placement: one
-  // full() derivation, bucketed by endpoint, yields per-rank sets identical
-  // to a for_rank() per remote rank at half the cost.
-  std::vector<std::vector<ModelXfer>> storage(static_cast<std::size_t>(m.world_size));
+  // artifact — its frozen tags, methods and bytes; remote ranks are
+  // re-derived from the shared placement: one full() derivation, bucketed
+  // by endpoint, yields per-rank sets identical to a for_rank() per remote
+  // rank at half the cost.
+  std::vector<std::vector<Item>> storage(static_cast<std::size_t>(m.world_size));
+  const auto add = [&](int r, Transfer t, Method method, std::size_t bytes, bool agg,
+                       bool peer_3d) -> Item& {
+    Item& it = storage[static_cast<std::size_t>(r)].emplace_back();
+    t.method = method;
+    it.t = t;
+    it.bytes = bytes;
+    it.agg_member = agg;
+    it.ops = xfer::ops_for(
+        {method, t.src_rank == r, t.dst_rank == r, bytes, agg, staged_zero_copy_, peer_3d});
+    return it;
+  };
   for (const plan::TransferProgram& prog : p.programs) {
     const TransferState& x = *xfers_[prog.xfer_index];
-    ModelXfer mx;
-    mx.t = x.t;
-    mx.t.tag = prog.tag;
-    mx.t.method = prog.method;
-    mx.bytes = prog.bytes;
-    mx.method = prog.method;
-    mx.agg_member = x.aggregated && prog.method == Method::kStaged;
-    storage[static_cast<std::size_t>(me)].push_back(mx);
+    Transfer t = x.t;
+    t.tag = prog.tag;
+    add(me, t, prog.method, prog.bytes, x.aggregated && prog.method == Method::kStaged,
+        prog.method == Method::kPeer && peer_use_3d(x))
+        .local = prog.xfer_index;
   }
   // The world transfer list and slab element counts depend only on the
   // exchange shape, so consecutive admissions reuse the cached derivation;
@@ -260,331 +172,220 @@ verify::ExchangeModel DistributedDomain::verify_model(const plan::CompiledPlan& 
     }
   }
   for (const auto& [t, elems] : vd.xfers) {
-    ModelXfer mx;
-    mx.t = t;
-    mx.bytes = elems * bpp;
-    if (mx.bytes == 0) continue;  // asymmetric radius: nothing moves
+    const std::size_t bytes = elems * bpp;
+    if (bytes == 0) continue;  // asymmetric radius: nothing moves
     const auto it = my_method.find(t.tag);
-    mx.method = it != my_method.end() ? it->second : t.method;
+    const Method method = it != my_method.end() ? it->second : t.method;
     // Aggregation membership is fixed at realize() from the *original*
     // specialization; demotions only add individual STAGED traffic.
-    mx.agg_member = aggregate_remote_ && t.method == Method::kStaged;
-    if (t.src_rank != me) storage[static_cast<std::size_t>(t.src_rank)].push_back(mx);
-    if (t.dst_rank != me && t.dst_rank != t.src_rank) {
-      storage[static_cast<std::size_t>(t.dst_rank)].push_back(mx);
-    }
+    const bool agg = aggregate_remote_ && t.method == Method::kStaged;
+    // Remote ranks lower no stream work, so the 3-D copy choice is moot.
+    if (t.src_rank != me) add(t.src_rank, t, method, bytes, agg, false);
+    if (t.dst_rank != me && t.dst_rank != t.src_rank) add(t.dst_rank, t, method, bytes, agg, false);
   }
 
+  // Each rank's op lists lower phase by phase, in the order an exchange
+  // issues them: receive groups, transfers, then send groups within each
+  // phase. Remote ranks lower only their message and token ops: hazards
+  // are per-rank, and their blocking structure is fully captured without
+  // stream work.
   for (int r = 0; r < m.world_size; ++r) {
-    const auto& list = storage[static_cast<std::size_t>(r)];
+    std::vector<Item>& list = storage[static_cast<std::size_t>(r)];
     verify::RankProgram& rp = m.ranks[static_cast<std::size_t>(r)];
     rp.rank = r;
-    // Every transfer contributes at most ~4 ops to each endpoint (post/start,
-    // wait, pack/unpack, token); reserving up front keeps the large Op structs
-    // from being moved on vector growth.
+    // Every transfer contributes a handful of ops to each endpoint;
+    // reserving up front keeps the large Op structs from being moved on
+    // vector growth.
     rp.ops.reserve(list.size() * 4 + 8);
-    RankEmitter em(rp, r);
+    const bool local = r == me;
 
-    PhasePlan ph;
-    ph.xfers.reserve(list.size());
-    for (const ModelXfer& mx : list) ph.xfers.push_back(&mx);
-    // Aggregated groups, rebuilt exactly as build_aggregation_groups does:
-    // staged members grouped per peer, tag-sorted so both ends agree on the
-    // layout. For the local rank the artifact's own groups take precedence.
-    auto derive_groups = [&](bool is_send) {
-      std::map<int, ModelGroup> by_peer;
-      for (const ModelXfer* mx : ph.xfers) {
-        if (!mx->agg_member) continue;
-        if (is_send && mx->t.src_rank == r) {
-          by_peer[mx->t.dst_rank].members.push_back(mx);
-        } else if (!is_send && mx->t.dst_rank == r) {
-          by_peer[mx->t.src_rank].members.push_back(mx);
-        }
-      }
-      std::vector<ModelGroup> out;
-      for (auto& [peer, g] : by_peer) {
-        g.peer = peer;
+    // Aggregation groups, laid out as realize() lays them out. The local
+    // rank's group bytes come from the artifact, so a drifted layout shows
+    // up as a matching defect against the peers' derived one.
+    std::vector<xfer::AggMember> agg_sends, agg_recvs;
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      const Transfer& t = list[i].t;
+      if (!list[i].agg_member) continue;
+      if (t.src_rank == r) agg_sends.push_back({t.dst_rank, t.tag, i});
+      if (t.dst_rank == r) agg_recvs.push_back({t.src_rank, t.tag, i});
+    }
+    const auto groups = [&](std::vector<xfer::AggMember> members, bool is_send) {
+      const auto& artifact = is_send ? p.send_groups : p.recv_groups;
+      const auto& realized = is_send ? send_groups_ : recv_groups_;
+      std::vector<Group> out;
+      for (auto& [peer, indices] : xfer::aggregation_layout(std::move(members))) {
+        const std::size_t gi = out.size();
+        Group& g = out.emplace_back();
+        Item& msg = g.msg;
+        msg.group = true;
+        msg.t.src_rank = is_send ? r : peer;
+        msg.t.dst_rank = is_send ? peer : r;
         // Aggregation headers key off the *world* rank (matching the runtime
         // derivation) so concurrent tenants' headers never alias.
-        g.tag = is_send ? tagspace::agg_tag(m.world_rank(r))
-                        : tagspace::agg_tag(m.world_rank(peer));
-        std::sort(g.members.begin(), g.members.end(),
-                  [](const ModelXfer* a, const ModelXfer* b) { return a->t.tag < b->t.tag; });
-        for (const ModelXfer* mx : g.members) g.bytes += mx->bytes;
-        out.push_back(std::move(g));
+        msg.t.tag = tagspace::agg_tag(m.world_rank(msg.t.src_rank));
+        for (std::size_t i : indices) msg.bytes += list[i].bytes;
+        if (local && gi < artifact.size()) msg.bytes = artifact[gi].bytes;
+        if (local && gi < realized.size()) msg.group_host = &realized[gi]->host;
+        msg.ops = xfer::ops_for({Method::kStaged, is_send, !is_send, msg.bytes, false, false,
+                                 false, /*group=*/true});
+        g.members = std::move(indices);
       }
       return out;
     };
-    ph.send_groups = derive_groups(true);
-    ph.recv_groups = derive_groups(false);
-    if (r == me) {
-      // Cross-check the artifact's group layout against the derivation: a
-      // disagreement in bytes or membership shows up as a matching defect
-      // because the peers' models use the derived layout.
-      for (std::size_t i = 0; i < p.send_groups.size() && i < ph.send_groups.size(); ++i) {
-        ph.send_groups[i].bytes = p.send_groups[i].bytes;
-      }
-      for (std::size_t i = 0; i < p.recv_groups.size() && i < ph.recv_groups.size(); ++i) {
-        ph.recv_groups[i].bytes = p.recv_groups[i].bytes;
-      }
-    }
+    std::vector<Group> recv_groups = groups(std::move(agg_recvs), false);
+    std::vector<Group> send_groups = groups(std::move(agg_sends), true);
 
-    // Tag -> TransferState for the local rank's access annotations.
-    std::map<int, const TransferState*> my_state;
-    if (r == me) {
-      for (const auto& xp : xfers_) my_state[xp->t.tag] = xp.get();
-    }
-    auto quantity_boxes = [&](LocalDomain* ld, const Region3& reg, bool write) {
-      std::vector<verify::Access> acc;
-      if (ld == nullptr) return acc;
-      for (std::size_t q : p.key.quantities) {
-        verify::Access a;
-        a.buffer = ld->data(q).id();
-        a.write = write;
-        a.is_box = true;
-        a.box = region_box(reg);
-        acc.push_back(a);
+    const auto emit = [&](verify::OpKind kind, const Item& it, int peer) -> verify::Op& {
+      verify::Op& o = rp.ops.emplace_back();
+      o.kind = kind;
+      o.rank = r;
+      o.peer = peer;
+      o.tag = it.t.tag;
+      if (kind != verify::OpKind::kTokenWait && kind != verify::OpKind::kTokenSignal) {
+        o.bytes = it.bytes;
       }
-      return acc;
+      if (it.group) o.claims = tagspace::kAggRangeName;
+      return o;
     };
-    auto append = [](std::vector<verify::Access>& dst, std::vector<verify::Access> src) {
-      for (auto& a : src) dst.push_back(std::move(a));
+    const auto order = [&](std::size_t from) {
+      if (from != kNone) rp.order.emplace_back(from, rp.ops.size() - 1);
+    };
+    // Local rank: the memory an operand stands for.
+    const auto touch = [&](verify::Op& o, const Item& it, xfer::Operand opnd, bool write,
+                           vgpu::Buffer* slot_host, std::size_t off) {
+      using xfer::Operand;
+      if (opnd == Operand::kNone || opnd == Operand::kIpcPeer) return;  // not this rank's
+      if (it.group) {  // a group's message moves its whole buffer
+        if (it.group_host != nullptr) {
+          o.accesses.push_back(flat(*it.group_host, 0, it.bytes, write));
+        }
+        return;
+      }
+      TransferState& x = *xfers_[it.local];
+      if (opnd == Operand::kSrcRegion || opnd == Operand::kDstRegion) {
+        const bool src = opnd == Operand::kSrcRegion;
+        LocalDomain* ld = src ? x.src_ld : x.dst_ld;
+        if (ld == nullptr) return;
+        for (std::size_t q : p.key.quantities) {
+          verify::Access a;
+          a.buffer = ld->data(q).id();
+          a.write = write;
+          a.is_box = true;
+          a.box = region_box(src ? x.src_region : x.dst_region);
+          o.accesses.push_back(a);
+        }
+        return;
+      }
+      const vgpu::Buffer& b = x.buffer(opnd, slot_host);
+      if (!b.valid()) return;
+      o.accesses.push_back(flat(b, opnd == Operand::kGroup ? off : 0, it.bytes, write));
+    };
+    // Lower `it`'s ops of phase `ph`. A group member passes its slot (the
+    // group's buffer and offset) and the group's landing wait as `after`; a
+    // group passes its members, whose readiness gates its send.
+    const auto lower = [&](Item& it, xfer::Phase ph, std::size_t after, vgpu::Buffer* slot_host,
+                           std::size_t off, const std::vector<std::size_t>* members) {
+      if (!it.ops.has(ph)) return;
+      const bool group = it.group;
+      const auto what = [&] { return group ? std::string("agg") : xfer::dir_str(it.t.dir); };
+      std::size_t last = kNone;  // last stream op on the src stream
+      std::size_t edge = kNone;  // pending event edge
+      const char* signal = nullptr;
+      int signal_peer = -1;
+      for (const xfer::Op& op : it.ops) {
+        if (op.phase != ph) continue;
+        switch (op.kind) {
+          case xfer::OpKind::kPostRecv:
+            emit(verify::OpKind::kPostRecv, it, it.t.src_rank).what = what();
+            break;
+          case xfer::OpKind::kWaitRecv: {
+            verify::Op& o = emit(verify::OpKind::kWaitRecv, it, it.t.src_rank);
+            o.what = group ? "agg" : "xfer";
+            if (local) touch(o, it, op.to, true, nullptr, 0);
+            after = it.wait = rp.ops.size() - 1;
+            break;
+          }
+          case xfer::OpKind::kSend: {
+            verify::Op& o = emit(verify::OpKind::kStartSend, it, it.t.dst_rank);
+            o.what = what();
+            if (local) touch(o, it, op.from, false, nullptr, 0);
+            if (members == nullptr) {
+              order(it.ready);
+            } else {
+              for (std::size_t i : *members) order(list[i].ready);
+            }
+            break;
+          }
+          case xfer::OpKind::kWaitSend: {
+            verify::Op& o = emit(verify::OpKind::kWaitSend, it, it.t.dst_rank);
+            o.what = group ? "agg" : "xfer";
+            // Host payloads at or below the eager limit buffer immediately;
+            // device payloads (CUDA-aware) always rendezvous.
+            o.eager = op.from != xfer::Operand::kSrcPack && it.bytes <= simpi::Job::kEagerLimit;
+            break;
+          }
+          case xfer::OpKind::kColocatedSend:
+          case xfer::OpKind::kColocatedRecv: {
+            // Flow control: the sender waits for the previous generation's
+            // "done", the receiver for this generation's "data"; each
+            // signals the other once its stream work is issued.
+            const bool send = op.kind == xfer::OpKind::kColocatedSend;
+            signal_peer = send ? it.t.dst_rank : it.t.src_rank;
+            verify::Op& o = emit(verify::OpKind::kTokenWait, it, signal_peer);
+            o.token = token(send ? "done" : "data", it.t.tag);
+            o.gen_delta = send ? -1 : 0;
+            after = rp.ops.size() - 1;
+            signal = send ? "data" : "done";
+            break;
+          }
+          case xfer::OpKind::kEventEdge:
+            edge = last;
+            break;
+          case xfer::OpKind::kReady:
+            it.ready = last;
+            break;
+          default: {  // stream work
+            if (!local) break;
+            const TransferState& x = *xfers_[it.local];
+            verify::Op& o = rp.ops.emplace_back();
+            o.kind = verify::OpKind::kStream;
+            o.rank = r;
+            o.tag = it.t.tag;
+            o.stream = stream_key(op.on_dst_stream() ? x.dst_stream : x.src_stream);
+            o.what = std::string(kStreamOpNames[static_cast<int>(op.kind)]) + " " + what();
+            touch(o, it, op.from, false, slot_host, off);
+            touch(o, it, op.to, true, slot_host, off);
+            order(after);
+            order(edge);
+            after = edge = kNone;
+            if (!op.on_dst_stream()) last = rp.ops.size() - 1;
+          }
+        }
+      }
+      if (signal != nullptr) {
+        emit(verify::OpKind::kTokenSignal, it, signal_peer).token = token(signal, it.t.tag);
+      }
     };
 
-    // Phase 0': persistent receives, groups first (eager post order).
-    std::vector<std::size_t> posted;       // op index of each post
-    std::vector<int> posted_group;         // index into ph.recv_groups, or -1
-    std::vector<const ModelXfer*> posted_xfer;
-    for (std::size_t gi = 0; gi < ph.recv_groups.size(); ++gi) {
-      const ModelGroup& g = ph.recv_groups[gi];
-      posted.push_back(em.post_recv(g.peer, g.tag, g.bytes, "agg"));
-      em.claim(posted.back(), tagspace::kAggRangeName);
-      posted_group.push_back(static_cast<int>(gi));
-      posted_xfer.push_back(nullptr);
-    }
-    for (const ModelXfer* mx : ph.xfers) {
-      if (mx->t.dst_rank != r || mx->agg_member) continue;
-      if (mx->method != Method::kStaged && mx->method != Method::kCudaAwareMpi) continue;
-      posted.push_back(em.post_recv(mx->t.src_rank, mx->t.tag, mx->bytes, dir3(mx->t.dir)));
-      posted_group.push_back(-1);
-      posted_xfer.push_back(mx);
-    }
-
-    // Phase 1': KERNEL / PEER frozen chains (local work, no messages).
-    if (r == me) {
-      for (const ModelXfer* mx : ph.xfers) {
-        const TransferState* x = my_state.count(mx->t.tag) ? my_state.at(mx->t.tag) : nullptr;
-        if (x == nullptr) continue;
-        if (mx->method == Method::kKernel && mx->t.src_rank == r) {
-          std::vector<verify::Access> acc = quantity_boxes(x->src_ld, x->src_region, false);
-          append(acc, quantity_boxes(x->src_ld, x->dst_region, true));
-          em.stream_op(stream_key(x->src_stream), mx->t.tag, "self " + dir3(mx->t.dir),
-                       std::move(acc));
-        } else if (mx->method == Method::kPeer) {
-          std::vector<verify::Access> acc = quantity_boxes(x->src_ld, x->src_region, false);
-          if (peer_use_3d(*x)) {
-            append(acc, quantity_boxes(x->dst_ld, x->dst_region, true));
-            em.stream_op(stream_key(x->src_stream), mx->t.tag, "3d " + dir3(mx->t.dir),
-                         std::move(acc));
-          } else {
-            acc.push_back(flat(x->src_pack.id(), mx->bytes, true));
-            acc.push_back(flat(x->dst_pack.id(), mx->bytes, true));
-            const std::size_t o1 = em.stream_op(stream_key(x->src_stream), mx->t.tag,
-                                                "pack+copy " + dir3(mx->t.dir), std::move(acc));
-            std::vector<verify::Access> uacc{flat(x->dst_pack.id(), mx->bytes, false)};
-            append(uacc, quantity_boxes(x->dst_ld, x->dst_region, true));
-            const std::size_t o2 = em.stream_op(stream_key(x->dst_stream), mx->t.tag,
-                                                "unpack " + dir3(mx->t.dir), std::move(uacc));
-            em.order(o1, o2);  // ready_ev cross-stream edge
-          }
-        }
+    const auto lower_group = [&](Group& g, xfer::Phase ph) {
+      lower(g.msg, ph, kNone, nullptr, 0, &g.members);
+      // Members pack into a send group's slots and land from a receive
+      // group's (a transfer to self is a member of both).
+      const bool recv = g.msg.ops.has(xfer::Phase::kLand);
+      if (ph != (recv ? xfer::Phase::kLand : xfer::Phase::kPack)) return;
+      std::size_t off = 0;
+      for (std::size_t i : g.members) {
+        lower(list[i], ph, g.msg.wait, g.msg.group_host, off, nullptr);
+        off += list[i].bytes;
       }
-    }
-
-    // Phase 2': COLOCATED senders — flow-control token (previous generation's
-    // done) then the IPC push and this generation's data token.
-    for (const ModelXfer* mx : ph.xfers) {
-      if (mx->method != Method::kColocated || mx->t.src_rank != r) continue;
-      const std::size_t w =
-          em.token_wait(done_token(mx->t.tag), -1, mx->t.dst_rank, mx->t.tag);
-      if (r == me && my_state.count(mx->t.tag) != 0) {
-        const TransferState* x = my_state.at(mx->t.tag);
-        std::vector<verify::Access> acc = quantity_boxes(x->src_ld, x->src_region, false);
-        if (x->src_pack.valid()) acc.push_back(flat(x->src_pack.id(), mx->bytes, true));
-        const std::size_t o = em.stream_op(stream_key(x->src_stream), mx->t.tag,
-                                           "ipc-push " + dir3(mx->t.dir), std::move(acc));
-        em.order(w, o);
+    };
+    for (int ph = 0; ph <= static_cast<int>(xfer::Phase::kDrain); ++ph) {
+      const auto phase = static_cast<xfer::Phase>(ph);
+      for (Group& g : recv_groups) lower_group(g, phase);
+      for (Item& it : list) {
+        if (!it.agg_member) lower(it, phase, kNone, nullptr, 0, nullptr);
       }
-      em.token_signal(data_token(mx->t.tag), mx->t.dst_rank, mx->t.tag);
-    }
-
-    // Phase 3': STAGED / CUDA-aware sender packs, then group packs.
-    std::map<int, std::size_t> pack_of;  // tag -> pack op (send-start edges)
-    std::map<int, std::vector<std::size_t>> group_packs;  // send-group idx -> ops
-    if (r == me) {
-      for (const ModelXfer* mx : ph.xfers) {
-        if (mx->t.src_rank != r || mx->agg_member) continue;
-        if (mx->method != Method::kStaged && mx->method != Method::kCudaAwareMpi) continue;
-        const TransferState* x = my_state.count(mx->t.tag) ? my_state.at(mx->t.tag) : nullptr;
-        if (x == nullptr) continue;
-        std::vector<verify::Access> acc = quantity_boxes(x->src_ld, x->src_region, false);
-        if (mx->method == Method::kStaged) {
-          if (staged_zero_copy_) {
-            acc.push_back(flat(x->src_host.id(), mx->bytes, true));
-          } else {
-            acc.push_back(flat(x->src_pack.id(), mx->bytes, true));
-            acc.push_back(flat(x->src_host.id(), mx->bytes, true));
-          }
-        } else {
-          acc.push_back(flat(x->src_pack.id(), mx->bytes, true));
-        }
-        pack_of[mx->t.tag] = em.stream_op(stream_key(x->src_stream), mx->t.tag,
-                                          "pack " + dir3(mx->t.dir), std::move(acc));
-      }
-      for (std::size_t gi = 0; gi < ph.send_groups.size(); ++gi) {
-        const ModelGroup& g = ph.send_groups[gi];
-        std::size_t off = 0;
-        for (const ModelXfer* mx : g.members) {
-          const TransferState* x =
-              my_state.count(mx->t.tag) ? my_state.at(mx->t.tag) : nullptr;
-          if (x != nullptr) {
-            std::vector<verify::Access> acc = quantity_boxes(x->src_ld, x->src_region, false);
-            acc.push_back(flat(x->src_pack.id(), mx->bytes, true));
-            // Staging slice of the merged pinned buffer (host of the group's
-            // realize-time AggGroup).
-            const AggGroup& grp = *send_groups_[gi];
-            acc.push_back(flat_at(grp.host.id(), off, mx->bytes, true));
-            group_packs[static_cast<int>(gi)].push_back(
-                em.stream_op(stream_key(x->src_stream), mx->t.tag,
-                             "agg-pack " + dir3(mx->t.dir), std::move(acc)));
-          }
-          off += mx->bytes;
-        }
-      }
-    }
-
-    // Phase 4': start every send in frozen plan order (transfers, then
-    // groups), each gated on its pack by the ready-event synchronize.
-    std::vector<std::size_t> started;
-    std::vector<const ModelXfer*> started_xfer;
-    std::vector<int> started_group;
-    for (const ModelXfer* mx : ph.xfers) {
-      if (mx->t.src_rank != r || mx->agg_member) continue;
-      if (mx->method != Method::kStaged && mx->method != Method::kCudaAwareMpi) continue;
-      std::vector<verify::Access> acc;
-      if (r == me && my_state.count(mx->t.tag) != 0) {
-        const TransferState* x = my_state.at(mx->t.tag);
-        const vgpu::Buffer& payload =
-            mx->method == Method::kStaged ? x->src_host : x->src_pack;
-        if (payload.valid()) acc.push_back(flat(payload.id(), mx->bytes, false));
-      }
-      const std::size_t s =
-          em.start_send(mx->t.dst_rank, mx->t.tag, mx->bytes, dir3(mx->t.dir), std::move(acc));
-      if (pack_of.count(mx->t.tag) != 0) em.order(pack_of.at(mx->t.tag), s);
-      started.push_back(s);
-      started_xfer.push_back(mx);
-      started_group.push_back(-1);
-    }
-    for (std::size_t gi = 0; gi < ph.send_groups.size(); ++gi) {
-      const ModelGroup& g = ph.send_groups[gi];
-      std::vector<verify::Access> acc;
-      if (r == me && gi < send_groups_.size()) {
-        acc.push_back(flat(send_groups_[gi]->host.id(), g.bytes, false));
-      }
-      const std::size_t s = em.start_send(g.peer, g.tag, g.bytes, "agg", std::move(acc));
-      em.claim(s, tagspace::kAggRangeName);
-      for (std::size_t po : group_packs[static_cast<int>(gi)]) em.order(po, s);
-      started.push_back(s);
-      started_xfer.push_back(nullptr);
-      started_group.push_back(static_cast<int>(gi));
-    }
-
-    // Phase 5': wait for each landed receive (posted order) and fan out its
-    // H2D + unpack graph. The payload write is charged to the wait — that is
-    // when the landing completes relative to this rank's program.
-    for (std::size_t pi = 0; pi < posted.size(); ++pi) {
-      const verify::Op post = rp.ops[posted[pi]];  // copy: fields reused below
-      std::vector<verify::Access> wacc;
-      const int gi = posted_group[pi];
-      const ModelXfer* mx = posted_xfer[pi];
-      if (r == me) {
-        if (gi >= 0 && static_cast<std::size_t>(gi) < recv_groups_.size()) {
-          wacc.push_back(flat(recv_groups_[static_cast<std::size_t>(gi)]->host.id(),
-                              post.bytes, true));
-        } else if (mx != nullptr && my_state.count(mx->t.tag) != 0) {
-          const TransferState* x = my_state.at(mx->t.tag);
-          const vgpu::Buffer& payload =
-              mx->method == Method::kStaged ? x->dst_host : x->dst_pack;
-          if (payload.valid()) wacc.push_back(flat(payload.id(), post.bytes, true));
-        }
-      }
-      const std::size_t w = em.wait_recv(post.peer, post.tag, post.bytes,
-                                         gi >= 0 ? "agg" : "xfer", std::move(wacc));
-      if (gi >= 0) em.claim(w, tagspace::kAggRangeName);
-      if (r != me) continue;
-      if (gi >= 0 && static_cast<std::size_t>(gi) < ph.recv_groups.size()) {
-        const ModelGroup& g = ph.recv_groups[static_cast<std::size_t>(gi)];
-        const AggGroup* grp = static_cast<std::size_t>(gi) < recv_groups_.size()
-                                  ? recv_groups_[static_cast<std::size_t>(gi)].get()
-                                  : nullptr;
-        std::size_t off = 0;
-        for (const ModelXfer* member : g.members) {
-          const TransferState* x =
-              my_state.count(member->t.tag) ? my_state.at(member->t.tag) : nullptr;
-          if (x != nullptr && grp != nullptr) {
-            std::vector<verify::Access> acc{
-                flat_at(grp->host.id(), off, member->bytes, false),
-                flat(x->dst_pack.id(), member->bytes, true)};
-            append(acc, quantity_boxes(x->dst_ld, x->dst_region, true));
-            const std::size_t u =
-                em.stream_op(stream_key(x->dst_stream), member->t.tag,
-                             "agg-unpack " + dir3(member->t.dir), std::move(acc));
-            em.order(w, u);
-          }
-          off += member->bytes;
-        }
-      } else if (mx != nullptr && my_state.count(mx->t.tag) != 0) {
-        const TransferState* x = my_state.at(mx->t.tag);
-        std::vector<verify::Access> acc;
-        if (mx->method == Method::kStaged) {
-          acc.push_back(flat(x->dst_host.id(), mx->bytes, false));
-          acc.push_back(flat(x->dst_pack.id(), mx->bytes, true));
-        } else {
-          acc.push_back(flat(x->dst_pack.id(), mx->bytes, false));
-        }
-        append(acc, quantity_boxes(x->dst_ld, x->dst_region, true));
-        const std::size_t u = em.stream_op(stream_key(x->dst_stream), mx->t.tag,
-                                           "unpack " + dir3(mx->t.dir), std::move(acc));
-        em.order(w, u);
-      }
-    }
-
-    // Phase 6': COLOCATED receivers — wait for this generation's data token,
-    // unpack, then release the sender's next generation.
-    for (const ModelXfer* mx : ph.xfers) {
-      if (mx->method != Method::kColocated || mx->t.dst_rank != r) continue;
-      const std::size_t w =
-          em.token_wait(data_token(mx->t.tag), 0, mx->t.src_rank, mx->t.tag);
-      if (r == me && my_state.count(mx->t.tag) != 0) {
-        const TransferState* x = my_state.at(mx->t.tag);
-        std::vector<verify::Access> acc;
-        if (x->dst_pack.valid()) acc.push_back(flat(x->dst_pack.id(), mx->bytes, false));
-        append(acc, quantity_boxes(x->dst_ld, x->dst_region, true));
-        const std::size_t u = em.stream_op(stream_key(x->dst_stream), mx->t.tag,
-                                           "ipc-unpack " + dir3(mx->t.dir), std::move(acc));
-        em.order(w, u);
-      }
-      em.token_signal(done_token(mx->t.tag), mx->t.src_rank, mx->t.tag);
-    }
-
-    // Phase 7': drain the sends, same order they started.
-    for (std::size_t si = 0; si < started.size(); ++si) {
-      const verify::Op s = rp.ops[started[si]];
-      const Method sm = started_group[si] >= 0 ? Method::kStaged
-                                               : started_xfer[si]->method;
-      const std::size_t ws = em.wait_send(s.peer, s.tag, s.bytes, eager_send(sm, s.bytes),
-                                          started_group[si] >= 0 ? "agg" : "xfer");
-      if (started_group[si] >= 0) em.claim(ws, tagspace::kAggRangeName);
+      for (Group& g : send_groups) lower_group(g, phase);
     }
   }
 

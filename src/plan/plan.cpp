@@ -115,6 +115,10 @@ void PlanCache::invalidate_tag(int tag) {
   for (auto& p : plans_) p->mark_dirty(tag);
 }
 
+void PlanCache::erase(const CompiledPlan& p) {
+  std::erase_if(plans_, [&p](const std::unique_ptr<CompiledPlan>& e) { return e.get() == &p; });
+}
+
 void PlanCache::admit(const CompiledPlan& p) {
   if (!admission_) return;
   ++stats_.verifications;

@@ -57,18 +57,12 @@ struct PlanStats {
   void export_to(telemetry::MetricsRegistry& reg) const;
 };
 
-/// The frozen form of one TransferState: its MPI envelope as persistent
-/// requests and its stream-op phases as instantiated graphs. Which fields
-/// are populated depends on the method:
-///   kKernel        send_graph (self-exchange kernel), no MPI
-///   kPeer          send_graph (pack / 3D copy + event edge + unpack), no MPI
-///   kCudaAwareMpi  send_graph = pack + ready event, recv_graph = unpack,
-///                  persistent device-payload send/recv
-///   kStaged        send_graph = pack (+ D2H or zero-copy) + ready event,
-///                  recv_graph = H2D + unpack, persistent host-payload
-///                  send/recv (aggregated members live in a GroupProgram)
-///   kColocated     `eager = true`: the IPC state machine stays interpreted
-///                  (its flow control is generation-dependent, not freezable)
+/// The frozen form of one transfer's op list (core/transfer_ops.h, which
+/// defines each method's sequence): its stream ops of phases 1/3 (local
+/// chain or pack) as `send_graph` and of phase 5 (landing) as `recv_graph`,
+/// its post/send ops as persistent requests. Aggregation members live in a
+/// GroupProgram instead. A list with an interpreted COLOCATED step sets
+/// `eager`: its flow control is generation-dependent, not freezable.
 /// `dirty` marks a program whose transfer was demoted after compilation; the
 /// next acquire rebuilds just this entry against the new method.
 struct TransferProgram {
@@ -150,8 +144,8 @@ class PlanCache {
   bool has_admission() const { return static_cast<bool>(admission_); }
 
   /// Run the admission hook on a freshly compiled or migrated plan.
-  /// Throws AdmissionError when the verifier reports findings; the bad plan
-  /// is left in the cache marked by the throw site (callers fail fast).
+  /// Throws AdmissionError when the verifier reports findings; the caller
+  /// releases the plan's requests and erase()s it, so it never replays.
   void admit(const CompiledPlan& p);
 
   /// The plan for this configuration, or nullptr (caller compiles one).
@@ -162,6 +156,9 @@ class PlanCache {
 
   /// Fault path: mark the programs of transfer `tag` dirty in every plan.
   void invalidate_tag(int tag);
+
+  /// Drop a plan (one that failed admission); `p` dangles afterwards.
+  void erase(const CompiledPlan& p);
 
   std::size_t size() const { return plans_.size(); }
   const std::vector<std::unique_ptr<CompiledPlan>>& entries() const { return plans_; }

@@ -9,9 +9,10 @@
 /// tag ranges the exchange tags must avoid. The model deliberately depends on
 /// nothing above primitives — it is built *below* stencil_core in the layer
 /// stack so that plan admission inside core can call into the verifier. The
-/// model builder (DistributedDomain::verify_model) lives in core and lowers a
-/// plan::CompiledPlan plus the deterministically re-derived remote-rank plans
-/// into this IR.
+/// model builder (DistributedDomain::verify_model) lives in core and lowers
+/// the same per-transfer op lists the exchange runs (core/transfer_ops.h):
+/// the local rank's from a plan::CompiledPlan's frozen tags and sizes, every
+/// remote rank's from the deterministically re-derived transfers.
 
 #include <cstdint>
 #include <string>

@@ -28,6 +28,11 @@ struct GoldenCase {
   double expect_ms;
 };
 
+// Print a case by its name. Without this gtest prints the raw bytes of the
+// struct, which include the address of `name`, so the listed test names
+// (and the ctest names discovered from them) would change from build to build.
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
+
 double measure(const GoldenCase& c) {
   Cluster cluster(stencil::topo::summit(), c.nodes, c.rpn);
   cluster.set_mem_mode(stencil::vgpu::MemMode::kPhantom);

@@ -734,6 +734,157 @@ TEST(PlannedExchange, AllMethodsMultiNodeClean) {
                        {Method::kPeer, Method::kColocated, Method::kCudaAwareMpi});
 }
 
+// ---------------------------------------------------------------------------
+// One op list per transfer drives both modes: on every stream, a planned
+// replay issues exactly the (kind, label) sequence the eager path issues.
+// ---------------------------------------------------------------------------
+
+struct OpSequenceChecker : check::Checker {
+  using check::Checker::Checker;
+  bool recording = false;
+  std::map<std::pair<int, std::uint64_t>, std::vector<std::pair<vgpu::OpKind, std::string>>>
+      per_stream;
+  void on_op(const vgpu::OpInfo& op) override {
+    if (recording) per_stream[{op.stream->device, op.stream->id}].emplace_back(op.kind, *op.label);
+    check::Checker::on_op(op);
+  }
+};
+
+class EagerPlannedParity : public ::testing::TestWithParam<PlannedCase> {};
+
+TEST_P(EagerPlannedParity, SecondExchangeIssuesSameOpsPerStream) {
+  const PlannedCase& c = GetParam();
+  const auto second_exchange_ops = [&](bool persistent) {
+    Cluster cluster(topo::summit(), c.nodes, c.ranks_per_node);
+    OpSequenceChecker chk(cluster.engine());
+    cluster.set_checker(&chk);
+    cluster.run([&](RankCtx& ctx) {
+      DistributedDomain dd(ctx, {48, 48, 48});
+      dd.set_radius(1);
+      dd.add_data<float>("a");
+      dd.add_data<float>("b");
+      dd.set_methods(c.flags);
+      dd.set_remote_aggregation(c.aggregate);
+      dd.set_staged_zero_copy(c.zero_copy);
+      dd.set_pack_mode(c.pack_mode);
+      dd.set_persistent(persistent);
+      dd.realize();
+      dd.exchange();  // planned mode compiles here; exchange #2 replays
+      ctx.comm.barrier();
+      if (ctx.comm.rank() == 0) chk.recording = true;
+      ctx.comm.barrier();
+      dd.exchange();
+      ctx.comm.barrier();
+      if (ctx.comm.rank() == 0) chk.recording = false;
+    });
+    EXPECT_TRUE(chk.report().clean()) << dump(chk.report());
+    return chk.per_stream;
+  };
+  const auto eager = second_exchange_ops(false);
+  const auto planned = second_exchange_ops(true);
+  ASSERT_FALSE(eager.empty());
+  EXPECT_EQ(eager.size(), planned.size());
+  std::size_t differing = 0;
+  for (const auto& [stream, ops] : eager) {
+    const auto it = planned.find(stream);
+    differing += it == planned.end() || it->second != ops;
+  }
+  EXPECT_EQ(differing, 0u) << "of " << eager.size() << " streams";
+}
+
+PlannedCase with(PlannedCase c, bool aggregate, bool zero_copy, PackMode pm) {
+  c.aggregate = aggregate;
+  c.zero_copy = zero_copy;
+  c.pack_mode = pm;
+  return c;
+}
+
+const MethodFlags kStagedLocal = MethodFlags::kStaged | MethodFlags::kPeer | MethodFlags::kKernel;
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, EagerPlannedParity,
+    ::testing::Values(
+        PlannedCase{"kAll_1x2", 1, 2, MethodFlags::kAll},
+        PlannedCase{"cuda_aware_2x1", 2, 1, MethodFlags::kAllCudaAware},
+        PlannedCase{"staged_2x1", 2, 1, kStagedLocal},
+        with({"staged_aggregated_2x1", 2, 1, kStagedLocal}, true, false, PackMode::kKernel),
+        with({"staged_zero_copy_2x1", 2, 1, kStagedLocal}, false, true, PackMode::kKernel),
+        with({"peer_memcpy3d_1x1", 1, 1, MethodFlags::kAll}, false, false, PackMode::kMemcpy3D),
+        PlannedCase{"all_methods_2x2", 2, 2, MethodFlags::kAllCudaAware | MethodFlags::kStaged}),
+    [](const ::testing::TestParamInfo<PlannedCase>& info) { return std::string(info.param.name); });
+
+// ---------------------------------------------------------------------------
+// A COLOCATED transfer whose IPC mapping goes stale falls back to STAGED
+// through STAGED's own op list: with zero-copy on, the fallback generation
+// packs straight into pinned memory like every other STAGED sender.
+// ---------------------------------------------------------------------------
+
+struct D2HCounter : check::Checker {
+  using check::Checker::Checker;
+  std::uint64_t d2h = 0;
+  void on_op(const vgpu::OpInfo& op) override {
+    const vgpu::AccessList& a = *op.accesses;
+    d2h += op.kind == vgpu::OpKind::kMemcpy && a.size() == 2 &&
+           a[0].buf->space() == vgpu::MemSpace::kDevice &&
+           a[1].buf->space() == vgpu::MemSpace::kPinnedHost;
+    check::Checker::on_op(op);
+  }
+};
+
+void run_zero_copy_fallback(bool persistent) {
+  SCOPED_TRACE(persistent ? "planned" : "eager");
+  const sim::Time t_fault = sim::from_seconds(1.0);
+  const Dim3 domain{48, 48, 48};
+  fault::FaultPlan fplan;
+  fplan.invalidate_ipc(t_fault);
+  fault::Injector inj(fplan);
+
+  Cluster cluster(topo::summit(), 1, 2);
+  D2HCounter chk(cluster.engine());
+  cluster.set_checker(&chk);
+  cluster.set_fault_injector(&inj);
+  cluster.run([&](RankCtx& ctx) {
+    DistributedDomain dd(ctx, domain);
+    dd.set_radius(1);
+    dd.add_data<float>("a");
+    dd.add_data<float>("b");
+    dd.set_methods(MethodFlags::kAll);
+    dd.set_staged_zero_copy(true);
+    dd.set_persistent(persistent);
+    dd.realize();
+    EXPECT_GT(histogram_count(dd.local_method_histogram(), Method::kColocated), 0);
+
+    fill_interior(dd, 2);
+    ctx.comm.barrier();
+    dd.exchange();
+    ctx.comm.barrier();
+    EXPECT_EQ(verify_halos(dd, domain, 2), 0);
+
+    ctx.engine().sleep_until(t_fault + sim::kMicrosecond);
+    ctx.comm.barrier();
+    // The first exchange after the fault is the fallback generation.
+    for (int it = 0; it < 2; ++it) {
+      fill_interior(dd, 2);
+      ctx.comm.barrier();
+      dd.exchange();
+      ctx.comm.barrier();
+      EXPECT_EQ(verify_halos(dd, domain, 2), 0) << "post-fault iteration " << it;
+    }
+    const auto after = dd.local_method_histogram();
+    EXPECT_EQ(histogram_count(after, Method::kColocated), 0);
+    EXPECT_GT(histogram_count(after, Method::kStaged), 0);
+    ctx.comm.barrier();
+  });
+  // The demoted transfers are the only STAGED senders, and none staged
+  // through a D2H copy.
+  EXPECT_EQ(chk.d2h, 0u);
+  EXPECT_TRUE(chk.report().clean()) << dump(chk.report());
+}
+
+TEST(ColocatedFallback, HonorsZeroCopyEager) { run_zero_copy_fallback(false); }
+
+TEST(ColocatedFallback, HonorsZeroCopyPlanned) { run_zero_copy_fallback(true); }
+
 TEST(PlannedExchange, SetPersistentWhileInFlightThrows) {
   const Dim3 domain{48, 48, 48};
   Cluster cluster(topo::summit(), 1, 2);

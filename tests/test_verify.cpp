@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -581,6 +582,105 @@ TEST(VerifyPlans, PostDemotionMigratedPlansReverifyClean) {
     const std::uint64_t admitted_after = dd.plan_stats().verifications;
     dd.exchange();
     EXPECT_EQ(dd.plan_stats().verifications, admitted_after);
+    ctx.comm.barrier();
+  });
+  EXPECT_TRUE(chk.report().clean()) << dump(chk.report());
+}
+
+// The local rank is lowered from the compiled artifact, so a program that
+// drifted from the shared derivation (a wrong tag or byte count) surfaces as
+// a matching defect against the peers' derived programs.
+TEST(VerifyPlans, ArtifactDriftIsAMatchingDefect) {
+  Cluster cluster(topo::summit(), 2, 1);
+  cluster.run([&](RankCtx& ctx) {
+    DistributedDomain dd(ctx, {48, 48, 48});
+    dd.set_radius(1);
+    dd.add_data<float>("a");
+    dd.set_methods(MethodFlags::kStaged | MethodFlags::kPeer | MethodFlags::kKernel);
+    dd.set_persistent(true);
+    dd.realize();
+    dd.exchange();
+    if (ctx.comm.rank() == 0) {
+      plan::CompiledPlan& p = *dd.plan_cache().entries().front();
+      ASSERT_TRUE(dd.verify_plan(p).clean());
+      auto prog = std::find_if(p.programs.begin(), p.programs.end(), [](const auto& pr) {
+        return pr.method == Method::kStaged && pr.send_req.valid();
+      });
+      ASSERT_NE(prog, p.programs.end());
+      const int tag = prog->tag;
+      const auto names = [](const verify::Report& rep, int t) {
+        const std::string needle = "tag " + std::to_string(t);
+        for (const verify::Finding& f : rep.findings()) {
+          if (f.tag == t || f.detail.find(needle) != std::string::npos) return true;
+        }
+        return false;
+      };
+
+      prog->tag = tag + 1;
+      verify::Report rep = dd.verify_plan(p);
+      EXPECT_FALSE(rep.clean());
+      EXPECT_TRUE(names(rep, tag + 1)) << dump(rep);
+      prog->tag = tag;
+
+      prog->bytes += 8;
+      rep = dd.verify_plan(p);
+      EXPECT_FALSE(rep.clean());
+      EXPECT_TRUE(names(rep, tag)) << dump(rep);
+      prog->bytes -= 8;
+
+      EXPECT_TRUE(dd.verify_plan(p).clean());
+    }
+    ctx.comm.barrier();
+  });
+}
+
+// A rejected plan never replays: admission failure leaves the domain idle
+// (the exchange does not count) and drops the plan with its persistent
+// requests, so a retry recompiles and re-admits it.
+TEST(PlanAdmission, RejectedPlanLeavesDomainIdleAndIsRecompiled) {
+  const sim::Time t_fault = sim::from_seconds(1.0);
+  fault::FaultPlan fplan;
+  fplan.revoke_peer(t_fault, -1, -1);
+  fault::Injector inj(fplan);
+
+  Cluster cluster(topo::summit(), 1, 2);
+  check::Checker chk(cluster.engine());
+  cluster.set_checker(&chk);
+  cluster.set_fault_injector(&inj);
+  cluster.run([&](RankCtx& ctx) {
+    DistributedDomain dd(ctx, {48, 48, 48});
+    dd.set_radius(1);
+    dd.add_data<float>("a");
+    dd.set_methods(MethodFlags::kStaged | MethodFlags::kPeer | MethodFlags::kKernel);
+    dd.set_remote_aggregation(true);
+    dd.set_persistent(true);
+    dd.realize();
+    dd.exchange();
+
+    // Drift the cached plan's group layout; the demotion at the fault makes
+    // the next exchange migrate the plan, and admission must reject it.
+    ASSERT_EQ(dd.plan_cache().size(), 1u);
+    plan::CompiledPlan& p = *dd.plan_cache().entries().front();
+    ASSERT_FALSE(p.send_groups.empty());
+    p.send_groups.front().bytes += 8;
+    ctx.engine().sleep_until(t_fault + sim::kMicrosecond);
+    ctx.comm.barrier();
+
+    const plan::PlanStats before = dd.plan_stats();
+    const std::uint64_t done = dd.exchanges_done();
+    EXPECT_THROW(dd.exchange(), plan::AdmissionError);
+    EXPECT_EQ(dd.exchanges_done(), done);
+    EXPECT_EQ(dd.plan_cache().size(), 0u);
+    EXPECT_EQ(dd.plan_stats().rejections, before.rejections + 1);
+
+    EXPECT_NO_THROW(dd.exchange());
+    EXPECT_EQ(dd.exchanges_done(), done + 1);
+    EXPECT_EQ(dd.plan_stats().compiles, before.compiles + 1);
+    EXPECT_EQ(dd.plan_stats().hits, before.hits);
+    EXPECT_EQ(dd.plan_stats().verifications, before.verifications + 2);
+    EXPECT_EQ(dd.plan_stats().rejections, before.rejections + 1);
+    dd.exchange();  // and the re-admitted plan replays
+    EXPECT_EQ(dd.plan_stats().hits, before.hits + 1);
     ctx.comm.barrier();
   });
   EXPECT_TRUE(chk.report().clean()) << dump(chk.report());
