@@ -329,8 +329,8 @@ void Checker::on_post(const simpi::MsgInfo& m) {
   requests_.emplace(m.serial, std::move(rs));
 }
 
-void Checker::on_match(const simpi::MsgInfo& send, const simpi::MsgInfo& recv, bool delivered,
-                       bool same_node) {
+void Checker::on_match(const simpi::MsgInfo& send, const simpi::MsgInfo& recv,
+                       const simpi::Delivery& d) {
   auto sit = requests_.find(send.serial);
   auto rit = requests_.find(recv.serial);
   if (sit == requests_.end() || rit == requests_.end()) return;
@@ -340,7 +340,7 @@ void Checker::on_match(const simpi::MsgInfo& send, const simpi::MsgInfo& recv, b
 
   VClock m = ss.completion;
   m.join(rr.completion);
-  if (!delivered) {
+  if (!d.delivered) {
     // Message lost (fault injection): both waits observe the failure but no
     // data moved, so there is no write access to record.
     if (!send.buffered) ss.completion = m;
@@ -352,7 +352,7 @@ void Checker::on_match(const simpi::MsgInfo& send, const simpi::MsgInfo& recv, b
   const bool dev_r = recv.payload->is_device();
   const int sgpu = dev_s ? send.payload->buf->owner() : -1;
   const int rgpu = dev_r ? recv.payload->buf->owner() : -1;
-  if (!same_node) {
+  if (!d.same_node) {
     // Inter-node CUDA-aware path: the library brackets its copies with
     // device synchronization (device_ready_barrier), so the message
     // happens-after all prior work on the involved devices...
@@ -367,7 +367,7 @@ void Checker::on_match(const simpi::MsgInfo& send, const simpi::MsgInfo& recv, b
   }
   if (!send.buffered) ss.completion = m;
   rr.completion = m;
-  if (!same_node) {
+  if (!d.same_node) {
     // ...and occupies the default streams: subsequent device ops on any
     // stream of the involved devices serialize behind the message.
     if (dev_s) {
@@ -394,7 +394,7 @@ void Checker::on_truncation(const simpi::MsgInfo& send, const simpi::MsgInfo& re
   add_finding(std::move(f));
 }
 
-void Checker::on_request_done(std::uint64_t serial) {
+void Checker::on_request_done(std::uint64_t serial, sim::Time) {
   auto it = requests_.find(serial);
   if (it == requests_.end()) return;
   it->second.done = true;

@@ -35,8 +35,8 @@ namespace stencil::check {
 /// events, message truncation, tag-mismatched pairs, unwaited requests, and
 /// streams destroyed with unsynchronized work.
 ///
-/// Install with Cluster::set_checker (or Runtime::set_checker +
-/// Job::set_checker directly); read `report()` after the run.
+/// Install with Cluster::set_checker (or Runtime::attach + Job::attach
+/// directly); read `report()` after the run.
 class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
  public:
   explicit Checker(sim::Engine& eng) : eng_(eng) {}
@@ -46,8 +46,8 @@ class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
 
   /// Optional telemetry sink: every finding (race, leak, lint, ...) is
   /// counted by kind and triggers a flight-recorder tail dump, exactly like
-  /// deadlocks and transport errors. Cluster cross-wires this when both a
-  /// checker and a telemetry sink are installed.
+  /// deadlocks and transport errors. Cluster wires it to the attached
+  /// telemetry sink (nullptr when none is attached).
   void set_telemetry(telemetry::Telemetry* t) { telemetry_ = t; }
 
   /// Ordered log of every happens-before edge the checker derived from real
@@ -83,10 +83,10 @@ class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
   void on_job_start(int world_size) override;
   void on_job_end() override;
   void on_post(const simpi::MsgInfo& m) override;
-  void on_match(const simpi::MsgInfo& send, const simpi::MsgInfo& recv, bool delivered,
-                bool same_node) override;
+  void on_match(const simpi::MsgInfo& send, const simpi::MsgInfo& recv,
+                const simpi::Delivery& d) override;
   void on_truncation(const simpi::MsgInfo& send, const simpi::MsgInfo& recv) override;
-  void on_request_done(std::uint64_t serial) override;
+  void on_request_done(std::uint64_t serial, sim::Time at) override;
   void on_request_cancel(std::uint64_t serial) override;
   void on_barrier_arrive(std::uint64_t generation) override;
   void on_barrier_release(std::uint64_t generation) override;

@@ -24,6 +24,35 @@ void Cluster::run(const std::function<void(RankCtx&)>& body) {
   if (telemetry_ != nullptr) telemetry_->record_engine(eng_);
 }
 
+void Cluster::rewire() {
+  for (vgpu::RuntimeObserver* o : wired_rt_) rt_.detach(o);
+  for (simpi::JobObserver* o : wired_job_) job_.detach(o);
+  // Slot order, not call order: the fan-out order decides span ids and
+  // flight-recorder order, so no artifact depends on attach order.
+  wired_rt_ = {recorder_, checker_, telemetry_};
+  wired_job_ = {recorder_, checker_, telemetry_, watch_, monitor_};
+  std::erase(wired_rt_, nullptr);
+  std::erase(wired_job_, nullptr);
+  for (vgpu::RuntimeObserver* o : wired_rt_) rt_.attach(o);
+  for (simpi::JobObserver* o : wired_job_) job_.attach(o);
+
+  auto* collector = dynamic_cast<dtrace::Collector*>(recorder_);
+  const telemetry::FlightRecorder* flight = telemetry_ ? &telemetry_->flight() : nullptr;
+  if (collector != nullptr) collector->set_topology(job_.world_size(), gpus_per_rank());
+  if (checker_ != nullptr) checker_->set_telemetry(telemetry_);
+  if (watch_ != nullptr) {
+    watch_->set_recorder(recorder_);
+    watch_->set_flight(flight);
+  }
+  if (monitor_ != nullptr) {
+    monitor_->set_world(job_.world_size());
+    monitor_->set_flight(flight);
+    monitor_->set_telemetry(telemetry_);
+    monitor_->set_collector(collector);
+    monitor_->set_rank_fail_time([this](int r) { return job_.rank_fail_time(r); });
+  }
+}
+
 std::shared_ptr<const Placement> Cluster::placement_cached(
     Dim3 domain, Radius radius, std::size_t bytes_per_point, Neighborhood nbhd,
     PlacementStrategy strategy, Boundary boundary, int num_nodes, int gpus_per_node,

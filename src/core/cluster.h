@@ -64,81 +64,50 @@ class Cluster {
   int ranks_per_node() const { return job_.ranks_per_node(); }
   int gpus_per_rank() const { return machine_.gpus_per_node() / job_.ranks_per_node(); }
 
-  void set_recorder(trace::Recorder* rec) {
-    recorder_ = rec;
-    rt_.set_recorder(rec);
-    job_.set_recorder(rec);
-    if (watch_ != nullptr) watch_->set_recorder(rec);
-  }
+  // --- observers ------------------------------------------------------------
+  // Each setter stores its slot (nullptr detaches) and calls rewire(), which
+  // rebuilds the Runtime's and the Job's observer lists in one fixed slot
+  // order (recorder, checker, telemetry, watch, progress monitor) and
+  // recomputes every cross-link from the current set: attach order does not
+  // matter, and a detached sink is unreachable from those still attached.
+  // Observers are pure bookkeeping: timing is bit-identical with or without.
+
+  /// Timeline recorder: every GPU op, host issue, graph launch, message
+  /// wire span, drop, loss, and revoke/retire.
+  void set_recorder(trace::Recorder* rec) { rewire(recorder_, rec); }
   trace::Recorder* recorder() const { return recorder_; }
 
-  /// Attach a causal distributed-tracing collector (DESIGN.md §12): a
-  /// rank-aware Recorder plus the job topology it needs for GPU-lane
-  /// attribution. Equivalent to set_recorder(c) + c->set_topology(...).
-  void set_collector(dtrace::Collector* c) {
-    if (c != nullptr) c->set_topology(job_.world_size(), gpus_per_rank());
-    set_recorder(c);
-  }
+  /// Causal distributed-tracing collector (DESIGN.md §12): a rank-aware
+  /// recorder, which rewire() hands the job topology.
+  void set_collector(dtrace::Collector* c) { set_recorder(c); }
 
   void set_mem_mode(vgpu::MemMode m) { rt_.set_mem_mode(m); }
 
-  /// Attach a happens-before checker (nullptr detaches): every runtime op,
-  /// event edge, and MPI post/match/wait feeds it, and the exchange layer
-  /// annotates its kernels with byte-range access lists when one is set.
-  void set_checker(check::Checker* c) {
-    checker_ = c;
-    rt_.set_checker(c);
-    job_.set_checker(c);
-    if (c != nullptr && telemetry_ != nullptr) c->set_telemetry(telemetry_);
-  }
+  /// Happens-before checker: every runtime op, event edge, and MPI
+  /// post/match/wait feeds it, and the exchange layer annotates its kernels
+  /// with byte-range access lists when one is set. Findings feed telemetry.
+  void set_checker(check::Checker* c) { rewire(checker_, c); }
+  check::Checker* checker() const { return checker_; }
 
-  /// Attach a telemetry sink (nullptr detaches): every runtime op and MPI
-  /// post/match/drop feeds its metrics registry and flight recorder. When a
-  /// checker is (or later gets) attached too, its findings are cross-wired
-  /// into the sink so race reports dump the flight-recorder tail.
-  void set_telemetry(telemetry::Telemetry* t) {
-    telemetry_ = t;
-    rt_.set_telemetry(t);
-    job_.set_telemetry(t);
-    if (checker_ != nullptr) checker_->set_telemetry(t);
-    if (watch_ != nullptr) watch_->set_flight(t != nullptr ? &t->flight() : nullptr);
-  }
+  /// Telemetry sink: every runtime op and MPI post/match/drop feeds its
+  /// metrics registry and flight recorder.
+  void set_telemetry(telemetry::Telemetry* t) { rewire(telemetry_, t); }
   telemetry::Telemetry* telemetry() const { return telemetry_; }
 
-  /// Attach a live performance watch (nullptr detaches): every delivered
-  /// MPI message and every completed exchange feeds its lane estimators and
-  /// anomaly detectors. Configures the watch to this cluster's shape and
-  /// cross-wires the current recorder (incident instant events) and
-  /// telemetry flight recorder (incident evidence tails). Pure bookkeeping:
-  /// timing is bit-identical with or without one attached.
+  /// Live performance watch: every delivered MPI message and every
+  /// completed exchange feeds its lane estimators and anomaly detectors.
+  /// Attaching configures (and resets) the watch to this cluster's shape;
+  /// incidents land on the recorder and snapshot the telemetry flight tail.
   void set_watch(watch::Watch* w) {
-    watch_ = w;
-    job_.set_watch(w);
-    if (w == nullptr) return;
-    w->configure(num_nodes(), job_.world_size());
-    w->set_recorder(recorder_);
-    w->set_flight(telemetry_ != nullptr ? &telemetry_->flight() : nullptr);
+    if (w != nullptr) w->configure(num_nodes(), job_.world_size());
+    rewire(watch_, w);
   }
   watch::Watch* watch() const { return watch_; }
 
-  /// Attach a progress/stall monitor (nullptr detaches): every rank
-  /// heartbeats at exchange start and completion, and the monitor flags
-  /// stragglers/stalls against its slack thresholds, snapshotting the
-  /// flight-recorder tail and in-flight trace contexts when one fires.
-  void set_progress_monitor(dtrace::ProgressMonitor* m) {
-    monitor_ = m;
-    if (m == nullptr) return;
-    m->set_world(job_.world_size());
-    if (telemetry_ != nullptr) {
-      m->set_flight(&telemetry_->flight());
-      m->set_telemetry(telemetry_);
-    }
-    if (auto* c = dynamic_cast<dtrace::Collector*>(recorder_); c != nullptr) {
-      m->set_collector(c);
-    }
-    m->set_rank_fail_time([this](int r) { return job_.rank_fail_time(r); });
-  }
-  dtrace::ProgressMonitor* progress_monitor() const { return monitor_; }
+  /// Progress/stall monitor: every rank heartbeats at exchange start and
+  /// completion; a straggler/stall alert snapshots the telemetry flight
+  /// tail and the collector's in-flight trace contexts.
+  void set_progress_monitor(dtrace::ProgressMonitor* m) { rewire(monitor_, m); }
 
   /// Attach a decision-provenance ledger (nullptr detaches): placement
   /// cache misses record the partition shape choice and every distinct QAP
@@ -168,6 +137,13 @@ class Cluster {
       int gpus_per_node = 0, int gpu_slot_base = 0);
 
  private:
+  template <typename T>
+  void rewire(T*& slot, T* value) {
+    slot = value;
+    rewire();
+  }
+  void rewire();
+
   sim::Engine eng_;
   topo::Machine machine_;
   vgpu::Runtime rt_;
@@ -178,6 +154,9 @@ class Cluster {
   watch::Watch* watch_ = nullptr;
   dtrace::ProgressMonitor* monitor_ = nullptr;
   explain::Ledger* explain_ = nullptr;
+  // What rewire() last attached, so it can detach exactly that.
+  std::vector<vgpu::RuntimeObserver*> wired_rt_;
+  std::vector<simpi::JobObserver*> wired_job_;
   std::map<std::string, std::shared_ptr<const Placement>> placement_cache_;
 };
 

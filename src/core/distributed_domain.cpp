@@ -356,7 +356,7 @@ void DistributedDomain::record_demotion(const TransferState& x, Method from, Met
 
 void DistributedDomain::demote_transfer(TransferState& x, Method target) {
   record_demotion(x, x.t.method, target);
-  if (auto* rec = ctx_.rt.recorder()) {
+  if (auto* rec = ctx_.cluster.recorder()) {
     const sim::Time now = ctx_.engine().now();
     rec->record("fault",
                 "demote tag=" + std::to_string(x.t.tag) + " " + to_string(x.t.method) + "->" +
@@ -505,9 +505,7 @@ void DistributedDomain::exchange_start(const std::vector<std::size_t>& quantitie
   ++seq_;
   inflight_.start_time = ctx_.engine().now();
   telemetry_.on_exchange_start(seq_, inflight_.start_time);
-  if (auto* pm = ctx_.cluster.progress_monitor(); pm != nullptr) {
-    pm->on_exchange_begin(ctx_.comm.world_rank(), seq_, inflight_.start_time);
-  }
+  ctx_.comm.job().exchange_begin(ctx_.comm.world_rank(), seq_);
   for (const auto& xp : xfers_) {
     if (!xp->i_send || xp->active_bytes == 0) continue;
     telemetry_.flight().log(telemetry::EventKind::kTransfer, inflight_.start_time,
@@ -709,7 +707,7 @@ void DistributedDomain::issue(TransferState& x, const xfer::Op& op, const Slot& 
 vgpu::AccessList DistributedDomain::op_access(TransferState& x, const xfer::Op& op,
                                               const std::vector<std::size_t>& qs) const {
   vgpu::AccessList a;
-  if (ctx_.rt.checker() == nullptr) return a;
+  if (ctx_.cluster.checker() == nullptr) return a;
   for (auto [o, write] : {std::pair{op.from, false}, std::pair{op.to, true}}) {
     if (o == xfer::Operand::kSrcRegion) {
       x.src_ld->append_region_accesses(x.src_region, qs, write, a);
@@ -1160,12 +1158,7 @@ void DistributedDomain::exchange_finish() {
 void DistributedDomain::note_exchange_complete() {
   const sim::Time now = ctx_.engine().now();
   telemetry_.on_exchange_latency(now - inflight_.start_time);
-  if (auto* pm = ctx_.cluster.progress_monitor(); pm != nullptr) {
-    pm->on_exchange_complete(ctx_.comm.world_rank(), seq_, now);
-  }
-  if (auto* w = ctx_.cluster.watch(); w != nullptr) {
-    w->on_exchange_complete(ctx_.comm.world_rank(), seq_, now - inflight_.start_time, now);
-  }
+  ctx_.comm.job().exchange_complete(ctx_.comm.world_rank(), seq_, inflight_.start_time);
   std::map<Method, std::pair<std::uint64_t, std::uint64_t>> per;  // method -> (msgs, bytes)
   for (const auto& xp : xfers_) {
     if (!xp->i_send || xp->active_bytes == 0) continue;

@@ -51,12 +51,47 @@ std::uint64_t Collector::record(std::string lane, std::string label, sim::Time s
   return id;
 }
 
-void Collector::on_context_posted(int rank, std::uint64_t span, std::uint64_t seq,
-                                  std::uint64_t serial) {
-  inflight_[serial] = TraceContext{rank, span, seq};
+void Collector::on_queued(const simpi::MsgInfo& m) {
+  if (!m.is_send) return;
+  const std::uint64_t span =
+      record("rank" + std::to_string(m.src) + ".mpi",
+             std::string(m.persistent ? "start" : "post") + " tag=" + std::to_string(m.tag) +
+                 " ->r" + std::to_string(m.dst),
+             m.post_time, m.post_time);
+  inflight_[m.serial] = TraceContext{m.src, span, ++send_seq_[m.src]};
 }
 
-void Collector::on_context_resolved(std::uint64_t serial) { inflight_.erase(serial); }
+void Collector::on_match(const simpi::MsgInfo& send, const simpi::MsgInfo& recv,
+                         const simpi::Delivery& d) {
+  trace::Recorder::on_match(send, recv, d);
+  const std::uint64_t span = next_span_id_;  // the wire (or LOST) span just recorded
+  const auto ctx = inflight_.find(send.serial);
+  if (d.delivered) {
+    if (ctx != inflight_.end()) {
+      add_flow(ctx->second.span, span, send.serial, "msg tag=" + std::to_string(send.tag));
+    }
+    adoptions_[recv.serial] = Adoption{span, send.src, recv.dst, send.tag};
+  } else if (ctx != inflight_.end()) {
+    // The arrow ends at the loss: the trace shows where the message died,
+    // and the sender's context leaves the in-flight set.
+    add_flow(ctx->second.span, span, send.serial, "lost tag=" + std::to_string(send.tag));
+    inflight_.erase(ctx);
+  }
+}
+
+void Collector::on_request_done(std::uint64_t serial, sim::Time at) {
+  inflight_.erase(serial);
+  const auto it = adoptions_.find(serial);
+  if (it == adoptions_.end()) return;
+  // The receive adopts the sender's context: a marker span on the
+  // receiving rank's timeline, with an arrow from the wire span into it.
+  const Adoption a = it->second;
+  adoptions_.erase(it);  // one adoption arrow per delivery
+  const std::uint64_t adopt =
+      record("rank" + std::to_string(a.dst) + ".mpi",
+             "recv tag=" + std::to_string(a.tag) + " <-r" + std::to_string(a.src), at, at);
+  add_flow(a.wire_span, adopt, serial, "deliver tag=" + std::to_string(a.tag));
+}
 
 std::vector<TraceContext> Collector::inflight() const {
   std::vector<TraceContext> out;

@@ -4,27 +4,38 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
-#include "dtrace/context.h"
 #include "trace/recorder.h"
 
 namespace stencil::dtrace {
 
+/// The trace context a send carries (Dapper-style propagation, DESIGN.md §12).
+struct TraceContext {
+  int rank = -1;           // originating rank
+  std::uint64_t span = 0;  // id of the sender's post/start marker span (0: unset)
+  std::uint64_t seq = 0;   // rank-local send sequence number (1-based)
+};
+
 /// A causal, rank-aware trace recorder (DESIGN.md §12). Drop-in for
 /// trace::Recorder (attach with Cluster::set_collector): every recorded
 /// span is attributed to the rank its lane names ("rank2.cpu" -> 2,
-/// "gpu5.kernel" -> 5 / gpus_per_rank, "mpi.r1->r3" -> 1, the sender), and
-/// because causal() is true the simpi layer stamps trace contexts onto
-/// message envelopes and feeds flow edges along every message, IPC
-/// handshake, and persistent-plan replay. The result merges into one
-/// global timeline: write_merged_chrome_trace emits one process per rank
-/// with chrome flow events (s/f arrows) drawn along every message, and
-/// write_rank_json / merge support the offline per-rank-file workflow.
+/// "gpu5.kernel" -> 5 / gpus_per_rank, "mpi.r1->r3" -> 1, the sender). Its
+/// Job-observer callbacks propagate a trace context along every message,
+/// keyed by request serial: a send stamps one when it enters matching (a
+/// marker span on "rankN.mpi"; persistent requests re-stamp on every start,
+/// so contexts survive compiled-plan replay), the wire span draws an arrow
+/// from it, and the receive's completion adopts it with a marker and an
+/// arrow from the wire span. The exchange layer adds the IPC handshake
+/// arrows. The result merges into one global timeline:
+/// write_merged_chrome_trace emits one process per rank with chrome flow
+/// events (s/f arrows) drawn along every message, and write_rank_json /
+/// merge support the offline per-rank-file workflow.
 class Collector : public trace::Recorder {
  public:
-  /// Rank attribution for GPU lanes needs the job shape; Cluster::set_collector
-  /// calls this. gpus_per_rank <= 0 leaves GPU lanes unattributed.
+  /// Rank attribution for GPU lanes needs the job shape; Cluster wires it on
+  /// attach. gpus_per_rank <= 0 leaves GPU lanes unattributed.
   void set_topology(int world_size, int gpus_per_rank);
   int world_size() const { return world_size_; }
 
@@ -43,9 +54,11 @@ class Collector : public trace::Recorder {
                        sim::Time end) override;
   bool causal() const override { return true; }
 
-  void on_context_posted(int rank, std::uint64_t span, std::uint64_t seq,
-                         std::uint64_t serial) override;
-  void on_context_resolved(std::uint64_t serial) override;
+  // --- simpi::JobObserver (causal propagation) -----------------------------
+  void on_queued(const simpi::MsgInfo& m) override;
+  void on_match(const simpi::MsgInfo& send, const simpi::MsgInfo& recv,
+                const simpi::Delivery& d) override;
+  void on_request_done(std::uint64_t serial, sim::Time at) override;
 
   /// Trace contexts stamped on sends whose completion has not been observed
   /// yet, ordered by request serial — the "what is still in the air"
@@ -79,10 +92,17 @@ class Collector : public trace::Recorder {
   static Collector merge(const std::vector<std::string>& docs);
 
  private:
+  struct Adoption {  // a delivered receive waiting to adopt its sender's context
+    std::uint64_t wire_span = 0;
+    int src = -1, dst = -1, tag = 0;
+  };
+
   int world_size_ = 0;
   int gpus_per_rank_ = 0;
-  std::map<std::uint64_t, TraceContext> inflight_;  // serial -> stamped context
-  std::map<int, std::string> tenant_of_rank_;       // world rank -> tenant name
+  std::map<std::uint64_t, TraceContext> inflight_;         // send serial -> stamped context
+  std::unordered_map<std::uint64_t, Adoption> adoptions_;  // recv serial -> delivery
+  std::map<int, std::uint64_t> send_seq_;                  // rank -> sends stamped
+  std::map<int, std::string> tenant_of_rank_;              // world rank -> tenant name
   std::string no_tenant_;
 };
 

@@ -34,7 +34,8 @@ void ProgressMonitor::on_exchange_begin(int rank, std::uint64_t seq, sim::Time a
   c.begun = true;
 }
 
-void ProgressMonitor::on_exchange_complete(int rank, std::uint64_t seq, sim::Time at) {
+void ProgressMonitor::on_exchange_complete(int rank, std::uint64_t seq, sim::Duration,
+                                           sim::Time at) {
   Cell& c = beats_[seq][rank];
   if (!c.begun) {
     c.begin = at;

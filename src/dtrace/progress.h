@@ -6,7 +6,8 @@
 #include <string>
 #include <vector>
 
-#include "dtrace/context.h"
+#include "dtrace/collector.h"
+#include "simpi/observer.h"
 #include "simtime/time.h"
 
 namespace stencil::telemetry {
@@ -15,8 +16,6 @@ class Telemetry;
 }
 
 namespace stencil::dtrace {
-
-class Collector;
 
 /// One detected straggler or stall. `lag` is how far behind the median
 /// same-exchange peer the flagged rank finished (straggler) or how long it
@@ -36,15 +35,16 @@ struct StallAlert {
 };
 
 /// Live progress/stall monitor (DESIGN.md §12): every rank heartbeats at
-/// the start and end of each halo exchange (DistributedDomain calls
-/// on_exchange_begin/on_exchange_complete via Cluster::progress_monitor).
+/// the start and end of each halo exchange (DistributedDomain reports them
+/// through Job::exchange_begin/exchange_complete, which fan out to this
+/// Job observer).
 /// When all ranks of an exchange have reported, per-rank durations are
 /// compared against the median: a rank is flagged as a straggler when it is
 /// slower than `relative_slack` x median AND more than `slack` behind it
 /// (both must hold, so microsecond jitter on a fast exchange stays silent).
 /// finish() flags exchanges that never completed on some rank as stalls.
 /// All comparisons are in virtual time, so detection is deterministic.
-class ProgressMonitor {
+class ProgressMonitor : public simpi::JobObserver {
  public:
   void set_world(int world_size) { world_size_ = world_size; }
   /// Absolute slack floor (virtual ns). Default 50 us.
@@ -67,9 +67,11 @@ class ProgressMonitor {
   sim::Duration slack() const { return slack_; }
   double relative_slack() const { return relative_slack_; }
 
-  /// Heartbeats, one pair per (rank, exchange).
-  void on_exchange_begin(int rank, std::uint64_t seq, sim::Time at);
-  void on_exchange_complete(int rank, std::uint64_t seq, sim::Time at);
+  /// Heartbeats, one pair per (rank, exchange). The monitor measures
+  /// durations from its own begin beats, so `latency` is unused.
+  void on_exchange_begin(int rank, std::uint64_t seq, sim::Time at) override;
+  void on_exchange_complete(int rank, std::uint64_t seq, sim::Duration latency,
+                            sim::Time at) override;
 
   /// Flags exchanges some rank began but never completed (a stall) and
   /// ranks that never began an exchange their peers ran. Call at teardown

@@ -7,8 +7,6 @@
 
 #include "core/tagspace.h"
 #include "fault/fault.h"
-#include "telemetry/telemetry.h"
-#include "watch/watch.h"
 
 namespace stencil::simpi {
 
@@ -76,6 +74,7 @@ MsgInfo msg_info(const Request::Record& rec) {
   m.dst = rec.dst;
   m.tag = rec.tag;
   m.payload = &rec.payload;
+  m.bytes = rec.payload.bytes;
   m.buffered = rec.buffered;
   m.persistent = rec.persistent;
   m.post_time = rec.post_time;
@@ -99,10 +98,18 @@ Job::Job(sim::Engine& eng, topo::Machine& machine, vgpu::Runtime& runtime, int r
   }
   unmatched_sends_.resize(static_cast<std::size_t>(world_size_));
   unmatched_recvs_.resize(static_cast<std::size_t>(world_size_));
-  send_seq_.resize(static_cast<std::size_t>(world_size_), 0);
   barrier_gate_ = std::make_unique<sim::Gate>("barrier");
   retired_.resize(static_cast<std::size_t>(world_size_), false);
   drain_gate_ = std::make_unique<sim::Gate>("recover.drain");
+}
+
+void Job::exchange_begin(int rank, std::uint64_t seq) {
+  for (JobObserver* o : observers_) o->on_exchange_begin(rank, seq, eng_.now());
+}
+
+void Job::exchange_complete(int rank, std::uint64_t seq, sim::Time began) {
+  const sim::Time now = eng_.now();
+  for (JobObserver* o : observers_) o->on_exchange_complete(rank, seq, now - began, now);
 }
 
 void Job::run(const std::function<void(Comm&)>& body) {
@@ -119,13 +126,13 @@ void Job::run(const std::function<void(Comm&)>& body) {
     });
     names.push_back("rank" + std::to_string(r));
   }
-  if (checker_ != nullptr) checker_->on_job_start(world_size_);
+  for (JobObserver* o : observers_) o->on_job_start(world_size_);
   eng_.run(std::move(bodies), std::move(names));
-  if (checker_ != nullptr) checker_->on_job_end();
+  for (JobObserver* o : observers_) o->on_job_end();
 }
 
-std::shared_ptr<Request::Record> Job::post(bool is_send, int me, int peer, int tag,
-                                           const Payload& p) {
+std::shared_ptr<Request::Record> Job::make_record(bool is_send, int me, int peer, int tag,
+                                                  const Payload& p) {
   if (peer < 0 || peer >= world_size_) throw std::out_of_range("simpi: peer rank out of range");
   if (p.is_device() && !machine_.arch().cuda_aware_mpi) {
     throw std::runtime_error(
@@ -141,53 +148,50 @@ std::shared_ptr<Request::Record> Job::post(bool is_send, int me, int peer, int t
   rec->tag = tag;
   rec->payload = p;
   rec->post_time = eng_.now();
-  rec->epoch = comm_epoch_;
+  return rec;
+}
 
-  if (is_send && !p.is_device() && p.bytes <= kEagerLimit) {
-    // Eager protocol: buffer the payload inside the library; the send
-    // completes immediately and the data moves when the receive matches.
-    rec->buffered = true;
-    rec->matched = true;
-    rec->complete_at = rec->post_time;
-    if (const std::byte* sp = payload_ptr(p); sp != nullptr && p.bytes > 0) {
-      rec->staged.assign(sp, sp + p.bytes);
+void Job::enqueue(const std::shared_ptr<Request::Record>& rec_sp) {
+  Request::Record& rec = *rec_sp;
+  rec.epoch = comm_epoch_;
+  if (rec.is_send && !rec.payload.is_device() && rec.payload.bytes <= kEagerLimit) {
+    // Eager protocol: buffer the payload inside the library (re-staged on
+    // every persistent start: the contents differ each iteration even though
+    // the envelope is frozen); the send completes immediately and the data
+    // moves when the receive matches.
+    rec.buffered = true;
+    rec.matched = true;
+    rec.complete_at = rec.post_time;
+    if (const std::byte* sp = payload_ptr(rec.payload); sp != nullptr && rec.payload.bytes > 0) {
+      rec.staged.assign(sp, sp + rec.payload.bytes);
     }
   }
-
-  if (checker_ != nullptr) checker_->on_post(msg_info(*rec));
-  if (telemetry_ != nullptr) {
-    telemetry_->on_mpi_post(rec->src, rec->dst, rec->tag, rec->payload.bytes, is_send,
-                            rec->post_time);
+  if (!observers_.empty()) {
+    const MsgInfo m = msg_info(rec);
+    if (!rec.persistent) {
+      for (JobObserver* o : observers_) o->on_post(m);
+    }
+    for (JobObserver* o : observers_) o->on_queued(m);  // before try_match can consume it
   }
-  stamp_context(*rec, /*restart=*/false);  // before try_match can consume it
+  auto& queue = rec.is_send ? unmatched_sends_[static_cast<std::size_t>(rec.dst)]
+                            : unmatched_recvs_[static_cast<std::size_t>(rec.dst)];
+  queue.push_back(rec_sp);
+  try_match(rec.dst);
+}
 
-  auto& queue = is_send ? unmatched_sends_[static_cast<std::size_t>(rec->dst)]
-                        : unmatched_recvs_[static_cast<std::size_t>(rec->dst)];
-  queue.push_back(rec);
-  try_match(rec->dst);
+std::shared_ptr<Request::Record> Job::post(bool is_send, int me, int peer, int tag,
+                                           const Payload& p) {
+  auto rec = make_record(is_send, me, peer, tag, p);
+  enqueue(rec);
   return rec;
 }
 
 std::shared_ptr<Request::Record> Job::init(bool is_send, int me, int peer, int tag,
                                            const Payload& p) {
-  if (peer < 0 || peer >= world_size_) throw std::out_of_range("simpi: peer rank out of range");
-  if (p.is_device() && !machine_.arch().cuda_aware_mpi) {
-    throw std::runtime_error(
-        "simpi: device pointer passed to MPI, but this platform is not CUDA-aware");
-  }
-  eng_.sleep_for(machine_.arch().cpu_issue);  // local call, no data motion
-
-  auto rec = std::make_shared<Request::Record>();
-  rec->serial = next_request_serial_++;
-  rec->is_send = is_send;
-  rec->src = is_send ? me : peer;
-  rec->dst = is_send ? peer : me;
-  rec->tag = tag;
-  rec->payload = p;
-  rec->post_time = eng_.now();
+  auto rec = make_record(is_send, me, peer, tag, p);  // local call, no data motion
   rec->persistent = true;
-
-  if (checker_ != nullptr) checker_->on_persistent_init(msg_info(*rec));
+  const MsgInfo m = msg_info(*rec);
+  for (JobObserver* o : observers_) o->on_persistent_init(m);
   return rec;  // nothing enters matching until start()
 }
 
@@ -197,7 +201,8 @@ void Job::start(Request& r) {
   auto& rec = *rec_sp;
   if (!rec.persistent) throw std::logic_error("simpi: start on a non-persistent request");
   // Notify before rejecting, so the checker can lint the double start.
-  if (checker_ != nullptr) checker_->on_persistent_start(msg_info(rec));
+  const MsgInfo m = msg_info(rec);
+  for (JobObserver* o : observers_) o->on_persistent_start(m);
   if (rec.active) {
     throw std::logic_error("simpi: start on an already-active persistent request");
   }
@@ -214,69 +219,16 @@ void Job::start(Request& r) {
   rec.buffered = false;
   rec.staged.clear();
   rec.post_time = eng_.now();
-  rec.epoch = comm_epoch_;
   rec.active = true;
   ++rec.starts;
-
-  if (rec.is_send && !rec.payload.is_device() && rec.payload.bytes <= kEagerLimit) {
-    // Eager protocol, re-staged on every start: the buffer contents differ
-    // each iteration even though the envelope is frozen.
-    rec.buffered = true;
-    rec.matched = true;
-    rec.complete_at = rec.post_time;
-    if (const std::byte* sp = payload_ptr(rec.payload); sp != nullptr && rec.payload.bytes > 0) {
-      rec.staged.assign(sp, sp + rec.payload.bytes);
-    }
-  }
-
-  stamp_context(rec, /*restart=*/true);  // re-stamped per start, same serial
-
-  auto& queue = rec.is_send ? unmatched_sends_[static_cast<std::size_t>(rec.dst)]
-                            : unmatched_recvs_[static_cast<std::size_t>(rec.dst)];
-  queue.push_back(rec_sp);
-  try_match(rec.dst);
-}
-
-void Job::stamp_context(Request::Record& rec, bool restart) {
-  if (!rec.is_send || recorder_ == nullptr || !recorder_->causal()) return;
-  const std::uint64_t span = recorder_->record(
-      "rank" + std::to_string(rec.src) + ".mpi",
-      std::string(restart ? "start" : "post") + " tag=" + std::to_string(rec.tag) + " ->r" +
-          std::to_string(rec.dst),
-      rec.post_time, rec.post_time);
-  rec.ctx =
-      dtrace::TraceContext{rec.src, span, ++send_seq_[static_cast<std::size_t>(rec.src)]};
-  rec.wire_span = 0;
-  recorder_->on_context_posted(rec.src, span, rec.ctx.seq, rec.serial);
-}
-
-void Job::note_completion(Request::Record& rec) {
-  if (recorder_ == nullptr || !recorder_->causal()) return;
-  if (rec.is_send) {
-    if (rec.ctx.valid()) {
-      recorder_->on_context_resolved(rec.serial);
-      rec.ctx = dtrace::TraceContext{};
-    }
-    return;
-  }
-  if (rec.wire_span != 0) {
-    // The receive adopts the sender's context: a marker span on the
-    // receiving rank's timeline, with an arrow from the wire span into it.
-    const std::uint64_t adopt = recorder_->record(
-        "rank" + std::to_string(rec.dst) + ".mpi",
-        "recv tag=" + std::to_string(rec.tag) + " <-r" + std::to_string(rec.src), eng_.now(),
-        eng_.now());
-    recorder_->add_flow(rec.wire_span, adopt, rec.serial,
-                        "deliver tag=" + std::to_string(rec.tag));
-    rec.wire_span = 0;  // one adoption arrow per delivery
-  }
+  enqueue(rec_sp);
 }
 
 void Job::request_free(Request& r) {
   if (!r.valid()) throw std::logic_error("simpi: request_free on an invalid Request");
   auto& rec = *r.rec_;
   const bool active = rec.persistent && rec.active;
-  if (checker_ != nullptr) checker_->on_persistent_free(rec.serial, active);
+  for (JobObserver* o : observers_) o->on_persistent_free(rec.serial, active);
   // Deferred-free semantics: an in-flight operation stays in the matching
   // queues and still completes/delivers; only the caller's handle dies.
   r.rec_.reset();
@@ -324,13 +276,22 @@ sim::Time Job::device_ready_barrier(const Request::Record& send, const Request::
 void Job::complete_match(Request::Record& send, Request::Record& recv) {
   const std::size_t bytes = send.payload.bytes;
   if (recv.payload.bytes < bytes) {
-    if (checker_ != nullptr) checker_->on_truncation(msg_info(send), msg_info(recv));
+    for (JobObserver* o : observers_) o->on_truncation(msg_info(send), msg_info(recv));
     throw std::runtime_error("simpi: message truncation (recv buffer smaller than message)");
   }
   const int node_s = node_of_rank(send.src);
   const int node_r = node_of_rank(recv.dst);
   const bool same_node = node_s == node_r;
   const auto& arch = machine_.arch();
+  const bool device = send.payload.is_device() || recv.payload.is_device();
+  // Report the resolution, then wake both endpoints.
+  const auto resolve = [&](const Delivery& d) {
+    const MsgInfo ms = msg_info(send);
+    const MsgInfo mr = msg_info(recv);
+    for (JobObserver* o : observers_) o->on_match(ms, mr, d);
+    rank_gates_[static_cast<std::size_t>(send.src)]->notify_all(eng_);
+    rank_gates_[static_cast<std::size_t>(recv.dst)]->notify_all(eng_);
+  };
 
   sim::Time ready = std::max(send.post_time, recv.post_time) +
                     (same_node ? arch.lat_mpi_intra : arch.lat_mpi_inter);
@@ -350,15 +311,7 @@ void Job::complete_match(Request::Record& send, Request::Record& recv) {
         break;
       }
       const sim::Time retry_at = ready + rp.timeout + rp.backoff_delay(attempt, salt);
-      if (recorder_ != nullptr) {
-        recorder_->record("mpi.r" + std::to_string(send.src) + "->r" + std::to_string(recv.dst),
-                          "drop tag=" + std::to_string(send.tag) + " retry#" +
-                              std::to_string(attempt + 1),
-                          ready, retry_at);
-      }
-      if (telemetry_ != nullptr) {
-        telemetry_->on_mpi_drop(send.src, recv.dst, send.tag, attempt + 1, ready);
-      }
+      for (JobObserver* o : observers_) o->on_drop(msg_info(send), attempt + 1, {ready, retry_at});
       ready = retry_at;
       ++attempt;
     }
@@ -377,29 +330,7 @@ void Job::complete_match(Request::Record& send, Request::Record& recv) {
       recv.matched = true;
       recv.failed = true;
       recv.complete_at = fail_at;
-      if (recorder_ != nullptr) {
-        const std::uint64_t lost = recorder_->record(
-            "mpi.r" + std::to_string(send.src) + "->r" + std::to_string(recv.dst),
-            "LOST tag=" + std::to_string(send.tag) + " after " + std::to_string(recv.attempts) +
-                " attempts",
-            ready, fail_at);
-        if (recorder_->causal() && send.ctx.valid()) {
-          // The arrow ends at the loss: the trace shows where the message
-          // died, and the sender's context leaves the in-flight set.
-          recorder_->add_flow(send.ctx.span, lost, send.serial,
-                              "lost tag=" + std::to_string(send.tag));
-          recorder_->on_context_resolved(send.serial);
-          send.ctx = dtrace::TraceContext{};
-        }
-      }
-      if (checker_ != nullptr) {
-        checker_->on_match(msg_info(send), msg_info(recv), /*delivered=*/false, same_node);
-      }
-      if (telemetry_ != nullptr) {
-        telemetry_->on_mpi_lost(send.src, recv.dst, send.tag, recv.attempts, fail_at);
-      }
-      rank_gates_[static_cast<std::size_t>(send.src)]->notify_all(eng_);
-      rank_gates_[static_cast<std::size_t>(recv.dst)]->notify_all(eng_);
+      resolve({false, same_node, device, node_s, node_r, recv.attempts, ready, {ready, fail_at}});
       return;
     }
   }
@@ -412,7 +343,7 @@ void Job::complete_match(Request::Record& send, Request::Record& recv) {
   const sim::Time wire_ready = ready;
   sim::Span span;
 
-  if (dev_s || dev_r) {
+  if (device) {
     // CUDA-aware path.
     const int sgpu = dev_s ? send.payload.buf->owner() : -1;
     const int rgpu = dev_r ? recv.payload.buf->owner() : -1;
@@ -494,34 +425,7 @@ void Job::complete_match(Request::Record& send, Request::Record& recv) {
   recv.matched = true;
   recv.complete_at = span.end;
 
-  if (recorder_ != nullptr) {
-    const std::uint64_t wire = recorder_->record(
-        "mpi.r" + std::to_string(send.src) + "->r" + std::to_string(recv.dst),
-        (dev_s || dev_r ? "ca-msg " : "msg ") + std::to_string(bytes) + "B", span.start,
-        span.end);
-    if (recorder_->causal()) {
-      send.wire_span = recv.wire_span = wire;
-      if (send.ctx.valid()) {
-        recorder_->add_flow(send.ctx.span, wire, send.serial,
-                            "msg tag=" + std::to_string(send.tag));
-      }
-      recv.ctx = send.ctx;  // the receive adopts the sender's context
-    }
-  }
-  if (checker_ != nullptr) {
-    checker_->on_match(msg_info(send), msg_info(recv), /*delivered=*/true, same_node);
-  }
-  if (telemetry_ != nullptr) {
-    telemetry_->on_mpi_match(send.src, recv.dst, send.tag, bytes, send.attempts, same_node,
-                             span.end);
-  }
-  if (watch_ != nullptr) {
-    watch_->on_message(send.src, recv.dst, node_s, node_r, dev_s || dev_r, bytes, wire_ready,
-                       span);
-  }
-
-  rank_gates_[static_cast<std::size_t>(send.src)]->notify_all(eng_);
-  rank_gates_[static_cast<std::size_t>(recv.dst)]->notify_all(eng_);
+  resolve({true, same_node, device, node_s, node_r, send.attempts, wire_ready, span});
 }
 
 void Job::cancel_unmatched(Request::Record& rec) {
@@ -531,7 +435,17 @@ void Job::cancel_unmatched(Request::Record& rec) {
                              [&](const auto& q) { return q.get() == &rec; }),
               queue.end());
   rec.cancelled = true;
-  if (checker_ != nullptr) checker_->on_request_cancel(rec.serial);
+  for (JobObserver* o : observers_) o->on_request_cancel(rec.serial);
+}
+
+void Job::done(Request::Record& rec) {
+  rec.active = false;  // persistent: back to inactive; handle stays valid
+  for (JobObserver* o : observers_) o->on_request_done(rec.serial, eng_.now());
+}
+
+void Job::fail(TransportError::Code code, int peer, int tag, const std::string& what) {
+  for (JobObserver* o : observers_) o->on_transport_error(what, eng_.now());
+  throw TransportError(code, peer, tag, what);
 }
 
 void Job::wait(Request& r, int me) {
@@ -558,10 +472,9 @@ void Job::wait(Request& r, int me) {
     if (rec.epoch < comm_epoch_) {
       // The communicator was revoked while this operation was pending.
       cancel_unmatched(rec);
-      const std::string what = "simpi: " + detail + " revoked at t=" +
-                               sim::format_duration(eng_.now()) + " (communicator revoked)";
-      if (telemetry_ != nullptr) telemetry_->on_transport_error(what, eng_.now());
-      throw TransportError(TransportError::Code::kRevoked, peer, rec.tag, what);
+      fail(TransportError::Code::kRevoked, peer, rec.tag,
+           "simpi: " + detail + " revoked at t=" + sim::format_duration(eng_.now()) +
+               " (communicator revoked)");
     }
     const sim::Time deadline = std::min(retry_deadline, dead_deadline);
     if (deadline == fault::kForever) {
@@ -573,28 +486,21 @@ void Job::wait(Request& r, int me) {
     if (notified || rec.matched) continue;
     cancel_unmatched(rec);
     if (eng_.now() >= dead_deadline) {
-      const std::string what = "simpi: " + detail + " peer rank " + std::to_string(peer) +
-                               " died at t=" + sim::format_duration(peer_fail) +
-                               " (detected t=" + sim::format_duration(eng_.now()) + ")";
-      if (telemetry_ != nullptr) telemetry_->on_transport_error(what, eng_.now());
-      throw TransportError(TransportError::Code::kPeerDead, peer, rec.tag, what);
+      fail(TransportError::Code::kPeerDead, peer, rec.tag,
+           "simpi: " + detail + " peer rank " + std::to_string(peer) + " died at t=" +
+               sim::format_duration(peer_fail) + " (detected t=" +
+               sim::format_duration(eng_.now()) + ")");
     }
-    const std::string what = "simpi: " + detail + " timed out at t=" +
-                             sim::format_duration(eng_.now()) + " (no matching peer)";
-    if (telemetry_ != nullptr) telemetry_->on_transport_error(what, eng_.now());
-    throw TransportError(TransportError::Code::kTimeout, peer, rec.tag, what);
+    fail(TransportError::Code::kTimeout, peer, rec.tag,
+         "simpi: " + detail + " timed out at t=" + sim::format_duration(eng_.now()) +
+             " (no matching peer)");
   }
   eng_.sleep_until(rec.complete_at);
-  rec.active = false;  // persistent: back to inactive; handle stays valid
-  if (checker_ != nullptr) checker_->on_request_done(rec.serial);
-  note_completion(rec);
+  done(rec);
   if (rec.failed) {
-    const std::string what = "simpi: " + wait_detail(rec.is_send, rec.src, rec.dst, rec.tag) +
-                             " lost after " + std::to_string(rec.attempts) +
-                             " attempts (retries exhausted)";
-    if (telemetry_ != nullptr) telemetry_->on_transport_error(what, eng_.now());
-    throw TransportError(TransportError::Code::kRetriesExhausted,
-                         rec.is_send ? rec.dst : rec.src, rec.tag, what);
+    fail(TransportError::Code::kRetriesExhausted, peer, rec.tag,
+         "simpi: " + detail + " lost after " + std::to_string(rec.attempts) +
+             " attempts (retries exhausted)");
   }
 }
 
@@ -603,11 +509,7 @@ bool Job::test(Request& r) {
   auto& rec = *r.rec_;
   if (rec.persistent && !rec.active) return true;  // inactive: trivially complete
   const bool complete = rec.matched && rec.complete_at <= eng_.now();
-  if (complete) {
-    rec.active = false;
-    if (checker_ != nullptr) checker_->on_request_done(rec.serial);
-    note_completion(rec);
-  }
+  if (complete) done(rec);
   return complete;
 }
 
@@ -632,18 +534,13 @@ int Job::wait_any(std::vector<Request>& rs, int me) {
     if (best >= 0) {
       auto rec = rs[static_cast<std::size_t>(best)].rec_;
       eng_.sleep_until(best_t);
-      rec->active = false;
       rs[static_cast<std::size_t>(best)].rec_.reset();
-      if (checker_ != nullptr) checker_->on_request_done(rec->serial);
-      note_completion(*rec);
+      done(*rec);
       if (rec->failed) {
-        const std::string what = "simpi: " +
-                                 wait_detail(rec->is_send, rec->src, rec->dst, rec->tag) +
-                                 " lost after " + std::to_string(rec->attempts) +
-                                 " attempts (retries exhausted)";
-        if (telemetry_ != nullptr) telemetry_->on_transport_error(what, eng_.now());
-        throw TransportError(TransportError::Code::kRetriesExhausted,
-                             rec->is_send ? rec->dst : rec->src, rec->tag, what);
+        fail(TransportError::Code::kRetriesExhausted, rec->is_send ? rec->dst : rec->src,
+             rec->tag,
+             "simpi: " + wait_detail(rec->is_send, rec->src, rec->dst, rec->tag) +
+                 " lost after " + std::to_string(rec->attempts) + " attempts (retries exhausted)");
       }
       return best;
     }
@@ -660,13 +557,9 @@ int Job::wait_any(std::vector<Request>& rs, int me) {
       if (rec.matched) continue;
       if (rec.epoch < comm_epoch_) {
         cancel_unmatched(rec);
-        const std::string what = "simpi: " +
-                                 wait_detail(rec.is_send, rec.src, rec.dst, rec.tag) +
-                                 " revoked at t=" + sim::format_duration(eng_.now()) +
-                                 " (communicator revoked)";
-        if (telemetry_ != nullptr) telemetry_->on_transport_error(what, eng_.now());
-        throw TransportError(TransportError::Code::kRevoked,
-                             rec.is_send ? rec.dst : rec.src, rec.tag, what);
+        fail(TransportError::Code::kRevoked, rec.is_send ? rec.dst : rec.src, rec.tag,
+             "simpi: " + wait_detail(rec.is_send, rec.src, rec.dst, rec.tag) + " revoked at t=" +
+                 sim::format_duration(eng_.now()) + " (communicator revoked)");
       }
       const int peer = rec.is_send ? rec.dst : rec.src;
       const sim::Time pf = rank_fail_time(peer);
@@ -689,12 +582,10 @@ int Job::wait_any(std::vector<Request>& rs, int me) {
     if (rec.matched) continue;  // an in-flight pre-death message still delivered
     cancel_unmatched(rec);
     const int peer = rec.is_send ? rec.dst : rec.src;
-    const std::string what = "simpi: " + wait_detail(rec.is_send, rec.src, rec.dst, rec.tag) +
-                             " peer rank " + std::to_string(peer) + " died at t=" +
-                             sim::format_duration(rank_fail_time(peer)) +
-                             " (detected t=" + sim::format_duration(eng_.now()) + ")";
-    if (telemetry_ != nullptr) telemetry_->on_transport_error(what, eng_.now());
-    throw TransportError(TransportError::Code::kPeerDead, peer, rec.tag, what);
+    fail(TransportError::Code::kPeerDead, peer, rec.tag,
+         "simpi: " + wait_detail(rec.is_send, rec.src, rec.dst, rec.tag) + " peer rank " +
+             std::to_string(peer) + " died at t=" + sim::format_duration(rank_fail_time(peer)) +
+             " (detected t=" + sim::format_duration(eng_.now()) + ")");
   }
 }
 
@@ -711,7 +602,7 @@ void Job::release_barrier_locked() {
 void Job::barrier(int me) {
   (void)me;
   const std::uint64_t gen = barrier_generation_;
-  if (checker_ != nullptr) checker_->on_barrier_arrive(gen);
+  for (JobObserver* o : observers_) o->on_barrier_arrive(gen);
   barrier_max_arrival_ = std::max(barrier_max_arrival_, eng_.now());
   // Collectives count to the live target: retired ranks are excluded, so
   // post-recovery barriers over the shrunk job complete normally.
@@ -747,15 +638,14 @@ void Job::barrier(int me) {
       // Unwind our arrival so a later (post-retirement) barrier counts
       // cleanly, then surface the failure.
       --barrier_arrived_;
-      const std::string what = "simpi: barrier with dead rank " + std::to_string(dead_rank) +
-                               " (died t=" + sim::format_duration(rank_fail_time(dead_rank)) +
-                               ", detected t=" + sim::format_duration(eng_.now()) + ")";
-      if (telemetry_ != nullptr) telemetry_->on_transport_error(what, eng_.now());
-      throw TransportError(TransportError::Code::kPeerDead, dead_rank, /*tag=*/-1, what);
+      fail(TransportError::Code::kPeerDead, dead_rank, /*tag=*/-1,
+           "simpi: barrier with dead rank " + std::to_string(dead_rank) + " (died t=" +
+               sim::format_duration(rank_fail_time(dead_rank)) +
+               ", detected t=" + sim::format_duration(eng_.now()) + ")");
     }
     eng_.sleep_until(barrier_release_);
   }
-  if (checker_ != nullptr) checker_->on_barrier_release(gen);
+  for (JobObserver* o : observers_) o->on_barrier_release(gen);
 }
 
 // --- ULFM-style failure semantics ------------------------------------------
@@ -788,10 +678,7 @@ void Job::revoke() {
   // recovery must not let a dying rank depart before the survivors of
   // *this* incident have finished recovering.
   drain_acks_ = 0;
-  if (recorder_ != nullptr) {
-    recorder_->record("recover", "revoke epoch=" + std::to_string(comm_epoch_), eng_.now(),
-                      eng_.now());
-  }
+  for (JobObserver* o : observers_) o->on_revoke(comm_epoch_, eng_.now());
   for (auto& g : rank_gates_) g->notify_all(eng_);
   barrier_gate_->notify_all(eng_);
 }
@@ -810,7 +697,7 @@ void Job::retire_rank(int r) {
         const int poster = rec.is_send ? rec.src : rec.dst;
         if (poster == r) {
           rec.cancelled = true;
-          if (checker_ != nullptr) checker_->on_request_cancel(rec.serial);
+          for (JobObserver* o : observers_) o->on_request_cancel(rec.serial);
           it = q.erase(it);
         } else {
           ++it;
@@ -818,9 +705,7 @@ void Job::retire_rank(int r) {
       }
     }
   }
-  if (recorder_ != nullptr) {
-    recorder_->record("recover", "retire rank " + std::to_string(r), eng_.now(), eng_.now());
-  }
+  for (JobObserver* o : observers_) o->on_retire(r, eng_.now());
   // A barrier blocked only on the dead rank releases here, in the retiring
   // caller's context.
   if (barrier_arrived_ > 0 && barrier_arrived_ >= live_count()) {
@@ -861,9 +746,7 @@ void Job::reset(Request& r) {
     // happens-before checker stays clean. Failed completions do not throw
     // here — reset is the abort path.
     if (rec.complete_at > eng_.now()) eng_.sleep_until(rec.complete_at);
-    rec.active = false;
-    if (checker_ != nullptr) checker_->on_request_done(rec.serial);
-    note_completion(rec);
+    done(rec);
   }
   if (!rec.persistent) r.rec_.reset();
 }

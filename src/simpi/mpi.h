@@ -7,17 +7,11 @@
 #include <string>
 #include <vector>
 
-#include "dtrace/context.h"
 #include "simpi/observer.h"
 #include "simtime/engine.h"
 #include "simtime/resource.h"
 #include "topo/machine.h"
-#include "trace/recorder.h"
 #include "vgpu/runtime.h"
-
-namespace stencil::watch {
-class Watch;
-}  // namespace stencil::watch
 
 namespace stencil::simpi {
 
@@ -111,22 +105,18 @@ class Job {
   /// The CPU resource of a rank (one core driving copies and issue).
   sim::Resource& cpu(int rank) { return cpu_[static_cast<std::size_t>(rank)]; }
 
-  void set_recorder(trace::Recorder* rec) { recorder_ = rec; }
+  /// Observers (trace recorder and collector, checker, telemetry, watch,
+  /// progress monitor) see every post, match, drop, completion, barrier
+  /// crossing, failure transition, and exchange heartbeat, in attach order
+  /// (attach each once). Pure bookkeeping: never changes virtual time.
+  void attach(JobObserver* o) { observers_.push_back(o); }
+  void detach(JobObserver* o) { std::erase(observers_, o); }
 
-  /// Optional correctness observer (stencil::check): when set, every post,
-  /// match, completion, cancellation, and barrier crossing is reported.
-  void set_checker(JobObserver* obs) { checker_ = obs; }
-  JobObserver* checker() const { return checker_; }
-
-  /// Optional telemetry sink: message/byte/retry counters and flight-recorder
-  /// events for every post, match, drop, and loss. Pure bookkeeping.
-  void set_telemetry(telemetry::Telemetry* t) { telemetry_ = t; }
-  telemetry::Telemetry* telemetry() const { return telemetry_; }
-
-  /// Optional live performance watch (stencil::watch): every delivered
-  /// message feeds its lane estimators. Pure bookkeeping — no virtual time.
-  void set_watch(watch::Watch* w) { watch_ = w; }
-  watch::Watch* watch() const { return watch_; }
+  /// Exchange heartbeats from the halo layer, fanned out to the observers:
+  /// world rank `rank` begins exchange `seq` now / completes the exchange it
+  /// began at `began` now.
+  void exchange_begin(int rank, std::uint64_t seq);
+  void exchange_complete(int rank, std::uint64_t seq, sim::Time began);
 
   // --- ULFM-style failure semantics (stencil::recover) ----------------------
 
@@ -155,7 +145,7 @@ class Job {
   std::uint64_t comm_epoch() const { return comm_epoch_; }
 
   /// Acknowledge a dead rank: cancel every unmatched request it posted
-  /// (notifying the checker), shrink the collective target, and wake all
+  /// (notifying the observers), shrink the collective target, and wake all
   /// waiters so barriers blocked only on the dead rank release. Idempotent.
   void retire_rank(int r);
 
@@ -175,6 +165,11 @@ class Job {
  private:
   friend class Comm;
 
+  // A fresh Record after the argument checks and the call's CPU cost.
+  std::shared_ptr<Request::Record> make_record(bool is_send, int me, int peer, int tag,
+                                               const Payload& p);
+  // Enter matching (post, or persistent start): stage eager sends, notify.
+  void enqueue(const std::shared_ptr<Request::Record>& rec);
   std::shared_ptr<Request::Record> post(bool is_send, int me, int peer, int tag, const Payload& p);
   std::shared_ptr<Request::Record> init(bool is_send, int me, int peer, int tag, const Payload& p);
   void start(Request& r);
@@ -187,26 +182,20 @@ class Job {
   bool test(Request& r);
   int wait_any(std::vector<Request>& rs, int me);
   void barrier(int me);
-  // Distributed tracing (no-ops unless the recorder is causal): stamp a
-  // fresh trace context onto a send's envelope (a zero-duration marker span
-  // on "rankN.mpi"), and close out a completed request (resolve the send's
-  // context / record the receive-side adoption marker and flow edge).
-  void stamp_context(Request::Record& rec, bool restart);
-  void note_completion(Request::Record& rec);
+  // Completion of a request observed by the calling actor.
+  void done(Request::Record& rec);
+  // The one transport-error exit: notify the observers, then throw.
+  [[noreturn]] void fail(TransportError::Code code, int peer, int tag, const std::string& what);
   sim::Time device_ready_barrier(const Request::Record& send, const Request::Record& recv,
                                  sim::Time ready);
 
   sim::Engine& eng_;
   topo::Machine& machine_;
   vgpu::Runtime& runtime_;
-  trace::Recorder* recorder_ = nullptr;
-  JobObserver* checker_ = nullptr;
-  telemetry::Telemetry* telemetry_ = nullptr;
-  watch::Watch* watch_ = nullptr;
+  std::vector<JobObserver*> observers_;
   int ranks_per_node_ = 0;
   int world_size_ = 0;
   std::uint64_t next_request_serial_ = 1;
-  std::vector<std::uint64_t> send_seq_;  // per-rank send sequence numbers
 
   std::vector<sim::Resource> cpu_;                       // per rank
   std::vector<std::unique_ptr<sim::Gate>> rank_gates_;   // per rank: wakes its waits
@@ -262,14 +251,6 @@ struct Request::Record {
   // Communicator epoch at post/start time: a revoke bumps the job epoch and
   // any still-unmatched record from an older epoch completes with kRevoked.
   std::uint64_t epoch = 0;
-  // Distributed tracing (only populated when the attached recorder is
-  // causal): the envelope carries the sender's trace context so the
-  // matching receive adopts it, and `wire_span` remembers the wire span a
-  // delivered receive must draw its adoption arrow from. Persistent
-  // requests re-stamp a fresh context on every start() under the same
-  // serial, so contexts survive compiled-plan replay.
-  dtrace::TraceContext ctx;
-  std::uint64_t wire_span = 0;
 };
 
 /// The per-rank communicator handle (the world communicator; split() yields
@@ -299,7 +280,7 @@ class Comm {
   /// enters it into matching; wait()/wait_any() return it to the inactive
   /// state without invalidating the handle. wait() on an inactive persistent
   /// request returns immediately; start() on an active one throws (after
-  /// notifying the checker, which lints it).
+  /// notifying the observers; the checker lints it).
   Request send_init(const Payload& p, int dst, int tag);
   Request recv_init(const Payload& p, int src, int tag);
   void start(Request& r);

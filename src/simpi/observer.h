@@ -1,7 +1,10 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <string>
 
+#include "simtime/resource.h"
 #include "simtime/time.h"
 
 namespace stencil::simpi {
@@ -19,59 +22,83 @@ struct MsgInfo {
   int dst = -1;
   int tag = 0;
   const Payload* payload = nullptr;
+  std::size_t bytes = 0;    // payload size
   bool buffered = false;    // eager protocol: completed at post time
   bool persistent = false;  // created by send_init/recv_init; reusable Record
   sim::Time post_time = 0;
 };
 
-/// Observer of every ordering-relevant simpi event: request post, match
-/// resolution (delivery or loss), request completion (wait/test/wait_any),
-/// cancellation, barrier arrival/release, and job start/end.
-/// `stencil::check::Checker` implements this to extend the happens-before
-/// graph across ranks; install with Job::set_checker.
-///
-/// Callbacks run on the engine actor performing the triggering MPI call and
-/// must not call back into the Job.
+/// How a resolved send/recv pair crossed the machine (JobObserver::on_match).
+/// `same_node` selects the intra-node path, which — like the profiled MPI —
+/// does *not* synchronize with device streams, whereas the inter-node device
+/// path brackets the copy with device synchronization and occupies the
+/// default streams.
+struct Delivery {
+  bool delivered = true;  // false: fault injection dropped every transmission
+  bool same_node = false;
+  bool device = false;  // a device payload took the CUDA-aware path
+  int src_node = -1;
+  int dst_node = -1;
+  int attempts = 1;     // transmissions, retries included
+  sim::Time ready = 0;  // both endpoints ready, before queuing on shared wires
+  sim::Span span;       // wire occupancy; for a loss, last attempt to failure
+};
+
+/// Observer of every simpi event, from request post to the exchange layer's
+/// heartbeats. The trace recorder and causal collector, telemetry, the
+/// watch, the progress monitor, and `stencil::check::Checker` (which extends
+/// the happens-before graph across ranks) implement it; install with
+/// Job::attach. Every callback is a no-op by default. Callbacks run on the
+/// engine actor performing the triggering MPI call and must not call back
+/// into the Job.
 class JobObserver {
  public:
   virtual ~JobObserver() = default;
 
-  virtual void on_job_start(int world_size) = 0;
-  virtual void on_job_end() = 0;
-  virtual void on_post(const MsgInfo& m) = 0;
-  /// A send/recv pair was resolved. `delivered` is false when fault
-  /// injection dropped every transmission (both waits will throw);
-  /// `same_node` selects the intra-node path, which — like the profiled
-  /// MPI — does *not* synchronize with device streams, whereas the
-  /// inter-node device path brackets the copy with device synchronization
-  /// and occupies the default streams.
-  virtual void on_match(const MsgInfo& send, const MsgInfo& recv, bool delivered,
-                        bool same_node) = 0;
+  virtual void on_job_start(int /*world_size*/) {}
+  virtual void on_job_end() {}
+  virtual void on_post(const MsgInfo& /*m*/) {}
+  /// The request entered the matching queues: right after on_post, and
+  /// after every accepted persistent start. Causal tracers stamp the
+  /// send's trace context here.
+  virtual void on_queued(const MsgInfo& /*m*/) {}
+  /// A send/recv pair was resolved: delivered, or lost (both waits throw).
+  virtual void on_match(const MsgInfo& /*send*/, const MsgInfo& /*recv*/,
+                        const Delivery& /*d*/) {}
+  /// Transmission `attempt` (1-based) of `send` was dropped; the retry goes
+  /// out at `retry.end`.
+  virtual void on_drop(const MsgInfo& /*send*/, int /*attempt*/, sim::Span /*retry*/) {}
   /// Recv buffer smaller than the matched message; thrown right after.
-  virtual void on_truncation(const MsgInfo& send, const MsgInfo& recv) = 0;
-  /// The calling actor observed completion of this request (wait returned,
-  /// test returned true, or wait_any selected it).
-  virtual void on_request_done(std::uint64_t serial) = 0;
+  virtual void on_truncation(const MsgInfo& /*send*/, const MsgInfo& /*recv*/) {}
+  /// The calling actor observed completion of this request at `at` (wait
+  /// returned, test returned true, wait_any selected it, or reset drained it).
+  virtual void on_request_done(std::uint64_t /*serial*/, sim::Time /*at*/) {}
   /// The request was cancelled without completing (wait timeout path).
-  virtual void on_request_cancel(std::uint64_t serial) = 0;
-  virtual void on_barrier_arrive(std::uint64_t generation) = 0;
-  virtual void on_barrier_release(std::uint64_t generation) = 0;
+  virtual void on_request_cancel(std::uint64_t /*serial*/) {}
+  /// A TransportError is about to be thrown.
+  virtual void on_transport_error(const std::string& /*what*/, sim::Time /*at*/) {}
+  virtual void on_barrier_arrive(std::uint64_t /*generation*/) {}
+  virtual void on_barrier_release(std::uint64_t /*generation*/) {}
+  /// ULFM-style failure transitions (Job::revoke / Job::retire_rank).
+  virtual void on_revoke(std::uint64_t /*epoch*/, sim::Time /*at*/) {}
+  virtual void on_retire(int /*rank*/, sim::Time /*at*/) {}
 
   /// Persistent-request lifecycle (MPI_Send_init / MPI_Start / MPI_Request_free).
-  /// A persistent Record is created once by *_init (no data moves, nothing is
-  /// queued for matching) and then re-armed by each start; completion is still
-  /// reported through on_match/on_request_done with the same serial. Default
-  /// no-op implementations keep pre-existing observers source-compatible.
-  virtual void on_persistent_init(const MsgInfo& m) { (void)m; }
+  /// *_init creates the Record (nothing is queued); each start re-arms it, and
+  /// completion arrives through on_match/on_request_done under the same serial.
+  virtual void on_persistent_init(const MsgInfo& /*m*/) {}
   /// Fired on every start, *before* the library rejects a double start, so an
   /// observer can lint "start while still active".
-  virtual void on_persistent_start(const MsgInfo& m) { (void)m; }
+  virtual void on_persistent_start(const MsgInfo& /*m*/) {}
   /// The handle was freed. `active` is true when the operation had been
   /// started and not yet completed (MPI defers the free; we lint it).
-  virtual void on_persistent_free(std::uint64_t serial, bool active) {
-    (void)serial;
-    (void)active;
-  }
+  virtual void on_persistent_free(std::uint64_t /*serial*/, bool /*active*/) {}
+
+  /// Heartbeats from the exchange layer (Job::exchange_begin /
+  /// Job::exchange_complete): `rank` began / finished halo exchange `seq`.
+  virtual void on_exchange_begin(int /*rank*/, std::uint64_t /*seq*/, sim::Time /*at*/) {}
+  virtual void on_exchange_complete(int /*rank*/, std::uint64_t /*seq*/,
+                                    sim::Duration /*latency*/, sim::Time /*at*/) {}
 };
 
 }  // namespace stencil::simpi

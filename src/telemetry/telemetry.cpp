@@ -13,55 +13,57 @@ std::string mpi_lane(int src, int dst) {
 
 }  // namespace
 
-void Telemetry::on_gpu_op(const std::string& lane, const std::string& label, std::uint64_t bytes,
-                          sim::Time start, sim::Time end) {
+void Telemetry::on_op(const vgpu::OpInfo& op) {
   metrics_.counter("vgpu_ops_total").add();
-  metrics_.counter("vgpu_bytes_total").add(bytes);
-  const auto dur = static_cast<std::uint64_t>(end > start ? end - start : 0);
+  metrics_.counter("vgpu_bytes_total").add(op.bytes);
+  const auto dur = static_cast<std::uint64_t>(op.end > op.start ? op.end - op.start : 0);
+  const std::string& label = *op.trace_label;
   if (label.compare(0, 4, "pack") == 0) {
     metrics_.histogram("vgpu_pack_ns").observe(dur);
   } else if (label.compare(0, 6, "unpack") == 0) {
     metrics_.histogram("vgpu_unpack_ns").observe(dur);
   }
-  flight_.log(EventKind::kGpuOp, end, lane, label, bytes);
+  flight_.log(EventKind::kGpuOp, op.end, *op.lane, label, op.bytes);
 }
 
-void Telemetry::on_graph_launch(const std::string& lane, int nodes, sim::Time at) {
+void Telemetry::on_graph_launch(const std::string& lane, int nodes, sim::Time start, sim::Time) {
   metrics_.counter("vgpu_graph_launches_total").add();
-  flight_.log(EventKind::kGpuOp, at, lane, "graph launch (" + std::to_string(nodes) + " nodes)");
+  flight_.log(EventKind::kGpuOp, start, lane, "graph launch (" + std::to_string(nodes) + " nodes)");
 }
 
-void Telemetry::on_mpi_post(int src, int dst, int tag, std::uint64_t bytes, bool is_send,
-                            sim::Time at) {
-  metrics_.counter(is_send ? "mpi_sends_posted_total" : "mpi_recvs_posted_total").add();
-  flight_.log(EventKind::kMpiPost, at, mpi_lane(src, dst),
-              std::string(is_send ? "isend" : "irecv") + " tag=" + std::to_string(tag), bytes);
+void Telemetry::on_post(const simpi::MsgInfo& m) {
+  metrics_.counter(m.is_send ? "mpi_sends_posted_total" : "mpi_recvs_posted_total").add();
+  flight_.log(EventKind::kMpiPost, m.post_time, mpi_lane(m.src, m.dst),
+              std::string(m.is_send ? "isend" : "irecv") + " tag=" + std::to_string(m.tag),
+              m.bytes);
 }
 
-void Telemetry::on_mpi_match(int src, int dst, int tag, std::uint64_t bytes, int attempts,
-                             bool same_node, sim::Time at) {
+void Telemetry::on_match(const simpi::MsgInfo& send, const simpi::MsgInfo& recv,
+                         const simpi::Delivery& d) {
+  const std::string lane = mpi_lane(send.src, recv.dst);
+  const std::string tag = "tag=" + std::to_string(send.tag);
+  if (!d.delivered) {
+    metrics_.counter("mpi_messages_lost_total").add();
+    flight_.log(EventKind::kMpiLost, d.span.end, lane,
+                tag + " after " + std::to_string(d.attempts) + " attempts");
+    return;
+  }
   metrics_.counter("mpi_messages_total").add();
-  metrics_.counter("mpi_bytes_total").add(bytes);
-  metrics_.counter(same_node ? "mpi_messages_intra_node_total" : "mpi_messages_inter_node_total")
+  metrics_.counter("mpi_bytes_total").add(send.bytes);
+  metrics_.counter(d.same_node ? "mpi_messages_intra_node_total" : "mpi_messages_inter_node_total")
       .add();
-  if (attempts > 1) metrics_.counter("mpi_retries_total").add(static_cast<std::uint64_t>(attempts - 1));
-  metrics_.histogram("mpi_message_bytes").observe(bytes);
-  flight_.log(EventKind::kMpiMatch, at, mpi_lane(src, dst),
-              "tag=" + std::to_string(tag) +
-                  (attempts > 1 ? " attempts=" + std::to_string(attempts) : ""),
-              bytes);
+  if (d.attempts > 1) {
+    metrics_.counter("mpi_retries_total").add(static_cast<std::uint64_t>(d.attempts - 1));
+  }
+  metrics_.histogram("mpi_message_bytes").observe(send.bytes);
+  flight_.log(EventKind::kMpiMatch, d.span.end, lane,
+              tag + (d.attempts > 1 ? " attempts=" + std::to_string(d.attempts) : ""), send.bytes);
 }
 
-void Telemetry::on_mpi_drop(int src, int dst, int tag, int attempt, sim::Time at) {
+void Telemetry::on_drop(const simpi::MsgInfo& send, int attempt, sim::Span retry) {
   metrics_.counter("mpi_drops_total").add();
-  flight_.log(EventKind::kMpiDrop, at, mpi_lane(src, dst),
-              "tag=" + std::to_string(tag) + " retry#" + std::to_string(attempt));
-}
-
-void Telemetry::on_mpi_lost(int src, int dst, int tag, int attempts, sim::Time at) {
-  metrics_.counter("mpi_messages_lost_total").add();
-  flight_.log(EventKind::kMpiLost, at, mpi_lane(src, dst),
-              "tag=" + std::to_string(tag) + " after " + std::to_string(attempts) + " attempts");
+  flight_.log(EventKind::kMpiDrop, retry.start, mpi_lane(send.src, send.dst),
+              "tag=" + std::to_string(send.tag) + " retry#" + std::to_string(attempt));
 }
 
 void Telemetry::on_transport_error(const std::string& what, sim::Time at) {

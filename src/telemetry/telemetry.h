@@ -3,11 +3,13 @@
 #include <cstdint>
 #include <string>
 
+#include "simpi/observer.h"
 #include "simtime/engine.h"
 #include "telemetry/critical_path.h"
 #include "telemetry/export.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
+#include "vgpu/observer.h"
 
 namespace stencil::telemetry {
 
@@ -15,7 +17,8 @@ namespace stencil::telemetry {
 /// DistributedDomain, plan cache) feed. Owns a MetricsRegistry and a
 /// FlightRecorder; every hook is pure bookkeeping — no virtual-time cost,
 /// so instrumented and un-instrumented runs are bit-identical in time.
-class Telemetry {
+/// The substrates feed it as a Runtime/Job observer.
+class Telemetry : public vgpu::RuntimeObserver, public simpi::JobObserver {
  public:
   explicit Telemetry(std::size_t flight_capacity = 256) : flight_(flight_capacity) {}
 
@@ -24,23 +27,22 @@ class Telemetry {
   FlightRecorder& flight() { return flight_; }
   const FlightRecorder& flight() const { return flight_; }
 
-  // --- vgpu::Runtime hooks -------------------------------------------------
-  /// One virtual-GPU op completed on `lane` over [start, end). Pack/unpack
-  /// labels additionally feed the pack/unpack time histograms.
-  void on_gpu_op(const std::string& lane, const std::string& label, std::uint64_t bytes,
-                 sim::Time start, sim::Time end);
-  void on_graph_launch(const std::string& lane, int nodes, sim::Time at);
+  // --- vgpu::RuntimeObserver ---------------------------------------------
+  /// One virtual-GPU op completed on its lane. Pack/unpack labels
+  /// additionally feed the pack/unpack time histograms.
+  void on_op(const vgpu::OpInfo& op) override;
+  void on_graph_launch(const std::string& lane, int nodes, sim::Time start,
+                       sim::Time end) override;
 
-  // --- simpi::Job hooks ----------------------------------------------------
-  void on_mpi_post(int src, int dst, int tag, std::uint64_t bytes, bool is_send, sim::Time at);
-  void on_mpi_match(int src, int dst, int tag, std::uint64_t bytes, int attempts, bool same_node,
-                    sim::Time at);
-  void on_mpi_drop(int src, int dst, int tag, int attempt, sim::Time at);
-  void on_mpi_lost(int src, int dst, int tag, int attempts, sim::Time at);
-
+  // --- simpi::JobObserver -------------------------------------------------
+  void on_post(const simpi::MsgInfo& m) override;
+  /// Delivered messages count by size and path; lost ones by loss.
+  void on_match(const simpi::MsgInfo& send, const simpi::MsgInfo& recv,
+                const simpi::Delivery& d) override;
+  void on_drop(const simpi::MsgInfo& send, int attempt, sim::Span retry) override;
   /// A TransportError is about to surface: count it and snapshot the flight
   /// tail so the failure report carries the events leading up to it.
-  void on_transport_error(const std::string& what, sim::Time at);
+  void on_transport_error(const std::string& what, sim::Time at) override;
 
   // --- check::Checker hooks ------------------------------------------------
   /// The checker filed a finding (race, leak, lint, ...): count it by kind

@@ -21,8 +21,41 @@ void Recorder::add_flow(std::uint64_t from_span, std::uint64_t to_span, std::uin
   flows_.push_back(FlowEdge{++next_flow_id_, from_span, to_span, msg, std::move(label)});
 }
 
-void Recorder::on_context_posted(int, std::uint64_t, std::uint64_t, std::uint64_t) {}
-void Recorder::on_context_resolved(std::uint64_t) {}
+void Recorder::on_op(const vgpu::OpInfo& op) {
+  record(*op.lane, *op.trace_label, op.start, op.end);
+}
+
+void Recorder::on_host_issue(const std::string& lane, sim::Time start, sim::Time end) {
+  record(lane, "issue", start, end);
+}
+
+void Recorder::on_graph_launch(const std::string& lane, int nodes, sim::Time start,
+                               sim::Time end) {
+  record(lane, "graph launch (" + std::to_string(nodes) + " nodes)", start, end);
+}
+
+void Recorder::on_match(const simpi::MsgInfo& send, const simpi::MsgInfo& recv,
+                        const simpi::Delivery& d) {
+  record("mpi.r" + std::to_string(send.src) + "->r" + std::to_string(recv.dst),
+         d.delivered ? (d.device ? "ca-msg " : "msg ") + std::to_string(send.bytes) + "B"
+                     : "LOST tag=" + std::to_string(send.tag) + " after " +
+                           std::to_string(d.attempts) + " attempts",
+         d.span.start, d.span.end);
+}
+
+void Recorder::on_drop(const simpi::MsgInfo& send, int attempt, sim::Span retry) {
+  record("mpi.r" + std::to_string(send.src) + "->r" + std::to_string(send.dst),
+         "drop tag=" + std::to_string(send.tag) + " retry#" + std::to_string(attempt),
+         retry.start, retry.end);
+}
+
+void Recorder::on_revoke(std::uint64_t epoch, sim::Time at) {
+  record("recover", "revoke epoch=" + std::to_string(epoch), at, at);
+}
+
+void Recorder::on_retire(int rank, sim::Time at) {
+  record("recover", "retire rank " + std::to_string(rank), at, at);
+}
 
 void Recorder::clear() {
   records_.clear();

@@ -5,7 +5,9 @@
 #include <string>
 #include <vector>
 
+#include "simpi/observer.h"
 #include "simtime/time.h"
+#include "vgpu/observer.h"
 
 namespace stencil::trace {
 
@@ -39,31 +41,38 @@ struct FlowEdge {
 /// Collects operation spans during a simulation and renders them as CSV or
 /// an ASCII Gantt chart (the reproduction of the paper's Fig. 9 timeline).
 /// Recording order is deterministic because the engine is token-scheduled.
-class Recorder {
+///
+/// As a Runtime/Job observer it records every GPU op, host issue, graph
+/// launch, message wire span, dropped and lost transmission, and
+/// revoke/retire instant.
+class Recorder : public vgpu::RuntimeObserver, public simpi::JobObserver {
  public:
-  virtual ~Recorder() = default;
-
   /// Records one span and returns its id (1-based). Virtual so causal
   /// recorders (dtrace::Collector) can attribute the span to a rank.
   virtual std::uint64_t record(std::string lane, std::string label, sim::Time start,
                                sim::Time end);
 
-  /// True when this recorder wants causal annotations: the simpi layer only
-  /// stamps trace contexts onto message envelopes, records post/deliver
-  /// marker spans, and adds flow edges when the attached recorder opts in,
-  /// so a plain Recorder keeps byte-identical output with older traces.
+  /// True for causal recorders (dtrace::Collector), which also record
+  /// post/deliver marker spans and flow edges along every message; a plain
+  /// Recorder keeps byte-identical output with older traces.
   virtual bool causal() const { return false; }
 
   /// Adds a causal arrow between two recorded span ids.
   void add_flow(std::uint64_t from_span, std::uint64_t to_span, std::uint64_t msg,
                 std::string label);
 
-  /// In-flight message-context bookkeeping (a send's context was stamped /
-  /// the matching receive completed). No-ops here; dtrace::Collector tracks
-  /// them so a stall report can name the messages still in the air.
-  virtual void on_context_posted(int rank, std::uint64_t span, std::uint64_t seq,
-                                 std::uint64_t serial);
-  virtual void on_context_resolved(std::uint64_t serial);
+  // --- vgpu::RuntimeObserver ---------------------------------------------
+  void on_op(const vgpu::OpInfo& op) override;
+  void on_host_issue(const std::string& lane, sim::Time start, sim::Time end) override;
+  void on_graph_launch(const std::string& lane, int nodes, sim::Time start,
+                       sim::Time end) override;
+
+  // --- simpi::JobObserver -------------------------------------------------
+  void on_match(const simpi::MsgInfo& send, const simpi::MsgInfo& recv,
+                const simpi::Delivery& d) override;
+  void on_drop(const simpi::MsgInfo& send, int attempt, sim::Span retry) override;
+  void on_revoke(std::uint64_t epoch, sim::Time at) override;
+  void on_retire(int rank, sim::Time at) override;
 
   const std::vector<OpRecord>& records() const { return records_; }
   const std::vector<FlowEdge>& flows() const { return flows_; }

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "fault/fault.h"
-#include "telemetry/telemetry.h"
 
 namespace stencil::vgpu {
 
@@ -51,13 +50,13 @@ Stream Runtime::create_stream(int ggpu) {
   s.device = ggpu;
   s.id = next_stream_id_++;
   s.last_end = eng_.now();
-  if (checker_ != nullptr) checker_->on_stream_create(s);
+  for (RuntimeObserver* o : observers_) o->on_stream_create(s);
   return s;
 }
 
 void Runtime::destroy_stream(Stream& s) {
   if (!s.valid()) return;
-  if (checker_ != nullptr) checker_->on_stream_destroy(s);
+  for (RuntimeObserver* o : observers_) o->on_stream_destroy(s);
   s.device = -1;
   s.id = 0;
 }
@@ -78,7 +77,7 @@ void Runtime::record_event(Event& ev, const Stream& s) {
   }
   ev.completed_at = std::max(s.last_end, eng_.now());
   ev.recorded = true;
-  if (checker_ != nullptr) checker_->on_record_event(ev, s);
+  for (RuntimeObserver* o : observers_) o->on_record_event(ev, s);
 }
 
 void Runtime::stream_wait_event(Stream& s, const Event& ev) {
@@ -87,33 +86,33 @@ void Runtime::stream_wait_event(Stream& s, const Event& ev) {
                  [&s, &ev](Runtime& rt) { rt.stream_wait_event(s, ev); });
     return;
   }
-  if (checker_ != nullptr) checker_->on_stream_wait_event(s, ev);
+  for (RuntimeObserver* o : observers_) o->on_stream_wait_event(s, ev);
   if (!ev.recorded) return;  // CUDA: waiting on an unrecorded event is a no-op
   s.last_end = std::max(s.last_end, ev.completed_at);
 }
 
 bool Runtime::event_query(const Event& ev) const {
   const bool complete = !ev.recorded || ev.completed_at <= eng_.now();
-  if (checker_ != nullptr) checker_->on_event_query(ev, complete);
+  for (RuntimeObserver* o : observers_) o->on_event_query(ev, complete);
   return complete;
 }
 
 void Runtime::event_synchronize(const Event& ev) {
   reject_during_capture("event_synchronize");
   if (ev.recorded) eng_.sleep_until(ev.completed_at);
-  if (checker_ != nullptr) checker_->on_event_synchronize(ev);
+  for (RuntimeObserver* o : observers_) o->on_event_synchronize(ev);
 }
 
 void Runtime::stream_synchronize(const Stream& s) {
   reject_during_capture("stream_synchronize");
   eng_.sleep_until(s.last_end);
-  if (checker_ != nullptr) checker_->on_stream_synchronize(s);
+  for (RuntimeObserver* o : observers_) o->on_stream_synchronize(s);
 }
 
 void Runtime::device_synchronize(int ggpu) {
   reject_during_capture("device_synchronize");
   eng_.sleep_until(dev(ggpu).all_streams_last_end);
-  if (checker_ != nullptr) checker_->on_device_synchronize(ggpu);
+  for (RuntimeObserver* o : observers_) o->on_device_synchronize(ggpu);
 }
 
 bool Runtime::can_access_peer(int ggpu, int peer_ggpu) const {
@@ -202,15 +201,11 @@ void Runtime::launch_graph(GraphExec& g) {
   reject_during_capture("launch_graph");
   const sim::Time t0 = eng_.now();
   eng_.sleep_for(machine_.arch().cpu_issue);  // one issue for the whole graph
-  if (recorder_ != nullptr) {
-    const std::string& who = eng_.actor_name();
-    recorder_->record((who.empty() ? std::string("cpu") : who) + ".cpu",
-                      "graph launch (" + std::to_string(g.num_nodes()) + " nodes)", t0, eng_.now());
-  }
-  if (telemetry_ != nullptr) {
-    const std::string& who = eng_.actor_name();
-    telemetry_->on_graph_launch((who.empty() ? std::string("cpu") : who) + ".cpu",
-                                static_cast<int>(g.num_nodes()), t0);
+  if (observed()) {
+    const std::string lane = cpu_lane();
+    for (RuntimeObserver* o : observers_) {
+      o->on_graph_launch(lane, static_cast<int>(g.num_nodes()), t0, eng_.now());
+    }
   }
   ++replay_depth_;
   try {
@@ -239,9 +234,9 @@ sim::Time Runtime::issue(Stream& s) {
   if (replay_depth_ == 0) {
     const sim::Time t0 = eng_.now();
     eng_.sleep_for(machine_.arch().cpu_issue);
-    if (recorder_ != nullptr) {
-      const std::string& who = eng_.actor_name();
-      recorder_->record((who.empty() ? std::string("cpu") : who) + ".cpu", "issue", t0, eng_.now());
+    if (observed()) {
+      const std::string lane = cpu_lane();
+      for (RuntimeObserver* o : observers_) o->on_host_issue(lane, t0, eng_.now());
     }
   }
   ++ops_issued_;
@@ -264,23 +259,16 @@ void Runtime::commit(Stream& s, const sim::Span& span) {
   if (s.id == 0) d.default_last_end = std::max(d.default_last_end, span.end);
 }
 
-void Runtime::trace_op(const std::string& lane, const std::string& label, const sim::Span& span,
-                       std::uint64_t bytes) {
-  if (recorder_ != nullptr) recorder_->record(lane, label, span.start, span.end);
-  if (telemetry_ != nullptr) telemetry_->on_gpu_op(lane, label, bytes, span.start, span.end);
+std::string Runtime::cpu_lane() const {
+  const std::string& who = eng_.actor_name();
+  return (who.empty() ? std::string("cpu") : who) + ".cpu";
 }
 
-void Runtime::observe_op(OpKind kind, const Stream& s, const std::string& label,
-                         const sim::Span& span, const AccessList& accesses) {
-  if (checker_ == nullptr) return;
-  OpInfo op;
-  op.kind = kind;
-  op.stream = &s;
-  op.label = &label;
-  op.accesses = &accesses;
-  op.start = span.start;
-  op.end = span.end;
-  checker_->on_op(op);
+void Runtime::observe_op(OpKind kind, const Stream& s, const std::string& lane,
+                         const std::string& label, const std::string& trace_label,
+                         std::uint64_t bytes, const sim::Span& span, const AccessList& accesses) {
+  const OpInfo op{kind, &s, &lane, &label, &trace_label, &accesses, bytes, span.start, span.end};
+  for (RuntimeObserver* o : observers_) o->on_op(op);
 }
 
 void Runtime::check_same_size_copy(const Buffer& dst, std::size_t dst_off, const Buffer& src,
@@ -310,28 +298,30 @@ void Runtime::memcpy_async(Buffer& dst, std::size_t dst_off, const Buffer& src, 
   }
   const sim::Time ready = issue(s);
   sim::Span span;
-  std::string lane;
+  int lane_gpu = 0;
+  const char* lane_what = "kernel";
   if (src.space() == MemSpace::kDevice && dst.space() == MemSpace::kDevice) {
     if (src.owner() != dst.owner()) {
       throw std::logic_error("memcpy_async: cross-device copy requires memcpy_peer_async");
     }
     span = machine_.schedule_d2d(src.owner(), dst.owner(), bytes, ready);
-    lane = gpu_lane(src.owner(), "kernel");
+    lane_gpu = src.owner();
   } else if (src.space() == MemSpace::kDevice) {  // D2H
     span = machine_.schedule_d2h(src.owner(), bytes, ready);
-    lane = gpu_lane(src.owner(), "d2h");
+    lane_gpu = src.owner();
+    lane_what = "d2h";
   } else if (dst.space() == MemSpace::kDevice) {  // H2D
     span = machine_.schedule_h2d(dst.owner(), bytes, ready);
-    lane = gpu_lane(dst.owner(), "h2d");
+    lane_gpu = dst.owner();
+    lane_what = "h2d";
   } else {
     throw std::logic_error("memcpy_async: host-to-host copies do not belong on a stream");
   }
   move_bytes(dst, dst_off, src, src_off, bytes);
   commit(s, span);
-  const std::string label = "memcpy " + std::to_string(bytes) + "B";
-  trace_op(lane, label, span, bytes);
-  if (checker_ != nullptr) {
-    observe_op(OpKind::kMemcpy, s, label, span,
+  if (observed()) {
+    const std::string label = "memcpy " + std::to_string(bytes) + "B";
+    observe_op(OpKind::kMemcpy, s, gpu_lane(lane_gpu, lane_what), label, label, bytes, span,
                {{&src, src_off, bytes, false}, {&dst, dst_off, bytes, true}});
   }
 }
@@ -354,11 +344,10 @@ void Runtime::memcpy_peer_async(Buffer& dst, std::size_t dst_off, const Buffer& 
   const sim::Span span = machine_.schedule_d2d(src.owner(), dst.owner(), bytes, ready, use_peer);
   move_bytes(dst, dst_off, src, src_off, bytes);
   commit(s, span);
-  const std::string label = (use_peer ? "peer " : "staged-peer ") + std::to_string(bytes) + "B";
-  trace_op(pair_lane(src.owner(), dst.owner()), label, span, bytes);
-  if (checker_ != nullptr) {
-    observe_op(OpKind::kMemcpyPeer, s, label, span,
-               {{&src, src_off, bytes, false}, {&dst, dst_off, bytes, true}});
+  if (observed()) {
+    const std::string label = (use_peer ? "peer " : "staged-peer ") + std::to_string(bytes) + "B";
+    observe_op(OpKind::kMemcpyPeer, s, pair_lane(src.owner(), dst.owner()), label, label, bytes,
+               span, {{&src, src_off, bytes, false}, {&dst, dst_off, bytes, true}});
   }
 }
 
@@ -375,7 +364,7 @@ void Runtime::memcpy_to_ipc_async(const IpcMappedPtr& dst, std::size_t dst_off, 
   if (!dst.valid()) {
     const std::string what = dst.closed ? "memcpy_to_ipc_async: mapping already closed"
                                         : "memcpy_to_ipc_async: invalid IPC mapping";
-    if (checker_ != nullptr) checker_->on_ipc_misuse(dst, what);
+    for (RuntimeObserver* o : observers_) o->on_ipc_misuse(dst, what);
     throw std::logic_error(what);
   }
   if (!ipc_mapping_valid(dst)) {
@@ -390,11 +379,10 @@ void Runtime::memcpy_to_ipc_async(const IpcMappedPtr& dst, std::size_t dst_off, 
   const sim::Span span = machine_.schedule_d2d(src.owner(), dst.device, bytes, ready, use_peer);
   move_bytes(target, dst_off, src, src_off, bytes);
   commit(s, span);
-  const std::string label = "ipc-copy " + std::to_string(bytes) + "B";
-  trace_op(pair_lane(src.owner(), dst.device), label, span, bytes);
-  if (checker_ != nullptr) {
-    observe_op(OpKind::kMemcpyIpc, s, label, span,
-               {{&src, src_off, bytes, false}, {&target, dst_off, bytes, true}});
+  if (observed()) {
+    const std::string label = "ipc-copy " + std::to_string(bytes) + "B";
+    observe_op(OpKind::kMemcpyIpc, s, pair_lane(src.owner(), dst.device), label, label, bytes,
+               span, {{&src, src_off, bytes, false}, {&target, dst_off, bytes, true}});
   }
 }
 
@@ -414,9 +402,10 @@ void Runtime::memcpy3d_peer_async(int dst_ggpu, int src_ggpu, std::uint64_t byte
       machine_.schedule_d2d_strided(src_ggpu, dst_ggpu, bytes, row_bytes, ready, use_peer);
   if (body) body();
   commit(s, span);
-  trace_op(pair_lane(src_ggpu, dst_ggpu), label + " " + std::to_string(bytes) + "B/3d", span,
-           bytes);
-  observe_op(OpKind::kMemcpy3D, s, label, span, accesses);
+  if (observed()) {
+    observe_op(OpKind::kMemcpy3D, s, pair_lane(src_ggpu, dst_ggpu), label,
+               label + " " + std::to_string(bytes) + "B/3d", bytes, span, accesses);
+  }
 }
 
 void Runtime::launch_kernel(Stream& s, std::uint64_t bytes_moved, const std::string& label,
@@ -431,8 +420,10 @@ void Runtime::launch_kernel(Stream& s, std::uint64_t bytes_moved, const std::str
   const sim::Span span = machine_.schedule_kernel(s.device, bytes_moved, ready);
   if (body) body();
   commit(s, span);
-  trace_op(gpu_lane(s.device, "kernel"), label, span, bytes_moved);
-  observe_op(OpKind::kKernel, s, label, span, accesses);
+  if (observed()) {
+    observe_op(OpKind::kKernel, s, gpu_lane(s.device, "kernel"), label, label, bytes_moved, span,
+               accesses);
+  }
 }
 
 void Runtime::launch_zero_copy_kernel(Stream& s, std::uint64_t bytes, const std::string& label,
@@ -455,8 +446,10 @@ void Runtime::launch_zero_copy_kernel(Stream& s, std::uint64_t bytes, const std:
   machine_.host_link_out(s.device).acquire(span.start, dur);
   if (body) body();
   commit(s, span);
-  trace_op(gpu_lane(s.device, "kernel"), label + " (zero-copy)", span, bytes);
-  observe_op(OpKind::kKernel, s, label, span, accesses);
+  if (observed()) {
+    observe_op(OpKind::kKernel, s, gpu_lane(s.device, "kernel"), label, label + " (zero-copy)",
+               bytes, span, accesses);
+  }
 }
 
 IpcMemHandle Runtime::ipc_get_mem_handle(Buffer& buf) {
@@ -483,13 +476,13 @@ IpcMappedPtr Runtime::ipc_open_mem_handle(const IpcMemHandle& h, int opener_ggpu
   Buffer* target = it->second;
   eng_.sleep_for(machine_.arch().lat_ipc_setup);
   IpcMappedPtr p{target, h.device, eng_.now(), false};
-  if (checker_ != nullptr) checker_->on_ipc_open(p, opener_ggpu);
+  for (RuntimeObserver* o : observers_) o->on_ipc_open(p, opener_ggpu);
   return p;
 }
 
 void Runtime::ipc_close_mem_handle(IpcMappedPtr& p) {
   if (p.target == nullptr || p.closed) return;  // closing nothing is benign
-  if (checker_ != nullptr) checker_->on_ipc_close(p);
+  for (RuntimeObserver* o : observers_) o->on_ipc_close(p);
   p.closed = true;
 }
 

@@ -10,13 +10,8 @@
 #include "simtime/engine.h"
 #include "simtime/resource.h"
 #include "topo/machine.h"
-#include "trace/recorder.h"
 #include "vgpu/buffer.h"
 #include "vgpu/observer.h"
-
-namespace stencil::telemetry {
-class Telemetry;
-}
 
 namespace stencil::vgpu {
 
@@ -112,7 +107,7 @@ class Graph {
 
 /// An instantiated, launchable graph (cudaGraphExec analogue). launch_graph
 /// replays the captured enqueues through the ordinary eager entry points, so
-/// observers (trace, checker) see replayed ops exactly like eager ops — but
+/// observers see replayed ops exactly like eager ops — but
 /// the per-op CPU issue cost is charged once per *launch*, not once per node.
 /// That amortization is the whole reason graphs exist.
 class GraphExec {
@@ -152,19 +147,13 @@ class Runtime {
   sim::Engine& engine() { return eng_; }
   topo::Machine& machine() { return machine_; }
 
-  /// Optional timeline sink; when set, every scheduled op is recorded.
-  void set_recorder(trace::Recorder* rec) { recorder_ = rec; }
-  trace::Recorder* recorder() const { return recorder_; }
-
-  /// Optional correctness observer (stencil::check): when set, every op,
-  /// event edge, synchronize, and IPC lifecycle change is reported to it.
-  void set_checker(RuntimeObserver* obs) { checker_ = obs; }
-  RuntimeObserver* checker() const { return checker_; }
-
-  /// Optional telemetry sink: per-op counters, pack/unpack histograms, and
-  /// flight-recorder events. Pure bookkeeping — never perturbs virtual time.
-  void set_telemetry(telemetry::Telemetry* t) { telemetry_ = t; }
-  telemetry::Telemetry* telemetry() const { return telemetry_; }
+  /// Observers (trace recorder, checker, telemetry, ...) see every op,
+  /// host issue, graph launch, event edge, synchronize, and IPC lifecycle
+  /// change, in attach order (attach each once). Pure bookkeeping: attaching
+  /// one never changes virtual time, and with none attached the Runtime
+  /// builds no lane or label strings at all.
+  void attach(RuntimeObserver* o) { observers_.push_back(o); }
+  void detach(RuntimeObserver* o) { std::erase(observers_, o); }
 
   /// Default mode for new allocations (benchmarks flip this to kPhantom).
   void set_mem_mode(MemMode m) { mem_mode_ = m; }
@@ -252,7 +241,7 @@ class Runtime {
   /// cudaIpcOpenMemHandle setup cost. Throws if the nodes differ.
   IpcMappedPtr ipc_open_mem_handle(const IpcMemHandle& h, int opener_ggpu);
   /// Close a mapping (cudaIpcCloseMemHandle). Any later copy through it is
-  /// misuse: reported to the checker, then thrown as std::logic_error.
+  /// misuse: reported to the observers, then thrown as std::logic_error.
   void ipc_close_mem_handle(IpcMappedPtr& p);
 
   // --- graph capture ------------------------------------------------------
@@ -312,17 +301,19 @@ class Runtime {
   sim::Time issue(Stream& s);
   /// Commit an op completing at `span` onto stream `s`.
   void commit(Stream& s, const sim::Span& span);
-  void trace_op(const std::string& lane, const std::string& label, const sim::Span& span,
-                std::uint64_t bytes = 0);
   DeviceState& dev(int ggpu) { return devices_[static_cast<std::size_t>(ggpu)]; }
   void check_same_size_copy(const Buffer& dst, std::size_t dst_off, const Buffer& src,
                             std::size_t src_off, std::size_t bytes) const;
   static void move_bytes(Buffer& dst, std::size_t dst_off, const Buffer& src, std::size_t src_off,
                          std::size_t bytes);
 
-  /// Report a committed async op (plus derived/declared accesses) to the
-  /// checker. No-op when no checker is installed.
-  void observe_op(OpKind kind, const Stream& s, const std::string& label, const sim::Span& span,
+  bool observed() const { return !observers_.empty(); }
+  /// Timeline lane of the calling actor's CPU ("rank0.cpu").
+  std::string cpu_lane() const;
+  /// Report a committed async op to every observer. Call sites check
+  /// observed() first, so detached runs build no strings.
+  void observe_op(OpKind kind, const Stream& s, const std::string& lane, const std::string& label,
+                  const std::string& trace_label, std::uint64_t bytes, const sim::Span& span,
                   const AccessList& accesses);
 
   /// Capture in progress for the calling actor, or nullptr. Cheap on the
@@ -334,9 +325,7 @@ class Runtime {
 
   sim::Engine& eng_;
   topo::Machine& machine_;
-  trace::Recorder* recorder_ = nullptr;
-  RuntimeObserver* checker_ = nullptr;
-  telemetry::Telemetry* telemetry_ = nullptr;
+  std::vector<RuntimeObserver*> observers_;
   MemMode mem_mode_ = MemMode::kMaterialized;
   std::vector<std::pair<int, std::unique_ptr<Graph>>> captures_;  // actor -> open capture
   int replay_depth_ = 0;  // >0 while launch_graph replays (skip per-op issue cost)

@@ -199,6 +199,12 @@ void Watch::on_message(int src_rank, int dst_rank, int src_node, int dst_node, b
   }
 }
 
+void Watch::on_match(const simpi::MsgInfo& send, const simpi::MsgInfo& recv,
+                     const simpi::Delivery& d) {
+  if (!d.delivered) return;
+  on_message(send.src, recv.dst, d.src_node, d.dst_node, d.device, send.bytes, d.ready, d.span);
+}
+
 void Watch::on_exchange_complete(int world_rank, std::uint64_t seq, sim::Duration latency,
                                  sim::Time at) {
   if (world_rank < 0 || world_rank >= static_cast<int>(ranks_.size())) return;

@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "simpi/observer.h"
 #include "simtime/resource.h"
 #include "simtime/time.h"
 #include "telemetry/flight_recorder.h"
@@ -79,7 +80,9 @@ class LinkCostOracle {
   virtual double link_cost_factor(int src_node, int dst_node) const = 0;
 };
 
-class Watch final : public LinkCostOracle {
+/// Attached as a Job observer (Cluster::set_watch): every delivered message
+/// and every exchange-completion heartbeat feeds it.
+class Watch final : public LinkCostOracle, public simpi::JobObserver {
  public:
   /// Coarse log2 size buckets (one per factor-of-4 of message size): a
   /// per-byte floor is only comparable between messages of similar size,
@@ -154,9 +157,12 @@ class Watch final : public LinkCostOracle {
   /// contention actually costs).
   void on_message(int src_rank, int dst_rank, int src_node, int dst_node, bool device,
                   std::uint64_t bytes, sim::Time ready, sim::Span span);
+  /// simpi::JobObserver: a delivered match is one on_message.
+  void on_match(const simpi::MsgInfo& send, const simpi::MsgInfo& recv,
+                const simpi::Delivery& d) override;
   /// One rank finished one halo exchange.
   void on_exchange_complete(int world_rank, std::uint64_t seq, sim::Duration latency,
-                            sim::Time at);
+                            sim::Time at) override;
 
   // --- tenant attribution (sched) ------------------------------------------
   /// tenant_of_rank[world rank] -> tenant id (-1 = unattributed). Empty

@@ -193,6 +193,12 @@ std::string merged(const Collector& col) {
   return os.str();
 }
 
+// A completion heartbeat. The monitor times exchanges from its own begin
+// beats, so the reported latency is unused.
+void complete(ProgressMonitor& mon, int rank, std::uint64_t seq, sim::Time at) {
+  mon.on_exchange_complete(rank, seq, /*latency=*/0, at);
+}
+
 }  // namespace
 
 TEST(DtraceCollector, RankAttribution) {
@@ -469,8 +475,8 @@ TEST(DtraceProgress, FlagsStragglerAboveBothThresholds) {
   const sim::Time base = sim::from_seconds(1.0);
   for (int r = 0; r < 4; ++r) mon.on_exchange_begin(r, 1, base);
   // Ranks 0-2 take 100us; rank 3 takes 300us (3x median, 200us behind).
-  for (int r = 0; r < 3; ++r) mon.on_exchange_complete(r, 1, base + 100 * sim::kMicrosecond);
-  mon.on_exchange_complete(3, 1, base + 300 * sim::kMicrosecond);
+  for (int r = 0; r < 3; ++r) complete(mon, r, 1, base + 100 * sim::kMicrosecond);
+  complete(mon, 3, 1, base + 300 * sim::kMicrosecond);
 
   ASSERT_EQ(mon.alerts().size(), 1u);
   EXPECT_EQ(mon.alerts()[0].rank, 3);
@@ -486,14 +492,14 @@ TEST(DtraceProgress, StaysSilentWithinSlack) {
   // 1.3x the median: over the absolute floor but under the 2x relative
   // gate — ordinary jitter, not a straggler.
   for (int r = 0; r < 4; ++r) mon.on_exchange_begin(r, 1, base);
-  for (int r = 0; r < 3; ++r) mon.on_exchange_complete(r, 1, base + 300 * sim::kMicrosecond);
-  mon.on_exchange_complete(3, 1, base + 390 * sim::kMicrosecond);
+  for (int r = 0; r < 3; ++r) complete(mon, r, 1, base + 300 * sim::kMicrosecond);
+  complete(mon, 3, 1, base + 390 * sim::kMicrosecond);
   // 3x the median but only 20us behind it: under the absolute floor.
   for (int r = 0; r < 4; ++r) mon.on_exchange_begin(r, 2, base + sim::kMillisecond);
   for (int r = 0; r < 3; ++r) {
-    mon.on_exchange_complete(r, 2, base + sim::kMillisecond + 10 * sim::kMicrosecond);
+    complete(mon, r, 2, base + sim::kMillisecond + 10 * sim::kMicrosecond);
   }
-  mon.on_exchange_complete(3, 2, base + sim::kMillisecond + 30 * sim::kMicrosecond);
+  complete(mon, 3, 2, base + sim::kMillisecond + 30 * sim::kMicrosecond);
 
   EXPECT_TRUE(mon.clean()) << mon.str();
   EXPECT_EQ(mon.exchanges_seen(), 2u);
@@ -505,13 +511,13 @@ TEST(DtraceProgress, FinishFlagsStalledAndMissingRanks) {
   const sim::Time base = sim::from_seconds(2.0);
   // Ranks 0 and 2 complete exchange 5; rank 1 begins it and hangs.
   for (int r = 0; r < 3; ++r) mon.on_exchange_begin(r, 5, base);
-  mon.on_exchange_complete(0, 5, base + 100 * sim::kMicrosecond);
-  mon.on_exchange_complete(2, 5, base + 110 * sim::kMicrosecond);
+  complete(mon, 0, 5, base + 100 * sim::kMicrosecond);
+  complete(mon, 2, 5, base + 110 * sim::kMicrosecond);
   // Exchange 6: rank 2 never even begins.
   mon.on_exchange_begin(0, 6, base + sim::kMillisecond);
   mon.on_exchange_begin(1, 6, base + sim::kMillisecond);
-  mon.on_exchange_complete(0, 6, base + 2 * sim::kMillisecond);
-  mon.on_exchange_complete(1, 6, base + 2 * sim::kMillisecond);
+  complete(mon, 0, 6, base + 2 * sim::kMillisecond);
+  complete(mon, 1, 6, base + 2 * sim::kMillisecond);
 
   mon.finish(base + 5 * sim::kMillisecond);
   ASSERT_EQ(mon.alerts().size(), 2u);
@@ -529,8 +535,19 @@ TEST(DtraceProgress, AlertSnapshotsFlightTailAndInflightContexts) {
 
   Collector col;
   col.set_topology(4, 1);
-  // A send whose completion was never observed: still in the air.
-  col.on_context_posted(/*rank=*/2, /*span=*/11, /*seq=*/3, /*serial=*/42);
+  // Rank 2 stamps three sends (marker spans 9-11, after eight earlier
+  // spans); the first two complete, the third is still in the air.
+  for (int i = 0; i < 8; ++i) col.record("rank0.cpu", "issue", 0, 0);
+  for (std::uint64_t serial = 40; serial <= 42; ++serial) {
+    simpi::MsgInfo m;
+    m.serial = serial;
+    m.is_send = true;
+    m.src = 2;
+    m.dst = 3;
+    col.on_queued(m);
+  }
+  col.on_request_done(40, 0);
+  col.on_request_done(41, 0);
 
   ProgressMonitor mon;
   mon.set_world(4);
@@ -538,8 +555,8 @@ TEST(DtraceProgress, AlertSnapshotsFlightTailAndInflightContexts) {
   mon.set_collector(&col);
   const sim::Time base = sim::from_seconds(1.0);
   for (int r = 0; r < 4; ++r) mon.on_exchange_begin(r, 1, base);
-  for (int r = 0; r < 3; ++r) mon.on_exchange_complete(r, 1, base + 50 * sim::kMicrosecond);
-  mon.on_exchange_complete(3, 1, base + 500 * sim::kMicrosecond);
+  for (int r = 0; r < 3; ++r) complete(mon, r, 1, base + 50 * sim::kMicrosecond);
+  complete(mon, 3, 1, base + 500 * sim::kMicrosecond);
 
   ASSERT_EQ(mon.alerts().size(), 1u);
   const dtrace::StallAlert& a = mon.alerts()[0];
@@ -552,8 +569,9 @@ TEST(DtraceProgress, AlertSnapshotsFlightTailAndInflightContexts) {
 }
 
 TEST(DtraceProgress, LiveRunOnSmallClusterIsClean) {
-  // End-to-end wiring: Cluster cross-wires the monitor to the domain's
-  // heartbeats; a healthy deterministic run must produce zero alerts.
+  // End-to-end wiring: Cluster attaches the monitor to the Job, which fans
+  // the domain's heartbeats out to it; a healthy deterministic run must
+  // produce zero alerts.
   ProgressMonitor mon;
   Cluster cluster(small_node(), /*nodes=*/2, /*ranks_per_node=*/2);
   cluster.set_mem_mode(vgpu::MemMode::kPhantom);

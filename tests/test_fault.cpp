@@ -322,7 +322,7 @@ TEST(FaultSimpi, DropThenRetryDeliversIntactPayload) {
   trace::Recorder rec;
   World w(1, 2);
   w.machine.set_fault_injector(&inj);
-  w.job.set_recorder(&rec);
+  w.job.attach(&rec);
   w.job.run([](simpi::Comm& comm) {
     std::vector<int> data(1024);
     if (comm.rank() == 0) {
@@ -438,7 +438,7 @@ TEST(FaultSimpi, StormUnderDropAndDelayKeepsOrderAndIntegrity) {
   trace::Recorder rec;
   World w(2, 2);  // 4 ranks across 2 nodes
   w.machine.set_fault_injector(&inj);
-  w.job.set_recorder(&rec);
+  w.job.attach(&rec);
 
   constexpr int kMsgs = 12;
   constexpr int kTags[] = {3, 4};

@@ -133,8 +133,8 @@ struct CheckedWorld {
         runtime(eng, machine),
         job(eng, machine, runtime, ranks_per_node),
         chk(eng) {
-    runtime.set_checker(&chk);
-    job.set_checker(&chk);
+    runtime.attach(&chk);
+    job.attach(&chk);
   }
 };
 
@@ -248,7 +248,7 @@ check::CheckReport run_checked(F&& body, int nodes = 1) {
   topo::Machine machine(topo::summit(), nodes);
   vgpu::Runtime rt(eng, machine);
   check::Checker chk(eng);
-  rt.set_checker(&chk);
+  rt.attach(&chk);
   eng.run({[&] { body(rt); }});
   chk.finish();
   return chk.report();

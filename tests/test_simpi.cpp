@@ -375,3 +375,122 @@ TEST(Simpi, ManyRanksStressDeterminism) {
   };
   EXPECT_EQ(run_once(), run_once());
 }
+
+namespace {
+
+/// Appends "<name>:<event>" to a log shared with other observers, so the
+/// interleaving of one fan-out is visible.
+struct LoggingJobObserver : simpi::JobObserver {
+  LoggingJobObserver(std::string n, std::vector<std::string>* l) : name(std::move(n)), log(l) {}
+  std::string name;
+  std::vector<std::string>* log;
+  void note(const std::string& event) { log->push_back(name + ":" + event); }
+  static std::string msg(const simpi::MsgInfo& m) {
+    return (m.is_send ? "send r" : "recv r") + std::to_string(m.src) + "->r" +
+           std::to_string(m.dst) + " tag=" + std::to_string(m.tag);
+  }
+
+  void on_job_start(int world_size) override { note("start " + std::to_string(world_size)); }
+  void on_job_end() override { note("end"); }
+  void on_post(const simpi::MsgInfo& m) override { note("post " + msg(m)); }
+  void on_queued(const simpi::MsgInfo& m) override { note("queued " + msg(m)); }
+  void on_match(const simpi::MsgInfo& send, const simpi::MsgInfo&,
+                const simpi::Delivery& d) override {
+    note("match tag=" + std::to_string(send.tag) + (d.delivered ? " delivered" : " lost"));
+  }
+  void on_request_done(std::uint64_t, sim::Time) override { note("done"); }
+  void on_barrier_arrive(std::uint64_t) override { note("arrive"); }
+  void on_barrier_release(std::uint64_t) override { note("release"); }
+  void on_revoke(std::uint64_t epoch, sim::Time) override {
+    note("revoke " + std::to_string(epoch));
+  }
+  void on_persistent_init(const simpi::MsgInfo& m) override { note("init " + msg(m)); }
+  void on_persistent_start(const simpi::MsgInfo& m) override { note("pstart " + msg(m)); }
+  void on_persistent_free(std::uint64_t, bool active) override {
+    note(active ? "free active" : "free");
+  }
+  void on_exchange_begin(int rank, std::uint64_t seq, sim::Time) override {
+    note("begin r" + std::to_string(rank) + " #" + std::to_string(seq));
+  }
+  void on_exchange_complete(int rank, std::uint64_t seq, sim::Duration latency,
+                            sim::Time) override {
+    note("complete r" + std::to_string(rank) + " #" + std::to_string(seq) +
+         (latency > 0 ? " after work" : " instantly"));
+  }
+};
+
+}  // namespace
+
+TEST(JobObservers, EveryEventReachesEveryObserverInAttachOrder) {
+  std::vector<std::string> log;
+  LoggingJobObserver a("a", &log);
+  LoggingJobObserver b("b", &log);
+  World w(1, 2);
+  w.job.attach(&a);
+  w.job.attach(&b);
+  w.job.run([&](simpi::Comm& comm) {
+    int value = comm.rank();
+    int got = -1;
+    if (comm.rank() == 0) {
+      const sim::Time began = comm.job().engine().now();
+      comm.job().exchange_begin(0, 1);
+      comm.send(simpi::Payload::of_values(&value, 1), 1, 7);
+      comm.job().exchange_complete(0, 1, began);
+    } else {
+      comm.recv(simpi::Payload::of_values(&got, 1), 0, 7);
+    }
+    comm.barrier();
+    simpi::Request p = comm.rank() == 0 ? comm.send_init(simpi::Payload::of_values(&value, 1), 1, 8)
+                                        : comm.recv_init(simpi::Payload::of_values(&got, 1), 0, 8);
+    comm.start(p);
+    comm.wait(p);
+    comm.request_free(p);
+    comm.barrier();
+    if (comm.rank() == 0) {
+      comm.job().revoke();
+      comm.job().clear_revoke();
+    }
+  });
+
+  // Each event is delivered to a, then b, before the next event happens.
+  ASSERT_FALSE(log.empty());
+  ASSERT_EQ(log.size() % 2, 0u);
+  std::vector<std::string> events;
+  for (std::size_t i = 0; i < log.size(); i += 2) {
+    ASSERT_EQ(log[i].substr(0, 2), "a:") << log[i];
+    ASSERT_EQ(log[i + 1], "b:" + log[i].substr(2));
+    events.push_back(log[i].substr(2));
+  }
+  const auto count = [&](const std::string& e) {
+    return std::count(events.begin(), events.end(), e);
+  };
+  EXPECT_EQ(events.front(), "start 2");
+  EXPECT_EQ(events.back(), "end");
+  EXPECT_EQ(count("begin r0 #1"), 1);
+  EXPECT_EQ(count("complete r0 #1 after work"), 1);
+  EXPECT_EQ(count("post send r0->r1 tag=7"), 1);
+  EXPECT_EQ(count("queued send r0->r1 tag=7"), 1);
+  EXPECT_EQ(count("post recv r0->r1 tag=7"), 1);
+  EXPECT_EQ(count("match tag=7 delivered"), 1);
+  EXPECT_EQ(count("init send r0->r1 tag=8"), 1);
+  EXPECT_EQ(count("init recv r0->r1 tag=8"), 1);
+  EXPECT_EQ(count("pstart send r0->r1 tag=8"), 1);
+  EXPECT_EQ(count("queued send r0->r1 tag=8"), 1);
+  EXPECT_EQ(count("queued recv r0->r1 tag=8"), 1);
+  EXPECT_EQ(count("match tag=8 delivered"), 1);
+  EXPECT_EQ(count("done"), 4);
+  EXPECT_EQ(count("free"), 2);
+  EXPECT_EQ(count("arrive"), 4);
+  EXPECT_EQ(count("release"), 4);
+  EXPECT_EQ(count("revoke 1"), 1);
+
+  // Detaching one observer stops its callbacks; the other keeps receiving.
+  log.clear();
+  w.job.detach(&a);
+  w.job.run([](simpi::Comm& comm) { comm.barrier(); });
+  EXPECT_EQ(log, (std::vector<std::string>{"b:start 2", "b:arrive", "b:arrive", "b:release",
+                                           "b:release", "b:end"}));
+  w.job.detach(&b);
+  w.job.run([](simpi::Comm& comm) { comm.barrier(); });
+  EXPECT_EQ(log.size(), 6u);
+}

@@ -371,11 +371,49 @@ TEST(FlightRecorderTest, ZeroCapacityClampsToOne) {
 
 // --- telemetry facade --------------------------------------------------------
 
+namespace {
+
+// The substrates feed Telemetry through its observer callbacks; these build
+// the event records a Runtime / Job would pass.
+void gpu_op(Telemetry& tel, const std::string& lane, const std::string& label,
+            std::uint64_t bytes, sim::Time start, sim::Time end) {
+  vgpu::OpInfo op;
+  op.lane = &lane;
+  op.label = op.trace_label = &label;
+  op.bytes = bytes;
+  op.start = start;
+  op.end = end;
+  tel.on_op(op);
+}
+
+simpi::MsgInfo msg(int src, int dst, int tag, std::size_t bytes, bool is_send, sim::Time at) {
+  simpi::MsgInfo m;
+  m.is_send = is_send;
+  m.src = src;
+  m.dst = dst;
+  m.tag = tag;
+  m.bytes = bytes;
+  m.post_time = at;
+  return m;
+}
+
+void match(Telemetry& tel, int src, int dst, int tag, std::size_t bytes, int attempts,
+           bool same_node, sim::Time at, bool delivered = true) {
+  simpi::Delivery d;
+  d.delivered = delivered;
+  d.same_node = same_node;
+  d.attempts = attempts;
+  d.span = {at, at};
+  tel.on_match(msg(src, dst, tag, bytes, true, at), msg(src, dst, tag, bytes, false, at), d);
+}
+
+}  // namespace
+
 TEST(TelemetryFacade, GpuOpsFeedPackUnpackHistograms) {
   Telemetry tel;
-  tel.on_gpu_op("gpu0.kernel", "pack +x", 1024, 0, 100);
-  tel.on_gpu_op("gpu0.kernel", "unpack +x", 1024, 100, 350);
-  tel.on_gpu_op("gpu0.d2h", "memcpy 1KiB", 1024, 350, 400);
+  gpu_op(tel, "gpu0.kernel", "pack +x", 1024, 0, 100);
+  gpu_op(tel, "gpu0.kernel", "unpack +x", 1024, 100, 350);
+  gpu_op(tel, "gpu0.d2h", "memcpy 1KiB", 1024, 350, 400);
   const auto& m = tel.metrics();
   EXPECT_EQ(m.counter_value("vgpu_ops_total"), 3u);
   EXPECT_EQ(m.counter_value("vgpu_bytes_total"), 3072u);
@@ -388,12 +426,12 @@ TEST(TelemetryFacade, GpuOpsFeedPackUnpackHistograms) {
 
 TEST(TelemetryFacade, MpiHooksCount) {
   Telemetry tel;
-  tel.on_mpi_post(0, 1, 5, 512, /*is_send=*/true, 10);
-  tel.on_mpi_post(0, 1, 5, 512, /*is_send=*/false, 10);
-  tel.on_mpi_drop(0, 1, 5, 1, 20);
-  tel.on_mpi_match(0, 1, 5, 512, /*attempts=*/2, /*same_node=*/false, 30);
-  tel.on_mpi_match(2, 3, 6, 256, /*attempts=*/1, /*same_node=*/true, 40);
-  tel.on_mpi_lost(4, 5, 7, 3, 50);
+  tel.on_post(msg(0, 1, 5, 512, /*is_send=*/true, 10));
+  tel.on_post(msg(0, 1, 5, 512, /*is_send=*/false, 10));
+  tel.on_drop(msg(0, 1, 5, 512, true, 10), /*attempt=*/1, {20, 30});
+  match(tel, 0, 1, 5, 512, /*attempts=*/2, /*same_node=*/false, 30);
+  match(tel, 2, 3, 6, 256, /*attempts=*/1, /*same_node=*/true, 40);
+  match(tel, 4, 5, 7, 0, /*attempts=*/3, /*same_node=*/false, 50, /*delivered=*/false);
   const auto& m = tel.metrics();
   EXPECT_EQ(m.counter_value("mpi_sends_posted_total"), 1u);
   EXPECT_EQ(m.counter_value("mpi_recvs_posted_total"), 1u);
@@ -409,7 +447,7 @@ TEST(TelemetryFacade, MpiHooksCount) {
 
 TEST(TelemetryFacade, TransportErrorCapturesDump) {
   Telemetry tel;
-  tel.on_mpi_post(0, 1, 9, 64, true, 5);
+  tel.on_post(msg(0, 1, 9, 64, true, 5));
   EXPECT_EQ(tel.last_dump(), "");
   tel.on_transport_error("wait timed out after 2 s", 100);
   EXPECT_EQ(tel.metrics().counter_value("mpi_transport_errors_total"), 1u);

@@ -2,6 +2,8 @@
 
 #include <cstring>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "simtime/engine.h"
 #include "topo/machine.h"
@@ -261,4 +263,126 @@ TEST(Runtime, IssueOverheadSerializesOnCpu) {
     for (int i = 0; i < 10; ++i) rt.launch_kernel(s, 0, "k", nullptr);
     EXPECT_EQ(eng->now() - t0, 10 * rt.machine().arch().cpu_issue);
   });
+}
+
+namespace {
+
+/// Appends "<name>:<event>" to a log shared with other observers, so the
+/// interleaving of one fan-out is visible.
+struct LoggingRuntimeObserver : vgpu::RuntimeObserver {
+  LoggingRuntimeObserver(std::string n, std::vector<std::string>* l)
+      : name(std::move(n)), log(l) {}
+  std::string name;
+  std::vector<std::string>* log;
+  void note(const std::string& event) { log->push_back(name + ":" + event); }
+
+  void on_op(const vgpu::OpInfo& op) override { note("op " + *op.lane + " " + *op.trace_label); }
+  void on_host_issue(const std::string& lane, sim::Time, sim::Time) override {
+    note("issue " + lane);
+  }
+  void on_graph_launch(const std::string& lane, int nodes, sim::Time, sim::Time) override {
+    note("graph " + lane + " " + std::to_string(nodes));
+  }
+  void on_stream_create(const vgpu::Stream&) override { note("stream_create"); }
+  void on_record_event(const vgpu::Event&, const vgpu::Stream&) override { note("record"); }
+  void on_stream_wait_event(const vgpu::Stream&, const vgpu::Event&) override { note("wait"); }
+  void on_event_synchronize(const vgpu::Event&) override { note("event_sync"); }
+  void on_event_query(const vgpu::Event&, bool) override { note("query"); }
+  void on_stream_synchronize(const vgpu::Stream&) override { note("stream_sync"); }
+  void on_device_synchronize(int) override { note("device_sync"); }
+  void on_stream_destroy(const vgpu::Stream&) override { note("stream_destroy"); }
+  void on_ipc_open(const vgpu::IpcMappedPtr&, int) override { note("ipc_open"); }
+  void on_ipc_close(const vgpu::IpcMappedPtr&) override { note("ipc_close"); }
+  void on_ipc_misuse(const vgpu::IpcMappedPtr&, const std::string&) override {
+    note("ipc_misuse");
+  }
+};
+
+}  // namespace
+
+TEST(RuntimeObservers, EveryEventReachesEveryObserverInAttachOrder) {
+  std::vector<std::string> log;
+  LoggingRuntimeObserver a("a", &log);
+  LoggingRuntimeObserver b("b", &log);
+  sim::Engine eng;
+  topo::Machine machine(topo::summit(), 1);
+  vgpu::Runtime rt(eng, machine);
+  rt.attach(&a);
+  rt.attach(&b);
+  eng.run({[&] {
+    auto host = rt.alloc_pinned_host(0, 256);
+    auto d0 = rt.alloc_device(0, 256);
+    auto d1 = rt.alloc_device(1, 256);
+    auto s = rt.create_stream(0);
+    rt.memcpy_async(d0, 0, host, 0, 256, s);
+    rt.launch_kernel(s, 256, "pack +x", nullptr);
+    rt.memcpy_peer_async(d1, 0, d0, 0, 256, s);
+    vgpu::Event ev;
+    rt.record_event(ev, s);
+    auto s2 = rt.create_stream(1);
+    rt.stream_wait_event(s2, ev);
+    rt.event_query(ev);
+    rt.event_synchronize(ev);
+    auto mapped = rt.ipc_open_mem_handle(rt.ipc_get_mem_handle(d1), 0);
+    rt.memcpy_to_ipc_async(mapped, 0, d0, 0, 256, s);
+    rt.ipc_close_mem_handle(mapped);
+    EXPECT_THROW(rt.memcpy_to_ipc_async(mapped, 0, d0, 0, 256, s), std::logic_error);
+    rt.begin_capture();
+    rt.launch_zero_copy_kernel(s, 256, "pack -x", nullptr);
+    rt.memcpy3d_peer_async(1, 0, 256, 16, s, "copy3d", nullptr);
+    vgpu::GraphExec g = rt.instantiate(rt.end_capture());
+    rt.launch_graph(g);
+    rt.stream_synchronize(s);
+    rt.device_synchronize(1);
+    rt.destroy_stream(s2);
+  }});
+
+  // Each event is delivered to a, then b, before the next event happens.
+  ASSERT_FALSE(log.empty());
+  ASSERT_EQ(log.size() % 2, 0u);
+  std::vector<std::string> events;
+  for (std::size_t i = 0; i < log.size(); i += 2) {
+    ASSERT_EQ(log[i].substr(0, 2), "a:") << log[i];
+    ASSERT_EQ(log[i + 1], "b:" + log[i].substr(2));
+    events.push_back(log[i].substr(2));
+  }
+  const std::vector<std::string> expected = {
+      "stream_create",
+      "issue cpu.cpu",
+      "op gpu0.h2d memcpy 256B",
+      "issue cpu.cpu",
+      "op gpu0.kernel pack +x",
+      "issue cpu.cpu",
+      "op gpu0->gpu1 staged-peer 256B",
+      "record",
+      "stream_create",
+      "wait",
+      "query",
+      "event_sync",
+      "ipc_open",
+      "issue cpu.cpu",
+      "op gpu0->gpu1 ipc-copy 256B",
+      "ipc_close",
+      "ipc_misuse",
+      "graph cpu.cpu 2",
+      "op gpu0.kernel pack -x (zero-copy)",
+      "op gpu0->gpu1 copy3d 256B/3d",
+      "stream_sync",
+      "device_sync",
+      "stream_destroy",
+  };
+  EXPECT_EQ(events, expected);
+
+  // Detaching one observer stops its callbacks; the other keeps receiving.
+  log.clear();
+  rt.detach(&a);
+  eng.run({[&] {
+    auto s = rt.create_stream(0);
+    rt.launch_kernel(s, 0, "k", nullptr);
+  }});
+  EXPECT_EQ(log, (std::vector<std::string>{"b:stream_create", "b:issue cpu.cpu",
+                                           "b:op gpu0.kernel k"}));
+  rt.detach(&b);
+  eng.run({[&] { rt.create_stream(0); }});
+  EXPECT_EQ(log.size(), 3u);
 }
