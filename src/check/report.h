@@ -39,8 +39,8 @@ struct Finding {
   sim::Time at = 0;  // virtual time of detection
 };
 
-/// Accumulated findings of one Checker; tests and the check_exchange CLI
-/// assert on it.
+/// Accumulated findings of one Checker; tests and `drill check` assert on
+/// it.
 class CheckReport {
  public:
   void add(Finding f) { findings_.push_back(std::move(f)); }

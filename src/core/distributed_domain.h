@@ -131,11 +131,11 @@ class DistributedDomain {
   const std::vector<Transfer>& transfers() const { return plan_.transfers(); }
   std::map<Method, int> local_method_histogram() const { return plan_.method_histogram(); }
   /// Per-method (transfer count, payload bytes) over the realized transfer
-  /// set — what plan_report prints. Reflects runtime demotions.
+  /// set — what `drill plan` prints. Reflects runtime demotions.
   std::map<Method, std::pair<int, std::size_t>> method_bytes_histogram() const;
   std::uint64_t exchanges_done() const { return seq_; }
 
-  /// Compiled-plan introspection (plan_report, tests). The cache is empty
+  /// Compiled-plan introspection (`drill plan`, tests). The cache is empty
   /// until the first persistent exchange compiles a schedule.
   const plan::PlanCache& plan_cache() const { return plan_cache_; }
   const plan::PlanStats& plan_stats() const { return plan_cache_.stats(); }
@@ -169,7 +169,7 @@ class DistributedDomain {
   /// Lower a compiled plan into the verifier's IR: the local rank from the
   /// artifact itself, every remote rank re-derived deterministically from
   /// the shared placement (with local demotions overriding shared
-  /// transfers). Exposed for plan_verify and tests.
+  /// transfers). Exposed for `drill verify` and tests.
   verify::ExchangeModel verify_model(const plan::CompiledPlan& p) const;
   /// Run the static verifier on a plan: global send/recv matching, deadlock
   /// freedom, tag-space hygiene, buffer-overlap hazards.

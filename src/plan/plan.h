@@ -40,7 +40,7 @@ struct PlanKey {
   std::string str() const;
 };
 
-/// Counters the cache keeps across the run; plan_report and the zero-setup
+/// Counters the cache keeps across the run; `drill plan` and the zero-setup
 /// tests read them.
 struct PlanStats {
   std::uint64_t compiles = 0;          // full plan compilations (cache misses)
@@ -111,7 +111,7 @@ class CompiledPlan {
   /// Mark every program of transfer `tag` dirty (fault demotion).
   void mark_dirty(int tag);
 
-  /// Human-readable dump (plan_report).
+  /// Human-readable dump (`drill plan`).
   void describe(std::ostream& os) const;
 };
 

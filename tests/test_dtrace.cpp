@@ -427,7 +427,7 @@ TEST(DtraceCriticalPath, ChainCrossesRanksViaMessageEdge) {
 }
 
 TEST(DtraceCriticalPath, RealExchangeChainCrossesRanks) {
-  // The trace_explorer default shape, recorded end to end (realize through
+  // The `drill trace` default shape, recorded end to end (realize through
   // teardown): the chain is known to ride a staged MPI message between the
   // two nodes there.
   Collector col;

@@ -8,6 +8,7 @@
 
 #include "core/cluster.h"
 #include "core/distributed_domain.h"
+#include "halo_oracle.h"
 #include "topo/archetype.h"
 
 using stencil::Cluster;
@@ -16,45 +17,9 @@ using stencil::DistributedDomain;
 using stencil::MethodFlags;
 using stencil::Neighborhood;
 using stencil::RankCtx;
+using namespace stencil::halo_oracle;
 
 namespace {
-
-float coord_value(Dim3 g, std::size_t q) {
-  return static_cast<float>(g.x + 131 * g.y + 131 * 131 * g.z) + 4.0e6f * static_cast<float>(q);
-}
-
-void fill(DistributedDomain& dd, std::size_t nq) {
-  dd.for_each_subdomain([&](stencil::LocalDomain& ld) {
-    for (std::size_t q = 0; q < nq; ++q) {
-      auto v = ld.view<float>(q);
-      const Dim3 o = ld.origin();
-      for (std::int64_t z = 0; z < ld.size().z; ++z)
-        for (std::int64_t y = 0; y < ld.size().y; ++y)
-          for (std::int64_t x = 0; x < ld.size().x; ++x)
-            v(x, y, z) = coord_value({o.x + x, o.y + y, o.z + z}, q);
-    }
-  });
-}
-
-int check(DistributedDomain& dd, std::size_t nq) {
-  int bad = 0;
-  const int r = dd.radius().max();
-  dd.for_each_subdomain([&](stencil::LocalDomain& ld) {
-    const Dim3 o = ld.origin();
-    const Dim3 s = ld.size();
-    for (std::size_t q = 0; q < nq; ++q) {
-      auto v = ld.view<float>(q);
-      for (std::int64_t z = -r; z < s.z + r; ++z)
-        for (std::int64_t y = -r; y < s.y + r; ++y)
-          for (std::int64_t x = -r; x < s.x + r; ++x) {
-            if (Dim3{x, y, z}.inside(s)) continue;
-            const Dim3 g = Dim3{o.x + x, o.y + y, o.z + z}.wrap(dd.domain());
-            bad += v(x, y, z) != coord_value(g, q);
-          }
-    }
-  });
-  return bad;
-}
 
 struct ArchCase {
   const char* name;
@@ -92,11 +57,11 @@ TEST_P(ArchSweep, HalosBitExact) {
     dd.add_data<float>("b");
     dd.set_methods(c.flags);
     dd.realize();
-    fill(dd, 2);
+    fill_interior(dd, 2);
     ctx.comm.barrier();
     dd.exchange();
     ctx.comm.barrier();
-    EXPECT_EQ(check(dd, 2), 0);
+    EXPECT_EQ(verify_halos(dd, dd.domain(), 2), 0);
   });
 }
 

@@ -7,6 +7,7 @@
 #include "core/cluster.h"
 #include "core/distributed_domain.h"
 #include "fault/fault.h"
+#include "halo_oracle.h"
 #include "simpi/mpi.h"
 #include "topo/archetype.h"
 #include "trace/recorder.h"
@@ -27,6 +28,7 @@ using stencil::MethodFlags;
 using stencil::Neighborhood;
 using stencil::PlacementStrategy;
 using stencil::RankCtx;
+using namespace stencil::halo_oracle;
 
 namespace {
 
@@ -490,56 +492,6 @@ TEST(FaultSimpi, StormUnderDropAndDelayKeepsOrderAndIntegrity) {
 // ---------------------------------------------------------------------------
 // Exchange-layer degradation: the acceptance scenario.
 // ---------------------------------------------------------------------------
-
-float expected_value(Dim3 g, std::size_t q) {
-  return static_cast<float>(g.x + 131 * g.y + 131 * 131 * g.z) +
-         static_cast<float>(q) * 4.0e6f;
-}
-
-void fill_interior(DistributedDomain& dd, std::size_t nq) {
-  dd.for_each_subdomain([&](LocalDomain& ld) {
-    for (std::size_t q = 0; q < nq; ++q) {
-      auto v = ld.view<float>(q);
-      const Dim3 o = ld.origin();
-      for (std::int64_t z = 0; z < ld.size().z; ++z) {
-        for (std::int64_t y = 0; y < ld.size().y; ++y) {
-          for (std::int64_t x = 0; x < ld.size().x; ++x) {
-            v(x, y, z) = expected_value({o.x + x, o.y + y, o.z + z}, q);
-          }
-        }
-      }
-    }
-  });
-}
-
-int verify_halos(DistributedDomain& dd, Dim3 domain, std::size_t nq) {
-  int failures = 0;
-  const int r = dd.radius().max();
-  dd.for_each_subdomain([&](LocalDomain& ld) {
-    const Dim3 sz = ld.size();
-    const Dim3 o = ld.origin();
-    for (std::size_t q = 0; q < nq; ++q) {
-      auto v = ld.view<float>(q);
-      for (std::int64_t z = -r; z < sz.z + r; ++z) {
-        for (std::int64_t y = -r; y < sz.y + r; ++y) {
-          for (std::int64_t x = -r; x < sz.x + r; ++x) {
-            const bool interior =
-                x >= 0 && x < sz.x && y >= 0 && y < sz.y && z >= 0 && z < sz.z;
-            if (interior) continue;
-            const Dim3 g = Dim3{o.x + x, o.y + y, o.z + z}.wrap(domain);
-            const float want = expected_value(g, q);
-            if (v(x, y, z) != want && failures < 5) {
-              ADD_FAILURE() << "halo [" << x << "," << y << "," << z << "] q" << q << " = "
-                            << v(x, y, z) << ", want " << want;
-            }
-            failures += v(x, y, z) != want;
-          }
-        }
-      }
-    }
-  });
-  return failures;
-}
 
 int histogram_count(const std::map<Method, int>& h, Method m) {
   auto it = h.find(m);

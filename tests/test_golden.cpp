@@ -2,7 +2,7 @@
 // configuration's exchange time is an exact function of the cost model and
 // the exchange engine. These pins catch *unintentional* changes; when the
 // model is deliberately recalibrated, regenerate the numbers with
-//   examples/exchange_explorer <config> --csv
+//   drill explore <config> --csv
 #include <gtest/gtest.h>
 
 #include "core/cluster.h"

@@ -20,12 +20,14 @@
 #include "dtrace/progress.h"
 #include "explain/explain.h"
 #include "fault/fault.h"
+#include "halo_oracle.h"
 #include "telemetry/export.h"
 #include "telemetry/telemetry.h"
 #include "topo/archetype.h"
 #include "watch/watch.h"
 
 using namespace stencil;
+using namespace stencil::halo_oracle;
 
 namespace {
 
@@ -38,7 +40,7 @@ topo::NodeArchetype two_gpu_node() {
 
 // One exchange on 2 nodes x 2 ranks while GPU 3's kernels run at 1/1000
 // throughput, so rank 3 finishes it well behind its peers: one straggler
-// alert under a 20 us / 1.05x monitor (the trace_explorer --straggler drill).
+// alert under a 20 us / 1.05x monitor (the `drill trace --straggler` run).
 // Rank 0 also leaves a send in the air across the exchange, so the alert
 // has an in-flight trace context to name.
 void run_straggler(Cluster& cluster) {
@@ -122,12 +124,8 @@ TEST(ClusterObservers, DetachClearsCrossLinks) {
 
 namespace {
 
-constexpr int kQuantities = 2;
+constexpr std::size_t kQuantities = 2;
 const Dim3 kDomain{32, 32, 32};
-
-float ref_value(Dim3 g, int q) {
-  return static_cast<float>(g.x + 131 * g.y + 131 * 131 * g.z) + static_cast<float>(q) * 4.0e6f;
-}
 
 // The six observers a fully observed run attaches.
 struct Observers {
@@ -175,19 +173,10 @@ RunOutput observed_run(const std::vector<Setter>& setters) {
     const auto r = static_cast<std::size_t>(ctx.rank());
     DistributedDomain dd(ctx, kDomain);
     dd.set_radius(1);
-    for (int q = 0; q < kQuantities; ++q) dd.add_data<float>("q" + std::to_string(q));
+    for (std::size_t q = 0; q < kQuantities; ++q) dd.add_data<float>("q" + std::to_string(q));
     dd.set_methods(MethodFlags::kAll);
     dd.realize();
-    dd.for_each_subdomain([&](LocalDomain& ld) {
-      for (int q = 0; q < kQuantities; ++q) {
-        auto v = ld.view<float>(static_cast<std::size_t>(q));
-        const Dim3 org = ld.origin();
-        for (std::int64_t z = 0; z < ld.size().z; ++z)
-          for (std::int64_t y = 0; y < ld.size().y; ++y)
-            for (std::int64_t x = 0; x < ld.size().x; ++x)
-              v(x, y, z) = ref_value({org.x + x, org.y + y, org.z + z}, q);
-      }
-    });
+    fill_interior(dd, kQuantities);
     for (int it = 0; it < 2; ++it) {
       ctx.comm.barrier();
       const double t0 = ctx.comm.wtime();
@@ -195,21 +184,14 @@ RunOutput observed_run(const std::vector<Setter>& setters) {
       out.exchange_s[r] += ctx.comm.wtime() - t0;
     }
     ctx.comm.barrier();
+    out.halo_errors += verify_halos(dd, kDomain, kQuantities);
     dd.for_each_subdomain([&](LocalDomain& ld) {
       const Dim3 sz = ld.size();
-      const Dim3 org = ld.origin();
-      for (int q = 0; q < kQuantities; ++q) {
-        auto v = ld.view<float>(static_cast<std::size_t>(q));
+      for (std::size_t q = 0; q < kQuantities; ++q) {
+        auto v = ld.view<float>(q);
         for (std::int64_t z = -1; z < sz.z + 1; ++z)
           for (std::int64_t y = -1; y < sz.y + 1; ++y)
-            for (std::int64_t x = -1; x < sz.x + 1; ++x) {
-              out.padded[r].push_back(v(x, y, z));
-              const bool halo = x < 0 || x >= sz.x || y < 0 || y >= sz.y || z < 0 || z >= sz.z;
-              if (halo) {
-                const Dim3 g = Dim3{org.x + x, org.y + y, org.z + z}.wrap(kDomain);
-                out.halo_errors += v(x, y, z) != ref_value(g, q);
-              }
-            }
+            for (std::int64_t x = -1; x < sz.x + 1; ++x) out.padded[r].push_back(v(x, y, z));
       }
     });
   });

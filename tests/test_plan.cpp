@@ -10,6 +10,7 @@
 #include "core/cluster.h"
 #include "core/distributed_domain.h"
 #include "fault/fault.h"
+#include "halo_oracle.h"
 #include "plan/plan.h"
 #include "simpi/mpi.h"
 #include "topo/archetype.h"
@@ -31,6 +32,7 @@ using stencil::Method;
 using stencil::MethodFlags;
 using stencil::PackMode;
 using stencil::RankCtx;
+using namespace stencil::halo_oracle;
 
 namespace {
 
@@ -355,53 +357,8 @@ TEST(GraphCapture, EventEdgesInsideAGraphOrderItsStreams) {
 }
 
 // ---------------------------------------------------------------------------
-// Planned exchanges: shared helpers (mirroring test_check's e2e idiom).
+// Planned exchanges: shared helpers.
 // ---------------------------------------------------------------------------
-
-float expected_value(Dim3 g, std::size_t q) {
-  return static_cast<float>(g.x + 131 * g.y + 131 * 131 * g.z) +
-         static_cast<float>(q) * 4.0e6f;
-}
-
-void fill_interior(DistributedDomain& dd, std::size_t nq) {
-  dd.for_each_subdomain([&](LocalDomain& ld) {
-    for (std::size_t q = 0; q < nq; ++q) {
-      auto v = ld.view<float>(q);
-      const Dim3 o = ld.origin();
-      for (std::int64_t z = 0; z < ld.size().z; ++z) {
-        for (std::int64_t y = 0; y < ld.size().y; ++y) {
-          for (std::int64_t x = 0; x < ld.size().x; ++x) {
-            v(x, y, z) = expected_value({o.x + x, o.y + y, o.z + z}, q);
-          }
-        }
-      }
-    }
-  });
-}
-
-int verify_halos(DistributedDomain& dd, Dim3 domain, std::size_t nq) {
-  int failures = 0;
-  const int r = dd.radius().max();
-  dd.for_each_subdomain([&](LocalDomain& ld) {
-    const Dim3 sz = ld.size();
-    const Dim3 o = ld.origin();
-    for (std::size_t q = 0; q < nq; ++q) {
-      auto v = ld.view<float>(q);
-      for (std::int64_t z = -r; z < sz.z + r; ++z) {
-        for (std::int64_t y = -r; y < sz.y + r; ++y) {
-          for (std::int64_t x = -r; x < sz.x + r; ++x) {
-            const bool interior =
-                x >= 0 && x < sz.x && y >= 0 && y < sz.y && z >= 0 && z < sz.z;
-            if (interior) continue;
-            const Dim3 g = Dim3{o.x + x, o.y + y, o.z + z}.wrap(domain);
-            failures += v(x, y, z) != expected_value(g, q);
-          }
-        }
-      }
-    }
-  });
-  return failures;
-}
 
 int histogram_count(const std::map<Method, int>& h, Method m) {
   auto it = h.find(m);

@@ -15,6 +15,7 @@
 #include "core/cluster.h"
 #include "core/distributed_domain.h"
 #include "core/tenant.h"
+#include "halo_oracle.h"
 #include "sched/sched.h"
 #include "topo/archetype.h"
 
@@ -37,6 +38,7 @@ using stencil::sched::RunReport;
 using stencil::sched::Scheduler;
 using stencil::sched::SchedPolicy;
 using stencil::sched::TenantReport;
+using namespace stencil::halo_oracle;
 
 namespace {
 
@@ -51,49 +53,6 @@ JobSpec small_job(const std::string& name, const std::string& user, int gpus,
   s.quantities = 1;
   s.iterations = 2;
   return s;
-}
-
-// Encode a global coordinate as an exactly-representable float.
-float expected_value(Dim3 g) {
-  return static_cast<float>(g.x + 131 * g.y + 131 * 131 * g.z);
-}
-
-void fill_interior(DistributedDomain& dd) {
-  dd.for_each_subdomain([&](LocalDomain& ld) {
-    auto v = ld.view<float>(0);
-    const Dim3 o = ld.origin();
-    for (std::int64_t z = 0; z < ld.size().z; ++z) {
-      for (std::int64_t y = 0; y < ld.size().y; ++y) {
-        for (std::int64_t x = 0; x < ld.size().x; ++x) {
-          v(x, y, z) = expected_value({o.x + x, o.y + y, o.z + z});
-        }
-      }
-    }
-  });
-}
-
-// Every halo cell must hold the periodically wrapped neighbor value —
-// bit-exact, so a co-tenant run passing this is bit-identical to a solo run
-// (both must equal the same analytic picture).
-int count_bad_halos(DistributedDomain& dd, Dim3 domain) {
-  int bad = 0;
-  const int r = dd.radius().max();
-  dd.for_each_subdomain([&](LocalDomain& ld) {
-    const Dim3 sz = ld.size();
-    const Dim3 o = ld.origin();
-    auto v = ld.view<float>(0);
-    for (std::int64_t z = -r; z < sz.z + r; ++z) {
-      for (std::int64_t y = -r; y < sz.y + r; ++y) {
-        for (std::int64_t x = -r; x < sz.x + r; ++x) {
-          const bool halo = x < 0 || x >= sz.x || y < 0 || y >= sz.y || z < 0 || z >= sz.z;
-          if (!halo) continue;
-          const Dim3 g = Dim3{o.x + x, o.y + y, o.z + z}.wrap(domain);
-          bad += v(x, y, z) != expected_value(g);
-        }
-      }
-    }
-  });
-  return bad;
 }
 
 }  // namespace
@@ -262,9 +221,9 @@ TEST(SchedRun, CoTenantsExchangeBitExactWithCleanChecker) {
   const auto make = [&](const std::string& name, int gpus, Dim3 domain, int radius) {
     JobSpec s = small_job(name, "u", gpus, domain);
     s.radius = radius;
-    s.prologue = [](DistributedDomain& dd) { fill_interior(dd); };
+    s.prologue = [](DistributedDomain& dd) { fill_interior(dd, 1); };
     s.epilogue = [&bad, &verified_ranks, domain](DistributedDomain& dd) {
-      bad += count_bad_halos(dd, domain);
+      bad += verify_halos(dd, domain, 1);
       ++verified_ranks;
     };
     return s;

@@ -789,7 +789,7 @@ TEST(DomainTelemetry, PerMethodCountersMatchMethodBytesHistogram) {
 TEST(DomainTelemetry, PlanStatsCountersAndExport) {
   Cluster cluster(topo::summit(), 1, 1);
   run_small_domain(cluster, 2, true, [&](DistributedDomain& dd) {
-    // Satellite: the PlanStats counters behind plan_report.
+    // The PlanStats counters behind `drill plan`.
     const plan::PlanStats& ps = dd.plan_stats();
     EXPECT_EQ(ps.compiles, 1u);
     EXPECT_EQ(ps.hits, 1u);
