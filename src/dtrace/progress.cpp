@@ -1,6 +1,7 @@
 #include "dtrace/progress.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "dtrace/collector.h"

@@ -1,8 +1,18 @@
 #include "simtime/engine.h"
 
+#include <cxxabi.h>
+#include <sys/mman.h>
+
 #include <algorithm>
-#include <cassert>
+#include <cerrno>
+#include <cstring>
 #include <sstream>
+#include <system_error>
+#include <utility>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/common_interface_defs.h>
+#endif
 
 namespace stencil::sim {
 
@@ -12,6 +22,13 @@ struct TlsBinding {
   int actor_id = -1;
 };
 thread_local TlsBinding tls;
+
+// Usable stack of one actor: 30x the deepest one measured (8.5 KiB, a
+// rank of the recovery drill, across every test, bench and drill).
+constexpr std::size_t kStackBytes = std::size_t{256} << 10;
+// PROT_NONE region below each stack, so an overflow faults instead of
+// running into the neighbouring stack. A multiple of every page size.
+constexpr std::size_t kGuardBytes = std::size_t{64} << 10;
 }  // namespace
 
 std::string DeadlockReport::to_string() const {
@@ -31,20 +48,15 @@ DeadlockError::DeadlockError(DeadlockReport rep)
 
 Engine* Engine::current() { return tls.engine; }
 
-int Engine::actor_id() const {
-  check_in_actor();
-  return tls.actor_id;
-}
+int Engine::actor_id() const { return current_actor().id; }
 
-const std::string& Engine::actor_name() const {
-  check_in_actor();
-  return actors_[static_cast<std::size_t>(tls.actor_id)]->name;
-}
+const std::string& Engine::actor_name() const { return current_actor().name; }
 
-void Engine::check_in_actor() const {
+Engine::Actor& Engine::current_actor() const {
   if (tls.engine != this || tls.actor_id < 0) {
     throw std::logic_error("Engine call outside of an actor body");
   }
+  return *actors_[static_cast<std::size_t>(tls.actor_id)];
 }
 
 void Engine::run(std::vector<std::function<void()>> bodies, std::vector<std::string> names) {
@@ -53,90 +65,93 @@ void Engine::run(std::vector<std::function<void()>> bodies, std::vector<std::str
     throw std::logic_error("Engine::run() may not be called from inside an actor");
   }
 
-  std::unique_lock<std::mutex> lk(mu_);
-  if (live_actors_ != 0) {
-    throw std::logic_error("Engine::run() is already active");
-  }
+  // One mapping holds every actor's stack, each above its guard.
+  const std::size_t slot = kGuardBytes + kStackBytes;
+  const std::size_t bytes = slot * bodies.size();
+  void* map = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+  if (map == MAP_FAILED) throw std::system_error(errno, std::generic_category(), "actor stacks");
+  const std::shared_ptr<void> stacks(map, [bytes](void* p) { munmap(p, bytes); });
+
   shutdown_ = false;
-  first_error_ = nullptr;
   actors_.clear();
   actors_.reserve(bodies.size());
   for (std::size_t i = 0; i < bodies.size(); ++i) {
     auto a = std::make_unique<Actor>();
     a->body = std::move(bodies[i]);
     a->name = i < names.size() ? std::move(names[i]) : std::string{};
-    a->state = State::kTimed;
+    a->id = static_cast<int>(i);
     a->wake_time = now_;
     a->seq = next_seq_++;
+    char* guard = static_cast<char*>(map) + i * slot;
+    if (mprotect(guard, kGuardBytes, PROT_NONE) != 0) {
+      throw std::system_error(errno, std::generic_category(), "actor stack guard");
+    }
+    a->fiber.start(guard + kGuardBytes);
     actors_.push_back(std::move(a));
   }
   live_actors_ = static_cast<int>(actors_.size());
 
-  // Spawn threads; each parks immediately until it receives the token.
-  for (std::size_t i = 0; i < actors_.size(); ++i) {
-    actors_[i]->thread = std::thread([this, i] { actor_main(static_cast<int>(i)); });
-  }
+  // Switch to the first actor; the last one to finish switches back here.
+  main_.stack_size = 0;  // learned on entry to the first fiber
+  tls.engine = this;
+  switch_to(main_, pick_next(), false);
+  tls.engine = nullptr;
 
-  // Hand the token to the first actor and wait for the whole cohort.
-  Actor* first = pick_next_locked();
-  assert(first != nullptr);
-  wake_locked(*first);
-  run_cv_.wait(lk, [this] { return live_actors_ == 0; });
-
-  lk.unlock();
-  for (auto& a : actors_) {
-    if (a->thread.joinable()) a->thread.join();
-  }
-  lk.lock();
-
-  if (first_error_) {
-    auto err = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(err);
-  }
+  if (first_error_) std::rethrow_exception(std::exchange(first_error_, nullptr));
 }
 
-void Engine::actor_main(int id) {
-  tls.engine = this;
-  tls.actor_id = id;
-  Actor& self = *actors_[static_cast<std::size_t>(id)];
+// Not inline in run(): getcontext() may return twice as far as the compiler
+// knows, which puts the caller's locals at risk.
+void Engine::Fiber::start(void* bottom) {
+  stack_bottom = bottom;
+  stack_size = kStackBytes;
+  getcontext(&ctx);
+  ctx.uc_stack.ss_sp = bottom;
+  ctx.uc_stack.ss_size = kStackBytes;
+  makecontext(&ctx, &Engine::fiber_main, 0);
+}
 
-  {
-    // Park until the scheduler grants the token the first time.
-    std::unique_lock<std::mutex> lk(mu_);
-    self.cv.wait(lk, [&] { return self.token; });
-    self.token = false;
-    self.state = State::kRunning;
-  }
-
-  std::exception_ptr err;
-  if (!shutdown_) {
+void Engine::fiber_main() {
+  Engine& eng = *tls.engine;
+  Actor& self = eng.current_actor();
+#if defined(__SANITIZE_ADDRESS__)
+  const bool from_run = eng.main_.stack_size == 0;  // then learn run()'s stack
+  __sanitizer_finish_switch_fiber(nullptr, from_run ? &eng.main_.stack_bottom : nullptr,
+                                  from_run ? &eng.main_.stack_size : nullptr);
+#endif
+  self.state = State::kRunning;
+  if (!eng.shutdown_) {
     try {
       self.body();
     } catch (const SimulationAborted&) {
       // Unwinding due to another actor's failure; not a new error.
     } catch (...) {
-      err = std::current_exception();
+      eng.begin_shutdown(std::current_exception());
     }
   }
-
-  std::unique_lock<std::mutex> lk(mu_);
-  if (err) begin_shutdown_locked(err);
+  // This frame is never unwound, so nothing that owns a resource may be
+  // alive from here on.
   self.state = State::kDone;
-  --live_actors_;
-  if (live_actors_ == 0) {
-    run_cv_.notify_all();
-  } else {
-    Actor* next = pick_next_locked();
-    if (next != nullptr) {
-      wake_locked(*next);
-    } else if (!shutdown_) {
-      // Every remaining actor is gate-blocked: they can never wake.
-      report_deadlock_locked();
-    }
-  }
-  tls.engine = nullptr;
-  tls.actor_id = -1;
+  --eng.live_actors_;
+  eng.switch_to(self.fiber, eng.live_actors_ == 0 ? nullptr : eng.successor(), true);
+}
+
+void Engine::switch_to(Fiber& from, Actor* to, [[maybe_unused]] bool from_done) {
+  Fiber& dest = to != nullptr ? to->fiber : main_;
+  if (to != nullptr && !shutdown_) ++context_switches_;  // not unwinding
+  tls.actor_id = to != nullptr ? to->id : -1;
+  void* eh_globals = abi::__cxa_get_globals();
+  std::memcpy(from.eh, eh_globals, sizeof from.eh);
+  std::memcpy(eh_globals, dest.eh, sizeof dest.eh);
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_start_switch_fiber(from_done ? nullptr : &from.fake_stack, dest.stack_bottom,
+                                 dest.stack_size);
+#endif
+  swapcontext(&from.ctx, &dest.ctx);
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_finish_switch_fiber(from.fake_stack, nullptr, nullptr);
+#endif
 }
 
 void Engine::sleep_for(Duration d) {
@@ -145,47 +160,43 @@ void Engine::sleep_for(Duration d) {
 }
 
 void Engine::sleep_until(Time t) {
-  check_in_actor();
-  std::unique_lock<std::mutex> lk(mu_);
+  Actor& self = current_actor();
   if (shutdown_) throw SimulationAborted("simulation aborted during sleep");
   if (t <= now_) return;
-  Actor& self = *actors_[static_cast<std::size_t>(tls.actor_id)];
   self.wake_time = t;
   self.seq = next_seq_++;
-  block_and_reschedule(lk, self, State::kTimed);
+  block_and_reschedule(self, State::kTimed);
 }
 
 void Engine::yield() {
-  check_in_actor();
-  std::unique_lock<std::mutex> lk(mu_);
+  Actor& self = current_actor();
   if (shutdown_) throw SimulationAborted("simulation aborted during yield");
-  Actor& self = *actors_[static_cast<std::size_t>(tls.actor_id)];
   self.wake_time = now_;
   self.seq = next_seq_++;  // go to the back of the same-time queue
-  block_and_reschedule(lk, self, State::kTimed);
+  block_and_reschedule(self, State::kTimed);
 }
 
-void Engine::block_and_reschedule(std::unique_lock<std::mutex>& lk, Actor& self, State state) {
+void Engine::block_and_reschedule(Actor& self, State state) {
   self.state = state;
-  Actor* next = pick_next_locked();
-  if (next == &self) {
-    // Fast path: we are still the best candidate; keep the token without a
-    // thread handoff.
-    self.state = State::kRunning;
-    return;
-  }
-  if (next != nullptr) {
-    wake_locked(*next);
-  } else if (!shutdown_) {
-    report_deadlock_locked();
-  }
-  self.cv.wait(lk, [&] { return self.token; });
-  self.token = false;
+  Actor* next = successor();
+  if (next != &self) switch_to(self.fiber, next, false);  // else the fast path
   self.state = State::kRunning;
   if (shutdown_) throw SimulationAborted("simulation aborted while blocked");
 }
 
-Engine::Actor* Engine::pick_next_locked() {
+Engine::Actor* Engine::successor() {
+  if (!shutdown_) {
+    if (Actor* next = pick_next()) return next;
+    // Every remaining actor is gate-blocked: they can never wake.
+    report_deadlock();
+  }
+  for (const auto& a : actors_) {
+    if (a->state == State::kTimed || a->state == State::kGateBlocked) return a.get();
+  }
+  return nullptr;
+}
+
+Engine::Actor* Engine::pick_next() {
   Actor* best = nullptr;
   std::size_t queued = 0;
   for (const auto& a : actors_) {
@@ -204,13 +215,7 @@ Engine::Actor* Engine::pick_next_locked() {
   return best;
 }
 
-void Engine::wake_locked(Actor& a) {
-  ++context_switches_;
-  a.token = true;
-  a.cv.notify_one();
-}
-
-void Engine::report_deadlock_locked() {
+void Engine::report_deadlock() {
   DeadlockReport rep;
   rep.at = now_;
   for (const auto& a : actors_) {
@@ -220,49 +225,36 @@ void Engine::report_deadlock_locked() {
                                           a->block_detail, a->blocked_at});
   }
   if (watchdog_) watchdog_(rep);
-  begin_shutdown_locked(std::make_exception_ptr(DeadlockError(std::move(rep))));
+  begin_shutdown(std::make_exception_ptr(DeadlockError(std::move(rep))));
 }
 
-void Engine::begin_shutdown_locked(std::exception_ptr err) {
-  if (!first_error_) first_error_ = err;
-  if (shutdown_) return;
+void Engine::begin_shutdown(std::exception_ptr err) {
+  // successor() then resumes each blocked actor to unwind (SimulationAborted).
+  if (!first_error_) first_error_ = std::move(err);
   shutdown_ = true;
-  // Release every blocked actor so it can unwind with SimulationAborted.
-  for (const auto& a : actors_) {
-    if (a->state == State::kTimed || a->state == State::kGateBlocked) {
-      a->token = true;
-      a->cv.notify_one();
-    }
-  }
 }
 
 void Engine::set_block_detail(std::string detail) {
-  check_in_actor();
-  std::unique_lock<std::mutex> lk(mu_);
-  actors_[static_cast<std::size_t>(tls.actor_id)]->block_detail = std::move(detail);
+  current_actor().block_detail = std::move(detail);
 }
 
 void Gate::wait(Engine& eng, std::string detail) {
-  eng.check_in_actor();
-  std::unique_lock<std::mutex> lk(eng.mu_);
+  Engine::Actor& self = eng.current_actor();
   if (eng.shutdown_) throw SimulationAborted("simulation aborted during gate wait");
-  Engine::Actor& self = *eng.actors_[static_cast<std::size_t>(tls.actor_id)];
   self.gate = this;
   if (!detail.empty()) self.block_detail = std::move(detail);
   self.blocked_at = eng.now_;
   waiters_.push_back(&self);
-  eng.block_and_reschedule(lk, self, Engine::State::kGateBlocked);
+  eng.block_and_reschedule(self, Engine::State::kGateBlocked);
   self.gate = nullptr;
   // NOTE: notify_all() removes us from waiters_; if we are unwinding due to
   // shutdown we may still be registered, which is harmless.
 }
 
 bool Gate::wait_until(Engine& eng, Time deadline, std::string detail) {
-  eng.check_in_actor();
-  std::unique_lock<std::mutex> lk(eng.mu_);
+  Engine::Actor& self = eng.current_actor();
   if (eng.shutdown_) throw SimulationAborted("simulation aborted during gate wait");
   if (deadline <= eng.now_) return false;  // already expired; caller re-checks
-  Engine::Actor& self = *eng.actors_[static_cast<std::size_t>(tls.actor_id)];
   self.gate = this;
   if (!detail.empty()) self.block_detail = std::move(detail);
   self.blocked_at = eng.now_;
@@ -272,7 +264,7 @@ bool Gate::wait_until(Engine& eng, Time deadline, std::string detail) {
   waiters_.push_back(&self);
   // Timed, not gate-blocked: the deadline guarantees a wakeup, so this
   // waiter never participates in a deadlock.
-  eng.block_and_reschedule(lk, self, Engine::State::kTimed);
+  eng.block_and_reschedule(self, Engine::State::kTimed);
   const bool notified = self.gate_notified;
   if (!notified) {
     waiters_.erase(std::remove(waiters_.begin(), waiters_.end(), &self), waiters_.end());
@@ -282,8 +274,7 @@ bool Gate::wait_until(Engine& eng, Time deadline, std::string detail) {
 }
 
 void Gate::notify_all(Engine& eng) {
-  eng.check_in_actor();
-  std::unique_lock<std::mutex> lk(eng.mu_);
+  eng.current_actor();  // only an actor may notify
   for (Engine::Actor* a : waiters_) {
     if (a->state == Engine::State::kGateBlocked || a->state == Engine::State::kTimed) {
       a->state = Engine::State::kTimed;

@@ -1,14 +1,14 @@
 #pragma once
 
-#include <condition_variable>
+#include <ucontext.h>
+
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "simtime/time.h"
@@ -57,12 +57,12 @@ class DeadlockError : public std::runtime_error {
 
 /// Deterministic discrete-event virtual-time engine.
 ///
-/// Each *actor* (e.g. a simulated MPI rank) is an OS thread, but exactly one
-/// actor runs at a time: when the running actor blocks (sleep_until, Gate
-/// wait, or finishing), it selects the next actor under a global mutex and
-/// hands the token over. Selection is by (wake_time, admission sequence), so
-/// a given program produces a bit-identical schedule on every run regardless
-/// of OS thread timing.
+/// Each *actor* (e.g. a simulated MPI rank) is a fiber with its own stack,
+/// and all of them run on the OS thread that called run(): when the running
+/// actor blocks (sleep_until, Gate wait, or finishing), it selects the next
+/// actor and switches straight to it. Selection is by (wake_time, admission
+/// sequence), so a given program produces a bit-identical schedule on every
+/// run.
 ///
 /// Virtual time is global and monotonically non-decreasing. Code executed by
 /// an actor between engine calls takes zero virtual time; model CPU cost by
@@ -102,20 +102,19 @@ class Engine {
   /// immediately without rescheduling.
   void sleep_until(Time t);
 
-  /// Hand the token to other actors runnable at the current virtual time,
-  /// resuming after they have each had a turn.
+  /// Let other actors runnable at the current virtual time run, resuming
+  /// after they have each had a turn.
   void yield();
 
-  /// Engine driving the calling thread, or nullptr outside actor bodies.
+  /// Engine driving the calling actor, or nullptr outside actor bodies.
   static Engine* current();
 
-  /// Number of token handoffs performed so far (scheduling cost metric).
+  /// Number of switches from one actor to another so far (scheduling cost).
   std::uint64_t context_switches() const { return context_switches_; }
 
   /// Number of scheduling decisions made so far: every time the engine
   /// picked the next actor to run, including same-actor fast paths that
-  /// avoid a thread handoff. The discrete-event analogue of "events
-  /// processed".
+  /// avoid a switch. The discrete-event analogue of "events processed".
   std::uint64_t events_processed() const { return events_processed_; }
 
   /// Largest run-queue depth seen at any scheduling decision: how many
@@ -139,9 +138,8 @@ class Engine {
   void set_block_detail(std::string detail);
 
   /// Observer invoked with the diagnostic just before a detected deadlock
-  /// aborts the simulation. Runs under the engine lock on the detecting
-  /// actor's thread: it must only inspect/copy the report, never call back
-  /// into the engine.
+  /// aborts the simulation. Runs on the detecting actor's stack: it must
+  /// only inspect/copy the report, never call back into the engine.
   void set_watchdog(std::function<void(const DeadlockReport&)> cb) {
     watchdog_ = std::move(cb);
   }
@@ -150,45 +148,56 @@ class Engine {
   friend class Gate;
 
   enum class State {
-    kRunning,        // holds the token
-    kTimed,          // wake at wake_time
-    kGateBlocked,    // waiting on a Gate, no wakeup time
+    kRunning,      // the one actor executing
+    kTimed,        // wake at wake_time
+    kGateBlocked,  // waiting on a Gate, no wakeup time
     kDone,
-    kUnstarted,
+  };
+
+  // An actor's execution context, or run()'s caller's, while switched out.
+  struct Fiber {
+    ucontext_t ctx{};
+    const void* stack_bottom = nullptr;  // its stack's lowest usable address
+    std::size_t stack_size = 0;
+    void* fake_stack = nullptr;  // AddressSanitizer's per-fiber state
+    void* eh[2] = {};  // its __cxa_eh_globals: caught exceptions, uncaught count
+    // Make a fresh actor fiber that enters fiber_main() on this stack.
+    void start(void* bottom);
   };
 
   struct Actor {
     std::function<void()> body;
     std::string name;
-    std::thread thread;
-    std::condition_variable cv;
-    State state = State::kUnstarted;
+    int id = 0;
+    Fiber fiber;
+    State state = State::kTimed;
     Time wake_time = 0;
     std::uint64_t seq = 0;  // admission order for same-time tie-breaks
-    bool token = false;     // set by the scheduler; cleared on wakeup
     Gate* gate = nullptr;   // which gate, when kGateBlocked (diagnostics)
     bool gate_notified = false;  // wait_until: woken by notify, not timeout
     std::string block_detail;    // caller-supplied reason for the block
     Time blocked_at = 0;
   };
 
-  void actor_main(int id);
-  // Move the calling actor to `state`, pick and wake the next actor, and
-  // block until the token returns. Must be entered with mu_ held.
-  void block_and_reschedule(std::unique_lock<std::mutex>& lk, Actor& self, State state);
+  static void fiber_main();
+  // Suspend `from` and resume `to` (run()'s caller if null); from_done: never resumed.
+  void switch_to(Fiber& from, Actor* to, bool from_done);
+  // Move the calling actor to `state`, switch to the next actor, and return
+  // once the calling actor is picked again.
+  void block_and_reschedule(Actor& self, State state);
+  // Next to run: the next pick or, once shut down, a blocked actor to unwind.
+  Actor* successor();
   // Pick the next runnable actor (min wake_time, then min seq); advances
   // virtual time. Returns nullptr when no actor can run.
-  Actor* pick_next_locked();
-  void wake_locked(Actor& a);
-  void begin_shutdown_locked(std::exception_ptr err);
+  Actor* pick_next();
+  void begin_shutdown(std::exception_ptr err);
   // Build the diagnostic over gate-blocked actors, feed the watchdog, and
   // begin shutdown with a DeadlockError.
-  void report_deadlock_locked();
-  void check_in_actor() const;
+  void report_deadlock();
+  Actor& current_actor() const;
 
-  mutable std::mutex mu_;
-  std::condition_variable run_cv_;  // run() waits here for completion
   std::vector<std::unique_ptr<Actor>> actors_;
+  Fiber main_;  // run()'s caller while the actors run
   Time now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t context_switches_ = 0;

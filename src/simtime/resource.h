@@ -19,7 +19,7 @@ struct Span {
 /// queue) with FIFO queueing: an acquisition starts no earlier than both the
 /// caller's ready time and the completion of all previously granted work.
 ///
-/// Because actors are token-scheduled and virtual time is globally monotonic,
+/// Because actors run one at a time and virtual time is globally monotonic,
 /// acquire() calls arrive in non-decreasing virtual-time order, so FIFO
 /// processing in call order is exact (not an approximation). Contention
 /// emerges naturally: two transfers claiming the same link back-to-back

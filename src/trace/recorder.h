@@ -40,7 +40,8 @@ struct FlowEdge {
 
 /// Collects operation spans during a simulation and renders them as CSV or
 /// an ASCII Gantt chart (the reproduction of the paper's Fig. 9 timeline).
-/// Recording order is deterministic because the engine is token-scheduled.
+/// Recording order is deterministic because the engine runs one actor at a
+/// time in a fixed order.
 ///
 /// As a Runtime/Job observer it records every GPU op, host issue, graph
 /// launch, message wire span, dropped and lost transmission, and

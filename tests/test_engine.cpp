@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -171,6 +173,11 @@ TEST(Engine, GateDeadlockAmongSeveralActors) {
                         [&] { gate.wait(*sim::Engine::current()); },
                         [&] { sim::Engine::current()->sleep_for(5); }}),
                sim::DeadlockError);
+  // Unwinding the blocked actors is not scheduling: it adds no events or
+  // switches.
+  EXPECT_EQ(eng.events_processed(), 4u);
+  EXPECT_EQ(eng.context_switches(), 3u);
+  EXPECT_EQ(eng.max_run_queue_depth(), 3u);
 }
 
 TEST(Engine, CallsOutsideActorThrow) {
@@ -195,19 +202,70 @@ TEST(Engine, ManyActorsDeterministicSchedule) {
       });
     }
     eng.run(std::move(bodies));
+    // The scheduler counters feed the sim_* telemetry gauges.
+    EXPECT_EQ(eng.events_processed(), 300u);
+    EXPECT_EQ(eng.context_switches(), 300u);
+    EXPECT_EQ(eng.max_run_queue_depth(), 50u);
     return log;
   };
   EXPECT_EQ(run_once(), run_once());
 }
 
 TEST(Engine, ContextSwitchFastPath) {
-  // A single actor sleeping repeatedly should not need token handoffs
-  // beyond the initial one.
+  // A single actor sleeping repeatedly should not need switches beyond the
+  // initial one.
   sim::Engine eng;
   eng.run({[] {
     for (int i = 0; i < 100; ++i) sim::Engine::current()->sleep_for(10);
   }});
   EXPECT_LE(eng.context_switches(), 2u);
+}
+
+TEST(Engine, CatchBlocksSurviveInterleavedSwitches) {
+  // Actors block inside catch blocks, as recovering ranks do; each must
+  // keep its own caught exception across the others' throws and catches.
+  sim::Engine eng;
+  int checked = 0;
+  std::vector<std::function<void()>> bodies;
+  for (int i = 0; i < 3; ++i) {
+    bodies.push_back([&checked, i] {
+      const std::string mine = "actor " + std::to_string(i);
+      try {
+        throw std::runtime_error(mine);
+      } catch (const std::runtime_error&) {
+        sim::Engine::current()->sleep_for(10 * (3 - i));  // leave in reverse order
+        EXPECT_EQ(std::uncaught_exceptions(), 0);
+        try {
+          throw;
+        } catch (const std::runtime_error& again) {
+          EXPECT_EQ(again.what(), mine);
+          ++checked;
+        }
+      }
+      EXPECT_EQ(std::current_exception(), nullptr);
+    });
+  }
+  eng.run(std::move(bodies));
+  EXPECT_EQ(checked, 3);
+}
+
+// Recurses `depth` frames. Each frame hands its buffer to the next, so the
+// compiler can neither reuse a frame nor turn the recursion into a loop.
+int recurse(const volatile char* caller, long depth) {
+  volatile char frame[1024];
+  frame[0] = caller[0];
+  return depth == 0 ? frame[0] : recurse(frame, depth - 1) + frame[0];
+}
+
+TEST(EngineDeathTest, ActorStackOverflowHitsGuardPage) {
+  EXPECT_DEATH(
+      {
+        sim::Engine eng;
+        const volatile char seed = 1;
+        eng.run({[] { sim::Engine::current()->sleep_for(1); },
+                 [&] { recurse(&seed, 1L << 30); }});
+      },
+      "");
 }
 
 TEST(TimeFormat, Units) {

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """slint — source-discipline lint for the stencil codebase.
 
-The simulator owns time, randomness, and threads: every actor runs under
-sim::Engine virtual time (src/simtime), so OS-level time and concurrency
+The simulator owns time, randomness, and threads: every actor is a fiber
+under sim::Engine virtual time (src/simtime), so OS-level time and concurrency
 primitives in library, test, bench, or example code silently break
 determinism and the virtual clock. This lint bans those constructs
 statically, the same way stencil::verify bans protocol defects statically.
@@ -16,8 +16,8 @@ Rules (each a regex over comment- and string-stripped source):
                   profiling only) are the sanctioned clocks.
   libc-rand       rand()/srand() — unseeded global state; use a seeded
                   std::mt19937 so failures reproduce.
-  raw-thread      std::thread/std::jthread outside src/simtime — actors must
-                  be scheduled by sim::Engine, never by the OS.
+  raw-thread      std::thread/std::jthread anywhere — actors are fibers that
+                  sim::Engine schedules on one OS thread, never the OS.
 
 Suppression: append `// slint: allow(<rule>)` to the offending line. The
 lint reports the rule name so the suppression is greppable and auditable.
@@ -69,7 +69,7 @@ RULES = [
         "raw-thread",
         re.compile(r"std::j?thread\b"),
         "OS threads bypass the simulator; actors belong to sim::Engine",
-        lambda p: not p.startswith("src/simtime/"),
+        lambda p: True,
     ),
 ]
 
