@@ -49,7 +49,7 @@ static void BM_EngineTokenHandoff(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * actors * 100);
 }
-BENCHMARK(BM_EngineTokenHandoff)->Arg(2)->Arg(12)->Arg(48);
+BENCHMARK(BM_EngineTokenHandoff)->Arg(2)->Arg(12)->Arg(48)->Arg(384);
 
 static void BM_ResourceAcquire(benchmark::State& state) {
   sim::Resource r;

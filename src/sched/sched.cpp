@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <stdexcept>
 
 #include "core/partition.h"
@@ -502,8 +501,8 @@ Scheduler::WaveResult Scheduler::run_wave(const std::vector<Admission>& wave, Ru
     }
   }
 
-  // Per-rank latency slots: distinct elements, so the SPMD threads write
-  // without locking.
+  // Per-rank latency slots, one element per rank actor. The actors are
+  // fibers on one thread, so none of the shared state here needs a lock.
   std::vector<std::vector<std::vector<double>>> lat(wave.size());
   for (std::size_t w = 0; w < wave.size(); ++w) {
     const Job& job = jobs_[static_cast<std::size_t>(wave[w].job)];
@@ -528,7 +527,6 @@ Scheduler::WaveResult Scheduler::run_wave(const std::vector<Admission>& wave, Ru
     wtc->clear_window();
   }
 
-  std::mutex mu;
   std::vector<verify::ExchangeModel> models;
 
   dtrace::Collector col;
@@ -577,9 +575,7 @@ Scheduler::WaveResult Scheduler::run_wave(const std::vector<Admission>& wave, Ru
     if (spec.epilogue) spec.epilogue(dd);
     if (collect_models && spec.persistent && sr == 0 &&
         !dd.plan_cache().entries().empty()) {
-      verify::ExchangeModel m = dd.verify_model(*dd.plan_cache().entries().front());
-      const std::lock_guard<std::mutex> lk(mu);
-      models.push_back(std::move(m));
+      models.push_back(dd.verify_model(*dd.plan_cache().entries().front()));
     }
   });
   const double t1 = sim::to_seconds(cluster_.engine().now());

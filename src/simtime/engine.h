@@ -1,7 +1,5 @@
 #pragma once
 
-#include <ucontext.h>
-
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -9,6 +7,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "simtime/time.h"
@@ -62,7 +61,8 @@ class DeadlockError : public std::runtime_error {
 /// actor blocks (sleep_until, Gate wait, or finishing), it selects the next
 /// actor and switches straight to it. Selection is by (wake_time, admission
 /// sequence), so a given program produces a bit-identical schedule on every
-/// run.
+/// run. The run queue is a binary heap, so a selection costs O(log N) in the
+/// number of actors, and a switch is a few register moves with no syscall.
 ///
 /// Virtual time is global and monotonically non-decreasing. Code executed by
 /// an actor between engine calls takes zero virtual time; model CPU cost by
@@ -156,7 +156,7 @@ class Engine {
 
   // An actor's execution context, or run()'s caller's, while switched out.
   struct Fiber {
-    ucontext_t ctx{};
+    void* sp = nullptr;  // saved stack pointer; its registers sit just above
     const void* stack_bottom = nullptr;  // its stack's lowest usable address
     std::size_t stack_size = 0;
     void* fake_stack = nullptr;  // AddressSanitizer's per-fiber state
@@ -179,17 +179,41 @@ class Engine {
     Time blocked_at = 0;
   };
 
+  // A run-queue entry: `actor` wakes at `wake_time`, unless it has been
+  // rescheduled since (its seq moved on) or is no longer kTimed. Such a
+  // stale entry is skipped when it reaches the top.
+  struct Wakeup {
+    Time wake_time;
+    std::uint64_t seq;
+    Actor* actor;
+    // std::greater over this makes the std heap functions a min-heap.
+    bool operator>(const Wakeup& o) const {
+      return std::tie(wake_time, seq) > std::tie(o.wake_time, o.seq);
+    }
+  };
+
   static void fiber_main();
   // Suspend `from` and resume `to` (run()'s caller if null); from_done: never resumed.
   void switch_to(Fiber& from, Actor* to, bool from_done);
   // Move the calling actor to `state`, switch to the next actor, and return
-  // once the calling actor is picked again.
+  // once the calling actor is picked again. For kTimed, the caller has set
+  // its wake_time and a fresh seq.
   void block_and_reschedule(Actor& self, State state);
+  // Make a waiting actor kTimed at now() behind every actor queued for now(),
+  // and queue it.
+  void wake(Actor& a);
+  void push(Actor& a);
+  // Pop entries up to the first live one and return its actor; nullptr once
+  // the queue runs dry.
+  Actor* pop_live();
   // Next to run: the next pick or, once shut down, a blocked actor to unwind.
-  Actor* successor();
-  // Pick the next runnable actor (min wake_time, then min seq); advances
-  // virtual time. Returns nullptr when no actor can run.
-  Actor* pick_next();
+  Actor* successor(Actor* blocking);
+  // Pick the next runnable actor (min wake_time, then min seq) and mark it
+  // running; advances virtual time. Returns nullptr when no actor can run.
+  // `blocking` is the calling actor when it has just become kTimed, else
+  // null. It is not in the queue yet: it competes with the top entry
+  // directly, and is queued only when it loses.
+  Actor* pick_next(Actor* blocking);
   void begin_shutdown(std::exception_ptr err);
   // Build the diagnostic over gate-blocked actors, feed the watchdog, and
   // begin shutdown with a DeadlockError.
@@ -197,6 +221,8 @@ class Engine {
   Actor& current_actor() const;
 
   std::vector<std::unique_ptr<Actor>> actors_;
+  std::vector<Wakeup> queue_;  // min-heap on (wake_time, seq), lazily pruned
+  std::size_t timed_ = 0;      // actors in kTimed: the run-queue depth
   Fiber main_;  // run()'s caller while the actors run
   Time now_ = 0;
   std::uint64_t next_seq_ = 1;
