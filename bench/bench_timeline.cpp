@@ -58,9 +58,8 @@ int main(int argc, char** argv) {
   stencil::Cluster cluster(arch, /*nodes=*/1, /*ranks_per_node=*/2);
   cluster.set_mem_mode(stencil::vgpu::MemMode::kPhantom);
   dtrace::Collector rec;  // causal: one global timeline, eager + planned
-  telemetry::Telemetry tel;
+  telemetry::Telemetry tel;  // substrate and both ranks' domains
   cluster.set_telemetry(&tel);
-  telemetry::MetricsRegistry merged;  // substrate + both ranks' domains
   sim::Time eager0 = 0, eager1 = 0, plan0 = 0, plan1 = 0;
 
   cluster.run([&](stencil::RankCtx& ctx) {
@@ -104,10 +103,7 @@ int main(int argc, char** argv) {
       cluster.set_recorder(nullptr);
       plan1 = ctx.engine().now();
     }
-
-    merged.merge(dd.telemetry().metrics());
   });
-  merged.merge(tel.metrics());
 
   std::printf("Fig. 9 reproduction: one overlapped exchange, 1 node / 2 ranks / 4 GPUs,\n");
   std::printf("~512^3 points per GPU, radius 3, 4 SP quantities.\n");
@@ -130,9 +126,9 @@ int main(int argc, char** argv) {
   std::ofstream csv("bench_timeline.csv");
   rec.write_csv(csv);
   std::ofstream json("bench_timeline.json");
-  telemetry::write_chrome_trace(json, rec.records(), &merged, &an);
+  telemetry::write_chrome_trace(json, rec.records(), &tel.metrics(), &an);
   std::ofstream report("bench_timeline_report.json");
-  telemetry::write_report_json(report, merged, an);
+  telemetry::write_report_json(report, tel.metrics(), an);
 
   std::string err;
   if (!cli::write_trace_outputs(rec, topt, &err)) {

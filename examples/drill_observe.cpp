@@ -83,7 +83,7 @@ int run_telemetry(const cli::Options& opt) {
               opt.arch_name.c_str(), opt.nodes, opt.rpn, opt.domain.str().c_str(), opt.radius,
               opt.quantities);
 
-  telemetry::MetricsRegistry merged;  // all ranks, all configs
+  telemetry::MetricsRegistry merged;  // every config's cluster sink
   std::int64_t halo_errors = 0;
   int findings = 0;
   telemetry::Analysis last_analysis;
@@ -95,8 +95,8 @@ int run_telemetry(const cli::Options& opt) {
     Cluster cluster(opt.arch, cfg.nodes ? cfg.nodes : opt.nodes, cfg.rpn ? cfg.rpn : opt.rpn);
     check::Checker checker(cluster.engine());
     cluster.set_checker(&checker);
-    telemetry::Telemetry substrate;  // GPU-op / MPI metrics, cluster-wide
-    cluster.set_telemetry(&substrate);
+    telemetry::Telemetry tel;  // substrate and every rank's domain
+    cluster.set_telemetry(&tel);
     dtrace::Collector rec;
 
     std::map<Method, std::pair<int, std::size_t>> xfer_set;  // rank 0's realized transfers
@@ -131,10 +131,8 @@ int run_telemetry(const cli::Options& opt) {
       dd.exchange();
       ctx.comm.barrier();
       halo_errors += halo_mismatches(dd, nq);
-
-      merged.merge(dd.telemetry().metrics());
     });
-    merged.merge(substrate.metrics());
+    merged.merge(tel.metrics());
     if (!checker.report().clean()) {
       ++findings;
       checker.report().write(std::cerr);

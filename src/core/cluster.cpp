@@ -67,7 +67,7 @@ std::shared_ptr<const Placement> Cluster::placement_cached(
                     "o" + std::to_string(gpu_slot_base);
   auto it = placement_cache_.find(key);
   if (it != placement_cache_.end()) return it->second;
-  // Token-scheduled actors: no data race; the first rank to ask computes.
+  // Actors are fibers on one OS thread: no data race; the first rank to ask computes.
   HierarchicalPartition hp(domain, num_nodes, gpus_per_node);
   auto placement = std::make_shared<const Placement>(hp, machine_.arch(), radius, bytes_per_point,
                                                      nbhd, strategy, boundary, gpu_slot_base);

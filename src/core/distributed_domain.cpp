@@ -197,7 +197,7 @@ void DistributedDomain::realize() {
     plan_.map_gpus([tv](int vgpu) { return tv->phys_gpu(vgpu); });
   }
   build_transfer_states();
-  plan_.export_metrics(telemetry_.metrics());
+  if (auto* tel = ctx_.cluster.telemetry()) plan_.export_metrics(tel->metrics());
   record_specialization();
   build_aggregation_groups();
   colocated_setup();
@@ -355,18 +355,21 @@ void DistributedDomain::record_demotion(const TransferState& x, Method from, Met
 }
 
 void DistributedDomain::demote_transfer(TransferState& x, Method target) {
-  record_demotion(x, x.t.method, target);
+  const Method from = x.t.method;
+  record_demotion(x, from, target);
   if (auto* rec = ctx_.cluster.recorder()) {
     const sim::Time now = ctx_.engine().now();
     rec->record("fault",
-                "demote tag=" + std::to_string(x.t.tag) + " " + to_string(x.t.method) + "->" +
+                "demote tag=" + std::to_string(x.t.tag) + " " + to_string(from) + "->" +
                     to_string(target),
                 now, now);
   }
-  telemetry_.on_demotion(x.t.tag, to_string(x.t.method), to_string(target), ctx_.engine().now());
   x.t.method = target;
   plan_.set_method(x.t.tag, target);
-  plan_.export_metrics(telemetry_.metrics());
+  if (auto* tel = ctx_.cluster.telemetry()) {
+    tel->on_demotion(x.t.tag, to_string(from), to_string(target), ctx_.engine().now());
+    plan_.export_metrics(tel->metrics());
+  }
   // The specialization table changed shape: version it and dirty the
   // transfer's frozen programs in every cached plan. The next acquire
   // rebuilds only those entries (partial invalidation, not a recompile).
@@ -504,13 +507,14 @@ void DistributedDomain::exchange_start(const std::vector<std::size_t>& quantitie
   inflight_.active = true;
   ++seq_;
   inflight_.start_time = ctx_.engine().now();
-  telemetry_.on_exchange_start(seq_, inflight_.start_time);
   ctx_.comm.job().exchange_begin(ctx_.comm.world_rank(), seq_);
-  for (const auto& xp : xfers_) {
-    if (!xp->i_send || xp->active_bytes == 0) continue;
-    telemetry_.flight().log(telemetry::EventKind::kTransfer, inflight_.start_time,
-                            "tag=" + std::to_string(xp->t.tag), to_string(xp->t.method),
-                            xp->active_bytes);
+  if (auto* tel = ctx_.cluster.telemetry()) {
+    for (const auto& xp : xfers_) {
+      if (!xp->i_send || xp->active_bytes == 0) continue;
+      tel->flight().log(telemetry::EventKind::kTransfer, inflight_.start_time,
+                        "tag=" + std::to_string(xp->t.tag), to_string(xp->t.method),
+                        xp->active_bytes);
+    }
   }
   // Planned mode: replay (or first compile, then replay) the frozen
   // schedule for this configuration instead of interpreting the op lists.
@@ -528,7 +532,7 @@ void DistributedDomain::exchange_start(const std::vector<std::size_t>& quantitie
     cur_plan_ = p;
     ++p->replays;
     ++plan_cache_.stats().replays;
-    telemetry_.on_plan_event("replay");
+    if (auto* tel = ctx_.cluster.telemetry()) tel->on_plan_event("replay");
   }
   auto& comm = ctx_.comm;
   auto& rt = ctx_.rt;
@@ -905,7 +909,9 @@ void DistributedDomain::recover_abort() {
   }
   cur_plan_ = nullptr;
   inflight_ = InFlight{};
-  telemetry_.on_recover_step("abort", "seq=" + std::to_string(seq_), ctx_.engine().now());
+  if (auto* tel = ctx_.cluster.telemetry()) {
+    tel->on_recover_step("abort", "seq=" + std::to_string(seq_), ctx_.engine().now());
+  }
 }
 
 std::vector<DistributedDomain::Rehome> DistributedDomain::recover_replace(
@@ -1053,13 +1059,15 @@ std::vector<DistributedDomain::Rehome> DistributedDomain::recover_replace(
   // (resync_seq is a separate step: the caller aligns seq_ across survivors
   // once it has agreed on the maximum.)
   ++topo_epoch_;
-  plan_.export_metrics(telemetry_.metrics());
-  telemetry_.on_recover_step("replace",
-                             "moved=" + std::to_string(moves.size()) +
-                                 " kept=" + std::to_string(kept) +
-                                 " rebuilt=" + std::to_string(rebuilt) +
-                                 " appended=" + std::to_string(appended),
-                             ctx_.engine().now());
+  if (auto* tel = ctx_.cluster.telemetry()) {
+    plan_.export_metrics(tel->metrics());
+    tel->on_recover_step("replace",
+                         "moved=" + std::to_string(moves.size()) +
+                             " kept=" + std::to_string(kept) +
+                             " rebuilt=" + std::to_string(rebuilt) +
+                             " appended=" + std::to_string(appended),
+                         ctx_.engine().now());
+  }
   return moves;
 }
 
@@ -1156,21 +1164,23 @@ void DistributedDomain::exchange_finish() {
 }
 
 void DistributedDomain::note_exchange_complete() {
-  const sim::Time now = ctx_.engine().now();
-  telemetry_.on_exchange_latency(now - inflight_.start_time);
-  ctx_.comm.job().exchange_complete(ctx_.comm.world_rank(), seq_, inflight_.start_time);
+  const int me = ctx_.comm.world_rank();
+  ctx_.comm.job().exchange_complete(me, seq_, inflight_.start_time);
+  auto* tel = ctx_.cluster.telemetry();
+  if (tel == nullptr) return;
   std::map<Method, std::pair<std::uint64_t, std::uint64_t>> per;  // method -> (msgs, bytes)
   for (const auto& xp : xfers_) {
     if (!xp->i_send || xp->active_bytes == 0) continue;
     auto& [msgs, bytes] = per[xp->t.method];
     ++msgs;
     bytes += xp->active_bytes;
-    telemetry_.metrics().histogram("exchange_message_bytes").observe(xp->active_bytes);
+    tel->metrics().histogram("exchange_message_bytes").observe(xp->active_bytes);
   }
+  const sim::Time now = ctx_.engine().now();
   for (const auto& [method, mb] : per) {
-    telemetry_.on_exchange_end(seq_, to_string(method), mb.first, mb.second, now);
+    tel->on_exchange_end(me, seq_, to_string(method), mb.first, mb.second, now);
   }
-  plan_cache_.stats().export_to(telemetry_.metrics());
+  plan_cache_.stats().export_to(tel->metrics());
 }
 
 // ---------------------------------------------------------------------------
@@ -1187,7 +1197,7 @@ plan::CompiledPlan& DistributedDomain::acquire_plan() {
       plan_cache_.find(static_cast<std::uint32_t>(flags_), aggregate_remote_, active_qs_);
   if (p != nullptr && p->key.topo_epoch == topo_epoch_ && p->dirty_count() == 0) {
     ++stats.hits;
-    telemetry_.on_plan_event("hit");
+    if (auto* tel = ctx_.cluster.telemetry()) tel->on_plan_event("hit");
     // Hot path: one map find + O(1) counter bump, allocation-free.
     if (explain::Ledger* led = ledger(); led != nullptr) {
       const auto it = plan_record_ids_.find(p);
@@ -1202,13 +1212,13 @@ plan::CompiledPlan& DistributedDomain::acquire_plan() {
   const bool fresh = p == nullptr;
   if (fresh) {
     ++stats.compiles;
-    telemetry_.on_plan_event("compile");
+    if (auto* tel = ctx_.cluster.telemetry()) tel->on_plan_event("compile");
     p = &plan_cache_.emplace(plan::PlanKey{topo_epoch_, static_cast<std::uint32_t>(flags_),
                                            aggregate_remote_, active_qs_});
     p->programs.reserve(xfers_.size());
   } else {
     ++stats.invalidations;
-    telemetry_.on_plan_event("invalidation");
+    if (auto* tel = ctx_.cluster.telemetry()) tel->on_plan_event("invalidation");
   }
   const std::uint64_t epoch_before = p->key.topo_epoch;
   std::uint64_t rebuilt = 0;
@@ -1240,7 +1250,9 @@ plan::CompiledPlan& DistributedDomain::acquire_plan() {
     }
   } else {
     stats.rebuilt_programs += rebuilt + appended;
-    for (std::uint64_t i = 0; i < rebuilt + appended; ++i) telemetry_.on_plan_event("rebuild");
+    if (auto* tel = ctx_.cluster.telemetry()) {
+      for (std::uint64_t i = 0; i < rebuilt + appended; ++i) tel->on_plan_event("rebuild");
+    }
     p->key.topo_epoch = topo_epoch_;
   }
   // Fail-fast admission: a plan with a protocol defect never replays. Clean

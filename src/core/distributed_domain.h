@@ -11,7 +11,6 @@
 #include "core/method_flags.h"
 #include "core/placement.h"
 #include "plan/plan.h"
-#include "telemetry/telemetry.h"
 #include "verify/verify.h"
 
 namespace stencil {
@@ -40,6 +39,11 @@ class OpList;
 /// bandwidth matrix), and specialization (choosing KERNEL / PEER /
 /// COLOCATED / CUDA-aware / STAGED per subdomain pair, including the
 /// one-time cudaIpc* handshakes for COLOCATED).
+///
+/// Observability goes through the cluster's sinks only: exchange heartbeats
+/// reach every attached simpi observer, and per-method counters, plan and
+/// fault events land in `cluster.telemetry()` while one is attached
+/// (DESIGN.md §11).
 class DistributedDomain {
  public:
   DistributedDomain(RankCtx& ctx, Dim3 domain);
@@ -180,14 +184,6 @@ class DistributedDomain {
   /// exchange_start().
   void set_verify_plans(bool on);
   bool verify_plans() const { return verify_plans_; }
-
-  /// Per-domain observability (DESIGN.md §11): exchange-latency histogram,
-  /// per-method byte/message counters, plan/fault counters, and the flight
-  /// recorder. Always on — the hooks are pure bookkeeping and never touch
-  /// virtual time. To additionally capture substrate events (GPU ops, MPI
-  /// messages), attach it cluster-wide: `cluster.set_telemetry(&dd.telemetry())`.
-  telemetry::Telemetry& telemetry() { return telemetry_; }
-  const telemetry::Telemetry& telemetry() const { return telemetry_; }
 
   template <typename F>
   void for_each_subdomain(F&& f) {
@@ -345,9 +341,10 @@ class DistributedDomain {
   void colocated_gate_wait(sim::Gate& gate, int peer_rank, int tag,
                            const std::function<bool()>& done, const std::string& detail);
 
-  // Telemetry bookkeeping at the end of both the eager and planned finish
-  // paths: latency histogram, per-method message/byte counters, plan-stats
-  // snapshot. Zero virtual-time cost.
+  // End of both the eager and planned finish paths: the completion
+  // heartbeat, then — only while a cluster telemetry sink is attached —
+  // per-method message/byte counters and the plan-stats snapshot
+  // (DESIGN.md §11). Zero virtual-time cost.
   void note_exchange_complete();
 
   // Install (or clear) the PlanCache admission hook per verify_plans_.
@@ -397,7 +394,6 @@ class DistributedDomain {
   bool verify_plans_ = true;
   bool live_costs_ = false;
   std::uint64_t topo_epoch_ = 0;
-  telemetry::Telemetry telemetry_;
   plan::PlanCache plan_cache_;
   plan::CompiledPlan* cur_plan_ = nullptr;  // plan driving the in-flight exchange, if any
   // Latest provenance record per cached plan, so the hot path (cache hit)
@@ -424,7 +420,7 @@ class DistributedDomain {
   // Split-phase exchange state, valid between exchange_start/finish.
   struct InFlight {
     bool active = false;
-    sim::Time start_time = 0;  // virtual time of exchange_start (telemetry)
+    sim::Time start_time = 0;  // virtual time of exchange_start (heartbeat latency)
     std::vector<simpi::Request> recv_reqs;
     // Posted sends, kept here (not on the stack) so recover_abort can reset
     // them when a failure unwinds exchange_finish mid-flight.

@@ -73,6 +73,10 @@ int checkpoint_tag(std::int64_t lin, std::size_t q) {
 int restore_tag(std::int64_t lin, std::size_t q) {
   return tagspace::restore_tag(lin, q);
 }
+// One ladder step on the cluster's telemetry sink, when one is attached.
+void note_step(RankCtx& ctx, const char* step, const std::string& detail) {
+  if (auto* tel = ctx.cluster.telemetry()) tel->on_recover_step(step, detail, ctx.engine().now());
+}
 }  // namespace
 
 CheckpointStore::CheckpointStore(RankCtx& ctx, DistributedDomain& dd) : ctx_(ctx), dd_(dd) {}
@@ -209,10 +213,7 @@ void CheckpointStore::checkpoint(std::int64_t iter) {
 
   g.iter = iter;  // commit last: a throw above leaves this slot invalid
   ++committed_;
-  dd_.telemetry().on_recover_step("checkpoint",
-                                  "iter=" + std::to_string(iter) +
-                                      " buddy=" + std::to_string(out),
-                                  ctx_.engine().now());
+  note_step(ctx_, "checkpoint", "iter=" + std::to_string(iter) + " buddy=" + std::to_string(out));
 }
 
 std::int64_t CheckpointStore::my_latest() const {
@@ -314,10 +315,8 @@ void CheckpointStore::restore(std::int64_t k0,
     }
     rt.stream_synchronize(ld->compute_stream());
   }
-  dd_.telemetry().on_recover_step("restore",
-                                  "floor=" + std::to_string(k0) +
-                                      " moves=" + std::to_string(moves.size()),
-                                  ctx_.engine().now());
+  note_step(ctx_, "restore",
+            "floor=" + std::to_string(k0) + " moves=" + std::to_string(moves.size()));
 }
 
 // --- RecoveryManager --------------------------------------------------------
@@ -363,7 +362,7 @@ std::int64_t RecoveryManager::recover(const FailureEvent& ev, std::int64_t iter)
       throw std::logic_error("recover: unclassified failure: " + ev.what);
     case FailureKind::kTransient:
       ++stats_.transient_retries;
-      dd_.telemetry().on_recover_step("retry", ev.what, eng.now());
+      note_step(ctx_, "retry", ev.what);
       record_step("retry (replay iteration " + std::to_string(iter) + ")", 0.0,
                   "shrink + rollback to checkpoint floor", 3.0, ev.what,
                   "transient fault: nothing died, nothing to re-place");
@@ -371,7 +370,7 @@ std::int64_t RecoveryManager::recover(const FailureEvent& ev, std::int64_t iter)
       return iter;
     case FailureKind::kCapability:
       ++stats_.capability_demotions;
-      dd_.telemetry().on_recover_step("demote", ev.what, eng.now());
+      note_step(ctx_, "demote", ev.what);
       record_step("demote (fail-down, replay iteration " + std::to_string(iter) + ")", 1.0,
                   "shrink + rollback to checkpoint floor", 3.0, ev.what,
                   "capability revoked: re-specialize affected transfers to staged");
@@ -383,7 +382,7 @@ std::int64_t RecoveryManager::recover(const FailureEvent& ev, std::int64_t iter)
       // restores (which read the blobs and channels we still own). The
       // drain ledger is per-incident: await_drain also requires that we
       // have actually been retired.
-      dd_.telemetry().on_recover_step("die", "rank=" + std::to_string(me), eng.now());
+      note_step(ctx_, "die", "rank=" + std::to_string(me));
       record_step("die (park until survivors retire this rank)", 2.0,
                   "survivor shrink protocol (not applicable: we are the casualty)", 3.0,
                   "rank=" + std::to_string(me), "local device lost");
@@ -415,7 +414,7 @@ std::int64_t RecoveryManager::recover(const FailureEvent& ev, std::int64_t iter)
     // transient revoke_peer event): clear the flag and replay the
     // iteration. Nothing was re-placed, so no collectives are owed.
     job.clear_revoke();
-    dd_.telemetry().on_recover_step("revoke-clear", ev.what, eng.now());
+    note_step(ctx_, "revoke-clear", ev.what);
     record_step("clear spurious revoke (replay iteration " + std::to_string(iter) + ")", 0.0,
                 "full incident protocol (shrink + rollback)", 3.0, ev.what,
                 "revoke with no unprocessed death behind it");
@@ -434,7 +433,7 @@ std::int64_t RecoveryManager::recover(const FailureEvent& ev, std::int64_t iter)
   for (const int r : dead) {
     processed_.insert(r);
     job.retire_rank(r);
-    dd_.telemetry().on_recover_step("retire", "rank=" + std::to_string(r), eng.now());
+    note_step(ctx_, "retire", "rank=" + std::to_string(r));
     record_step("retire rank " + std::to_string(r) + " (fold into this incident)", 2.0,
                 "defer to a later incident (risk a wedged protocol)", 4.0,
                 "rank=" + std::to_string(r), "death manifested within the detector horizon");
@@ -473,11 +472,9 @@ std::int64_t RecoveryManager::recover(const FailureEvent& ev, std::int64_t iter)
   stats_.last_mttr = eng.now() - first_fail;
   stats_.last_floor = back;
   export_metrics();
-  dd_.telemetry().on_recover_step("shrink",
-                                  "live=" + std::to_string(job.live_count()) +
-                                      " floor=" + std::to_string(back) +
-                                      " mttr_ns=" + std::to_string(stats_.last_mttr),
-                                  eng.now());
+  note_step(ctx_, "shrink",
+            "live=" + std::to_string(job.live_count()) + " floor=" + std::to_string(back) +
+                " mttr_ns=" + std::to_string(stats_.last_mttr));
   record_step("shrink to " + std::to_string(job.live_count()) + " live + rollback to floor " +
                   std::to_string(back),
               3.0, "cold restart from iteration 0", 4.0,
@@ -488,7 +485,9 @@ std::int64_t RecoveryManager::recover(const FailureEvent& ev, std::int64_t iter)
 }
 
 void RecoveryManager::export_metrics() {
-  auto& reg = dd_.telemetry().metrics();
+  telemetry::Telemetry* tel = ctx_.cluster.telemetry();
+  if (tel == nullptr) return;
+  auto& reg = tel->metrics();
   reg.gauge("recover_checkpoints").set(static_cast<double>(stats_.checkpoints));
   reg.gauge("recover_recoveries").set(static_cast<double>(stats_.recoveries));
   reg.gauge("recover_ranks_retired").set(static_cast<double>(stats_.ranks_retired));

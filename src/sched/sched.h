@@ -7,7 +7,7 @@
 /// physical machine into per-job TenantView slices (core/tenant.h), runs the
 /// admitted set concurrently as one SPMD wave (each tenant on its own
 /// sub-communicator split from the world), and keeps full isolation:
-/// per-tenant tag windows (core/tagspace.h), per-tenant telemetry, and a
+/// per-tenant tag windows (core/tagspace.h), per-tenant watch windows, and a
 /// cross-tenant static verify pass over every admitted plan.
 ///
 /// Allocation granularity is the *rank slot*: each world rank drives a fixed

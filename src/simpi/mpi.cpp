@@ -589,7 +589,7 @@ int Job::wait_any(std::vector<Request>& rs, int me) {
   }
 }
 
-void Job::release_barrier_locked() {
+void Job::release_barrier() {
   barrier_arrived_ = 0;
   const auto& arch = machine_.arch();
   const sim::Duration lat = machine_.num_nodes() > 1 ? arch.lat_mpi_inter : arch.lat_mpi_intra;
@@ -607,7 +607,7 @@ void Job::barrier(int me) {
   // Collectives count to the live target: retired ranks are excluded, so
   // post-recovery barriers over the shrunk job complete normally.
   if (++barrier_arrived_ >= live_count()) {
-    release_barrier_locked();
+    release_barrier();
     eng_.sleep_until(barrier_release_);
   } else {
     const fault::Injector* inj = machine_.fault_injector();
@@ -710,7 +710,7 @@ void Job::retire_rank(int r) {
   // caller's context.
   if (barrier_arrived_ > 0 && barrier_arrived_ >= live_count()) {
     barrier_max_arrival_ = std::max(barrier_max_arrival_, eng_.now());
-    release_barrier_locked();
+    release_barrier();
   }
   for (auto& g : rank_gates_) g->notify_all(eng_);
   barrier_gate_->notify_all(eng_);

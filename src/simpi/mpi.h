@@ -211,7 +211,7 @@ class Job {
   std::unique_ptr<sim::Gate> barrier_gate_;
 
   // ULFM-style failure state.
-  void release_barrier_locked();
+  void release_barrier();
   bool revoked_ = false;
   std::uint64_t comm_epoch_ = 0;
   std::vector<bool> retired_;

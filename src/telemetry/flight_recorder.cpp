@@ -68,9 +68,4 @@ void FlightRecorder::dump_tail(std::ostream& os, std::size_t n) const {
   }
 }
 
-void FlightRecorder::clear() {
-  ring_.clear();
-  total_logged_ = 0;
-}
-
 }  // namespace stencil::telemetry

@@ -57,7 +57,6 @@ class FlightRecorder {
   /// Events from older exchanges keep their original stamp; this only
   /// affects events logged afterwards.
   void set_exchange_seq(std::uint64_t seq) { exchange_seq_ = seq; }
-  std::uint64_t exchange_seq() const { return exchange_seq_; }
 
   std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return ring_.size(); }
@@ -71,8 +70,6 @@ class FlightRecorder {
   /// Human-readable tail, one line per event:
   ///   [seq 3] +1.250 ms  gpu-op     gpu0.d2h  pack +x  (96 KiB)
   void dump_tail(std::ostream& os, std::size_t n) const;
-
-  void clear();
 
  private:
   std::size_t capacity_;

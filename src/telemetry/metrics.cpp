@@ -57,7 +57,7 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
   for (const auto& [name, c] : other.counters_) counters_[name].value += c.value;
   for (const auto& [name, g] : other.gauges_) gauges_[name].value = g.value;
   for (const auto& [name, h] : other.histograms_) histograms_[name].merge(h);
-  // First registration wins: per-domain registries document the same bases.
+  // First registration wins: merged sinks document the same bases.
   for (const auto& [base, text] : other.help_) help_.emplace(base, text);
 }
 

@@ -83,8 +83,8 @@ class MetricsRegistry {
   void clear();
 
   /// Fold another registry into this one (counters add, gauges last-write,
-  /// histograms merge bucketwise). Used to combine per-domain registries
-  /// into one report.
+  /// histograms merge bucketwise). Used to combine the sinks of separate
+  /// clusters (e.g. one per configuration) into one report.
   void merge(const MetricsRegistry& other);
 
  private:

@@ -11,6 +11,8 @@ std::string mpi_lane(int src, int dst) {
   return "mpi.r" + std::to_string(src) + "->r" + std::to_string(dst);
 }
 
+std::string rank_lane(int rank) { return "rank" + std::to_string(rank); }
+
 }  // namespace
 
 void Telemetry::on_op(const vgpu::OpInfo& op) {
@@ -78,22 +80,23 @@ void Telemetry::on_checker_finding(const std::string& kind, sim::Time at) {
   capture_dump("checker finding: " + kind, dump_tail_n_);
 }
 
-void Telemetry::on_exchange_start(std::uint64_t seq, sim::Time at) {
+void Telemetry::on_exchange_begin(int rank, std::uint64_t seq, sim::Time at) {
   flight_.set_exchange_seq(seq);
-  flight_.log(EventKind::kExchangeStart, at, "exchange", "#" + std::to_string(seq));
+  flight_.log(EventKind::kExchangeStart, at, rank_lane(rank), "#" + std::to_string(seq));
 }
 
-void Telemetry::on_exchange_end(std::uint64_t seq, const std::string& method,
+void Telemetry::on_exchange_complete(int, std::uint64_t, sim::Duration latency, sim::Time) {
+  metrics_.counter("exchanges_total").add();
+  metrics_.histogram("exchange_latency_ns")
+      .observe(static_cast<std::uint64_t>(latency > 0 ? latency : 0));
+}
+
+void Telemetry::on_exchange_end(int rank, std::uint64_t seq, const std::string& method,
                                 std::uint64_t messages, std::uint64_t bytes, sim::Time at) {
   metrics_.counter("exchange_messages_total{method=\"" + method + "\"}").add(messages);
   metrics_.counter("exchange_bytes_total{method=\"" + method + "\"}").add(bytes);
-  flight_.log(EventKind::kExchangeEnd, at, "exchange", "#" + std::to_string(seq) + " " + method,
-              bytes);
-}
-
-void Telemetry::on_exchange_latency(sim::Duration d) {
-  metrics_.counter("exchanges_total").add();
-  metrics_.histogram("exchange_latency_ns").observe(static_cast<std::uint64_t>(d > 0 ? d : 0));
+  flight_.log(EventKind::kExchangeEnd, at, rank_lane(rank),
+              "#" + std::to_string(seq) + " " + method, bytes);
 }
 
 void Telemetry::on_demotion(int tag, const std::string& from, const std::string& to, sim::Time at) {
@@ -140,12 +143,6 @@ void Telemetry::capture_dump(const std::string& header, std::size_t tail_n) {
      << flight_.total_logged() << " events):\n";
   flight_.dump_tail(os, tail_n);
   last_dump_ = os.str();
-}
-
-void Telemetry::clear() {
-  metrics_.clear();
-  flight_.clear();
-  last_dump_.clear();
 }
 
 }  // namespace stencil::telemetry

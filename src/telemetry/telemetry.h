@@ -13,11 +13,10 @@
 
 namespace stencil::telemetry {
 
-/// The single sink the instrumented layers (vgpu runtime, simpi job,
-/// DistributedDomain, plan cache) feed. Owns a MetricsRegistry and a
-/// FlightRecorder; every hook is pure bookkeeping — no virtual-time cost,
-/// so instrumented and un-instrumented runs are bit-identical in time.
-/// The substrates feed it as a Runtime/Job observer.
+/// The one per-cluster sink (Cluster::set_telemetry) that every instrumented
+/// layer feeds while it is attached. Owns a MetricsRegistry and a
+/// FlightRecorder; every hook is pure bookkeeping — no virtual-time cost, so
+/// instrumented and un-instrumented runs are bit-identical in time.
 class Telemetry : public vgpu::RuntimeObserver, public simpi::JobObserver {
  public:
   explicit Telemetry(std::size_t flight_capacity = 256) : flight_(flight_capacity) {}
@@ -43,6 +42,11 @@ class Telemetry : public vgpu::RuntimeObserver, public simpi::JobObserver {
   /// A TransportError is about to surface: count it and snapshot the flight
   /// tail so the failure report carries the events leading up to it.
   void on_transport_error(const std::string& what, sim::Time at) override;
+  /// Exchange heartbeats: a begin stamps later flight events with `seq`; a
+  /// completion counts exchanges_total and exchange_latency_ns.
+  void on_exchange_begin(int rank, std::uint64_t seq, sim::Time at) override;
+  void on_exchange_complete(int rank, std::uint64_t seq, sim::Duration latency,
+                            sim::Time at) override;
 
   // --- check::Checker hooks ------------------------------------------------
   /// The checker filed a finding (race, leak, lint, ...): count it by kind
@@ -52,14 +56,13 @@ class Telemetry : public vgpu::RuntimeObserver, public simpi::JobObserver {
   void on_checker_finding(const std::string& kind, sim::Time at);
 
   // --- DistributedDomain hooks ---------------------------------------------
-  void on_exchange_start(std::uint64_t seq, sim::Time at);
-  void on_exchange_end(std::uint64_t seq, const std::string& method, std::uint64_t messages,
-                       std::uint64_t bytes, sim::Time at);
-  void on_exchange_latency(sim::Duration d);
+  /// Per-method message/byte counters of `rank`'s finished exchange `seq`.
+  void on_exchange_end(int rank, std::uint64_t seq, const std::string& method,
+                       std::uint64_t messages, std::uint64_t bytes, sim::Time at);
   void on_demotion(int tag, const std::string& from, const std::string& to, sim::Time at);
 
   // --- plan hooks ----------------------------------------------------------
-  void on_plan_event(const char* what);  // "compile", "hit", "invalidate", "rebuild", "replay"
+  void on_plan_event(const char* what);  // "compile", "hit", "invalidation", "rebuild", "replay"
 
   // --- dtrace::ProgressMonitor hook ----------------------------------------
   /// A stall verdict fired: count it and capture a flight-recorder tail dump
@@ -89,8 +92,6 @@ class Telemetry : public vgpu::RuntimeObserver, public simpi::JobObserver {
   /// Last dump captured by the deadlock watchdog or on_transport_error
   /// ("" when neither fired).
   std::string last_dump() const { return last_dump_; }
-
-  void clear();
 
  private:
   void capture_dump(const std::string& header, std::size_t tail_n);

@@ -3,6 +3,8 @@
 #include <cctype>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -469,22 +471,35 @@ TEST(TelemetryFacade, PlanEventCounters) {
 }
 
 TEST(TelemetryFacade, ExchangeHooksAndDemotion) {
+  // Exchange boundaries reach the sink as the job's heartbeats: attach it
+  // to a cluster and drive them the way DistributedDomain does.
+  Cluster cluster(topo::summit(), 1, 1);
   Telemetry tel;
-  tel.on_exchange_start(1, 0);
-  tel.on_exchange_end(1, "staged", 4, 4096, 100);
-  tel.on_exchange_latency(100);
-  tel.on_demotion(7, "peer", "staged", 50);
+  cluster.set_telemetry(&tel);
+  cluster.run([&](RankCtx& ctx) {
+    ctx.comm.job().exchange_begin(0, 1);
+    ctx.engine().sleep_until(100);
+    tel.on_exchange_end(0, 1, "staged", 4, 4096, 100);
+    ctx.comm.job().exchange_complete(0, 1, 0);
+    tel.on_demotion(7, "peer", "staged", 100);
+  });
   const auto& m = tel.metrics();
   EXPECT_EQ(m.counter_value("exchanges_total"), 1u);
   EXPECT_EQ(m.counter_value("exchange_messages_total{method=\"staged\"}"), 4u);
   EXPECT_EQ(m.counter_value("exchange_bytes_total{method=\"staged\"}"), 4096u);
   EXPECT_EQ(m.counter_value("fault_demotions_total"), 1u);
   EXPECT_EQ(m.histograms().at("exchange_latency_ns").count(), 1u);
-  // The flight ring saw start, end, and demotion, stamped with the seq.
+  EXPECT_EQ(m.histograms().at("exchange_latency_ns").sum(), 100u);
+  // The flight ring saw start, end, and demotion, stamped with the seq;
+  // the exchange events name their rank.
   const auto t = tel.flight().tail(8);
   ASSERT_EQ(t.size(), 3u);
   EXPECT_EQ(t[0].kind, EventKind::kExchangeStart);
   EXPECT_EQ(t[0].exchange_seq, 1u);
+  EXPECT_EQ(t[0].lane, "rank0");
+  EXPECT_EQ(t[1].kind, EventKind::kExchangeEnd);
+  EXPECT_EQ(t[1].detail, "#1 staged");
+  EXPECT_EQ(t[2].exchange_seq, 1u);
   EXPECT_EQ(t[2].detail, "tag=7 peer->staged");
 }
 
@@ -725,6 +740,9 @@ TEST(Exporters, ReportJsonCombinesMetricsAndCriticalPath) {
 }
 
 // --- end-to-end through the domain ------------------------------------------
+//
+// A domain keeps no telemetry of its own: everything below reads the one
+// sink attached to the cluster.
 
 namespace {
 
@@ -747,47 +765,63 @@ void run_small_domain(Cluster& cluster, int exchanges, bool persistent,
   });
 }
 
+// Transfers each method sends per exchange, summed over every rank.
+using SendsPerMethod = std::map<Method, std::uint64_t>;
+void count_sends(const DistributedDomain& dd, int rank, SendsPerMethod& sends) {
+  for (const Transfer& t : dd.transfers()) {
+    if (t.src_rank == rank) ++sends[t.method];
+  }
+}
+
 }  // namespace
 
 TEST(DomainTelemetry, CountsExchangesAndLatency) {
   Cluster cluster(topo::summit(), 1, 1);
-  run_small_domain(cluster, 3, false, [&](DistributedDomain& dd) {
-    const auto& m = dd.telemetry().metrics();
-    EXPECT_EQ(m.counter_value("exchanges_total"), 3u);
-    const auto& lat = m.histograms().at("exchange_latency_ns");
-    EXPECT_EQ(lat.count(), 3u);
-    EXPECT_GT(lat.sum(), 0u);
-    EXPECT_FALSE(dd.telemetry().flight().empty());
-  });
+  Telemetry tel;
+  cluster.set_telemetry(&tel);
+  run_small_domain(cluster, 3, false, [](DistributedDomain&) {});
+  const auto& m = tel.metrics();
+  EXPECT_EQ(m.counter_value("exchanges_total"), 3u);
+  const auto& lat = m.histograms().at("exchange_latency_ns");
+  EXPECT_EQ(lat.count(), 3u);
+  EXPECT_GT(lat.sum(), 0u);
+  EXPECT_FALSE(tel.flight().empty());
 }
 
 TEST(DomainTelemetry, PerMethodCountersMatchMethodBytesHistogram) {
   Cluster cluster(topo::summit(), 1, 1);
+  Telemetry tel;
+  cluster.set_telemetry(&tel);
+  std::map<Method, std::pair<int, std::size_t>> hist;
+  std::size_t transfers = 0;
   run_small_domain(cluster, 2, false, [&](DistributedDomain& dd) {
-    // Satellite: method_bytes_histogram reflects the realized transfer set.
-    const auto hist = dd.method_bytes_histogram();
-    EXPECT_FALSE(hist.empty());
-    std::size_t hist_transfers = 0, hist_bytes = 0;
-    for (const auto& [m, cb] : hist) {
-      EXPECT_GT(cb.first, 0);
-      EXPECT_GT(cb.second, 0u);
-      hist_transfers += static_cast<std::size_t>(cb.first);
-      hist_bytes += cb.second;
-      // Each exchange sends every transfer of this method once, so the
-      // per-method telemetry counters are exactly 2x the realized set.
-      const std::string label = std::string("{method=\"") + to_string(m) + "\"}";
-      const auto& reg = dd.telemetry().metrics();
-      EXPECT_EQ(reg.counter_value("exchange_messages_total" + label),
-                2u * static_cast<std::uint64_t>(cb.first));
-      EXPECT_EQ(reg.counter_value("exchange_bytes_total" + label), 2u * cb.second);
-    }
-    EXPECT_EQ(hist_transfers, dd.transfers().size());
-    EXPECT_GT(hist_bytes, 0u);
+    hist = dd.method_bytes_histogram();
+    transfers = dd.transfers().size();
   });
+  // Satellite: method_bytes_histogram reflects the realized transfer set.
+  EXPECT_FALSE(hist.empty());
+  std::size_t hist_transfers = 0, hist_bytes = 0;
+  const auto& reg = tel.metrics();
+  for (const auto& [m, cb] : hist) {
+    EXPECT_GT(cb.first, 0);
+    EXPECT_GT(cb.second, 0u);
+    hist_transfers += static_cast<std::size_t>(cb.first);
+    hist_bytes += cb.second;
+    // One rank sends every transfer of this method once per exchange, so
+    // the per-method telemetry counters are exactly 2x the realized set.
+    const std::string label = std::string("{method=\"") + to_string(m) + "\"}";
+    EXPECT_EQ(reg.counter_value("exchange_messages_total" + label),
+              2u * static_cast<std::uint64_t>(cb.first));
+    EXPECT_EQ(reg.counter_value("exchange_bytes_total" + label), 2u * cb.second);
+  }
+  EXPECT_EQ(hist_transfers, transfers);
+  EXPECT_GT(hist_bytes, 0u);
 }
 
 TEST(DomainTelemetry, PlanStatsCountersAndExport) {
   Cluster cluster(topo::summit(), 1, 1);
+  Telemetry tel;
+  cluster.set_telemetry(&tel);
   run_small_domain(cluster, 2, true, [&](DistributedDomain& dd) {
     // The PlanStats counters behind `drill plan`.
     const plan::PlanStats& ps = dd.plan_stats();
@@ -797,17 +831,16 @@ TEST(DomainTelemetry, PlanStatsCountersAndExport) {
     EXPECT_EQ(ps.invalidations, 0u);
     EXPECT_NE(ps.str().find("compiles=1"), std::string::npos);
 
-    const auto& m = dd.telemetry().metrics();
-    EXPECT_EQ(m.counter_value("plan_compiles_total"), 1u);
-    EXPECT_EQ(m.counter_value("plan_hits_total"), 1u);
-    EXPECT_EQ(m.counter_value("plan_replays_total"), 2u);
-    EXPECT_DOUBLE_EQ(m.gauges().at("plan_stats_compiles").value, 1.0);
-    EXPECT_DOUBLE_EQ(m.gauges().at("plan_stats_replays").value, 2.0);
-
     MetricsRegistry fresh;
     ps.export_to(fresh);
     EXPECT_DOUBLE_EQ(fresh.gauges().at("plan_stats_hits").value, 1.0);
   });
+  const auto& m = tel.metrics();
+  EXPECT_EQ(m.counter_value("plan_compiles_total"), 1u);
+  EXPECT_EQ(m.counter_value("plan_hits_total"), 1u);
+  EXPECT_EQ(m.counter_value("plan_replays_total"), 2u);
+  EXPECT_DOUBLE_EQ(m.gauges().at("plan_stats_compiles").value, 1.0);
+  EXPECT_DOUBLE_EQ(m.gauges().at("plan_stats_replays").value, 2.0);
 }
 
 TEST(DomainTelemetry, ClusterWideTelemetryCapturesSubstrate) {
@@ -829,12 +862,111 @@ TEST(DomainTelemetry, ClusterWideTelemetryCapturesSubstrate) {
 
 TEST(DomainTelemetry, ExchangePlanGaugesExported) {
   Cluster cluster(topo::summit(), 1, 1);
-  run_small_domain(cluster, 1, false, [&](DistributedDomain& dd) {
-    const auto& g = dd.telemetry().metrics().gauges();
-    const auto it = g.find("exchange_plan_total_transfers");
-    ASSERT_NE(it, g.end());
-    EXPECT_DOUBLE_EQ(it->second.value, static_cast<double>(dd.transfers().size()));
+  Telemetry tel;
+  cluster.set_telemetry(&tel);
+  std::size_t transfers = 0;
+  run_small_domain(cluster, 1, false,
+                   [&](DistributedDomain& dd) { transfers = dd.transfers().size(); });
+  const auto& g = tel.metrics().gauges();
+  const auto it = g.find("exchange_plan_total_transfers");
+  ASSERT_NE(it, g.end());
+  EXPECT_DOUBLE_EQ(it->second.value, static_cast<double>(transfers));
+}
+
+TEST(DomainTelemetry, ClusterSinkSeesEveryRank) {
+  constexpr int kExchanges = 3;
+  Cluster cluster(topo::summit(), 2, 1);
+  Telemetry tel;
+  cluster.set_telemetry(&tel);
+  SendsPerMethod sends;
+  cluster.run([&](RankCtx& ctx) {
+    DistributedDomain dd(ctx, {24, 24, 24});
+    dd.add_data<float>("q0");
+    dd.set_methods(MethodFlags::kAll);
+    dd.realize();
+    for (int i = 0; i < kExchanges; ++i) dd.exchange();
+    count_sends(dd, ctx.rank(), sends);
   });
+  const int ranks = cluster.job().world_size();
+  ASSERT_EQ(ranks, 2);
+  const auto& m = tel.metrics();
+  EXPECT_EQ(m.counter_value("exchanges_total"), static_cast<std::uint64_t>(ranks * kExchanges));
+  EXPECT_EQ(m.histograms().at("exchange_latency_ns").count(),
+            static_cast<std::uint64_t>(ranks * kExchanges));
+  ASSERT_FALSE(sends.empty());
+  std::uint64_t messages = 0;
+  for (const auto& [method, n] : sends) {
+    const std::string label = std::string("{method=\"") + to_string(method) + "\"}";
+    EXPECT_EQ(m.counter_value("exchange_messages_total" + label), kExchanges * n) << label;
+    messages += kExchanges * n;
+  }
+  EXPECT_EQ(m.histograms().at("exchange_message_bytes").count(), messages);
+}
+
+TEST(DomainTelemetry, FlightEventsCarryExchangeSeq) {
+  Cluster cluster(topo::summit(), 2, 1);
+  Telemetry tel(1u << 16);  // large enough that nothing is evicted
+  cluster.set_telemetry(&tel);
+  std::uint64_t before = 0, after = 0;
+  cluster.run([&](RankCtx& ctx) {
+    DistributedDomain dd(ctx, {24, 24, 24});
+    dd.add_data<float>("q0");
+    dd.set_methods(MethodFlags::kAll);
+    dd.realize();
+    dd.exchange();
+    ctx.comm.barrier();
+    if (ctx.rank() == 0) before = tel.flight().total_logged();
+    ctx.comm.barrier();
+    dd.exchange();
+    ctx.comm.barrier();
+    if (ctx.rank() == 0) after = tel.flight().total_logged();
+  });
+  ASSERT_LT(before, after);
+  ASSERT_EQ(tel.flight().total_logged(), tel.flight().size());
+  const auto all = tel.flight().tail(tel.flight().size());
+  std::size_t gpu_ops = 0;
+  std::set<std::string> started;
+  for (std::uint64_t i = before; i < after; ++i) {
+    const auto& ev = all[static_cast<std::size_t>(i)];
+    if (ev.kind == EventKind::kExchangeStart) started.insert(ev.lane);
+    if (ev.kind != EventKind::kGpuOp) continue;
+    ++gpu_ops;
+    EXPECT_EQ(ev.exchange_seq, 2u) << ev.lane << " " << ev.detail;
+  }
+  EXPECT_GT(gpu_ops, 0u);
+  EXPECT_EQ(started, (std::set<std::string>{"rank0", "rank1"}));
+}
+
+TEST(DomainTelemetry, DetachedDomainKeepsNothing) {
+  Cluster cluster(topo::summit(), 2, 1);
+  Telemetry tel;
+  SendsPerMethod sends;
+  cluster.run([&](RankCtx& ctx) {
+    DistributedDomain dd(ctx, {24, 24, 24});
+    dd.add_data<float>("q0");
+    dd.set_methods(MethodFlags::kAll);
+    dd.realize();
+    dd.exchange();
+    ctx.comm.barrier();
+    if (ctx.rank() == 0) cluster.set_telemetry(&tel);
+    ctx.comm.barrier();
+    dd.exchange();
+    ctx.comm.barrier();
+    dd.exchange();
+    count_sends(dd, ctx.rank(), sends);
+  });
+  const auto& m = tel.metrics();
+  EXPECT_EQ(m.counter_value("exchanges_total"), 4u);  // 2 ranks x exchanges 2 and 3
+  EXPECT_EQ(m.histograms().at("exchange_latency_ns").count(), 4u);
+  for (const auto& [method, n] : sends) {
+    const std::string label = std::string("{method=\"") + to_string(method) + "\"}";
+    EXPECT_EQ(m.counter_value("exchange_messages_total" + label), 2 * n) << label;
+  }
+  // realize() and exchange 1 ran detached: no plan gauges, no early events.
+  EXPECT_EQ(m.gauges().count("exchange_plan_total_transfers"), 0u);
+  for (const auto& ev : tel.flight().tail(tel.flight().size())) {
+    EXPECT_GE(ev.exchange_seq, 2u) << to_string(ev.kind) << " " << ev.lane;
+  }
 }
 
 // --- registry edge cases -----------------------------------------------------
