@@ -134,6 +134,31 @@ BENCHMARK(BM_FullExchangeSimulated)
     ->ArgName("watch")
     ->Unit(benchmark::kMillisecond);
 
+static void BM_PlanAdmission(benchmark::State& state) {
+  // Real seconds to set up a persistent job of Arg ranks, 6 per node: the
+  // cluster, realize() and the first exchange, which compiles every rank's
+  // plan and admits it. Admission verifies the job once per key, then each
+  // rank checks only its own transfers, so this grows with the job, not
+  // with ranks x job.
+  const int ranks = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    stencil::Cluster cluster(stencil::topo::summit(), ranks / 6, 6);
+    cluster.set_mem_mode(stencil::vgpu::MemMode::kPhantom);
+    cluster.run([&](stencil::RankCtx& ctx) {
+      stencil::DistributedDomain dd(ctx, {512, 512, 512});
+      dd.add_data<float>("q");
+      dd.set_persistent(true);
+      dd.realize();
+      dd.exchange();
+    });
+  }
+}
+BENCHMARK(BM_PlanAdmission)
+    ->Arg(48)
+    ->Arg(192)
+    ->ArgName("ranks")
+    ->Unit(benchmark::kMillisecond);
+
 namespace {
 
 /// Console output as usual, but keep every run so --json can re-emit the

@@ -81,4 +81,20 @@ std::shared_ptr<const Placement> Cluster::placement_cached(
   return placement;
 }
 
+std::shared_ptr<const JobAdmission> Cluster::admission_cached(
+    const AdmissionKey& key, const std::function<JobAdmission()>& derive) {
+  // A handful of keys per job (one per quantity set and tenant): a linear
+  // scan beats hashing a key that holds two vectors.
+  for (const auto& [k, job] : admission_cache_) {
+    if (k == key) return job;
+  }
+  auto job = std::make_shared<const JobAdmission>(derive());
+  ++admission_counts_.job_verifications;
+  // Demotions are one rank's fault history, so such a key is rarely shared:
+  // keeping only fault-free keys bounds the cache by the job's plan
+  // configurations instead of its rank count.
+  if (key.demotions.empty()) admission_cache_.emplace_back(key, job);
+  return job;
+}
+
 }  // namespace stencil

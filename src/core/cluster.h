@@ -16,6 +16,7 @@
 #include "telemetry/telemetry.h"
 #include "topo/machine.h"
 #include "trace/recorder.h"
+#include "verify/verify.h"
 #include "vgpu/runtime.h"
 #include "watch/watch.h"
 
@@ -44,10 +45,43 @@ struct RankCtx {
   sim::Engine& engine() { return rt.engine(); }
 };
 
+/// Everything a plan's job-wide admission derivation reads (DESIGN.md §14).
+/// Ranks whose keys compare equal derive the same model, so the first to
+/// admit a plan derives it for all of them.
+struct AdmissionKey {
+  /// Held, not just compared: the keyed placement stays alive, so an
+  /// identity match can never alias a recycled allocation.
+  std::shared_ptr<const Placement> placement;
+  int ranks_per_node = 0;
+  MethodFlags flags{};
+  Neighborhood nbhd{};
+  Boundary boundary{};
+  Radius radius{1};
+  bool tenant_scoped = false;
+  int tenant = 0;
+  std::vector<int> world_ranks;  // communicator rank -> world rank
+  std::size_t bytes_per_point = 0;  // of the plan's quantity set
+  bool aggregated = false;
+  bool staged_zero_copy = false;
+  /// The admitting rank's demotions: (tag, realized method) wherever that
+  /// differs from the derived method, tag-sorted. Empty in fault-free runs.
+  std::vector<std::pair<int, Method>> demotions;
+
+  bool operator==(const AdmissionKey&) const = default;
+};
+
+/// One job-wide admission derivation: every rank's message and token ops,
+/// each rank lowered in its own transfer order, and the verifier's verdict
+/// on that model.
+struct JobAdmission {
+  verify::ExchangeModel model;
+  verify::Report verdict;
+};
+
 /// Owns the whole simulated world — engine, machine, virtual GPU runtime,
 /// and MPI job — and runs SPMD bodies across the ranks. Also hosts the
-/// cross-rank placement cache: placement is deterministic, so rank 0's
-/// result is shared instead of recomputed 1536 times.
+/// cross-rank placement and plan-admission caches: both are deterministic,
+/// so the first rank's result is shared instead of recomputed 1536 times.
 class Cluster {
  public:
   Cluster(topo::NodeArchetype arch, int num_nodes, int ranks_per_node);
@@ -136,6 +170,21 @@ class Cluster {
       PlacementStrategy strategy, Boundary boundary = Boundary::kPeriodic, int num_nodes = 0,
       int gpus_per_node = 0, int gpu_slot_base = 0);
 
+  /// Shared plan-admission derivations (DESIGN.md §14): the first rank to
+  /// admit a plan under `key` runs `derive` (one job-wide lowering and one
+  /// verifier pass); every later rank with an equal key reuses its result.
+  /// A key carrying demotions is derived on every call and not kept.
+  std::shared_ptr<const JobAdmission> admission_cached(
+      const AdmissionKey& key, const std::function<JobAdmission()>& derive);
+
+  /// Job-wide admission work: derivations run (one per distinct key) and
+  /// per-rank admissions that fell back to the full per-rank model.
+  struct AdmissionCounts {
+    std::uint64_t job_verifications = 0;
+    std::uint64_t fallbacks = 0;
+  };
+  AdmissionCounts& admission_counts() { return admission_counts_; }
+
  private:
   template <typename T>
   void rewire(T*& slot, T* value) {
@@ -158,6 +207,8 @@ class Cluster {
   std::vector<vgpu::RuntimeObserver*> wired_rt_;
   std::vector<simpi::JobObserver*> wired_job_;
   std::map<std::string, std::shared_ptr<const Placement>> placement_cache_;
+  std::vector<std::pair<AdmissionKey, std::shared_ptr<const JobAdmission>>> admission_cache_;
+  AdmissionCounts admission_counts_;
 };
 
 }  // namespace stencil

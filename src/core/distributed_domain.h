@@ -142,6 +142,7 @@ class DistributedDomain {
   /// Compiled-plan introspection (`drill plan`, tests). The cache is empty
   /// until the first persistent exchange compiles a schedule.
   const plan::PlanCache& plan_cache() const { return plan_cache_; }
+  plan::PlanCache& plan_cache() { return plan_cache_; }
   const plan::PlanStats& plan_stats() const { return plan_cache_.stats(); }
   /// Bumped on every runtime demotion; cached plans whose epoch lags are
   /// migrated (dirty programs rebuilt) on their next use.
@@ -171,9 +172,11 @@ class DistributedDomain {
 
   // --- static plan verification (src/verify, DESIGN.md §14) ----------------
   /// Lower a compiled plan into the verifier's IR: the local rank from the
-  /// artifact itself, every remote rank re-derived deterministically from
-  /// the shared placement (with local demotions overriding shared
-  /// transfers). Exposed for `drill verify` and tests.
+  /// artifact itself, every remote rank from the cluster's job-wide
+  /// derivation for the plan's admission key (Cluster::admission_cached),
+  /// each in its own for_rank transfer order, with local demotions
+  /// overriding shared transfers. The reference model: `drill verify`, the
+  /// scheduler's cross-tenant pass, tests, and the admission fallback.
   verify::ExchangeModel verify_model(const plan::CompiledPlan& p) const;
   /// Run the static verifier on a plan: global send/recv matching, deadlock
   /// freedom, tag-space hygiene, buffer-overlap hazards.
@@ -181,7 +184,11 @@ class DistributedDomain {
   /// Fail-fast admission (on by default): every freshly compiled plan and
   /// every fault-demotion/recovery migration is statically verified before
   /// its first replay; findings throw plan::AdmissionError out of
-  /// exchange_start().
+  /// exchange_start(). Admission costs O(own transfers) per rank: the job
+  /// is verified once per key, and each rank checks that its artifact's
+  /// message and token ops equal its derived program, then checks its own
+  /// buffer hazards. Any other outcome runs verify_plan, so a rejection
+  /// reads exactly as verify_plan's report.
   void set_verify_plans(bool on);
   bool verify_plans() const { return verify_plans_; }
 
@@ -349,6 +356,22 @@ class DistributedDomain {
 
   // Install (or clear) the PlanCache admission hook per verify_plans_.
   void install_admission();
+  // The admission hook: "" for a clean plan, else the findings text.
+  std::string admission_report(const plan::CompiledPlan& p) const;
+
+  // --- plan lowering (verify_model.cpp) ------------------------------------
+  // Lowers one rank's transfer op lists into its verifier program.
+  struct Lowering;
+  // What the job-wide derivation for `p` reads; see AdmissionKey.
+  AdmissionKey admission_key(const plan::CompiledPlan& p) const;
+  // The cluster's job-wide derivation for `p`, derived on first use.
+  std::shared_ptr<const JobAdmission> job_admission(const plan::CompiledPlan& p) const;
+  // Every rank's message and token ops, derived from the key alone.
+  static JobAdmission derive_job(const AdmissionKey& key);
+  // This rank's full program, lowered from `p`'s artifact; `job` supplies
+  // the world ranks behind aggregation tags.
+  verify::RankProgram lower_artifact(const plan::CompiledPlan& p,
+                                     const verify::ExchangeModel& job) const;
 
   // --- exchange plans (persistent mode) -----------------------------------
   // The plan for the active configuration: exact cache hit, stale-epoch
@@ -400,22 +423,6 @@ class DistributedDomain {
   // is a single map find + O(1) ledger bump — no allocation, no string
   // formatting. Populated only on the cold compile/migrate paths.
   std::map<const plan::CompiledPlan*, std::uint64_t> plan_record_ids_;
-
-  // verify_model derivation cache: the world transfer list and per-transfer
-  // slab element counts depend only on the placement and exchange shape, not
-  // on the plan under verification, so consecutive plan admissions (and
-  // post-demotion re-verifications) reuse one ExchangePlan::full derivation.
-  // The shared_ptr keeps the keyed placement alive so the identity compare
-  // cannot alias a recycled allocation.
-  struct VerifyDeriv {
-    std::shared_ptr<const Placement> placement;
-    MethodFlags flags{};
-    Neighborhood nbhd{};
-    Boundary boundary{};
-    Radius radius{1};
-    std::vector<std::pair<Transfer, std::size_t>> xfers;  // (transfer, slab elems)
-  };
-  mutable VerifyDeriv verify_deriv_;
 
   // Split-phase exchange state, valid between exchange_start/finish.
   struct InFlight {

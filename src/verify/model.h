@@ -12,7 +12,8 @@
 /// model builder (DistributedDomain::verify_model) lives in core and lowers
 /// the same per-transfer op lists the exchange runs (core/transfer_ops.h):
 /// the local rank's from a plan::CompiledPlan's frozen tags and sizes, every
-/// remote rank's from the deterministically re-derived transfers.
+/// remote rank's from the deterministically re-derived transfers, which the
+/// Cluster derives and verifies once per job (core/cluster.h, AdmissionKey).
 
 #include <cstdint>
 #include <string>

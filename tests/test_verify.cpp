@@ -12,6 +12,7 @@
 #include "core/tagspace.h"
 #include "fault/fault.h"
 #include "plan/plan.h"
+#include "sched/sched.h"
 #include "topo/archetype.h"
 #include "verify/verify.h"
 
@@ -47,6 +48,23 @@ std::string dump(const check::CheckReport& rep) {
   std::ostringstream os;
   rep.write(os);
   return os.str();
+}
+
+// Plan admission's verdict on `p`: "" when admitted, else the report the
+// AdmissionError carries.
+std::string admission_text(DistributedDomain& dd, const plan::CompiledPlan& p) {
+  try {
+    dd.plan_cache().admit(p);
+    return {};
+  } catch (const plan::AdmissionError& e) {
+    return e.report();
+  }
+}
+
+// The reference model's verdict on `p`, rendered as admission renders it.
+std::string reference_text(const DistributedDomain& dd, const plan::CompiledPlan& p) {
+  const verify::Report rep = dd.verify_plan(p);
+  return rep.clean() ? std::string() : dump(rep);
 }
 
 // -- fixture builders -------------------------------------------------------
@@ -499,14 +517,20 @@ void run_verified_exchange(const VerifyCase& c) {
     // Admission ran once per compile and rejected nothing.
     EXPECT_EQ(dd.plan_stats().verifications, dd.plan_stats().compiles);
     EXPECT_EQ(dd.plan_stats().rejections, 0u);
-    // Explicit re-verification of every cached plan is also clean.
+    // Explicit re-verification of every cached plan is also clean, and
+    // admission agrees with it.
     for (const auto& p : dd.plan_cache().entries()) {
       const verify::Report rep = dd.verify_plan(*p);
       EXPECT_TRUE(rep.clean()) << "plan { " << p->key.str() << " }\n" << dump(rep);
+      EXPECT_EQ(admission_text(dd, *p), reference_text(dd, *p))
+          << "plan { " << p->key.str() << " }";
     }
     ctx.comm.barrier();
   });
   EXPECT_TRUE(chk.report().clean()) << dump(chk.report());
+  // One job-wide verification per quantity set, none per rank.
+  EXPECT_EQ(cluster.admission_counts().job_verifications, 2u);
+  EXPECT_EQ(cluster.admission_counts().fallbacks, 0u);
 }
 
 }  // namespace
@@ -583,6 +607,13 @@ TEST(VerifyPlans, PostDemotionMigratedPlansReverifyClean) {
     dd.exchange();
     EXPECT_EQ(dd.plan_stats().verifications, admitted_after);
     ctx.comm.barrier();
+
+    // Admission of every migrated plan agrees with the reference model.
+    for (const auto& p : dd.plan_cache().entries()) {
+      EXPECT_EQ(admission_text(dd, *p), reference_text(dd, *p))
+          << "plan { " << p->key.str() << " }";
+    }
+    ctx.comm.barrier();
   });
   EXPECT_TRUE(chk.report().clean()) << dump(chk.report());
 }
@@ -616,22 +647,112 @@ TEST(VerifyPlans, ArtifactDriftIsAMatchingDefect) {
         return false;
       };
 
+      // Admission rejects each drift with the reference model's report.
       prog->tag = tag + 1;
       verify::Report rep = dd.verify_plan(p);
       EXPECT_FALSE(rep.clean());
       EXPECT_TRUE(names(rep, tag + 1)) << dump(rep);
+      EXPECT_EQ(admission_text(dd, p), dump(rep));
       prog->tag = tag;
 
       prog->bytes += 8;
       rep = dd.verify_plan(p);
       EXPECT_FALSE(rep.clean());
       EXPECT_TRUE(names(rep, tag)) << dump(rep);
+      EXPECT_EQ(admission_text(dd, p), dump(rep));
       prog->bytes -= 8;
 
       EXPECT_TRUE(dd.verify_plan(p).clean());
+      EXPECT_EQ(admission_text(dd, p), "");
     }
     ctx.comm.barrier();
   });
+}
+
+// A cache hit cannot admit a drifted artifact: every rank of a 2x6 job has
+// admitted under the one shared job-wide derivation before rank 7 drifts.
+TEST(VerifyPlans, DriftAfterSharedAdmissionIsRejected) {
+  Cluster cluster(topo::summit(), 2, 6);
+  cluster.set_mem_mode(stencil::vgpu::MemMode::kPhantom);
+  cluster.run([&](RankCtx& ctx) {
+    DistributedDomain dd(ctx, {48, 48, 48});
+    dd.set_radius(1);
+    dd.add_data<float>("a");
+    dd.set_persistent(true);
+    dd.realize();
+    dd.exchange();
+    ctx.comm.barrier();
+    if (ctx.comm.rank() == 7) {
+      EXPECT_EQ(cluster.admission_counts().job_verifications, 1u);
+      plan::CompiledPlan& p = *dd.plan_cache().entries().front();
+      auto prog = std::find_if(p.programs.begin(), p.programs.end(), [](const auto& pr) {
+        return pr.method == Method::kStaged && pr.send_req.valid();
+      });
+      ASSERT_NE(prog, p.programs.end());
+      EXPECT_EQ(admission_text(dd, p), "");
+
+      prog->bytes += 8;
+      const verify::Report rep = dd.verify_plan(p);
+      EXPECT_TRUE(rep.has(FindingKind::kSizeMismatch)) << dump(rep);
+      EXPECT_EQ(admission_text(dd, p), dump(rep));
+      prog->bytes -= 8;
+
+      EXPECT_EQ(admission_text(dd, p), "");
+      EXPECT_EQ(cluster.admission_counts().job_verifications, 1u);
+      EXPECT_EQ(cluster.admission_counts().fallbacks, 1u);
+    }
+    ctx.comm.barrier();
+  });
+}
+
+// The cluster verifies each admission key once for the whole job; every
+// rank still counts its own admissions in PlanStats.
+TEST(VerifyPlans, OneJobVerificationPerKey) {
+  {
+    Cluster cluster(topo::summit(), 2, 6);
+    cluster.set_mem_mode(stencil::vgpu::MemMode::kPhantom);
+    cluster.run([&](RankCtx& ctx) {
+      DistributedDomain dd(ctx, {48, 48, 48});
+      dd.set_radius(1);
+      dd.add_data<float>("a");
+      dd.add_data<double>("b");
+      dd.set_persistent(true);
+      dd.realize();
+      dd.exchange();
+      ctx.comm.barrier();
+      EXPECT_EQ(cluster.admission_counts().job_verifications, 1u);
+      ctx.comm.barrier();
+      dd.exchange({0});  // bytes per point changed: a new key
+      ctx.comm.barrier();
+      EXPECT_EQ(cluster.admission_counts().job_verifications, 2u);
+      ctx.comm.barrier();
+      dd.exchange();  // a cache hit admits nothing
+      EXPECT_EQ(dd.plan_stats().compiles, 2u);
+      EXPECT_EQ(dd.plan_stats().verifications, dd.plan_stats().compiles);
+      ctx.comm.barrier();
+    });
+    EXPECT_EQ(cluster.admission_counts().job_verifications, 2u);
+    EXPECT_EQ(cluster.admission_counts().fallbacks, 0u);
+  }
+
+  // Two co-tenants of one shape share a placement but not an admission key.
+  Cluster cluster(topo::summit(), 2, 6);
+  stencil::sched::Scheduler sched(cluster);
+  for (const char* name : {"jobA", "jobB"}) {
+    stencil::sched::JobSpec s;
+    s.name = name;
+    s.user = "u";
+    s.gpus = 6;
+    s.domain = {48, 48, 48};
+    s.iterations = 2;
+    sched.submit(s);
+  }
+  const stencil::sched::RunReport rep = sched.run();
+  ASSERT_EQ(rep.tenants.size(), 2u);
+  EXPECT_EQ(rep.waves, 1);
+  EXPECT_EQ(rep.verify_findings, 0u);
+  EXPECT_EQ(cluster.admission_counts().job_verifications, 2u);
+  EXPECT_EQ(cluster.admission_counts().fallbacks, 0u);
 }
 
 // A rejected plan never replays: admission failure leaves the domain idle
