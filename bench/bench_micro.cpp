@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "check/checker.h"
 #include "common.h"
 #include "core/cluster.h"
 #include "core/distributed_domain.h"
@@ -132,6 +133,33 @@ BENCHMARK(BM_FullExchangeSimulated)
     ->Arg(0)
     ->Arg(1)
     ->ArgName("watch")
+    ->Unit(benchmark::kMillisecond);
+
+static void BM_CheckedExchange(benchmark::State& state) {
+  // Real seconds to simulate a 2-node x 2-rank materialized job, 48x32x8,
+  // radius 2, two quantities: realize() plus four exchanges over all four
+  // methods. Arg(1) attaches a check::Checker, so the delta between the two
+  // rows is the happens-before checker's whole overhead.
+  const bool checked = state.range(0) != 0;
+  for (auto _ : state) {
+    stencil::Cluster cluster(stencil::topo::summit(), 2, 2);
+    stencil::check::Checker chk(cluster.engine());
+    if (checked) cluster.set_checker(&chk);
+    cluster.run([&](stencil::RankCtx& ctx) {
+      stencil::DistributedDomain dd(ctx, {48, 32, 8});
+      dd.set_radius(2);
+      dd.add_data<float>("a");
+      dd.add_data<float>("b");
+      dd.realize();
+      for (int i = 0; i < 4; ++i) dd.exchange();
+    });
+    if (checked && !chk.report().clean()) state.SkipWithError("checker findings");
+  }
+}
+BENCHMARK(BM_CheckedExchange)
+    ->Arg(0)
+    ->Arg(1)
+    ->ArgName("checker")
     ->Unit(benchmark::kMillisecond);
 
 static void BM_PlanAdmission(benchmark::State& state) {

@@ -21,18 +21,26 @@ std::string req_desc(const simpi::MsgInfo& m) {
          " (req#" + std::to_string(m.serial) + ")";
 }
 
+std::string edge_hint(const std::string& from, const std::string& to) {
+  return "no happens-before edge from [" + from + "] to [" + to +
+         "]: order them via an event (record_event + stream_wait_event / "
+         "event_synchronize), a stream/device synchronize, or request completion";
+}
+
 }  // namespace
 
-VClock& Checker::host_clock() {
+Checker::HostState& Checker::host() {
   const int actor = eng_.actor_id();
-  auto it = host_tids_.find(actor);
-  if (it == host_tids_.end()) {
+  auto it = hosts_.find(actor);
+  if (it == hosts_.end()) {
+    HostState h;
+    h.tid = new_tid();
     const std::string& name = eng_.actor_name();
-    const Tid t = new_tid(name.empty() ? "actor" + std::to_string(actor) : name);
-    it = host_tids_.emplace(actor, t).first;
-    host_clocks_[t].bump(t);
+    h.desc = name.empty() ? "actor" + std::to_string(actor) : name;
+    h.clock.bump(h.tid);
+    it = hosts_.emplace(actor, std::move(h)).first;
   }
-  return host_clocks_[it->second];
+  return it->second;
 }
 
 void Checker::log_hb(std::string from, std::string to, std::uint64_t msg) {
@@ -45,88 +53,65 @@ void Checker::add_finding(Finding f) {
   report_.add(std::move(f));
 }
 
-const std::string& Checker::host_desc() {
-  host_clock();  // ensure the calling actor has a tid
-  return tid_desc(host_tids_[eng_.actor_id()]);
-}
-
 Checker::StreamState& Checker::stream_state(const vgpu::Stream& s) {
   const std::pair<int, std::uint64_t> key{s.device, s.id};
   auto it = streams_.find(key);
   if (it == streams_.end()) {
     StreamState st;
-    st.tid = new_tid("stream " + stream_desc(s));
+    st.tid = new_tid();
+    st.desc = "stream " + stream_desc(s);
     it = streams_.emplace(key, std::move(st)).first;
   }
   return it->second;
 }
 
-const std::string& Checker::tid_desc(Tid t) const {
-  static const std::string kUnknown = "?";
-  auto it = tid_descs_.find(t);
-  return it == tid_descs_.end() ? kUnknown : it->second;
-}
-
-Tid Checker::new_tid(std::string desc) {
-  const Tid t = next_tid_++;
-  tid_descs_.emplace(t, std::move(desc));
-  return t;
-}
-
-std::string Checker::edge_hint(Tid from, Tid to) const {
-  return "no happens-before edge from [" + tid_desc(from) + "] to [" + tid_desc(to) +
-         "]: order them via an event (record_event + stream_wait_event / "
-         "event_synchronize), a stream/device synchronize, or request completion";
-}
-
 void Checker::add_race(FindingKind kind, const AccessRec& prior, const AccessRec& cur) {
   const std::string key =
-      std::string(to_string(kind)) + "|" + prior.label + "|" + cur.label;
+      std::string(to_string(kind)) + "|" + prior.label->text + "|" + cur.label->text;
   if (!reported_.insert(key).second) return;
   Finding f;
   f.kind = kind;
-  f.first = prior.label + " @ t=" + sim::format_duration(prior.when);
-  f.second = cur.label + " @ t=" + sim::format_duration(cur.when);
-  f.missing_edge = edge_hint(prior.at.tid, cur.at.tid);
+  f.first = prior.label->text + " @ t=" + sim::format_duration(prior.when);
+  f.second = cur.label->text + " @ t=" + sim::format_duration(cur.when);
+  f.missing_edge = edge_hint(prior.label->thread, cur.label->thread);
   f.at = eng_.now();
   add_finding(std::move(f));
 }
 
 void Checker::check_pair(const AccessRec& prior, bool prior_is_write, const AccessRec& cur,
-                         bool cur_is_write) {
+                         const VClock& clock, bool cur_is_write) {
   if (!prior_is_write && !cur_is_write) return;  // read/read never races
-  if (prior.at.ordered_before(cur.clock)) return;
+  if (prior.at.ordered_before(clock)) return;
   add_race(prior_is_write && cur_is_write ? FindingKind::kWriteWriteRace
                                           : FindingKind::kReadWriteRace,
            prior, cur);
 }
 
-void Checker::apply_access(Segment& seg, const AccessRec& rec, bool write) {
+void Checker::apply_access(Segment& seg, const AccessRec& rec, const VClock& clock, bool write) {
   if (write) {
-    if (seg.has_write) check_pair(seg.write, true, rec, true);
-    for (const AccessRec& r : seg.reads) check_pair(r, false, rec, true);
+    if (seg.has_write) check_pair(seg.write, true, rec, clock, true);
+    for (const AccessRec& r : seg.reads) check_pair(r, false, rec, clock, true);
     seg.write = rec;
     seg.has_write = true;
     seg.reads.clear();
   } else {
-    if (seg.has_write) check_pair(seg.write, true, rec, false);
+    if (seg.has_write) check_pair(seg.write, true, rec, clock, false);
     // Keep only reads not already ordered before this one (their causal
     // history is contained in rec's, so rec subsumes them for any future
     // write's race check).
     seg.reads.erase(std::remove_if(seg.reads.begin(), seg.reads.end(),
                                    [&](const AccessRec& r) {
-                                     return r.at.ordered_before(rec.clock);
+                                     return r.at.ordered_before(clock);
                                    }),
                     seg.reads.end());
     seg.reads.push_back(rec);
   }
 }
 
-void Checker::record_access(const vgpu::MemAccess& a, const Epoch& at, const VClock& clock,
-                            const std::string& label, sim::Time when) {
+void Checker::record_access(const vgpu::MemAccess& a, const AccessRec& rec,
+                            const VClock& clock) {
   if (a.buf == nullptr || a.bytes == 0) return;
   auto& segs = shadow_[a.buf->id()];
-  AccessRec rec{at, clock, label, when};
   const std::size_t lo = a.offset;
   const std::size_t hi = a.offset + a.bytes;
   std::size_t cur = lo;
@@ -140,14 +125,14 @@ void Checker::record_access(const vgpu::MemAccess& a, const Epoch& at, const VCl
     if (it == segs.end() || it->first >= hi) {
       Segment fresh;
       fresh.end = hi;
-      apply_access(fresh, rec, a.write);
+      apply_access(fresh, rec, clock, a.write);
       segs.emplace(cur, std::move(fresh));
       return;
     }
     if (it->first > cur) {  // gap before the next segment
       Segment fresh;
       fresh.end = it->first;
-      apply_access(fresh, rec, a.write);
+      apply_access(fresh, rec, clock, a.write);
       segs.emplace(cur, std::move(fresh));
       cur = it->first;
       continue;
@@ -164,7 +149,7 @@ void Checker::record_access(const vgpu::MemAccess& a, const Epoch& at, const VCl
       it->second.end = hi;
       segs.emplace(hi, std::move(right));
     }
-    apply_access(it->second, rec, a.write);
+    apply_access(it->second, rec, clock, a.write);
     cur = it->second.end;
     ++it;
   }
@@ -182,14 +167,15 @@ void Checker::on_op(const vgpu::OpInfo& op) {
   // default-stream work.
   c.join(op.stream->id == 0 ? dc.all : dc.dflt);
   const std::uint64_t ep = c.bump(ss.tid);
-  const std::string label = *op.label + " [" + tid_desc(ss.tid) + "]";
+  const AccessRec rec{Epoch{ss.tid, ep},
+                      std::make_shared<const AccessLabel>(
+                          AccessLabel{*op.label + " [" + ss.desc + "]", ss.desc}),
+                      op.start};
   if (op.accesses != nullptr) {
-    for (const vgpu::MemAccess& a : *op.accesses) {
-      record_access(a, Epoch{ss.tid, ep}, c, label, op.start);
-    }
+    for (const vgpu::MemAccess& a : *op.accesses) record_access(a, rec, c);
   }
   ss.clock = c;
-  ss.last_label = label;
+  ss.last_label = rec.label;
   dc.all.join(c);
   if (op.stream->id == 0) dc.dflt.join(c);
 }
@@ -267,7 +253,8 @@ void Checker::on_stream_destroy(const vgpu::Stream& s) {
     Finding f;
     f.kind = FindingKind::kStreamDestroyedPending;
     f.first = "destroy_stream [" + stream_desc(s) + "]";
-    f.second = "last unsynchronized op: " + ss.last_label;
+    f.second = "last unsynchronized op: " +
+               (ss.last_label ? ss.last_label->text : std::string());
     f.missing_edge = "synchronize the stream (or an event recorded after its last op) "
                      "before destroying it";
     f.at = eng_.now();
@@ -294,10 +281,10 @@ void Checker::on_job_start(int world_size) {
   // Engine actor ids are reused across Job::run calls and the previous
   // run's work is all complete before a new one starts: fence everything.
   VClock fence;
-  for (const auto& [tid, c] : host_clocks_) fence.join(c);
+  for (const auto& [actor, h] : hosts_) fence.join(h.clock);
   for (const auto& [key, ss] : streams_) fence.join(ss.clock);
   for (const auto& [g, dc] : devices_) fence.join(dc.all);
-  for (auto& [tid, c] : host_clocks_) c.join(fence);
+  for (auto& [actor, h] : hosts_) h.clock.join(fence);
   for (auto& [key, ss] : streams_) ss.clock.join(fence);
   for (auto& [g, dc] : devices_) {
     dc.all.join(fence);
@@ -308,24 +295,33 @@ void Checker::on_job_start(int world_size) {
 void Checker::on_job_end() { finish(); }
 
 void Checker::on_post(const simpi::MsgInfo& m) {
+  HostState& h = host();
   ReqState rs;
-  rs.desc = req_desc(m);
-  rs.tid = new_tid(rs.desc);
+  // A tid this host retired is safe to reuse: its clock holds the retired
+  // request's last epoch, so the bump below continues one sequential thread.
+  if (h.free_tids.empty()) {
+    rs.tid = new_tid();
+  } else {
+    rs.tid = h.free_tids.back();
+    h.free_tids.pop_back();
+  }
+  std::string desc = req_desc(m);
+  rs.label = std::make_shared<const AccessLabel>(AccessLabel{desc, std::move(desc)});
   rs.is_send = m.is_send;
   rs.src = m.src;
   rs.dst = m.dst;
   rs.tag = m.tag;
-  VClock c = host_clock();
+  VClock c = h.clock;
   const std::uint64_t ep = c.bump(rs.tid);
   if (m.is_send && m.payload->buf != nullptr) {
     // MPI reads the send buffer between post and completion; record the
     // read at the request's own epoch so that an overwrite before MPI_Wait
     // races with it even though the host itself never touches the bytes.
     record_access(vgpu::MemAccess{m.payload->buf, m.payload->offset, m.payload->bytes, false},
-                  Epoch{rs.tid, ep}, c, rs.desc, eng_.now());
+                  AccessRec{Epoch{rs.tid, ep}, rs.label, eng_.now()}, c);
   }
-  rs.completion = c;  // eager sends complete with just their post knowledge
-  log_hb(host_desc(), "mpi.r" + std::to_string(m.src) + "->r" + std::to_string(m.dst), m.serial);
+  rs.completion = std::move(c);  // eager sends complete with just their post knowledge
+  log_hb(h.desc, "mpi.r" + std::to_string(m.src) + "->r" + std::to_string(m.dst), m.serial);
   requests_.emplace(m.serial, std::move(rs));
 }
 
@@ -337,6 +333,8 @@ void Checker::on_match(const simpi::MsgInfo& send, const simpi::MsgInfo& recv,
   ReqState& ss = sit->second;
   ReqState& rr = rit->second;
   ss.resolved = rr.resolved = true;
+  // A buffered send completed at post; once matched, nothing refers to it.
+  const bool drop_send = ss.done && !ss.persistent;
 
   VClock m = ss.completion;
   m.join(rr.completion);
@@ -344,7 +342,8 @@ void Checker::on_match(const simpi::MsgInfo& send, const simpi::MsgInfo& recv,
     // Message lost (fault injection): both waits observe the failure but no
     // data moved, so there is no write access to record.
     if (!send.buffered) ss.completion = m;
-    rr.completion = m;
+    rr.completion = std::move(m);
+    if (drop_send) requests_.erase(sit);
     return;
   }
 
@@ -363,10 +362,11 @@ void Checker::on_match(const simpi::MsgInfo& send, const simpi::MsgInfo& recv,
   if (recv.payload->buf != nullptr) {
     record_access(
         vgpu::MemAccess{recv.payload->buf, recv.payload->offset, send.payload->bytes, true},
-        Epoch{rr.tid, ep}, m, rr.desc, eng_.now());
+        AccessRec{Epoch{rr.tid, ep}, rr.label, eng_.now()}, m);
   }
   if (!send.buffered) ss.completion = m;
   rr.completion = m;
+  if (drop_send) requests_.erase(sit);
   if (!d.same_node) {
     // ...and occupies the default streams: subsequent device ops on any
     // stream of the involved devices serialize behind the message.
@@ -397,12 +397,19 @@ void Checker::on_truncation(const simpi::MsgInfo& send, const simpi::MsgInfo& re
 void Checker::on_request_done(std::uint64_t serial, sim::Time) {
   auto it = requests_.find(serial);
   if (it == requests_.end()) return;
-  it->second.done = true;
-  host_clock().join(it->second.completion);
-  if (it->second.src >= 0) {
-    log_hb("mpi.r" + std::to_string(it->second.src) + "->r" + std::to_string(it->second.dst),
-           host_desc(), serial);
+  ReqState& rs = it->second;
+  HostState& h = host();
+  h.clock.join(rs.completion);
+  if (rs.src >= 0) {
+    log_hb("mpi.r" + std::to_string(rs.src) + "->r" + std::to_string(rs.dst), h.desc, serial);
   }
+  // Retire a non-persistent request's tid to this waiter. The completion it
+  // just joined carries the request's last epoch (a send's tid only moves at
+  // post, a recv's at its match, which precedes completion), so no later
+  // event on the tid can be concurrent with the next request posted on it.
+  if (!rs.persistent && !rs.done) h.free_tids.push_back(rs.tid);
+  rs.done = true;
+  if (!rs.persistent && rs.resolved) requests_.erase(it);
 }
 
 void Checker::on_request_cancel(std::uint64_t serial) {
@@ -423,8 +430,9 @@ void Checker::on_persistent_init(const simpi::MsgInfo& m) {
   // Like on_post, but nothing is in flight yet: no send-buffer read is
   // recorded until the first start re-arms the request.
   ReqState rs;
-  rs.desc = req_desc(m);
-  rs.tid = new_tid(rs.desc);
+  std::string desc = req_desc(m);
+  rs.label = std::make_shared<const AccessLabel>(AccessLabel{desc, std::move(desc)});
+  rs.tid = new_tid();
   rs.is_send = m.is_send;
   rs.persistent = true;
   rs.src = m.src;
@@ -442,7 +450,7 @@ void Checker::on_persistent_start(const simpi::MsgInfo& m) {
     // Second start before the previous operation completed: MPI erroneous.
     Finding f;
     f.kind = FindingKind::kPersistentRestart;
-    f.first = rs.desc;
+    f.first = rs.label->text;
     f.second = "start #" + std::to_string(rs.starts + 1) + " while start #" +
                std::to_string(rs.starts) + " is still in flight";
     f.missing_edge = "the previous start must complete (wait/test/wait_any) before the next";
@@ -460,9 +468,9 @@ void Checker::on_persistent_start(const simpi::MsgInfo& m) {
   const std::uint64_t ep = c.bump(rs.tid);
   if (m.is_send && m.payload->buf != nullptr) {
     record_access(vgpu::MemAccess{m.payload->buf, m.payload->offset, m.payload->bytes, false},
-                  Epoch{rs.tid, ep}, c, rs.desc, eng_.now());
+                  AccessRec{Epoch{rs.tid, ep}, rs.label, eng_.now()}, c);
   }
-  rs.completion = c;
+  rs.completion = std::move(c);
 }
 
 void Checker::on_persistent_free(std::uint64_t serial, bool active) {
@@ -473,7 +481,7 @@ void Checker::on_persistent_free(std::uint64_t serial, bool active) {
   if (active) {
     Finding f;
     f.kind = FindingKind::kPersistentFreedActive;
-    f.first = rs.desc;
+    f.first = rs.label->text;
     f.second = "freed while start #" + std::to_string(rs.starts) + " is still in flight";
     f.missing_edge = "complete the active operation before request_free";
     f.at = eng_.now();
@@ -507,8 +515,8 @@ void Checker::finish() {
           leaked[i]->tag != leaked[j]->tag) {
         Finding f;
         f.kind = FindingKind::kTagMismatch;
-        f.first = leaked[i]->desc;
-        f.second = leaked[j]->desc;
+        f.first = leaked[i]->label->text;
+        f.second = leaked[j]->label->text;
         f.missing_edge = "tags must match for the pair to rendezvous";
         f.at = eng_.now();
         add_finding(std::move(f));
@@ -521,7 +529,7 @@ void Checker::finish() {
     if (consumed[i]) continue;
     Finding f;
     f.kind = FindingKind::kRequestNeverWaited;
-    f.first = leaked[i]->desc;
+    f.first = leaked[i]->label->text;
     f.second = leaked[i]->resolved ? "completed but never waited (request leak)"
                                    : "never matched and never waited";
     f.missing_edge = "every request must reach wait/test/wait_any before teardown";
@@ -532,13 +540,14 @@ void Checker::finish() {
 
   // Streams whose last op no host actor ever observed completing.
   VClock all_hosts;
-  for (const auto& [tid, c] : host_clocks_) all_hosts.join(c);
+  for (const auto& [actor, h] : hosts_) all_hosts.join(h.clock);
   for (const auto& [key, ss] : streams_) {
     if (ss.clock.leq(all_hosts)) continue;
     Finding f;
     f.kind = FindingKind::kStreamDestroyedPending;
-    f.first = "[" + tid_desc(ss.tid) + "] has unsynchronized work at teardown";
-    f.second = "last unsynchronized op: " + ss.last_label;
+    f.first = "[" + ss.desc + "] has unsynchronized work at teardown";
+    f.second = "last unsynchronized op: " +
+               (ss.last_label ? ss.last_label->text : std::string());
     f.missing_edge = "synchronize the stream before the job ends";
     f.at = eng_.now();
     add_finding(std::move(f));

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -62,6 +63,12 @@ class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
 
   static constexpr std::size_t kMaxHbEdges = 1u << 20;
 
+  /// Logical threads (tids) allocated so far: one per host actor, per
+  /// stream, per persistent request, plus the request tids that have ever
+  /// been in flight at once on a host (a completed request's tid is reused
+  /// by the next request its waiter posts). Flat across repeated exchanges.
+  std::size_t threads() const { return next_tid_ - 1; }
+
   /// Run teardown lints (unwaited requests, tag-mismatched pairs, streams
   /// with unsynchronized work). Called automatically at Job end; call
   /// directly when driving the Runtime without a Job.
@@ -95,13 +102,24 @@ class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
   void on_persistent_free(std::uint64_t serial, bool active) override;
 
  private:
-  /// One recorded access: performed at `at.tid`'s epoch `at.epoch`, with
-  /// happens-before knowledge `clock`. A later access with clock C is
-  /// ordered after it iff at.epoch <= C[at.tid].
+  /// How a recorded access renders in a finding: the op's trace label and
+  /// the logical thread that performed it. Built once per op (or request)
+  /// and shared, immutable, by every shadow record of that op. The thread
+  /// name is captured here because request tids are reused: a tid alone
+  /// cannot name the thread that made an old record.
+  struct AccessLabel {
+    std::string text;    // trace label of the op plus its thread, or the request
+    std::string thread;  // description of the performing thread (edge hints)
+  };
+  using Label = std::shared_ptr<const AccessLabel>;
+
+  /// One recorded access: performed at `at.tid`'s epoch `at.epoch`. A later
+  /// access with happens-before knowledge C is ordered after it iff
+  /// at.epoch <= C[at.tid]. Only the epoch is stored, never a clock: the
+  /// ordering test reads the *current* access's clock, not the prior one's.
   struct AccessRec {
     Epoch at;
-    VClock clock;
-    std::string label;  // trace label of the op, plus its logical thread
+    Label label;
     sim::Time when = 0;
   };
 
@@ -115,10 +133,18 @@ class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
     std::vector<AccessRec> reads;
   };
 
+  struct HostState {
+    Tid tid = 0;
+    VClock clock;
+    std::string desc;            // engine actor name ("rank0", ...)
+    std::vector<Tid> free_tids;  // retired request tids this actor reuses
+  };
+
   struct StreamState {
     Tid tid = 0;
-    VClock clock;            // knowledge of the last op enqueued on the stream
-    std::string last_label;  // for the destroy-with-pending-work lint
+    VClock clock;      // knowledge of the last op enqueued on the stream
+    std::string desc;  // "stream gpu0/s1"
+    Label last_label;  // for the destroy-with-pending-work lint
   };
 
   struct DeviceClocks {
@@ -131,7 +157,13 @@ class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
     std::string src_desc;  // stream that recorded it (hb-edge log)
   };
 
+  /// One MPI request, from post until it is both done (its waiter joined the
+  /// completion) and resolved (matched, or lost). A non-persistent request
+  /// is then erased, so the map holds only requests still in flight, plus
+  /// persistent ones, which live until teardown.
   struct ReqState {
+    /// Fresh or reused from the posting host's free list; a non-persistent
+    /// request's tid goes back on its waiter's free list when done.
     Tid tid = 0;
     VClock completion;  // what wait/test joins into the waiter
     bool resolved = false;
@@ -144,35 +176,31 @@ class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
     bool freed = false;
     std::uint64_t starts = 0;
     int src = -1, dst = -1, tag = 0;
-    std::string desc;
+    Label label;  // the request's description, as both text and thread
   };
 
-  VClock& host_clock();
+  /// State of the calling host actor, created with a fresh tid on first use.
+  HostState& host();
+  VClock& host_clock() { return host().clock; }
+  const std::string& host_desc() { return host().desc; }
   StreamState& stream_state(const vgpu::Stream& s);
-  const std::string& tid_desc(Tid t) const;
-  Tid new_tid(std::string desc);
-  void record_access(const vgpu::MemAccess& a, const Epoch& at, const VClock& clock,
-                     const std::string& label, sim::Time when);
+  Tid new_tid() { return next_tid_++; }
+  void record_access(const vgpu::MemAccess& a, const AccessRec& rec, const VClock& clock);
   void check_pair(const AccessRec& prior, bool prior_is_write, const AccessRec& cur,
-                  bool cur_is_write);
-  void apply_access(Segment& seg, const AccessRec& rec, bool write);
+                  const VClock& clock, bool cur_is_write);
+  void apply_access(Segment& seg, const AccessRec& rec, const VClock& clock, bool write);
   void add_race(FindingKind kind, const AccessRec& prior, const AccessRec& cur);
-  std::string edge_hint(Tid from, Tid to) const;
   /// Files a finding: notifies the telemetry sink, then adds to the report.
   void add_finding(Finding f);
   /// Append to the hb-edge log (no-op past kMaxHbEdges). `msg` carries the
   /// message identity (request serial) for edges derived from MPI matching.
   void log_hb(std::string from, std::string to, std::uint64_t msg = 0);
-  /// Description of the calling host actor ("rank0", ...), creating its tid.
-  const std::string& host_desc();
 
   sim::Engine& eng_;
   CheckReport report_;
   telemetry::Telemetry* telemetry_ = nullptr;
   Tid next_tid_ = 1;
-  std::unordered_map<Tid, std::string> tid_descs_;
-  std::unordered_map<int, Tid> host_tids_;  // engine actor id -> tid
-  std::unordered_map<Tid, VClock> host_clocks_;
+  std::unordered_map<int, HostState> hosts_;  // by engine actor id
   std::map<std::pair<int, std::uint64_t>, StreamState> streams_;  // (device, id)
   std::unordered_map<int, DeviceClocks> devices_;
   std::unordered_map<const vgpu::Event*, EventState> events_;

@@ -62,6 +62,34 @@ TEST(CheckVClock, JoinBumpAndLeq) {
   EXPECT_TRUE(a.leq(b));
 }
 
+TEST(CheckVClock, JoinInPlaceAndMerge) {
+  check::VClock a, b, c, d;
+  a.set(1, 3);
+  a.set(4, 1);
+  a.set(9, 2);
+  // Subset: every tid of b is already in a, so a is raised in place.
+  b.set(4, 5);
+  b.set(9, 1);
+  a.join(b);
+  EXPECT_EQ(a.str(), "{1:3, 4:5, 9:2}");
+  // Not a subset: tid 2 is new, so the join falls back to a merge.
+  c.set(2, 7);
+  c.set(9, 4);
+  a.join(c);
+  EXPECT_EQ(a.str(), "{1:3, 2:7, 4:5, 9:4}");
+  // A missing tid after one already raised in place: the merge keeps it.
+  d.set(1, 10);
+  d.set(3, 1);
+  d.set(12, 2);
+  a.join(d);
+  EXPECT_EQ(a.str(), "{1:10, 2:7, 3:1, 4:5, 9:4, 12:2}");
+  EXPECT_EQ(a.get(3), 1u);
+  EXPECT_EQ(a.get(5), 0u);
+  EXPECT_TRUE(b.leq(a));
+  EXPECT_TRUE(c.leq(a));
+  EXPECT_TRUE(d.leq(a));
+}
+
 TEST(CheckVClock, EpochOrderedBefore) {
   check::VClock c;
   c.bump(4);
@@ -440,6 +468,103 @@ TEST(CheckMpi, DeliveredButUnwaitedRequestLeaks) {
   EXPECT_NE(rep.findings()[0].second.find("never waited"), std::string::npos);
 }
 
+// Records the serial of every posted receive, in post order, so a test can
+// name the request its findings must mention.
+struct RecvLog : simpi::JobObserver {
+  std::vector<std::uint64_t> serials;
+  void on_post(const simpi::MsgInfo& m) override {
+    if (!m.is_send) serials.push_back(m.serial);
+  }
+};
+
+std::string req_tag(std::uint64_t serial) { return "(req#" + std::to_string(serial) + ")"; }
+
+// Two receives from one peer, in flight at once, keep distinct logical
+// threads: waiting on the second must not order the first's write. One
+// thread per (rank, peer) channel would hide this race.
+TEST(CheckMpi, ConcurrentRequestsToOnePeerStayDistinct) {
+  CheckedWorld w(1, 2);
+  RecvLog log;
+  w.job.attach(&log);
+  constexpr std::size_t kBytes = 256;
+  w.job.run([&](simpi::Comm& comm) {
+    auto& rt = w.runtime;
+    if (comm.rank() == 0) {
+      auto b1 = rt.alloc_pinned_host(0, kBytes);
+      auto b2 = rt.alloc_pinned_host(0, kBytes);
+      auto scratch = rt.alloc_device(0, kBytes);
+      auto s = rt.create_stream(0);
+      simpi::Request r1 = comm.irecv(simpi::Payload::of(b1, 0, kBytes), 1, 7);
+      simpi::Request r2 = comm.irecv(simpi::Payload::of(b2, 0, kBytes), 1, 7);
+      comm.wait(r2);
+      // BUG under test: b1 is read before its own receive is waited.
+      rt.memcpy_async(scratch, 0, b1, 0, kBytes, s);
+      rt.stream_synchronize(s);
+      comm.wait(r1);
+    } else {
+      auto payload = rt.alloc_pinned_host(0, kBytes);
+      comm.send(simpi::Payload::of(payload, 0, kBytes), 0, 7);
+      comm.send(simpi::Payload::of(payload, 0, kBytes), 0, 7);
+    }
+  });
+  const auto& rep = w.chk.report();
+  ASSERT_EQ(rep.findings().size(), 1u) << dump(rep);
+  ASSERT_EQ(rep.count(FindingKind::kReadWriteRace), 1u) << dump(rep);
+  ASSERT_EQ(log.serials.size(), 2u);
+  const check::Finding& f = rep.findings()[0];
+  EXPECT_NE(f.first.find("irecv r1->r0 tag=7 " + req_tag(log.serials[0])), std::string::npos)
+      << f.first;
+  EXPECT_NE(f.missing_edge.find("[irecv r1->r0 tag=7 " + req_tag(log.serials[0]) + "]"),
+            std::string::npos)
+      << f.missing_edge;
+  EXPECT_EQ(dump(rep).find(req_tag(log.serials[1])), std::string::npos) << dump(rep);
+}
+
+// A completed request's tid is reused by the next request its waiter posts.
+// A race found later against the old request's record must still name that
+// request, in the finding and in the missing edge.
+TEST(CheckMpi, RecycledTidKeepsOriginalName) {
+  CheckedWorld w(1, 2);
+  RecvLog log;
+  w.job.attach(&log);
+  constexpr std::size_t kBytes = 256;
+  vgpu::Buffer b1;
+  w.job.run([&](simpi::Comm& comm) {
+    auto& rt = w.runtime;
+    if (comm.rank() == 0) {
+      b1 = rt.alloc_pinned_host(0, kBytes);
+      auto b2 = rt.alloc_pinned_host(0, kBytes);
+      comm.recv(simpi::Payload::of(b1, 0, kBytes), 1, 1);
+      comm.recv(simpi::Payload::of(b2, 0, kBytes), 1, 2);  // reuses the first recv's tid
+    } else {
+      auto payload = rt.alloc_pinned_host(0, kBytes);
+      comm.send(simpi::Payload::of(payload, 0, kBytes), 0, 1);
+      comm.send(simpi::Payload::of(payload, 0, kBytes), 0, 2);
+      // BUG under test: read rank 0's receive buffer with no edge from the
+      // receive; a later virtual time alone orders nothing.
+      w.eng.sleep_until(sim::from_seconds(1.0));
+      auto s = rt.create_stream(0);
+      rt.launch_kernel(s, kBytes, "late reader", [] {}, {{&b1, 0, kBytes, false}});
+      rt.stream_synchronize(s);
+    }
+  });
+  // Two hosts, one stream, and one request tid per rank: each rank's second
+  // request reused the tid its first one retired.
+  EXPECT_EQ(w.chk.threads(), 5u);
+  const auto& rep = w.chk.report();
+  ASSERT_EQ(rep.findings().size(), 1u) << dump(rep);
+  ASSERT_EQ(rep.count(FindingKind::kReadWriteRace), 1u) << dump(rep);
+  ASSERT_EQ(log.serials.size(), 2u);
+  const std::string first = "irecv r1->r0 tag=1 " + req_tag(log.serials[0]);
+  const check::Finding& f = rep.findings()[0];
+  EXPECT_EQ(f.first.rfind(first + " @ t=", 0), 0u) << f.first;
+  EXPECT_NE(f.second.find("late reader"), std::string::npos) << f.second;
+  EXPECT_EQ(f.missing_edge.rfind("no happens-before edge from [" + first + "] to [stream gpu0/",
+                                 0),
+            0u)
+      << f.missing_edge;
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: full checked exchange() across every specialization method,
 // including fault-driven demotion. The acceptance bar is zero findings.
@@ -583,6 +708,36 @@ TEST(CheckExchange, FaultDemotionStaysClean) {
     EXPECT_GT(histogram_count(after, Method::kStaged),
               histogram_count(before, Method::kStaged));
   });
+  EXPECT_TRUE(chk.report().clean()) << dump(chk.report());
+}
+
+// The checker's thread count is a function of the live threads, not of
+// history: every exchange reuses the request tids its predecessor retired.
+TEST(CheckExchange, StateStaysFlatAcrossExchanges) {
+  const Dim3 domain{48, 32, 8};
+  Cluster cluster(topo::summit(), 2, 2);
+  check::Checker chk(cluster.engine());
+  cluster.set_checker(&chk);
+  std::size_t after2 = 0, after12 = 0;
+  cluster.run([&](RankCtx& ctx) {
+    DistributedDomain dd(ctx, domain);
+    dd.set_radius(1);
+    dd.add_data<float>("a");
+    dd.set_methods(MethodFlags::kAll);
+    dd.realize();
+    for (int it = 1; it <= 12; ++it) {
+      fill_interior(dd, 1);
+      ctx.comm.barrier();
+      dd.exchange();
+      ctx.comm.barrier();
+      EXPECT_EQ(verify_halos(dd, domain, 1), 0) << "exchange " << it;
+      if (ctx.comm.rank() == 0 && it == 2) after2 = chk.threads();
+      if (ctx.comm.rank() == 0 && it == 12) after12 = chk.threads();
+      ctx.comm.barrier();  // nobody posts the next exchange before the read
+    }
+  });
+  EXPECT_GT(after2, 0u);
+  EXPECT_EQ(after2, after12);
   EXPECT_TRUE(chk.report().clean()) << dump(chk.report());
 }
 
