@@ -38,6 +38,7 @@ Checker::HostState& Checker::host() {
     const std::string& name = eng_.actor_name();
     h.desc = name.empty() ? "actor" + std::to_string(actor) : name;
     h.clock.bump(h.tid);
+    h.version = ++versions_;
     it = hosts_.emplace(actor, std::move(h)).first;
   }
   return it->second;
@@ -54,15 +55,40 @@ void Checker::add_finding(Finding f) {
 }
 
 Checker::StreamState& Checker::stream_state(const vgpu::Stream& s) {
-  const std::pair<int, std::uint64_t> key{s.device, s.id};
+  const StreamKey key{s.device, s.id};
   auto it = streams_.find(key);
   if (it == streams_.end()) {
     StreamState st;
     st.tid = new_tid();
+    st.device = s.device;
     st.desc = "stream " + stream_desc(s);
     it = streams_.emplace(key, std::move(st)).first;
   }
   return it->second;
+}
+
+const Checker::Label& Checker::op_label(StreamState& ss, const std::string& label) {
+  for (const auto& [text, l] : ss.labels) {
+    if (text == label) return l;
+  }
+  ss.labels.emplace_back(label, Label::make(label + " [" + ss.desc + "]", ss.desc));
+  return ss.labels.back().second;
+}
+
+void Checker::fold(DeviceClocks& dc) {
+  for (StreamState* ss : dc.unfolded) {
+    if (ss->unfolded) dc.all.join(ss->clock);
+    ss->unfolded = false;
+  }
+  dc.unfolded.clear();
+}
+
+void Checker::fold(StreamState& ss) {
+  // Its entry stays on the device's list until the next full fold, which
+  // skips it (or folds it again, idempotently, after a newer op).
+  if (!ss.unfolded) return;
+  devices_[ss.device].all.join(ss.clock);
+  ss.unfolded = false;
 }
 
 void Checker::add_race(FindingKind kind, const AccessRec& prior, const AccessRec& cur) {
@@ -89,13 +115,12 @@ void Checker::check_pair(const AccessRec& prior, bool prior_is_write, const Acce
 
 void Checker::apply_access(Segment& seg, const AccessRec& rec, const VClock& clock, bool write) {
   if (write) {
-    if (seg.has_write) check_pair(seg.write, true, rec, clock, true);
+    if (seg.write.label) check_pair(seg.write, true, rec, clock, true);
     for (const AccessRec& r : seg.reads) check_pair(r, false, rec, clock, true);
     seg.write = rec;
-    seg.has_write = true;
     seg.reads.clear();
   } else {
-    if (seg.has_write) check_pair(seg.write, true, rec, clock, false);
+    if (seg.write.label) check_pair(seg.write, true, rec, clock, false);
     // Keep only reads not already ordered before this one (their causal
     // history is contained in rec's, so rec subsumes them for any future
     // write's race check).
@@ -104,55 +129,92 @@ void Checker::apply_access(Segment& seg, const AccessRec& rec, const VClock& clo
                                      return r.at.ordered_before(clock);
                                    }),
                     seg.reads.end());
+    // Rows that several packs read at once (a face, its edges and its
+    // corners) gather 3 or 7 reads: start with room for 4.
+    if (seg.reads.capacity() == 0) seg.reads.reserve(4);
     seg.reads.push_back(rec);
   }
 }
 
-void Checker::record_access(const vgpu::MemAccess& a, const AccessRec& rec,
-                            const VClock& clock) {
-  if (a.buf == nullptr || a.bytes == 0) return;
-  auto& segs = shadow_[a.buf->id()];
+void Checker::record_accesses(std::span<const vgpu::MemAccess> accesses, const AccessRec& rec,
+                              const VClock& clock) {
+  const vgpu::Buffer* buf = nullptr;
+  Shadow* segs = nullptr;
+  Shadow::iterator it;
+  std::size_t walked = 0;  // end of the previous access to *buf
+  for (const vgpu::MemAccess& a : accesses) {
+    if (a.buf == nullptr || a.bytes == 0) continue;
+    const bool resume = a.buf == buf && a.offset >= walked;
+    if (a.buf != buf) {
+      buf = a.buf;
+      segs = &shadow_.try_emplace(buf->id(), &segment_pool_).first->second;
+    }
+    it = record_access(*segs, it, resume, a, rec, clock);
+    walked = a.offset + a.bytes;
+  }
+}
+
+Checker::Shadow::iterator Checker::record_access(Shadow& segs, Shadow::iterator it, bool resume,
+                                                 const vgpu::MemAccess& a, const AccessRec& rec,
+                                                 const VClock& clock) {
   const std::size_t lo = a.offset;
   const std::size_t hi = a.offset + a.bytes;
   std::size_t cur = lo;
 
-  auto it = segs.lower_bound(lo);
-  if (it != segs.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second.end > lo) it = prev;
+  // Find the first segment ending after lo. Accesses of one op usually come
+  // in offset order (rows of a region), so step forward from where the
+  // previous access left the walk; every segment before `it` ends at or
+  // before that access's end. Otherwise, or after a few steps, search.
+  bool found = false;
+  if (resume) {
+    for (int step = 0; step < 8 && !found; ++step) {
+      if (it == segs.end() || it->second.end > lo) {
+        found = true;
+      } else {
+        ++it;
+      }
+    }
   }
+  if (!found) {
+    it = segs.lower_bound(lo);
+    if (it != segs.begin()) {
+      auto prev = std::prev(it);
+      if (prev->second.end > lo) it = prev;
+    }
+  }
+  // A new segment [cur, end) just before `it`, with this access applied.
+  const auto fresh = [&](std::size_t end) {
+    Segment& seg = segs.emplace_hint(it, cur, Segment{})->second;
+    seg.end = end;
+    apply_access(seg, rec, clock, a.write);
+  };
   while (cur < hi) {
     if (it == segs.end() || it->first >= hi) {
-      Segment fresh;
-      fresh.end = hi;
-      apply_access(fresh, rec, clock, a.write);
-      segs.emplace(cur, std::move(fresh));
-      return;
+      fresh(hi);
+      return it;
     }
     if (it->first > cur) {  // gap before the next segment
-      Segment fresh;
-      fresh.end = it->first;
-      apply_access(fresh, rec, clock, a.write);
-      segs.emplace(cur, std::move(fresh));
+      fresh(it->first);
       cur = it->first;
       continue;
     }
     if (it->first < cur) {  // split off the untouched left part
       Segment right = it->second;
       it->second.end = cur;
-      it = segs.emplace(cur, std::move(right)).first;
+      it = segs.emplace_hint(std::next(it), cur, std::move(right));
       continue;
     }
     // it->first == cur: trim to the accessed range, then apply.
     if (it->second.end > hi) {
       Segment right = it->second;
       it->second.end = hi;
-      segs.emplace(hi, std::move(right));
+      segs.emplace_hint(std::next(it), hi, std::move(right));
     }
     apply_access(it->second, rec, clock, a.write);
     cur = it->second.end;
     ++it;
   }
+  return it;
 }
 
 // --- vgpu::RuntimeObserver --------------------------------------------------
@@ -160,24 +222,34 @@ void Checker::record_access(const vgpu::MemAccess& a, const AccessRec& rec,
 void Checker::on_op(const vgpu::OpInfo& op) {
   StreamState& ss = stream_state(*op.stream);
   DeviceClocks& dc = devices_[op.stream->device];
-  VClock c = ss.clock;
-  c.join(host_clock());
-  // Legacy default stream ordering: the default stream serializes behind
-  // every stream on the device; other streams serialize behind prior
-  // default-stream work.
-  c.join(op.stream->id == 0 ? dc.all : dc.dflt);
-  const std::uint64_t ep = c.bump(ss.tid);
-  const AccessRec rec{Epoch{ss.tid, ep},
-                      std::make_shared<const AccessLabel>(
-                          AccessLabel{*op.label + " [" + ss.desc + "]", ss.desc}),
-                      op.start};
-  if (op.accesses != nullptr) {
-    for (const vgpu::MemAccess& a : *op.accesses) record_access(a, rec, c);
+  HostState& h = host();
+  // The op's clock is the stream's, joined in place with the issuing host's
+  // and, for legacy default-stream ordering, the device's: the default
+  // stream serializes behind every stream on the device; other streams
+  // serialize behind prior default-stream work. Joins from a source that
+  // has not changed since this stream last absorbed it are skipped.
+  if (ss.host_seen != h.version) {
+    ss.clock.join(h.clock);
+    ss.host_seen = h.version;
   }
-  ss.clock = c;
-  ss.last_label = rec.label;
-  dc.all.join(c);
-  if (op.stream->id == 0) dc.dflt.join(c);
+  if (op.stream->id == 0) {
+    fold(dc);
+    ss.clock.join(dc.all);
+  } else if (ss.dflt_seen != dc.dflt_version) {
+    ss.clock.join(dc.dflt);
+    ss.dflt_seen = dc.dflt_version;
+  }
+  const std::uint64_t ep = ss.clock.bump(ss.tid);
+  ss.last_label = op_label(ss, *op.label);
+  if (op.accesses != nullptr) {
+    record_accesses(*op.accesses, AccessRec{Epoch{ss.tid, ep}, ss.last_label, op.start},
+                    ss.clock);
+  }
+  if (op.stream->id == 0) raise(dc.dflt, dc.dflt_version, ss.clock);
+  if (!ss.unfolded) {
+    ss.unfolded = true;
+    dc.unfolded.push_back(&ss);
+  }
 }
 
 void Checker::on_stream_create(const vgpu::Stream& s) { stream_state(s); }
@@ -203,7 +275,9 @@ void Checker::on_stream_wait_event(const vgpu::Stream& s, const vgpu::Event& ev)
   }
   auto it = events_.find(&ev);
   if (it != events_.end()) {
-    stream_state(s).clock.join(it->second.clock);
+    StreamState& ss = stream_state(s);
+    fold(ss);  // the device saw only the stream's ops, not what it waits on
+    ss.clock.join(it->second.clock);
     log_hb(it->second.src_desc, stream_desc(s));
   }
 }
@@ -221,8 +295,9 @@ void Checker::on_event_synchronize(const vgpu::Event& ev) {
   }
   auto it = events_.find(&ev);
   if (it != events_.end()) {
-    host_clock().join(it->second.clock);
-    log_hb(it->second.src_desc, host_desc());
+    HostState& h = host();
+    raise(h.clock, h.version, it->second.clock);
+    log_hb(it->second.src_desc, h.desc);
   }
 }
 
@@ -232,24 +307,30 @@ void Checker::on_event_query(const vgpu::Event& ev, bool complete) {
   if (!complete || !ev.recorded) return;
   auto it = events_.find(&ev);
   if (it != events_.end()) {
-    host_clock().join(it->second.clock);
-    log_hb(it->second.src_desc, host_desc());
+    HostState& h = host();
+    raise(h.clock, h.version, it->second.clock);
+    log_hb(it->second.src_desc, h.desc);
   }
 }
 
 void Checker::on_stream_synchronize(const vgpu::Stream& s) {
-  host_clock().join(stream_state(s).clock);
-  log_hb(stream_desc(s), host_desc());
+  HostState& h = host();
+  raise(h.clock, h.version, stream_state(s).clock);
+  log_hb(stream_desc(s), h.desc);
 }
 
 void Checker::on_device_synchronize(int ggpu) {
-  host_clock().join(devices_[ggpu].all);
-  log_hb("gpu" + std::to_string(ggpu), host_desc());
+  HostState& h = host();
+  DeviceClocks& dc = devices_[ggpu];
+  fold(dc);
+  raise(h.clock, h.version, dc.all);
+  log_hb("gpu" + std::to_string(ggpu), h.desc);
 }
 
 void Checker::on_stream_destroy(const vgpu::Stream& s) {
   StreamState& ss = stream_state(s);
-  if (!ss.clock.leq(host_clock())) {
+  fold(devices_[s.device]);  // its ops stay in the device's history
+  if (!ss.clock.leq(host().clock)) {
     Finding f;
     f.kind = FindingKind::kStreamDestroyedPending;
     f.first = "destroy_stream [" + stream_desc(s) + "]";
@@ -280,15 +361,16 @@ void Checker::on_job_start(int world_size) {
   (void)world_size;
   // Engine actor ids are reused across Job::run calls and the previous
   // run's work is all complete before a new one starts: fence everything.
+  for (auto& [g, dc] : devices_) fold(dc);
   VClock fence;
   for (const auto& [actor, h] : hosts_) fence.join(h.clock);
   for (const auto& [key, ss] : streams_) fence.join(ss.clock);
   for (const auto& [g, dc] : devices_) fence.join(dc.all);
-  for (auto& [actor, h] : hosts_) h.clock.join(fence);
+  for (auto& [actor, h] : hosts_) raise(h.clock, h.version, fence);
   for (auto& [key, ss] : streams_) ss.clock.join(fence);
   for (auto& [g, dc] : devices_) {
     dc.all.join(fence);
-    dc.dflt.join(fence);
+    raise(dc.dflt, dc.dflt_version, fence);
   }
 }
 
@@ -305,22 +387,22 @@ void Checker::on_post(const simpi::MsgInfo& m) {
     rs.tid = h.free_tids.back();
     h.free_tids.pop_back();
   }
-  std::string desc = req_desc(m);
-  rs.label = std::make_shared<const AccessLabel>(AccessLabel{desc, std::move(desc)});
+  const std::string desc = req_desc(m);
+  rs.label = Label::make(desc, desc);
   rs.is_send = m.is_send;
   rs.src = m.src;
   rs.dst = m.dst;
   rs.tag = m.tag;
-  VClock c = h.clock;
-  const std::uint64_t ep = c.bump(rs.tid);
+  rs.completion = h.clock;  // eager sends complete with just their post knowledge
+  const std::uint64_t ep = rs.completion.bump(rs.tid);
   if (m.is_send && m.payload->buf != nullptr) {
     // MPI reads the send buffer between post and completion; record the
     // read at the request's own epoch so that an overwrite before MPI_Wait
     // races with it even though the host itself never touches the bytes.
-    record_access(vgpu::MemAccess{m.payload->buf, m.payload->offset, m.payload->bytes, false},
-                  AccessRec{Epoch{rs.tid, ep}, rs.label, eng_.now()}, c);
+    const vgpu::MemAccess read{m.payload->buf, m.payload->offset, m.payload->bytes, false};
+    record_accesses({&read, 1}, AccessRec{Epoch{rs.tid, ep}, rs.label, eng_.now()},
+                    rs.completion);
   }
-  rs.completion = std::move(c);  // eager sends complete with just their post knowledge
   log_hb(h.desc, "mpi.r" + std::to_string(m.src) + "->r" + std::to_string(m.dst), m.serial);
   requests_.emplace(m.serial, std::move(rs));
 }
@@ -336,13 +418,13 @@ void Checker::on_match(const simpi::MsgInfo& send, const simpi::MsgInfo& recv,
   // A buffered send completed at post; once matched, nothing refers to it.
   const bool drop_send = ss.done && !ss.persistent;
 
-  VClock m = ss.completion;
-  m.join(rr.completion);
+  // The message's clock, built in place in the recv's completion.
+  VClock& m = rr.completion;
+  m.join(ss.completion);
   if (!d.delivered) {
     // Message lost (fault injection): both waits observe the failure but no
     // data moved, so there is no write access to record.
     if (!send.buffered) ss.completion = m;
-    rr.completion = std::move(m);
     if (drop_send) requests_.erase(sit);
     return;
   }
@@ -355,28 +437,29 @@ void Checker::on_match(const simpi::MsgInfo& send, const simpi::MsgInfo& recv,
     // Inter-node CUDA-aware path: the library brackets its copies with
     // device synchronization (device_ready_barrier), so the message
     // happens-after all prior work on the involved devices...
-    if (dev_s) m.join(devices_[sgpu].all);
-    if (dev_r) m.join(devices_[rgpu].all);
+    for (const int g : {sgpu, rgpu}) {
+      if (g < 0) continue;
+      DeviceClocks& dc = devices_[g];
+      fold(dc);
+      m.join(dc.all);
+    }
   }
   const std::uint64_t ep = m.bump(rr.tid);
   if (recv.payload->buf != nullptr) {
-    record_access(
-        vgpu::MemAccess{recv.payload->buf, recv.payload->offset, send.payload->bytes, true},
-        AccessRec{Epoch{rr.tid, ep}, rr.label, eng_.now()}, m);
+    const vgpu::MemAccess write{recv.payload->buf, recv.payload->offset, send.payload->bytes,
+                                true};
+    record_accesses({&write, 1}, AccessRec{Epoch{rr.tid, ep}, rr.label, eng_.now()}, m);
   }
   if (!send.buffered) ss.completion = m;
-  rr.completion = m;
   if (drop_send) requests_.erase(sit);
   if (!d.same_node) {
     // ...and occupies the default streams: subsequent device ops on any
     // stream of the involved devices serialize behind the message.
-    if (dev_s) {
-      devices_[sgpu].dflt.join(m);
-      devices_[sgpu].all.join(m);
-    }
-    if (dev_r) {
-      devices_[rgpu].dflt.join(m);
-      devices_[rgpu].all.join(m);
+    for (const int g : {sgpu, rgpu}) {
+      if (g < 0) continue;
+      DeviceClocks& dc = devices_[g];
+      raise(dc.dflt, dc.dflt_version, m);
+      dc.all.join(m);
     }
   }
   // Intra-node CUDA-aware messages move over cudaIpc with *no* stream
@@ -399,7 +482,7 @@ void Checker::on_request_done(std::uint64_t serial, sim::Time) {
   if (it == requests_.end()) return;
   ReqState& rs = it->second;
   HostState& h = host();
-  h.clock.join(rs.completion);
+  raise(h.clock, h.version, rs.completion);
   if (rs.src >= 0) {
     log_hb("mpi.r" + std::to_string(rs.src) + "->r" + std::to_string(rs.dst), h.desc, serial);
   }
@@ -417,28 +500,59 @@ void Checker::on_request_cancel(std::uint64_t serial) {
   if (it != requests_.end()) it->second.cancelled = true;
 }
 
+void Checker::on_transport_error(const std::string&, sim::Time) {
+  // An actor that fails inside a barrier leaves it without a release.
+  auto it = hosts_.find(eng_.actor_id());
+  if (it != hosts_.end()) leave_barrier(it->second);
+}
+
 void Checker::on_barrier_arrive(std::uint64_t generation) {
-  barriers_[generation].join(host_clock());
+  // Generations only advance, so no actor can arrive at an older one any
+  // more: drop those that every arrival has left, even without a release
+  // (all of them failed out).
+  for (auto it = barriers_.begin(); it != barriers_.end() && it->first < generation;) {
+    it = it->second.waiting == 0 ? barriers_.erase(it) : std::next(it);
+  }
+  HostState& h = host();
+  BarrierState& b = barriers_[generation];
+  b.clock.join(h.clock);
+  ++b.waiting;
+  h.barrier = generation;
 }
 
 void Checker::on_barrier_release(std::uint64_t generation) {
-  host_clock().join(barriers_[generation]);
-  log_hb("barrier#" + std::to_string(generation), host_desc());
+  HostState& h = host();
+  auto it = barriers_.find(generation);
+  if (it != barriers_.end()) {
+    raise(h.clock, h.version, it->second.clock);
+    it->second.released = true;
+  }
+  log_hb("barrier#" + std::to_string(generation), h.desc);
+  leave_barrier(h);
+}
+
+void Checker::leave_barrier(HostState& h) {
+  if (!h.barrier) return;
+  auto it = barriers_.find(*h.barrier);
+  h.barrier.reset();
+  if (it == barriers_.end()) return;
+  // Once released, no actor can arrive at the generation any more.
+  if (--it->second.waiting == 0 && it->second.released) barriers_.erase(it);
 }
 
 void Checker::on_persistent_init(const simpi::MsgInfo& m) {
   // Like on_post, but nothing is in flight yet: no send-buffer read is
   // recorded until the first start re-arms the request.
   ReqState rs;
-  std::string desc = req_desc(m);
-  rs.label = std::make_shared<const AccessLabel>(AccessLabel{desc, std::move(desc)});
+  const std::string desc = req_desc(m);
+  rs.label = Label::make(desc, desc);
   rs.tid = new_tid();
   rs.is_send = m.is_send;
   rs.persistent = true;
   rs.src = m.src;
   rs.dst = m.dst;
   rs.tag = m.tag;
-  rs.completion = host_clock();
+  rs.completion = host().clock;
   requests_.emplace(m.serial, std::move(rs));
 }
 
@@ -464,13 +578,13 @@ void Checker::on_persistent_start(const simpi::MsgInfo& m) {
   rs.done = false;
   rs.resolved = false;
   ++rs.starts;
-  VClock c = host_clock();
-  const std::uint64_t ep = c.bump(rs.tid);
+  rs.completion = host().clock;
+  const std::uint64_t ep = rs.completion.bump(rs.tid);
   if (m.is_send && m.payload->buf != nullptr) {
-    record_access(vgpu::MemAccess{m.payload->buf, m.payload->offset, m.payload->bytes, false},
-                  AccessRec{Epoch{rs.tid, ep}, rs.label, eng_.now()}, c);
+    const vgpu::MemAccess read{m.payload->buf, m.payload->offset, m.payload->bytes, false};
+    record_accesses({&read, 1}, AccessRec{Epoch{rs.tid, ep}, rs.label, eng_.now()},
+                    rs.completion);
   }
-  rs.completion = std::move(c);
 }
 
 void Checker::on_persistent_free(std::uint64_t serial, bool active) {
@@ -541,7 +655,10 @@ void Checker::finish() {
   // Streams whose last op no host actor ever observed completing.
   VClock all_hosts;
   for (const auto& [actor, h] : hosts_) all_hosts.join(h.clock);
-  for (const auto& [key, ss] : streams_) {
+  std::map<StreamKey, const StreamState*> by_key;  // report in (device, id) order
+  for (const auto& [key, ss] : streams_) by_key.emplace(key, &ss);
+  for (const auto& [key, ssp] : by_key) {
+    const StreamState& ss = *ssp;
     if (ss.clock.leq(all_hosts)) continue;
     Finding f;
     f.kind = FindingKind::kStreamDestroyedPending;
@@ -554,6 +671,7 @@ void Checker::finish() {
   }
   events_.clear();
   barriers_.clear();
+  for (auto& [actor, h] : hosts_) h.barrier.reset();
 }
 
 }  // namespace stencil::check

@@ -3,9 +3,13 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <memory_resource>
+#include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "check/report.h"
@@ -69,6 +73,11 @@ class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
   /// by the next request its waiter posts). Flat across repeated exchanges.
   std::size_t threads() const { return next_tid_ - 1; }
 
+  /// Barrier generations whose clock is still held: one is dropped once
+  /// every actor that arrived at it has been released or failed out, so
+  /// this stays at one or two however many barriers a run passes.
+  std::size_t barrier_clocks() const { return barriers_.size(); }
+
   /// Run teardown lints (unwaited requests, tag-mismatched pairs, streams
   /// with unsynchronized work). Called automatically at Job end; call
   /// directly when driving the Runtime without a Job.
@@ -95,6 +104,7 @@ class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
   void on_truncation(const simpi::MsgInfo& send, const simpi::MsgInfo& recv) override;
   void on_request_done(std::uint64_t serial, sim::Time at) override;
   void on_request_cancel(std::uint64_t serial) override;
+  void on_transport_error(const std::string& what, sim::Time at) override;
   void on_barrier_arrive(std::uint64_t generation) override;
   void on_barrier_release(std::uint64_t generation) override;
   void on_persistent_init(const simpi::MsgInfo& m) override;
@@ -103,15 +113,44 @@ class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
 
  private:
   /// How a recorded access renders in a finding: the op's trace label and
-  /// the logical thread that performed it. Built once per op (or request)
-  /// and shared, immutable, by every shadow record of that op. The thread
-  /// name is captured here because request tids are reused: a tid alone
-  /// cannot name the thread that made an old record.
+  /// the logical thread that performed it. Built once per (stream, op label)
+  /// or request, and shared, immutable, by every shadow record it names. The
+  /// thread name is captured here because request tids are reused: a tid
+  /// alone cannot name the thread that made an old record.
   struct AccessLabel {
     std::string text;    // trace label of the op plus its thread, or the request
     std::string thread;  // description of the performing thread (edge hints)
+    std::size_t refs = 0;
   };
-  using Label = std::shared_ptr<const AccessLabel>;
+
+  /// Counted handle on an AccessLabel, freed with its last handle. Every
+  /// shadow record holds one, so copies happen once per accessed row; the
+  /// count is a plain integer, because a checker is only ever called from
+  /// its engine's thread (actors are fibers on it).
+  class Label {
+   public:
+    Label() = default;
+    static Label make(std::string text, std::string thread) {
+      return Label(new AccessLabel{std::move(text), std::move(thread)});
+    }
+    Label(const Label& o) : Label(o.p_) {}
+    Label(Label&& o) noexcept : p_(std::exchange(o.p_, nullptr)) {}
+    Label& operator=(Label o) noexcept {
+      std::swap(p_, o.p_);
+      return *this;
+    }
+    ~Label() {
+      if (p_ != nullptr && --p_->refs == 0) delete p_;
+    }
+    const AccessLabel* operator->() const { return p_; }
+    explicit operator bool() const { return p_ != nullptr; }
+
+   private:
+    explicit Label(AccessLabel* p) : p_(p) {
+      if (p_ != nullptr) ++p_->refs;
+    }
+    AccessLabel* p_ = nullptr;
+  };
 
   /// One recorded access: performed at `at.tid`'s epoch `at.epoch`. A later
   /// access with happens-before knowledge C is ordered after it iff
@@ -128,33 +167,60 @@ class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
   /// new access covers them partially.
   struct Segment {
     std::size_t end = 0;
-    bool has_write = false;
-    AccessRec write;
+    AccessRec write;  // no write yet while write.label is empty
     std::vector<AccessRec> reads;
   };
 
   struct HostState {
     Tid tid = 0;
     VClock clock;
+    std::uint64_t version = 0;   // changes whenever `clock` rises (see raise)
     std::string desc;            // engine actor name ("rank0", ...)
     std::vector<Tid> free_tids;  // retired request tids this actor reuses
+    /// Barrier generation this actor arrived at and has not left yet.
+    std::optional<std::uint64_t> barrier;
   };
 
   struct StreamState {
     Tid tid = 0;
+    int device = 0;
     VClock clock;      // knowledge of the last op enqueued on the stream
     std::string desc;  // "stream gpu0/s1"
     Label last_label;  // for the destroy-with-pending-work lint
+    /// One interned AccessLabel per distinct op label issued on the stream.
+    std::vector<std::pair<std::string, Label>> labels;
+    /// Versions of the host clock and of the device's `dflt` that `clock`
+    /// last absorbed. A join from a source still at that version is skipped:
+    /// joins are idempotent and `clock` never shrinks, so it changes nothing.
+    std::uint64_t host_seen = 0;
+    std::uint64_t dflt_seen = 0;
+    /// The stream's latest op is not yet folded into its device's `all`.
+    bool unfolded = false;
   };
 
   struct DeviceClocks {
-    VClock all;   // join of every op on the device (any stream)
+    /// Join of every op on the device (any stream), once `fold` has joined
+    /// in the streams listed in `unfolded`. A stream's clock only grows, and
+    /// each op's clock contains the previous op's on that stream, so folding
+    /// a stream's latest op covers every earlier one: `all` is folded only
+    /// where it is read, not once per op.
+    VClock all;
     VClock dflt;  // join of default-stream ops + CUDA-aware MPI occupation
+    std::uint64_t dflt_version = 0;
+    std::vector<StreamState*> unfolded;
   };
 
   struct EventState {
     VClock clock;          // stream knowledge captured at record time
     std::string src_desc;  // stream that recorded it (hb-edge log)
+  };
+
+  /// One barrier generation, from its first arrival until every actor that
+  /// arrived has left it, released or failed out.
+  struct BarrierState {
+    VClock clock;     // join of the arrivals' host clocks
+    int waiting = 0;  // actors that arrived and have not left
+    bool released = false;
   };
 
   /// One MPI request, from post until it is both done (its waiter joined the
@@ -179,13 +245,36 @@ class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
     Label label;  // the request's description, as both text and thread
   };
 
+  using Shadow = std::pmr::map<std::size_t, Segment>;  // disjoint segments by start offset
+
   /// State of the calling host actor, created with a fresh tid on first use.
   HostState& host();
-  VClock& host_clock() { return host().clock; }
-  const std::string& host_desc() { return host().desc; }
   StreamState& stream_state(const vgpu::Stream& s);
+  /// The interned label of op `label` on stream `ss`.
+  const Label& op_label(StreamState& ss, const std::string& label);
   Tid new_tid() { return next_tid_++; }
-  void record_access(const vgpu::MemAccess& a, const AccessRec& rec, const VClock& clock);
+  /// dst |= src, and give dst a fresh version if any component rose.
+  void raise(VClock& dst, std::uint64_t& version, const VClock& src) {
+    if (dst.join(src)) version = ++versions_;
+  }
+  /// Join the device's unfolded streams into its `all` clock. The stream
+  /// overload folds that stream's latest op alone, before something other
+  /// than an op changes its clock.
+  void fold(DeviceClocks& dc);
+  void fold(StreamState& ss);
+  /// The calling actor left its barrier generation (released or failed).
+  void leave_barrier(HostState& h);
+  /// Record every access of one op (or request) at `rec`, looking up each
+  /// buffer's shadow once per run of accesses to it.
+  void record_accesses(std::span<const vgpu::MemAccess> accesses, const AccessRec& rec,
+                       const VClock& clock);
+  /// Record [a.offset, a.offset + a.bytes) in `segs` and return the first
+  /// segment starting at or after its end. With `resume`, `it` is such a
+  /// return for an earlier access that ended at or before a.offset, and the
+  /// walk steps on from there instead of searching the map.
+  Shadow::iterator record_access(Shadow& segs, Shadow::iterator it, bool resume,
+                                 const vgpu::MemAccess& a, const AccessRec& rec,
+                                 const VClock& clock);
   void check_pair(const AccessRec& prior, bool prior_is_write, const AccessRec& cur,
                   const VClock& clock, bool cur_is_write);
   void apply_access(Segment& seg, const AccessRec& rec, const VClock& clock, bool write);
@@ -201,13 +290,23 @@ class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
   telemetry::Telemetry* telemetry_ = nullptr;
   Tid next_tid_ = 1;
   std::unordered_map<int, HostState> hosts_;  // by engine actor id
-  std::map<std::pair<int, std::uint64_t>, StreamState> streams_;  // (device, id)
+  using StreamKey = std::pair<int, std::uint64_t>;  // (device, id)
+  struct StreamKeyHash {
+    std::size_t operator()(const StreamKey& k) const noexcept {
+      return std::hash<std::uint64_t>{}(k.second * 0x9E3779B97F4A7C15ull +
+                                        static_cast<std::uint64_t>(k.first));
+    }
+  };
+  std::unordered_map<StreamKey, StreamState, StreamKeyHash> streams_;
   std::unordered_map<int, DeviceClocks> devices_;
   std::unordered_map<const vgpu::Event*, EventState> events_;
   std::unordered_map<std::uint64_t, ReqState> requests_;  // by serial
-  std::unordered_map<std::uint64_t, VClock> barriers_;    // by generation
-  // Shadow memory: buffer id -> disjoint segments keyed by start offset.
-  std::unordered_map<std::uint64_t, std::map<std::size_t, Segment>> shadow_;
+  std::map<std::uint64_t, BarrierState> barriers_;         // by generation
+  // Shadow memory: buffer id -> segments, whose nodes come from one pool
+  // (declared first, so it outlives the maps).
+  std::pmr::unsynchronized_pool_resource segment_pool_;
+  std::unordered_map<std::uint64_t, Shadow> shadow_;
+  std::uint64_t versions_ = 0;  // last clock version handed out (see raise)
   std::vector<telemetry::HbEdge> hb_edges_;
   // Race dedup: (kind, first label, second label) already reported.
   std::set<std::string> reported_;

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace stencil::check {
@@ -13,107 +15,91 @@ namespace stencil::check {
 /// id is retired and reused by the next request its waiter posts.
 using Tid = std::uint32_t;
 
-/// A sparse vector clock over checker Tids. Components default to 0;
-/// entries are kept sorted by tid, so lookups are binary searches and
-/// join/leq are linear merges. Clocks stay tiny: the checker's tids are the
-/// host actors, the streams, and the requests in flight at once (a
-/// completed request's tid is reused), so a clock's width is bounded by the
-/// live threads of the job and does not grow with the messages it has sent.
-/// That bound is also why join usually finds every incoming tid already
-/// present and updates in place without allocating.
+/// A dense vector clock over checker Tids: component t is element t of one
+/// array, and components past the array's end read as 0. The checker's tids
+/// are bounded (host actors, streams, and the requests in flight at once; a
+/// completed request's tid is reused), so a clock is at most as wide as the
+/// job's live threads. `get` and `bump` are O(1); `join` and `leq` are
+/// straight element-wise loops, whose cost does not depend on how many
+/// components happen to be set.
+///
+/// Components are stored as 32-bit counts so that `join` runs four lanes per
+/// vector instruction even on baseline x86-64 (SSE2 has 32-bit compares but
+/// no 64-bit ones). A thread's epoch advances once per op it performs, and
+/// `bump` throws rather than wrap past 2^32 - 1.
 class VClock {
  public:
-  std::uint64_t get(Tid t) const {
-    auto it = find(c_.begin(), c_.end(), t);
-    return it != c_.end() && it->first == t ? it->second : 0;
-  }
+  std::uint64_t get(Tid t) const { return t < c_.size() ? c_[t] : 0; }
 
   void set(Tid t, std::uint64_t v) {
-    auto it = find(c_.begin(), c_.end(), t);
-    if (it != c_.end() && it->first == t) {
-      it->second = v;
-    } else {
-      c_.insert(it, {t, v});
-    }
+    if (v > kMax) throw std::overflow_error("VClock: epoch past 2^32 - 1");
+    widen(std::size_t{t} + 1);
+    c_[t] = static_cast<Count>(v);
   }
 
   /// Advance this thread's own component and return the new epoch.
   std::uint64_t bump(Tid t) {
-    auto it = find(c_.begin(), c_.end(), t);
-    if (it != c_.end() && it->first == t) return ++it->second;
-    c_.insert(it, {t, 1});
-    return 1;
+    widen(std::size_t{t} + 1);
+    if (c_[t] == kMax) throw std::overflow_error("VClock: epoch past 2^32 - 1");
+    return ++c_[t];
   }
 
-  /// Pointwise maximum: *this |= other. In place when other's tids are a
-  /// subset of this clock's; otherwise one merged allocation.
-  void join(const VClock& other) {
-    auto a = c_.begin();
-    for (const auto& [tid, v] : other.c_) {
-      while (a != c_.end() && a->first < tid) ++a;
-      if (a == c_.end() || a->first != tid) {
-        merge(other);
-        return;
-      }
-      a->second = std::max(a->second, v);
+  /// Pointwise maximum: *this |= other. Returns whether any component rose,
+  /// so callers can tell a join that changed nothing.
+  bool join(const VClock& other) {
+    const std::size_t n = other.c_.size();
+    widen(n);
+    Count* a = c_.data();
+    const Count* b = other.c_.data();
+    Lanes rose{};
+    for (std::size_t i = 0; i < n; i += kLanes) {  // widths are multiples of kLanes
+      Lanes x, y;
+      std::memcpy(&x, a + i, sizeof x);
+      std::memcpy(&y, b + i, sizeof y);
+      const Lanes gt = y > x;  // all-ones lanes where other is ahead
+      rose |= gt;
+      x = (y & gt) | (x & ~gt);
+      std::memcpy(a + i, &x, sizeof x);
     }
+    return (rose[0] | rose[1] | rose[2] | rose[3]) != 0;
   }
 
   /// True when *this <= other pointwise (this clock's knowledge is contained
   /// in other's: everything ordered before *this is ordered before other).
   bool leq(const VClock& other) const {
-    auto b = other.c_.begin();
-    for (const auto& [tid, v] : c_) {
-      while (b != other.c_.end() && b->first < tid) ++b;
-      if (b == other.c_.end() || b->first != tid || b->second < v) return false;
+    const std::size_t n = std::min(c_.size(), other.c_.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      if (c_[i] > other.c_[i]) return false;
     }
-    return true;
+    return std::all_of(c_.begin() + static_cast<std::ptrdiff_t>(n), c_.end(),
+                       [](Count v) { return v == 0; });
   }
 
-  bool empty() const { return c_.empty(); }
-
+  /// The set (non-zero) components, in tid order: "{1:3, 4:5}".
   std::string str() const {
     std::string s = "{";
-    for (std::size_t i = 0; i < c_.size(); ++i) {
-      if (i != 0) s += ", ";
-      s += std::to_string(c_[i].first) + ":" + std::to_string(c_[i].second);
+    for (std::size_t t = 0; t < c_.size(); ++t) {
+      if (c_[t] == 0) continue;
+      if (s.size() > 1) s += ", ";
+      s += std::to_string(t) + ":" + std::to_string(c_[t]);
     }
     return s + "}";
   }
 
  private:
-  using Entries = std::vector<std::pair<Tid, std::uint64_t>>;
+  using Count = std::uint32_t;
+  static constexpr Count kMax = std::numeric_limits<Count>::max();
+  static constexpr std::size_t kLanes = 4;
+  using Lanes = Count __attribute__((vector_size(kLanes * sizeof(Count))));
 
-  template <typename It>
-  static It find(It first, It last, Tid t) {
-    return std::lower_bound(first, last, t,
-                            [](const auto& e, Tid key) { return e.first < key; });
+  // Widths round up to whole vectors. Growth doubles the capacity
+  // (std::vector's policy), so a clock that learns of new tids one at a
+  // time reallocates only logarithmically often.
+  void widen(std::size_t n) {
+    if (n > c_.size()) c_.resize((n + kLanes - 1) / kLanes * kLanes);
   }
 
-  // The general join. Components already raised by join's in-place pass
-  // are simply taken again: max is idempotent.
-  void merge(const VClock& other) {
-    Entries merged;
-    merged.reserve(c_.size() + other.c_.size());
-    auto a = c_.cbegin();
-    auto b = other.c_.cbegin();
-    while (a != c_.cend() && b != other.c_.cend()) {
-      if (a->first < b->first) {
-        merged.push_back(*a++);
-      } else if (b->first < a->first) {
-        merged.push_back(*b++);
-      } else {
-        merged.push_back({a->first, std::max(a->second, b->second)});
-        ++a;
-        ++b;
-      }
-    }
-    merged.insert(merged.end(), a, c_.cend());
-    merged.insert(merged.end(), b, other.c_.cend());
-    c_ = std::move(merged);
-  }
-
-  Entries c_;
+  std::vector<Count> c_;
 };
 
 /// One recorded access for the FastTrack-style ordering test: the access was

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -67,17 +70,17 @@ TEST(CheckVClock, JoinInPlaceAndMerge) {
   a.set(1, 3);
   a.set(4, 1);
   a.set(9, 2);
-  // Subset: every tid of b is already in a, so a is raised in place.
+  // Every tid of b is already set in a: only a's components rise.
   b.set(4, 5);
   b.set(9, 1);
   a.join(b);
   EXPECT_EQ(a.str(), "{1:3, 4:5, 9:2}");
-  // Not a subset: tid 2 is new, so the join falls back to a merge.
+  // Tid 2 is new to a.
   c.set(2, 7);
   c.set(9, 4);
   a.join(c);
   EXPECT_EQ(a.str(), "{1:3, 2:7, 4:5, 9:4}");
-  // A missing tid after one already raised in place: the merge keeps it.
+  // New tids on both sides of ones already present, one past a's width.
   d.set(1, 10);
   d.set(3, 1);
   d.set(12, 2);
@@ -88,6 +91,72 @@ TEST(CheckVClock, JoinInPlaceAndMerge) {
   EXPECT_TRUE(b.leq(a));
   EXPECT_TRUE(c.leq(a));
   EXPECT_TRUE(d.leq(a));
+}
+
+TEST(CheckVClock, JoinAndLeqAcrossWidths) {
+  check::VClock narrow, wide;
+  narrow.set(2, 4);
+  wide.set(2, 1);
+  wide.set(40, 3);
+  // Narrow into wide: only the shared component moves.
+  check::VClock w = wide;
+  EXPECT_TRUE(w.join(narrow));
+  EXPECT_EQ(w.str(), "{2:4, 40:3}");
+  // Wide into narrow: the narrow clock grows to take tid 40.
+  check::VClock n = narrow;
+  EXPECT_TRUE(n.join(wide));
+  EXPECT_EQ(n.str(), "{2:4, 40:3}");
+  EXPECT_EQ(n.get(40), 3u);
+  // leq in both directions, whichever clock is wider.
+  EXPECT_FALSE(narrow.leq(wide));  // 4 > 1 at tid 2
+  EXPECT_FALSE(wide.leq(narrow));  // tid 40 is set only in wide
+  EXPECT_TRUE(narrow.leq(n));
+  EXPECT_TRUE(wide.leq(n));
+  // A clock whose high components are all zero is no wider in knowledge.
+  check::VClock padded;
+  padded.set(2, 4);
+  padded.set(63, 0);
+  EXPECT_TRUE(padded.leq(narrow));
+  EXPECT_TRUE(narrow.leq(padded));
+  // Joining what is already known raises nothing.
+  EXPECT_FALSE(n.join(narrow));
+  EXPECT_FALSE(n.join(wide));
+  EXPECT_FALSE(n.join(check::VClock{}));
+}
+
+TEST(CheckVClock, AbsentTidsReadZero) {
+  check::VClock c;
+  EXPECT_EQ(c.get(0), 0u);
+  EXPECT_EQ(c.get(1000), 0u);
+  c.set(5, 2);
+  EXPECT_EQ(c.get(4), 0u);  // inside the stored width, never set
+  EXPECT_EQ(c.get(5), 2u);
+  EXPECT_EQ(c.get(6), 0u);
+  EXPECT_EQ(c.get(1u << 20), 0u);  // far past it
+  EXPECT_EQ(c.bump(9), 1u);        // a thread's first epoch is 1
+}
+
+// Components are 32-bit counts: running past the last epoch is an error,
+// never a silent wrap that would reorder a thread's own accesses.
+TEST(CheckVClock, EpochPastCountLimitThrows) {
+  constexpr std::uint64_t kLast = 0xFFFFFFFFu;
+  check::VClock c;
+  c.set(3, kLast - 1);
+  EXPECT_EQ(c.bump(3), kLast);
+  EXPECT_THROW(c.bump(3), std::overflow_error);
+  EXPECT_EQ(c.get(3), kLast);
+  EXPECT_THROW(c.set(4, kLast + 1), std::overflow_error);
+}
+
+TEST(CheckVClock, StrListsSetComponentsInTidOrder) {
+  check::VClock c;
+  EXPECT_EQ(c.str(), "{}");
+  c.set(9, 2);
+  c.set(1, 3);
+  c.set(4, 5);
+  EXPECT_EQ(c.str(), "{1:3, 4:5, 9:2}");
+  c.set(4, 0);  // back to unset
+  EXPECT_EQ(c.str(), "{1:3, 9:2}");
 }
 
 TEST(CheckVClock, EpochOrderedBefore) {
@@ -222,6 +291,28 @@ TEST(CheckRaces, StreamSynchronizeOrdersThroughHost) {
     rt.launch_kernel(s1, 256, "w1", [] {}, {{&buf, 0, 256, true}});
     rt.stream_synchronize(s1);
     rt.launch_kernel(s2, 256, "w2", [] {}, {{&buf, 0, 256, true}});
+    rt.stream_synchronize(s2);
+  });
+  EXPECT_TRUE(rep.clean()) << dump(rep);
+}
+
+// The host learns of w1 through event_synchronize *between* two ops on s2.
+// s2 absorbed the host clock at its first op; its second op must absorb it
+// again, or the ordered write would be reported as a race. (Skipping a join
+// is only exact while its source is unchanged.)
+TEST(CheckRaces, HostEdgeReachesNextOpOnSameStream) {
+  auto rep = run_checked([](vgpu::Runtime& rt) {
+    auto buf = rt.alloc_device(0, 256);
+    auto other = rt.alloc_device(0, 256);
+    auto s1 = rt.create_stream(0);
+    auto s2 = rt.create_stream(0);
+    rt.launch_kernel(s2, 256, "before", [] {}, {{&other, 0, 256, true}});
+    rt.launch_kernel(s1, 256, "w1", [] {}, {{&buf, 0, 256, true}});
+    vgpu::Event done;
+    rt.record_event(done, s1);
+    rt.event_synchronize(done);
+    rt.launch_kernel(s2, 256, "w2", [] {}, {{&buf, 0, 256, true}});
+    rt.stream_synchronize(s1);
     rt.stream_synchronize(s2);
   });
   EXPECT_TRUE(rep.clean()) << dump(rep);
@@ -739,6 +830,61 @@ TEST(CheckExchange, StateStaysFlatAcrossExchanges) {
   EXPECT_GT(after2, 0u);
   EXPECT_EQ(after2, after12);
   EXPECT_TRUE(chk.report().clean()) << dump(chk.report());
+}
+
+// A barrier generation's clock is dropped once every actor that arrived has
+// been released, so a long checked run holds one or two of them, not one
+// per barrier it has passed.
+TEST(CheckExchange, BarrierClocksStayBoundedOverFiftyExchanges) {
+  const Dim3 domain{48, 32, 8};
+  Cluster cluster(topo::summit(), 2, 2);
+  check::Checker chk(cluster.engine());
+  cluster.set_checker(&chk);
+  std::size_t most = 0;
+  cluster.run([&](RankCtx& ctx) {
+    DistributedDomain dd(ctx, domain);
+    dd.set_radius(1);
+    dd.add_data<float>("a");
+    dd.set_methods(MethodFlags::kAll);
+    dd.realize();
+    for (int it = 1; it <= 50; ++it) {
+      ctx.comm.barrier();
+      dd.exchange();
+      ctx.comm.barrier();
+      if (ctx.comm.rank() == 0) most = std::max(most, chk.barrier_clocks());
+    }
+  });
+  EXPECT_GE(most, 1u);
+  EXPECT_LE(most, 2u);
+  EXPECT_TRUE(chk.report().clean()) << dump(chk.report());
+}
+
+// An actor that fails inside a barrier (its peer died) leaves it without a
+// release. The generation stays while a later arrival can still release
+// it, and is dropped once the shrunk job has passed it.
+TEST(CheckMpi, BarrierLeftByFailureIsDropped) {
+  const sim::Time t_fail = 500 * sim::kMicrosecond;
+  fault::FaultPlan plan;
+  plan.fail_gpu(t_fail, 1);
+  fault::Injector inj(plan);
+  Cluster cluster(topo::pcie_box(2), 1, 2);
+  check::Checker chk(cluster.engine());
+  cluster.set_checker(&chk);
+  cluster.set_fault_injector(&inj);
+  std::size_t after_failure = 0, after_retry = 0;
+  cluster.run([&](RankCtx& ctx) {
+    if (ctx.rank() == 0) {
+      EXPECT_THROW(ctx.comm.barrier(), simpi::TransportError);
+      after_failure = chk.barrier_clocks();
+      ctx.comm.job().retire_rank(1);
+      ctx.comm.barrier();  // the same generation, now with one live rank
+      after_retry = chk.barrier_clocks();
+    } else {
+      ctx.engine().sleep_until(t_fail + sim::kMicrosecond);  // die quietly
+    }
+  });
+  EXPECT_EQ(after_failure, 1u);
+  EXPECT_EQ(after_retry, 0u);
 }
 
 // Detection through the full exchange stack: re-running the *same* exchange
