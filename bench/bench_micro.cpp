@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -178,6 +179,36 @@ BENCHMARK(BM_CheckedExchange)
     ->Arg(1)
     ->ArgName("checker")
     ->Unit(benchmark::kMillisecond);
+
+static void BM_SteadyEagerExchange(benchmark::State& state) {
+  // Real seconds per steady eager exchange of an 8-node x 6-rank phantom
+  // job on the weak-scaling shape (round(750 * cbrt(GPUs)) per axis,
+  // radius 3, four quantities). Only the exchanges after a warm-up one
+  // are timed, so the row is the host cost of the exchange layer per
+  // exchange, without realize() or the first exchange's set-up.
+  using Clock = std::chrono::steady_clock;
+  constexpr int kSteady = 4;
+  const auto e = static_cast<std::int64_t>(std::round(750.0 * std::cbrt(48.0)));
+  for (auto _ : state) {
+    stencil::Cluster cluster(stencil::topo::summit(), 8, 6);
+    cluster.set_mem_mode(stencil::vgpu::MemMode::kPhantom);
+    Clock::time_point warm, done;
+    cluster.run([&](stencil::RankCtx& ctx) {
+      stencil::DistributedDomain dd(ctx, {e, e, e});
+      dd.set_radius(3);
+      for (const char* q : {"a", "b", "c", "d"}) dd.add_data<float>(q);
+      dd.realize();
+      dd.exchange();
+      ctx.comm.barrier();  // every rank is through the warm-up exchange
+      if (ctx.comm.rank() == 0) warm = Clock::now();
+      for (int i = 0; i < kSteady; ++i) dd.exchange();
+      ctx.comm.barrier();
+      if (ctx.comm.rank() == 0) done = Clock::now();
+    });
+    state.SetIterationTime(std::chrono::duration<double>(done - warm).count() / kSteady);
+  }
+}
+BENCHMARK(BM_SteadyEagerExchange)->UseManualTime()->Unit(benchmark::kMillisecond);
 
 static void BM_PlanAdmission(benchmark::State& state) {
   // Real seconds to set up a persistent job of Arg ranks, 6 per node: the

@@ -36,7 +36,8 @@ int agg_tag(const simpi::Comm& comm, int src_rank) {
 
 DistributedDomain::~DistributedDomain() = default;
 
-DistributedDomain::DistributedDomain(RankCtx& ctx, Dim3 domain) : ctx_(ctx), domain_(domain) {
+DistributedDomain::DistributedDomain(RankCtx& ctx, Dim3 domain)
+    : ctx_(ctx), domain_(domain), sched_(std::make_unique<Schedule>()) {
   if (domain_.x <= 0 || domain_.y <= 0 || domain_.z <= 0) {
     throw std::invalid_argument("DistributedDomain: domain extents must be positive");
   }
@@ -376,7 +377,7 @@ void DistributedDomain::demote_transfer(TransferState& x, Method target) {
   ++topo_epoch_;
   plan_cache_.invalidate_tag(x.t.tag);
   ensure_buffers(x);
-  x.ops = ops_of(x);
+  lower(x);
 }
 
 bool DistributedDomain::peer_use_3d(const TransferState& x) const {
@@ -484,25 +485,16 @@ void DistributedDomain::exchange_start(const std::vector<std::size_t>& quantitie
           "exchange: quantity indices must be strictly increasing and in range");
     }
   }
-  active_qs_ = quantities;
-  std::size_t active_bpp = 0;
-  for (std::size_t q : active_qs_) active_bpp += quantities_[q].elem_size;
-  for (auto& xp : xfers_) {
-    xp->active_bytes = static_cast<std::size_t>(xp->src_region.volume()) * active_bpp;
-  }
-  for (auto groups : {&send_groups_, &recv_groups_}) {
-    for (auto& gp : *groups) {
-      gp->active_bytes = 0;
-      for (auto& [x, off] : gp->members) {
-        off = gp->active_bytes;
-        gp->active_bytes += x->active_bytes;
-      }
-    }
+  if (quantities != active_qs_) {
+    active_qs_ = quantities;
+    sched_->epoch = Schedule::kUnbuilt;
   }
   // Fault degradation: re-check capabilities at every exchange boundary and
   // demote transfers whose method can no longer run (§III-C, downward only).
   maybe_respecialize();
-  for (auto& xp : xfers_) xp->ops = ops_of(*xp);
+  // Demotions and recovery bump the epoch; a steady job lowers its exchange
+  // once per quantity list.
+  if (sched_->epoch != topo_epoch_) build_schedule();
 
   inflight_.active = true;
   ++seq_;
@@ -559,7 +551,7 @@ void DistributedDomain::exchange_start(const std::vector<std::size_t>& quantitie
       inflight_.recv_reqs.push_back(gp->req);
       inflight_.recv_map.emplace_back(nullptr, gp.get());
     }
-    for (auto& xp : xfers_) run_phase(*xp, xfer::Phase::kPost);
+    run_steps(xfer::Phase::kPost);
   }
 
   // --- Phase 1: pure-CUDA local transfers (KERNEL, PEER). A plan launches
@@ -569,14 +561,14 @@ void DistributedDomain::exchange_start(const std::vector<std::size_t>& quantitie
       if (prog.send_graph.valid() && !prog.send_req.valid()) rt.launch_graph(prog.send_graph);
     }
   } else {
-    for (auto& xp : xfers_) run_phase(*xp, xfer::Phase::kLocal);
+    run_steps(xfer::Phase::kLocal);
   }
 
   // --- Phase 2: COLOCATED senders, interpreted in both modes (their flow
   // control is generation-dependent). A stale mapping demotes the transfer
   // and queues a fallback send; demote_transfer dirties its programs, so
   // the next acquire rebuilds them as persistent STAGED programs.
-  for (auto& xp : xfers_) run_phase(*xp, xfer::Phase::kColocatedSend);
+  run_steps(xfer::Phase::kColocatedSend);
 
   // --- Phase 3: STAGED / CUDA-aware senders enqueue pack (+ D2H). --------
   auto& pending = inflight_.pending_sends;
@@ -586,13 +578,15 @@ void DistributedDomain::exchange_start(const std::vector<std::size_t>& quantitie
     }
     for (plan::GroupProgram& g : p->send_groups) rt.launch_graph(g.graph);
   } else {
-    for (auto& xp : xfers_) {
-      TransferState& x = *xp;
-      // Aggregation members pack with their group below; a COLOCATED
-      // fallback already packed and queued this generation's send.
-      if (x.aggregated || x.handled_seq == seq_) continue;
-      run_phase(x, xfer::Phase::kPack);
-      if (x.ops.has(xfer::Phase::kSend)) pending.emplace_back(x.ready_ev.completed_at, &x);
+    // Aggregation members pack with their group below. A COLOCATED fallback
+    // packed and queued its send in Phase 2; the schedule, built while it
+    // was COLOCATED, has no Phase 3 steps for it.
+    for (const Step& s : (*sched_)[xfer::Phase::kPack]) {
+      run_op(*s.x, *s.op);
+      // The ready event closes a sender's pack: queue its send.
+      if (s.op->kind == xfer::OpKind::kReady) {
+        pending.emplace_back(s.x->ready_ev.completed_at, s.x);
+      }
     }
     // Aggregated STAGED sends: every member packs and stages into its slot
     // of the shared buffer; the group is ready when its slowest member is.
@@ -611,34 +605,108 @@ void DistributedDomain::exchange_start(const std::vector<std::size_t>& quantitie
                    [](const auto& a, const auto& b) { return a.first < b.first; });
 }
 
-xfer::OpList DistributedDomain::ops_of(const TransferState& x) const {
-  return xfer::ops_for({x.t.method, x.i_send, x.i_recv, x.active_bytes, x.aggregated,
-                        staged_zero_copy_, x.t.method == Method::kPeer && peer_use_3d(x)});
+namespace {
+
+/// An interpreted COLOCATED step: it runs the rest of its phase itself.
+bool takes_phase(xfer::OpKind k) {
+  return k == xfer::OpKind::kColocatedSend || k == xfer::OpKind::kColocatedRecv;
+}
+
+}  // namespace
+
+void DistributedDomain::build_schedule() {
+  std::size_t active_bpp = 0;
+  for (std::size_t q : active_qs_) active_bpp += quantities_[q].elem_size;
+  for (auto& xp : xfers_) {
+    xp->active_bytes = static_cast<std::size_t>(xp->src_region.volume()) * active_bpp;
+  }
+  for (auto groups : {&send_groups_, &recv_groups_}) {
+    for (auto& gp : *groups) {
+      gp->active_bytes = 0;
+      for (auto& [x, off] : gp->members) {
+        off = gp->active_bytes;
+        gp->active_bytes += x->active_bytes;
+      }
+    }
+  }
+  for (auto& xp : xfers_) lower(*xp);
+  // Phase 5 lands in completion order and phases 4 and 7 follow the
+  // requests, so only the other five are walked.
+  using P = xfer::Phase;
+  for (P phase : {P::kPost, P::kLocal, P::kColocatedSend, P::kPack, P::kColocatedRecv}) {
+    std::vector<Step>& steps = (*sched_)[phase];
+    steps.clear();
+    for (auto& xp : xfers_) {
+      if (!xp->ops.has(phase) || (phase == P::kPack && xp->aggregated)) continue;
+      for (const xfer::Op& op : xp->ops) {
+        if (op.phase != phase) continue;
+        steps.push_back({xp.get(), &op});
+        if (takes_phase(op.kind)) break;
+      }
+    }
+    steps.shrink_to_fit();
+  }
+  sched_->epoch = topo_epoch_;
+}
+
+void DistributedDomain::run_steps(xfer::Phase phase) {
+  for (const Step& s : (*sched_)[phase]) run_op(*s.x, *s.op);
+}
+
+void DistributedDomain::lower(TransferState& x) const {
+  x.ops = xfer::ops_for({x.t.method, x.i_send, x.i_recv, x.active_bytes, x.aggregated,
+                         staged_zero_copy_, x.t.method == Method::kPeer && peer_use_3d(x)});
+  // Phantom memory is timing only: a kernel moves bytes only when its
+  // subdomain storage and its pack or staging buffer are materialized.
+  const auto real = [](const LocalDomain* ld) { return ld != nullptr && ld->materialized(); };
+  const auto real_buf = [&x](xfer::Operand o) {
+    return x.buffer(o).mode() == vgpu::MemMode::kMaterialized;
+  };
+  x.bodies = 0;
+  unsigned bit = 1;
+  for (const xfer::Op& op : x.ops) {
+    bool body = false;
+    switch (op.kind) {
+      case xfer::OpKind::kSelf: body = real(x.src_ld); break;
+      case xfer::OpKind::kPack:
+      case xfer::OpKind::kPackZeroCopy: body = real(x.src_ld) && real_buf(op.to); break;
+      case xfer::OpKind::kUnpack: body = real(x.dst_ld) && real_buf(op.from); break;
+      case xfer::OpKind::kCopy3D: body = real(x.src_ld) && real(x.dst_ld); break;
+      default: break;  // copies and events have no body
+    }
+    if (body) x.bodies = static_cast<std::uint16_t>(x.bodies | bit);
+    bit <<= 1;
+  }
 }
 
 void DistributedDomain::run_phase(TransferState& x, xfer::Phase phase, const Slot& slot) {
   if (!x.ops.has(phase)) return;
-  const xfer::OpList ops = x.ops;  // a COLOCATED fallback rewrites x.ops mid-phase
-  for (const xfer::Op* op = ops.begin(); op != ops.end(); ++op) {
-    if (op->phase != phase) continue;
-    switch (op->kind) {
-      case xfer::OpKind::kColocatedSend:
-        return colocated_send(x, op + 1, ops.end());
-      case xfer::OpKind::kColocatedRecv:
-        return colocated_recv(x, op + 1, ops.end());
-      case xfer::OpKind::kPostRecv:
-        x.recv_req = ctx_.comm.irecv(simpi::Payload::of(x.buffer(op->to), 0, x.active_bytes),
-                                     x.t.src_rank, x.t.tag);
-        inflight_.recv_reqs.push_back(x.recv_req);
-        inflight_.recv_map.emplace_back(&x, nullptr);
-        break;
-      case xfer::OpKind::kWaitRecv:
-      case xfer::OpKind::kSend:
-      case xfer::OpKind::kWaitSend:
-        break;  // the modes wait and start messages in their own order
-      default:
-        issue(x, *op, slot);
-    }
+  for (const xfer::Op& op : x.ops) {
+    if (op.phase != phase) continue;
+    const bool rest = takes_phase(op.kind);  // read first: a fallback rewrites x.ops
+    run_op(x, op, slot);
+    if (rest) return;
+  }
+}
+
+void DistributedDomain::run_op(TransferState& x, const xfer::Op& op, const Slot& slot) {
+  switch (op.kind) {
+    case xfer::OpKind::kColocatedSend:
+      return colocated_send(x, &op + 1, x.ops.end());
+    case xfer::OpKind::kColocatedRecv:
+      return colocated_recv(x, &op + 1, x.ops.end());
+    case xfer::OpKind::kPostRecv:
+      x.recv_req = ctx_.comm.irecv(simpi::Payload::of(x.buffer(op.to), 0, x.active_bytes),
+                                   x.t.src_rank, x.t.tag);
+      inflight_.recv_reqs.push_back(x.recv_req);
+      inflight_.recv_map.emplace_back(&x, nullptr);
+      break;
+    case xfer::OpKind::kWaitRecv:
+    case xfer::OpKind::kSend:
+    case xfer::OpKind::kWaitSend:
+      break;  // the modes wait and start messages in their own order
+    default:
+      issue(x, op, slot);
   }
 }
 
@@ -646,31 +714,36 @@ void DistributedDomain::issue(TransferState& x, const xfer::Op& op, const Slot& 
   using xfer::OpKind;
   auto& rt = ctx_.rt;
   vgpu::Stream& s = op.on_dst_stream() ? x.dst_stream : x.src_stream;
-  const auto label = [&x](const char* what) { return what + xfer::dir_str(x.t.dir); };
   const auto at = [&slot](xfer::Operand o) { return o == xfer::Operand::kGroup ? slot.offset : 0; };
+  // A kernel over phantom memory is issued with an empty body (see lower).
+  const auto body = [&x, &op](auto f) {
+    return x.has_body(op) ? std::function<void()>(f) : std::function<void()>();
+  };
   switch (op.kind) {
     case OpKind::kSelf:
-      rt.launch_kernel(s, x.active_bytes, label("self "),
-                       [&x, this] { x.src_ld->self_exchange(x.t.dir, active_qs_); },
+      rt.launch_kernel(s, x.active_bytes, xfer::op_label(op.kind, x.t.dir),
+                       body([&x, this] { x.src_ld->self_exchange(x.t.dir, active_qs_); }),
                        op_access(x, op, active_qs_));
       break;
     case OpKind::kPack:
     case OpKind::kPackZeroCopy: {
       vgpu::Buffer* out = &x.buffer(op.to);
-      const auto body = [&x, out, this] { x.src_ld->pack_region(*out, x.src_region, active_qs_); };
+      const std::function<void()> pack =
+          body([&x, out, this] { x.src_ld->pack_region(*out, x.src_region, active_qs_); });
+      const std::string& label = xfer::op_label(op.kind, x.t.dir);
       if (op.kind == OpKind::kPack) {
-        rt.launch_kernel(s, x.active_bytes, label("pack "), body, op_access(x, op, active_qs_));
+        rt.launch_kernel(s, x.active_bytes, label, pack, op_access(x, op, active_qs_));
       } else {
-        rt.launch_zero_copy_kernel(s, x.active_bytes, label("pack "), body,
-                                   op_access(x, op, active_qs_));
+        rt.launch_zero_copy_kernel(s, x.active_bytes, label, pack, op_access(x, op, active_qs_));
       }
       break;
     }
     case OpKind::kUnpack: {
       vgpu::Buffer* in = &x.buffer(op.from);
-      rt.launch_kernel(s, x.active_bytes, label("unpack "),
-                       [&x, in, this] { x.dst_ld->unpack_region(*in, x.dst_region, active_qs_); },
-                       op_access(x, op, active_qs_));
+      rt.launch_kernel(
+          s, x.active_bytes, xfer::op_label(op.kind, x.t.dir),
+          body([&x, in, this] { x.dst_ld->unpack_region(*in, x.dst_region, active_qs_); }),
+          op_access(x, op, active_qs_));
       break;
     }
     case OpKind::kCopyD2H:
@@ -689,10 +762,10 @@ void DistributedDomain::issue(TransferState& x, const xfer::Op& op, const Slot& 
         rt.memcpy3d_peer_async(
             x.t.dst_gpu, x.t.src_gpu,
             static_cast<std::size_t>(x.src_region.volume()) * quantities_[q].elem_size,
-            x.src_ld->row_bytes(x.src_region, q), s, label("3d "),
-            [&x, q] {
+            x.src_ld->row_bytes(x.src_region, q), s, xfer::op_label(op.kind, x.t.dir),
+            body([&x, q] {
               LocalDomain::copy_region(*x.src_ld, x.src_region, *x.dst_ld, x.dst_region, q);
-            },
+            }),
             op_access(x, op, {q}));
       }
       break;
@@ -755,7 +828,7 @@ void DistributedDomain::colocated_send(TransferState& x, const xfer::Op* first,
     // generation before we overwrite its buffer.
     colocated_gate_wait(x.peer_channel->gate, x.t.dst_rank, x.t.tag,
                         [&] { return x.peer_channel->done_gen + 1 >= seq_; },
-                        "colocated flow-control tag=" + std::to_string(x.t.tag));
+                        "colocated flow-control");
     try {
       // The receiver records done_ev after each unpack; until the first
       // generation lands there is nothing to wait for — waiting on an
@@ -794,7 +867,6 @@ void DistributedDomain::colocated_send(TransferState& x, const xfer::Op* first,
     x.peer_channel->gate.notify_all(eng);
     run_phase(x, xfer::Phase::kPack);
     inflight_.pending_sends.emplace_back(x.ready_ev.completed_at, &x);
-    x.handled_seq = seq_;
   }
 }
 
@@ -804,7 +876,7 @@ void DistributedDomain::colocated_recv(TransferState& x, const xfer::Op* first,
   auto& eng = ctx_.engine();
   colocated_gate_wait(x.channel->gate, x.t.src_rank, x.t.tag,
                       [&] { return x.channel->data_gen >= seq_ || x.channel->demoted; },
-                      "colocated data tag=" + std::to_string(x.t.tag));
+                      "colocated data");
   if (x.channel->demoted) {
     // The sender lost its IPC mapping and rerouted this generation over
     // MPI. Adopt STAGED on this side too and run its receive: no irecv was
@@ -839,10 +911,11 @@ void DistributedDomain::colocated_recv(TransferState& x, const xfer::Op* first,
 
 void DistributedDomain::colocated_gate_wait(sim::Gate& gate, int peer_rank, int tag,
                                             const std::function<bool()>& done,
-                                            const std::string& detail) {
+                                            const char* what) {
   auto& eng = ctx_.engine();
   simpi::Job& job = ctx_.comm.job();
   while (!done()) {
+    const std::string detail = std::string(what) + " tag=" + std::to_string(tag);
     if (job.revoked()) {
       throw simpi::TransportError(simpi::TransportError::Code::kRevoked, peer_rank, tag,
                                   detail + ": communicator revoked (recovery pending)");
@@ -1144,7 +1217,7 @@ void DistributedDomain::exchange_finish() {
   }
 
   // --- Phase 6: COLOCATED receivers unpack and acknowledge. ---------------
-  for (auto& xp : xfers_) run_phase(*xp, xfer::Phase::kColocatedRecv);
+  run_steps(xfer::Phase::kColocatedRecv);
 
   // --- Phase 7: drain sends, then quiesce every stream we touched. --------
   comm.waitall(inflight_.send_reqs);

@@ -321,14 +321,30 @@ class DistributedDomain {
     vgpu::Buffer* host;
     std::size_t offset;
   };
-  // Build this rank's op list for `x` in the exchange in flight.
-  xfer::OpList ops_of(const TransferState& x) const;
-  // Issue `x`'s ops of one phase. Stream work goes to the runtime, or into
-  // the graph being captured; a post-recv becomes an irecv; an interpreted
-  // COLOCATED step takes over the rest of its phase. Sends are started by
-  // the callers, each mode in its own order.
+  // Build this rank's op list for `x` in the exchange in flight, and decide
+  // per op whether it moves real bytes (x.bodies).
+  void lower(TransferState& x) const;
+  // Issue `x`'s ops of one phase: run_op for each.
   void run_phase(TransferState& x, xfer::Phase phase, const Slot& slot = Slot{nullptr, 0});
+  // Issue one of `x`'s ops. Stream work goes to the runtime, or into the
+  // graph being captured; a post-recv becomes an irecv; an interpreted
+  // COLOCATED step takes over the rest of its phase (and may rewrite
+  // x.ops). Sends are started by the callers, each mode in its own order.
+  void run_op(TransferState& x, const xfer::Op& op, const Slot& slot = Slot{nullptr, 0});
   void issue(TransferState& x, const xfer::Op& op, const Slot& slot);
+
+  // --- the eager exchange schedule (DESIGN.md §10) --------------------------
+  // One op of the schedule: a transfer and one of its ops (into x->ops).
+  struct Step {
+    TransferState* x;
+    const xfer::Op* op;
+  };
+  struct Schedule;
+  // Lower the exchange for active_qs_ at topo_epoch_: active bytes, group
+  // member offsets, every transfer's op list, and the per-phase steps.
+  void build_schedule();
+  // Issue a walked phase's steps.
+  void run_steps(xfer::Phase phase);
   // Eager send of `x`'s payload, gated on its ready event.
   void start_send(TransferState& x);
   // Capture `x`'s ops of the given phases into one graph (none if empty).
@@ -344,9 +360,10 @@ class DistributedDomain {
   // failure-aware: a pending revoke or a dead peer surfaces as a
   // TransportError (kRevoked / kPeerDead) instead of a silent hang — the
   // IPC channel has no MPI envelope, so the simpi dead-peer deadline never
-  // covers these waits.
+  // covers these waits. The detail text ("<what> tag=<tag>") is built only
+  // when the wait parks or throws.
   void colocated_gate_wait(sim::Gate& gate, int peer_rank, int tag,
-                           const std::function<bool()>& done, const std::string& detail);
+                           const std::function<bool()>& done, const char* what);
 
   // End of both the eager and planned finish paths: the completion
   // heartbeat, then — only while a cluster telemetry sink is attached —
@@ -409,8 +426,10 @@ class DistributedDomain {
   std::vector<std::unique_ptr<AggGroup>> send_groups_;
   std::vector<std::unique_ptr<AggGroup>> recv_groups_;
   std::uint64_t seq_ = 0;
-  // Quantities moved by the exchange currently in flight.
+  // Quantities moved by the exchange currently in flight; with topo_epoch_
+  // the key of sched_.
   std::vector<std::size_t> active_qs_;
+  std::unique_ptr<Schedule> sched_;
 
   // Exchange-plan state (persistent mode).
   bool persistent_ = false;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -65,6 +66,13 @@ class LocalDomain {
 
   vgpu::Buffer& data(std::size_t q) { return data_[q]; }
   const vgpu::Buffer& data(std::size_t q) const { return data_[q]; }
+  /// Whether any quantity's storage carries bytes; all-phantom storage
+  /// makes every pack, unpack and region copy over it a no-op.
+  bool materialized() const {
+    return std::any_of(data_.begin(), data_.end(), [](const vgpu::Buffer& b) {
+      return b.mode() == vgpu::MemMode::kMaterialized;
+    });
+  }
 
   /// Swap the storage of two same-sized quantities (double-buffered time
   /// stepping: "current" and "next" trade places between iterations).

@@ -1,6 +1,7 @@
 #include "core/transfer_ops.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace stencil::xfer {
 
@@ -92,9 +93,56 @@ std::vector<std::pair<int, std::vector<std::size_t>>> aggregation_layout(
   return groups;
 }
 
-std::string dir_str(Dim3 d) {
-  auto c = [](std::int64_t v) { return v > 0 ? "+" : v < 0 ? "-" : "0"; };
-  return std::string(c(d.x)) + c(d.y) + c(d.z);
+namespace {
+
+constexpr std::size_t kDirs = 27;
+
+// A direction's slot in the interned tables: each sign in {-, 0, +}, x major.
+std::size_t dir_index(Dim3 d) {
+  const auto c = [](std::int64_t v) -> std::size_t { return v > 0 ? 2 : v < 0 ? 0 : 1; };
+  return c(d.x) * 9 + c(d.y) * 3 + c(d.z);
+}
+
+// The direction behind slot i of the interned tables.
+Dim3 dir_at(std::size_t i) {
+  const auto s = [](std::size_t c) { return static_cast<std::int64_t>(c) - 1; };
+  return {s(i / 9), s(i / 3 % 3), s(i % 3)};
+}
+
+}  // namespace
+
+const std::string& dir_str(Dim3 d) {
+  static const std::array<std::string, kDirs> table = [] {
+    std::array<std::string, kDirs> t;
+    for (std::size_t i = 0; i < kDirs; ++i) {
+      const Dim3 d = dir_at(i);
+      const auto c = [](std::int64_t v) { return v > 0 ? '+' : v < 0 ? '-' : '0'; };
+      t[i] = {c(d.x), c(d.y), c(d.z)};
+    }
+    return t;
+  }();
+  return table[dir_index(d)];
+}
+
+const std::string& op_label(OpKind kind, Dim3 d) {
+  static constexpr std::array<const char*, 4> kWhat = {"self ", "pack ", "unpack ", "3d "};
+  static const std::array<std::array<std::string, kDirs>, kWhat.size()> table = [] {
+    std::array<std::array<std::string, kDirs>, kWhat.size()> t;
+    for (std::size_t k = 0; k < kWhat.size(); ++k) {
+      for (std::size_t i = 0; i < kDirs; ++i) t[k][i] = kWhat[k] + dir_str(dir_at(i));
+    }
+    return t;
+  }();
+  std::size_t k = 0;
+  switch (kind) {
+    case OpKind::kSelf: k = 0; break;
+    case OpKind::kPack:
+    case OpKind::kPackZeroCopy: k = 1; break;
+    case OpKind::kUnpack: k = 2; break;
+    case OpKind::kCopy3D: k = 3; break;
+    default: throw std::logic_error("op_label: op kind has no label");
+  }
+  return table[k][dir_index(d)];
 }
 
 }  // namespace stencil::xfer

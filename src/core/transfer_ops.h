@@ -33,6 +33,7 @@ enum class Phase : std::uint8_t {
   kColocatedRecv,  // COLOCATED receivers
   kDrain,          // wait the sends
 };
+inline constexpr std::size_t kPhases = 8;
 
 enum class OpKind : std::uint8_t {
   // Stream work: kernels and copies.
@@ -136,7 +137,14 @@ struct AggMember {
 std::vector<std::pair<int, std::vector<std::size_t>>> aggregation_layout(
     std::vector<AggMember> members);
 
-/// A transfer direction as three signs, e.g. "+0-" (op labels).
-std::string dir_str(Dim3 d);
+/// A transfer direction as three signs, e.g. "+0-". Interned: one string
+/// per direction for the life of the program.
+const std::string& dir_str(Dim3 d);
+
+/// The trace label of a kernel or strided-copy op along direction `d`,
+/// e.g. "pack +0-". Interned like dir_str, so issuing an op builds no
+/// string. Only kSelf, kPack, kPackZeroCopy (labelled "pack"), kUnpack and
+/// kCopy3D carry labels; any other kind throws std::logic_error.
+const std::string& op_label(OpKind kind, Dim3 d);
 
 }  // namespace stencil::xfer

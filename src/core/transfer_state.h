@@ -7,6 +7,8 @@
 /// which issues the list, and verify_model.cpp, which lowers it into the
 /// static verifier's IR. Not part of the public API.
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -65,22 +67,24 @@ struct DistributedDomain::TransferState {
   IpcEventChannel* peer_channel = nullptr;   // COLOCATED sender's view
   vgpu::IpcMappedPtr mapped;                 // sender's mapping of dst_pack
 
-  // This rank's op list for the exchange in flight (ops_of), rebuilt at
-  // every exchange start and on demotion.
+  // This rank's op list for the exchange in flight, lowered with the eager
+  // schedule (once per active quantity list and topology epoch) and again
+  // when a demotion changes the method. Bit i of `bodies` says whether
+  // ops[i] moves real bytes: a kernel over phantom memory gets no body.
   xfer::OpList ops;
+  std::uint16_t bodies = 0;
 
   vgpu::Event ready_ev;  // sender: packed (+staged) data ready for MPI
   simpi::Request send_req;
   simpi::Request recv_req;
 
-  // Runtime demotion bookkeeping. `aggregated` marks membership in an
-  // AggGroup fixed at realize(); a transfer demoted to STAGED later is not
-  // a member, so the staged phases must handle it individually even when
-  // aggregation is on. `handled_seq` marks that the COLOCATED fallback
-  // already packed and queued this generation's send, so Phase 3 (which now
-  // sees method == kStaged) must not send it twice.
+  // Membership in an AggGroup, fixed at realize(). A transfer demoted to
+  // STAGED later is not a member, so the staged phases handle it
+  // individually even when aggregation is on.
   bool aggregated = false;
-  std::uint64_t handled_seq = 0;
+
+  /// Whether `op`, one of `ops`, moves real bytes (see `bodies`).
+  bool has_body(const xfer::Op& op) const { return (bodies >> (&op - ops.begin()) & 1u) != 0; }
 
   /// The pack or staging buffer behind an op operand; a slot lives in the
   /// aggregation group's buffer `group`.
@@ -94,6 +98,19 @@ struct DistributedDomain::TransferState {
       default: throw std::logic_error("TransferState::buffer: operand is not a buffer");
     }
   }
+};
+
+/// This rank's eager exchange, lowered once per (active quantity list,
+/// topology epoch) by build_schedule: each walked Fig. 9 phase as one list
+/// of steps, in issue order (xfers_ order, then op order within each
+/// transfer). Phase 3 leaves out aggregation members, which pack with their
+/// group. An interpreted COLOCATED step stands for the rest of its phase.
+struct DistributedDomain::Schedule {
+  static constexpr std::uint64_t kUnbuilt = ~std::uint64_t{0};
+  std::uint64_t epoch = kUnbuilt;  // topo_epoch_ at build; kUnbuilt forces a build
+  std::array<std::vector<Step>, xfer::kPhases> steps;
+
+  std::vector<Step>& operator[](xfer::Phase p) { return steps[static_cast<std::size_t>(p)]; }
 };
 
 /// One aggregated STAGED message: every staged transfer between this rank

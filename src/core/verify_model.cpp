@@ -234,7 +234,8 @@ verify::RankProgram DistributedDomain::Lowering::lower(int r, std::vector<Item>&
                               const std::vector<std::size_t>* members) {
     if (!it.ops.has(ph)) return;
     const bool group = it.group;
-    const auto what = [&] { return group ? std::string("agg") : xfer::dir_str(it.t.dir); };
+    static const std::string agg = "agg";
+    const auto what = [&]() -> const std::string& { return group ? agg : xfer::dir_str(it.t.dir); };
     std::size_t last = kNone;  // last stream op on the src stream
     std::size_t edge = kNone;  // pending event edge
     const char* signal = nullptr;

@@ -454,7 +454,8 @@ void Job::wait(Request& r, int me) {
   if (rec.persistent && !rec.active) return;  // MPI: wait on inactive is a no-op
   const fault::Injector* inj = machine_.fault_injector();
   const int peer = rec.is_send ? rec.dst : rec.src;
-  const std::string detail = wait_detail(rec.is_send, rec.src, rec.dst, rec.tag);
+  // The diagnostic text, built only when the wait parks or throws.
+  const auto detail = [&rec] { return wait_detail(rec.is_send, rec.src, rec.dst, rec.tag); };
   // Two bounds make an unmatched wait finite under fault injection: the
   // retry budget (a live peer that wanted to match would have done so within
   // it) and the failure detector (a dead peer can never match after its
@@ -473,33 +474,33 @@ void Job::wait(Request& r, int me) {
       // The communicator was revoked while this operation was pending.
       cancel_unmatched(rec);
       fail(TransportError::Code::kRevoked, peer, rec.tag,
-           "simpi: " + detail + " revoked at t=" + sim::format_duration(eng_.now()) +
+           "simpi: " + detail() + " revoked at t=" + sim::format_duration(eng_.now()) +
                " (communicator revoked)");
     }
     const sim::Time deadline = std::min(retry_deadline, dead_deadline);
     if (deadline == fault::kForever) {
-      rank_gates_[static_cast<std::size_t>(me)]->wait(eng_, detail);
+      rank_gates_[static_cast<std::size_t>(me)]->wait(eng_, detail());
       continue;
     }
     const bool notified =
-        rank_gates_[static_cast<std::size_t>(me)]->wait_until(eng_, deadline, detail);
+        rank_gates_[static_cast<std::size_t>(me)]->wait_until(eng_, deadline, detail());
     if (notified || rec.matched) continue;
     cancel_unmatched(rec);
     if (eng_.now() >= dead_deadline) {
       fail(TransportError::Code::kPeerDead, peer, rec.tag,
-           "simpi: " + detail + " peer rank " + std::to_string(peer) + " died at t=" +
+           "simpi: " + detail() + " peer rank " + std::to_string(peer) + " died at t=" +
                sim::format_duration(peer_fail) + " (detected t=" +
                sim::format_duration(eng_.now()) + ")");
     }
     fail(TransportError::Code::kTimeout, peer, rec.tag,
-         "simpi: " + detail + " timed out at t=" + sim::format_duration(eng_.now()) +
+         "simpi: " + detail() + " timed out at t=" + sim::format_duration(eng_.now()) +
              " (no matching peer)");
   }
   eng_.sleep_until(rec.complete_at);
   done(rec);
   if (rec.failed) {
     fail(TransportError::Code::kRetriesExhausted, peer, rec.tag,
-         "simpi: " + detail + " lost after " + std::to_string(rec.attempts) +
+         "simpi: " + detail() + " lost after " + std::to_string(rec.attempts) +
              " attempts (retries exhausted)");
   }
 }

@@ -16,7 +16,8 @@ namespace stencil::watch {
 /// later samples fold in with weight `alpha` (higher = more reactive).
 class Ewma {
  public:
-  explicit Ewma(double alpha = 0.25) : alpha_(alpha) {}
+  Ewma() = default;
+  explicit Ewma(double alpha) : alpha_(alpha) {}
 
   void observe(double v) {
     value_ = n_ == 0 ? v : alpha_ * v + (1.0 - alpha_) * value_;
@@ -33,7 +34,7 @@ class Ewma {
   }
 
  private:
-  double alpha_;
+  double alpha_ = 0.25;
   double value_ = 0.0;
   std::uint64_t n_ = 0;
 };

@@ -1,7 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
+#include <map>
+#include <vector>
+
+#include "check/checker.h"
 #include "core/cluster.h"
 #include "core/distributed_domain.h"
+#include "fault/fault.h"
+#include "halo_oracle.h"
+#include "telemetry/telemetry.h"
 #include "topo/archetype.h"
 
 using stencil::Cluster;
@@ -163,4 +172,147 @@ TEST(DistributedDomain, DeterministicExchangeTimes) {
     return times;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+namespace {
+
+int method_count(const std::map<Method, int>& h, Method m) {
+  const auto it = h.find(m);
+  return it == h.end() ? 0 : it->second;
+}
+
+}  // namespace
+
+// The eager exchange is lowered once per (quantity list, topology epoch).
+// Each change of that key must rebuild it before the next exchange: a
+// selective exchange and the full one after it, a fault-forced demotion
+// under an unchanged quantity list, and recovery, which replaces and
+// appends transfer states (a stale step would point at freed memory, which
+// the sanitizer build reports). Every exchange starts from cleared halos
+// and must leave them bit-exact, with the happens-before checker clean
+// throughout; a selective exchange must also send only its quantities'
+// bytes.
+TEST(EagerSchedule, RebuildsOnEveryKeyChange) {
+  using stencil::halo_oracle::fill_interior;
+  using stencil::halo_oracle::verify_halos;
+  namespace fault = stencil::fault;
+  namespace sim = stencil::sim;
+  const Dim3 domain{48, 48, 48};
+  const sim::Time t_fault = sim::from_seconds(1.0);
+  constexpr int kDead = 3;
+  fault::FaultPlan plan;
+  plan.revoke_peer(t_fault, -1, -1);
+  fault::Injector inj(plan);
+
+  Cluster cluster(stencil::topo::summit(), 2, 2);
+  stencil::check::Checker chk(cluster.engine());
+  stencil::telemetry::Telemetry tel;
+  cluster.set_checker(&chk);
+  cluster.set_telemetry(&tel);
+  cluster.set_fault_injector(&inj);
+  const std::uint64_t& mpi_bytes = tel.metrics().counter("mpi_bytes_total").value;
+  cluster.run([&](RankCtx& ctx) {
+    DistributedDomain dd(ctx, domain);
+    dd.set_radius(1);
+    dd.add_data<float>("a");
+    dd.add_data<float>("b");
+    dd.set_methods(MethodFlags::kAll);
+    dd.realize();
+    // Returns the job's MPI bytes of the exchange, read where the barriers
+    // fence it from the exchanges before and after.
+    const auto exchange_checked = [&](const std::vector<std::size_t>& qs, const char* what) {
+      dd.for_each_subdomain([&](stencil::LocalDomain& ld) {
+        for (std::size_t q : qs) std::memset(ld.data(q).data(), 0, ld.data(q).size());
+      });
+      fill_interior(dd, 2);
+      const std::uint64_t before = mpi_bytes;
+      ctx.comm.barrier();
+      dd.exchange(qs);
+      ctx.comm.barrier();
+      EXPECT_EQ(verify_halos(dd, domain, 2), 0) << what << " (rank " << ctx.rank() << ")";
+      return mpi_bytes - before;
+    };
+
+    const std::uint64_t full = exchange_checked({0, 1}, "first exchange");
+    // One of two equal-sized quantities: every message is half as long.
+    EXPECT_EQ(2 * exchange_checked({1}, "selective exchange"), full);
+    EXPECT_EQ(exchange_checked({0, 1}, "full exchange after the selective one"), full);
+
+    // Same quantity list as the exchange before: only the epoch changes.
+    EXPECT_GT(method_count(dd.local_method_histogram(), Method::kPeer), 0);
+    ctx.engine().sleep_until(t_fault + sim::kMicrosecond);
+    ctx.comm.barrier();
+    const std::uint64_t epoch = dd.topology_epoch();
+    exchange_checked({0, 1}, "demoting exchange");
+    EXPECT_GT(dd.topology_epoch(), epoch);
+    EXPECT_EQ(method_count(dd.local_method_histogram(), Method::kPeer), 0);
+    exchange_checked({0, 1}, "exchange after the demotion");
+
+    if (ctx.rank() == kDead) return;  // dies quietly; the others re-home its subdomains
+    ctx.comm.job().retire_rank(kDead);
+    const std::uint64_t before_replace = dd.topology_epoch();
+    const std::size_t subdomains = dd.num_subdomains();
+    dd.recover_replace({kDead});
+    EXPECT_GT(dd.topology_epoch(), before_replace);
+    if (ctx.rank() == 0) {
+      EXPECT_GT(dd.num_subdomains(), subdomains);  // the lowest GPUs adopt
+    }
+    exchange_checked({0, 1}, "exchange after recover_replace");
+  });
+  EXPECT_TRUE(chk.report().clean()) << chk.report().summary();
+}
+
+// Phantom memory is timing only: issuing its kernels with empty bodies
+// must leave the schedule exactly as a materialized run's, down to the
+// engine's events and context switches.
+TEST(EagerSchedule, PhantomMatchesMaterializedSchedule) {
+  struct Run {
+    std::vector<double> exchange_s;  // per rank, per exchange
+    std::uint64_t events = 0;
+    std::uint64_t switches = 0;
+  };
+  const auto run = [](stencil::vgpu::MemMode mode, int nodes, int rpn,
+                      const std::function<void(DistributedDomain&)>& configure) {
+    Run out;
+    Cluster cluster(stencil::topo::summit(), nodes, rpn);
+    cluster.set_mem_mode(mode);
+    out.exchange_s.assign(static_cast<std::size_t>(nodes * rpn * 3), 0.0);
+    cluster.run([&](RankCtx& ctx) {
+      DistributedDomain dd(ctx, {96, 64, 32});
+      dd.set_radius(2);
+      dd.add_data<float>("a");
+      dd.add_data<double>("b");
+      configure(dd);
+      dd.realize();
+      for (std::size_t i = 0; i < 3; ++i) {
+        ctx.comm.barrier();
+        const double t0 = ctx.comm.wtime();
+        if (i == 1) {
+          dd.exchange({1});
+        } else {
+          dd.exchange();
+        }
+        out.exchange_s[static_cast<std::size_t>(ctx.rank()) * 3 + i] = ctx.comm.wtime() - t0;
+      }
+    });
+    out.events = cluster.engine().events_processed();
+    out.switches = cluster.engine().context_switches();
+    return out;
+  };
+  const auto expect_same = [&](int nodes, int rpn,
+                               const std::function<void(DistributedDomain&)>& configure) {
+    const Run phantom = run(stencil::vgpu::MemMode::kPhantom, nodes, rpn, configure);
+    const Run real = run(stencil::vgpu::MemMode::kMaterialized, nodes, rpn, configure);
+    EXPECT_EQ(phantom.exchange_s, real.exchange_s);
+    EXPECT_EQ(phantom.events, real.events);
+    EXPECT_EQ(phantom.switches, real.switches);
+    EXPECT_GT(phantom.events, 0u);
+  };
+  // Every method across two nodes, STAGED aggregated and zero-copy.
+  expect_same(2, 2, [](DistributedDomain& dd) {
+    dd.set_remote_aggregation(true);
+    dd.set_staged_zero_copy(true);
+  });
+  // One rank: KERNEL self-exchanges and PEER strided 3-D copies.
+  expect_same(1, 1, [](DistributedDomain& dd) { dd.set_pack_mode(stencil::PackMode::kMemcpy3D); });
 }
