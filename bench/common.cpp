@@ -6,7 +6,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "telemetry/export.h"
+#include "trace/recorder.h"
 
 namespace stencil::bench {
 
@@ -95,7 +95,7 @@ bool BenchJson::write(const std::string& path, std::string* err) const {
     if (err != nullptr) *err = "cannot open " + path;
     return false;
   }
-  const auto esc = [](const std::string& s) { return telemetry::json_escape(s); };
+  const auto& esc = trace::json_escape;
   os << "{\n  \"schema\": \"bench-v1\",\n  \"bench\": \"" << esc(bench_) << "\",\n"
      << "  \"rows\": [";
   bool first_row = true;

@@ -475,8 +475,8 @@ void DistributedDomain::exchange_start(const std::vector<std::size_t>& quantitie
   // never answer — the exchange is the collective heartbeat every rank
   // passes through, so no survivor can miss the incident.
   if (ctx_.comm.job().revoked()) {
-    throw simpi::TransportError(simpi::TransportError::Code::kRevoked, -1, -1,
-                                "exchange_start: communicator revoked (recovery pending)");
+    ctx_.comm.job().fail(simpi::TransportError::Code::kRevoked, -1, -1,
+                         "exchange_start: communicator revoked (recovery pending)");
   }
   if (quantities.empty()) throw std::invalid_argument("exchange: empty quantity list");
   for (std::size_t i = 0; i < quantities.size(); ++i) {
@@ -917,8 +917,8 @@ void DistributedDomain::colocated_gate_wait(sim::Gate& gate, int peer_rank, int 
   while (!done()) {
     const std::string detail = std::string(what) + " tag=" + std::to_string(tag);
     if (job.revoked()) {
-      throw simpi::TransportError(simpi::TransportError::Code::kRevoked, peer_rank, tag,
-                                  detail + ": communicator revoked (recovery pending)");
+      job.fail(simpi::TransportError::Code::kRevoked, peer_rank, tag,
+               detail + ": communicator revoked (recovery pending)");
     }
     const sim::Time peer_fail = job.rank_fail_time(peer_rank);
     if (peer_fail == fault::kForever) {
@@ -928,8 +928,8 @@ void DistributedDomain::colocated_gate_wait(sim::Gate& gate, int peer_rank, int 
     const fault::Injector* inj = ctx_.machine.fault_injector();
     const sim::Time deadline = peer_fail + (inj != nullptr ? inj->detect_latency() : sim::Time{0});
     if (eng.now() >= deadline) {
-      throw simpi::TransportError(simpi::TransportError::Code::kPeerDead, peer_rank, tag,
-                                  detail + ": peer rank " + std::to_string(peer_rank) + " died");
+      job.fail(simpi::TransportError::Code::kPeerDead, peer_rank, tag,
+               detail + ": peer rank " + std::to_string(peer_rank) + " died");
     }
     gate.wait_until(eng, deadline, detail);
   }

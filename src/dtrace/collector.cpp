@@ -7,13 +7,11 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "telemetry/export.h"
-
 namespace stencil::dtrace {
 
 namespace {
 
-using telemetry::json_escape;
+using trace::json_escape;
 
 /// Parse a decimal integer at s[i..], returning -1 when none is there.
 int parse_int(const std::string& s, std::size_t i) {

@@ -37,25 +37,25 @@ void ProgressMonitor::on_exchange_begin(int rank, std::uint64_t seq, sim::Time a
 
 void ProgressMonitor::on_exchange_complete(int rank, std::uint64_t seq, sim::Duration,
                                            sim::Time at) {
-  Cell& c = beats_[seq][rank];
+  const auto it = beats_.try_emplace(seq).first;
+  const std::map<int, Cell>& ranks = it->second;
+  Cell& c = it->second[rank];
   if (!c.begun) {
     c.begin = at;
     c.begun = true;
   }
   c.end = at;
   c.done = true;
-  if (world_size_ > 0) {
-    const auto& ranks = beats_[seq];
-    if (static_cast<int>(ranks.size()) == world_size_ &&
-        std::all_of(ranks.begin(), ranks.end(),
-                    [](const auto& kv) { return kv.second.done; })) {
-      evaluate(seq);
-    }
+  if (world_size_ > 0 && static_cast<int>(ranks.size()) == world_size_ &&
+      std::all_of(ranks.begin(), ranks.end(), [](const auto& kv) { return kv.second.done; })) {
+    evaluate(ranks, seq);
+    // Every rank is done, so finish() can never flag this exchange.
+    beats_.erase(it);
+    ++evaluated_;
   }
 }
 
-void ProgressMonitor::evaluate(std::uint64_t seq) {
-  const auto& ranks = beats_.at(seq);
+void ProgressMonitor::evaluate(const std::map<int, Cell>& ranks, std::uint64_t seq) {
   std::vector<sim::Duration> durs;
   durs.reserve(ranks.size());
   for (const auto& [rank, c] : ranks) durs.push_back(c.end - c.begin);
@@ -124,10 +124,12 @@ void ProgressMonitor::fire(int rank, std::uint64_t seq, sim::Time at, sim::Durat
 }
 
 std::string ProgressMonitor::str() const {
-  if (alerts_.empty()) return "progress: clean (" + std::to_string(beats_.size()) + " exchanges)";
+  if (alerts_.empty()) {
+    return "progress: clean (" + std::to_string(exchanges_seen()) + " exchanges)";
+  }
   std::ostringstream os;
   os << "progress: " << alerts_.size() << " alert" << (alerts_.size() == 1 ? "" : "s") << " over "
-     << beats_.size() << " exchanges\n";
+     << exchanges_seen() << " exchanges\n";
   for (const StallAlert& a : alerts_) os << a.str() << "\n";
   return os.str();
 }

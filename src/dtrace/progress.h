@@ -43,6 +43,8 @@ struct StallAlert {
 /// slower than `relative_slack` x median AND more than `slack` behind it
 /// (both must hold, so microsecond jitter on a fast exchange stays silent).
 /// finish() flags exchanges that never completed on some rank as stalls.
+/// An evaluated exchange can never stall, so its heartbeats are dropped
+/// then: the monitor holds only exchanges some rank has yet to finish.
 /// All comparisons are in virtual time, so detection is deterministic.
 class ProgressMonitor : public simpi::JobObserver {
  public:
@@ -80,7 +82,9 @@ class ProgressMonitor : public simpi::JobObserver {
 
   const std::vector<StallAlert>& alerts() const { return alerts_; }
   bool clean() const { return alerts_.empty(); }
-  std::uint64_t exchanges_seen() const { return static_cast<std::uint64_t>(beats_.size()); }
+  std::uint64_t exchanges_seen() const { return evaluated_ + beats_.size(); }
+  /// Exchanges whose heartbeats are still held (not yet evaluated).
+  std::size_t exchanges_held() const { return beats_.size(); }
 
   /// Human-readable report: one line per alert, or "progress: clean".
   std::string str() const;
@@ -93,7 +97,7 @@ class ProgressMonitor : public simpi::JobObserver {
     bool done = false;
   };
 
-  void evaluate(std::uint64_t seq);
+  void evaluate(const std::map<int, Cell>& ranks, std::uint64_t seq);
   void fire(int rank, std::uint64_t seq, sim::Time at, sim::Duration lag, std::string detail);
 
   int world_size_ = 0;
@@ -104,6 +108,7 @@ class ProgressMonitor : public simpi::JobObserver {
   telemetry::Telemetry* telemetry_ = nullptr;
   std::function<sim::Time(int)> rank_fail_time_;
   std::map<std::uint64_t, std::map<int, Cell>> beats_;  // seq -> rank -> heartbeat
+  std::uint64_t evaluated_ = 0;  // exchanges evaluated and dropped from beats_
   std::vector<StallAlert> alerts_;
 };
 

@@ -140,8 +140,8 @@ CheckpointStore::Gen* CheckpointStore::committed_gen(std::int64_t iter) {
 void CheckpointStore::checkpoint(std::int64_t iter) {
   simpi::Job& job = ctx_.comm.job();
   if (job.revoked()) {
-    throw simpi::TransportError(simpi::TransportError::Code::kRevoked, -1, -1,
-                                "checkpoint: communicator revoked (recovery pending)");
+    job.fail(simpi::TransportError::Code::kRevoked, -1, -1,
+             "checkpoint: communicator revoked (recovery pending)");
   }
   const int me = ctx_.comm.rank();
   std::vector<int> ring;

@@ -162,6 +162,11 @@ class Job {
   /// an in-flight exchange without tripping the checker's unwaited lint.
   void reset(Request& r);
 
+  /// The one transport-error exit: notify the observers (telemetry counts
+  /// it, logs it to the flight ring and captures a dump), then throw. Every
+  /// layer that aborts on a transport condition throws through here.
+  [[noreturn]] void fail(TransportError::Code code, int peer, int tag, const std::string& what);
+
  private:
   friend class Comm;
 
@@ -184,8 +189,6 @@ class Job {
   void barrier(int me);
   // Completion of a request observed by the calling actor.
   void done(Request::Record& rec);
-  // The one transport-error exit: notify the observers, then throw.
-  [[noreturn]] void fail(TransportError::Code code, int peer, int tag, const std::string& what);
   sim::Time device_ready_barrier(const Request::Record& send, const Request::Record& recv,
                                  sim::Time ready);
 

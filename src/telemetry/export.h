@@ -10,9 +10,6 @@
 
 namespace stencil::telemetry {
 
-/// JSON-escape a string (quotes, backslashes, control characters).
-std::string json_escape(const std::string& s);
-
 /// All registry contents as one JSON object:
 ///   {"counters": {...}, "gauges": {...}, "histograms": {...}}
 void write_metrics_json(std::ostream& os, const MetricsRegistry& reg);

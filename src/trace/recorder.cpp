@@ -8,6 +8,30 @@
 
 namespace stencil::trace {
 
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          // Remaining control characters are illegal raw in JSON strings.
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
+}
+
 std::uint64_t Recorder::record(std::string lane, std::string label, sim::Time start,
                                sim::Time end) {
   const std::uint64_t id = ++next_span_id_;
@@ -134,36 +158,13 @@ void Recorder::write_chrome_trace(std::ostream& os) const {
     auto [it, inserted] = tids.try_emplace(r.lane, static_cast<int>(tids.size()));
     if (inserted) names.push_back(&it->first);
   }
-  const auto escape = [](const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            // Remaining control characters are illegal raw in JSON strings.
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-          } else {
-            out.push_back(c);
-          }
-      }
-    }
-    return out;
-  };
   os << "{\"traceEvents\":[";
   bool first = true;
   for (std::size_t i = 0; i < names.size(); ++i) {
     if (!first) os << ",";
     first = false;
     os << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << i
-       << ",\"name\":\"thread_name\",\"args\":{\"name\":\"" << escape(*names[i]) << "\"}}";
+       << ",\"name\":\"thread_name\",\"args\":{\"name\":\"" << json_escape(*names[i]) << "\"}}";
   }
   for (const auto& r : records_) {
     if (!first) os << ",";
@@ -172,7 +173,7 @@ void Recorder::write_chrome_trace(std::ostream& os) const {
     // emitting a negative dur that chrome://tracing rejects.
     const sim::Duration dur = r.end > r.start ? r.end - r.start : 0;
     os << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << tids[r.lane] << ",\"name\":\""
-       << escape(r.label) << "\",\"ts\":" << sim::to_micros(r.start)
+       << json_escape(r.label) << "\",\"ts\":" << sim::to_micros(r.start)
        << ",\"dur\":" << sim::to_micros(dur) << "}";
   }
   os << "]}\n";

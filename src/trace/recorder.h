@@ -11,6 +11,10 @@
 
 namespace stencil::trace {
 
+/// `s` escaped for use inside a JSON string literal: quotes, backslashes
+/// and control characters. The one escaper every JSON writer shares.
+std::string json_escape(const std::string& s);
+
 /// One recorded operation span: `lane` identifies the resource or executor
 /// (e.g. "gpu0.kernel", "gpu0->gpu1", "rank2.cpu", "nic0.out"), `label` the
 /// operation (e.g. "pack +x", "MPI_Isend"). `rank` and `id` are filled by

@@ -1,30 +1,30 @@
 #include "watch/watch.h"
 
-#include <algorithm>
 #include <ostream>
 #include <sstream>
 
 namespace stencil::watch {
 namespace {
 
-/// Minimal JSON string escape for snapshot output (subjects/details hold
-/// only ASCII we generate, but stay safe anyway).
-void json_escape_to(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf] << "0123456789abcdef"[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-}
+// Hysteresis: consecutive breaching messages open a congested-link
+// incident, consecutive clear ones close it.
+constexpr int kOpenAfter = 3;
+constexpr int kCloseAfter = 4;
+// Congested link: per-byte wire cost exceeds (1 + stretch) x the
+// class/bucket floor. Messages below kCongestionMinBytes are too noisy to
+// vote.
+constexpr double kCongestionStretch = 1.0;
+constexpr std::uint64_t kCongestionMinBytes = 4096;
+// Interference spike: a tenant's window stretch exceeds this (evaluated at
+// publish()).
+constexpr double kInterferenceSpike = 0.75;
+// Link/node cost factors inside [1, 1 + deadband) snap to exactly 1.0, so
+// healthy-machine jitter never perturbs live-cost placement.
+constexpr double kCostDeadband = 0.25;
+// FlightRecorder events captured into each incident.
+constexpr std::size_t kFlightTail = 16;
+// Bound on stored incidents (beyond it, opens are counted, not stored).
+constexpr std::size_t kMaxIncidents = 256;
 
 }  // namespace
 
@@ -41,14 +41,10 @@ const char* to_string(WireClass c) {
 const char* to_string(Incident::Kind k) {
   switch (k) {
     case Incident::Kind::kCongestedLink: return "congested-link";
-    case Incident::Kind::kStragglerRank: return "straggler-rank";
     case Incident::Kind::kInterferenceSpike: return "interference-spike";
-    case Incident::Kind::kSloBreach: return "slo-breach";
   }
   return "?";
 }
-
-Watch::Watch(Config cfg) : cfg_(cfg) {}
 
 int Watch::size_bucket(std::uint64_t bytes) {
   // One bucket per factor of four: bucket = ceil(log2(bytes)) / 2, clamped.
@@ -66,22 +62,12 @@ void Watch::configure(int num_nodes, int world_size) {
                 LaneStats{});
   for (auto& c : class_floor_)
     for (auto& b : c) b = 0.0;
-  ranks_.assign(static_cast<std::size_t>(world_size_), RankStats{});
-  for (auto& r : ranks_) r.lat_ms = Ewma(cfg_.ewma_alpha);
-  for (auto& l : lanes_) {
-    l.ewma_pb = Ewma(cfg_.ewma_alpha);
-    for (auto& b : l.buckets) b.ewma_pb = Ewma(cfg_.ewma_alpha);
-  }
-  scratch_.assign(static_cast<std::size_t>(world_size_), 0.0);
   tenant_of_.clear();
   tenants_.clear();
   exch_p95_.reset();
   exchange_completions_ = 0;
   messages_ = 0;
   window_ = 0;
-  slo_breach_streak_ = slo_clear_streak_ = 0;
-  slo_incident_open_ = false;
-  slo_incident_idx_ = -1;
   incidents_.clear();
   open_incidents_ = 0;
   incidents_opened_ = 0;
@@ -100,16 +86,16 @@ int Watch::open_incident(Incident::Kind kind, std::string subject, std::string d
     // Zero-duration span = chrome-trace instant event on the watch lane.
     recorder_->record("watch", std::string(to_string(kind)) + " " + subject, at, at);
   }
-  if (incidents_.size() >= cfg_.max_incidents) return -1;
+  if (incidents_.size() >= kMaxIncidents) return -1;
   Incident inc;
   inc.kind = kind;
   inc.subject = std::move(subject);
   inc.detail = std::move(detail);
   inc.severity = severity;
   inc.opened = at;
-  if (flight_ != nullptr && cfg_.flight_tail > 0) {
+  if (flight_ != nullptr) {
     std::ostringstream tail;
-    flight_->dump_tail(tail, cfg_.flight_tail);
+    flight_->dump_tail(tail, kFlightTail);
     inc.flight_tail = tail.str();
   }
   incidents_.push_back(std::move(inc));
@@ -173,11 +159,11 @@ void Watch::on_message(int src_rank, int dst_rank, int src_node, int dst_node, b
   // Congested-link detector with hysteresis. Only messages large enough to
   // be bandwidth-dominated vote, and only once the class floor has settled
   // (two observations in the bucket).
-  if (bytes >= cfg_.congestion_min_bytes && bs.count >= 2 && class_floor_[ci][b] > 0.0) {
+  if (bytes >= kCongestionMinBytes && bs.count >= 2 && class_floor_[ci][b] > 0.0) {
     const double stretch = pb / class_floor_[ci][b] - 1.0;
-    if (stretch > cfg_.congestion_stretch) {
+    if (stretch > kCongestionStretch) {
       lane.clear_streak = 0;
-      if (++lane.breach_streak >= cfg_.open_after && !lane.incident_open) {
+      if (++lane.breach_streak >= kOpenAfter && !lane.incident_open) {
         lane.incident_open = true;
         std::ostringstream subject, detail;
         subject << "link n" << src_node << "->n" << dst_node << " " << to_string(wc);
@@ -189,7 +175,7 @@ void Watch::on_message(int src_rank, int dst_rank, int src_node, int dst_node, b
       }
     } else {
       lane.breach_streak = 0;
-      if (lane.incident_open && ++lane.clear_streak >= cfg_.close_after) {
+      if (lane.incident_open && ++lane.clear_streak >= kCloseAfter) {
         lane.incident_open = false;
         lane.clear_streak = 0;
         close_incident(lane.incident_idx, span.end);
@@ -206,11 +192,9 @@ void Watch::on_match(const simpi::MsgInfo& send, const simpi::MsgInfo& recv,
 }
 
 void Watch::on_exchange_complete(int world_rank, std::uint64_t seq, sim::Duration latency,
-                                 sim::Time at) {
-  if (world_rank < 0 || world_rank >= static_cast<int>(ranks_.size())) return;
+                                 sim::Time) {
+  if (world_rank < 0 || world_rank >= world_size_) return;
   const double ms = sim::to_millis(latency);
-  RankStats& rs = ranks_[static_cast<std::size_t>(world_rank)];
-  rs.lat_ms.observe(ms);
   exch_p95_.observe(ms);
   ++exchange_completions_;
 
@@ -230,62 +214,6 @@ void Watch::on_exchange_complete(int world_rank, std::uint64_t seq, sim::Duratio
         tw.cur_max_ms = ms;
       } else if (ms > tw.cur_max_ms) {
         tw.cur_max_ms = ms;
-      }
-    }
-  }
-
-  // Straggler detector: this rank's EWMA vs the median EWMA across ranks
-  // that have reported. scratch_ is preallocated — no allocation here.
-  std::size_t n = 0;
-  for (const auto& r : ranks_)
-    if (!r.lat_ms.empty()) scratch_[n++] = r.lat_ms.value();
-  if (n >= 3 && rs.lat_ms.count() >= 2) {
-    const std::size_t mid = n / 2;
-    std::nth_element(scratch_.begin(), scratch_.begin() + static_cast<std::ptrdiff_t>(mid),
-                     scratch_.begin() + static_cast<std::ptrdiff_t>(n));
-    const double med = scratch_[mid];
-    if (med > 0.0 && rs.lat_ms.value() > cfg_.straggler_factor * med) {
-      rs.clear_streak = 0;
-      if (++rs.breach_streak >= cfg_.open_after && !rs.incident_open) {
-        rs.incident_open = true;
-        std::ostringstream subject, detail;
-        subject << "rank " << world_rank;
-        detail << "exchange ewma " << rs.lat_ms.value() << " ms vs median " << med
-               << " ms (seq " << seq << ")";
-        rs.incident_idx = open_incident(Incident::Kind::kStragglerRank, subject.str(),
-                                        detail.str(), rs.lat_ms.value() / med, at);
-      }
-    } else {
-      rs.breach_streak = 0;
-      if (rs.incident_open && ++rs.clear_streak >= cfg_.close_after) {
-        rs.incident_open = false;
-        rs.clear_streak = 0;
-        close_incident(rs.incident_idx, at);
-        rs.incident_idx = -1;
-      }
-    }
-  }
-
-  // Exchange-p95 SLO detector (global, hysteresis on completions).
-  if (cfg_.slo_p95_ms > 0.0 && exch_p95_.count() >= 8) {
-    if (exch_p95_.value() > cfg_.slo_p95_ms) {
-      slo_clear_streak_ = 0;
-      if (++slo_breach_streak_ >= cfg_.open_after && !slo_incident_open_) {
-        slo_incident_open_ = true;
-        std::ostringstream detail;
-        detail << "exchange p95 " << exch_p95_.value() << " ms over SLO " << cfg_.slo_p95_ms
-               << " ms";
-        slo_incident_idx_ =
-            open_incident(Incident::Kind::kSloBreach, "exchange-p95", detail.str(),
-                          exch_p95_.value() / cfg_.slo_p95_ms, at);
-      }
-    } else {
-      slo_breach_streak_ = 0;
-      if (slo_incident_open_ && ++slo_clear_streak_ >= cfg_.close_after) {
-        slo_incident_open_ = false;
-        slo_clear_streak_ = 0;
-        close_incident(slo_incident_idx_, at);
-        slo_incident_idx_ = -1;
       }
     }
   }
@@ -377,7 +305,7 @@ double Watch::live_link_cost_factor(int src_node, int dst_node) const {
   }
   if (wsum <= 0.0) return 1.0;
   const double factor = fsum / wsum;
-  return factor < 1.0 + cfg_.cost_deadband ? 1.0 : factor;
+  return factor < 1.0 + kCostDeadband ? 1.0 : factor;
 }
 
 double Watch::live_node_cost_factor(int node) const {
@@ -424,14 +352,14 @@ void Watch::publish() {
     const double stretch = tenant_online_interference(static_cast<int>(t));
     // publish() runs outside the engine; stamp incidents with a zero time —
     // the window ordinal in the detail string localizes them.
-    if (stretch > cfg_.interference_spike) {
+    if (stretch > kInterferenceSpike) {
       ts.clear_streak = 0;
       if (++ts.breach_streak >= 1 && !ts.incident_open) {  // window-level: open on first
         ts.incident_open = true;
         std::ostringstream subject, detail;
         subject << "tenant " << t;
         detail << "online interference " << stretch << " over threshold "
-               << cfg_.interference_spike << " (window " << window_ << ")";
+               << kInterferenceSpike << " (window " << window_ << ")";
         ts.incident_idx = open_incident(Incident::Kind::kInterferenceSpike, subject.str(),
                                         detail.str(), stretch, 0);
       }
@@ -548,11 +476,6 @@ double Watch::window_interference(int tenant, const TenantWindow& w) const {
   return s < 0.0 ? 0.0 : s;
 }
 
-double Watch::rank_latency_ms(int world_rank) const {
-  if (world_rank < 0 || world_rank >= static_cast<int>(ranks_.size())) return 0.0;
-  return ranks_[static_cast<std::size_t>(world_rank)].lat_ms.value();
-}
-
 void Watch::write_snapshot_json(std::ostream& os) const {
   os << "{\n  \"schema\": \"watch-v1\",\n";
   os << "  \"nodes\": " << num_nodes_ << ",\n";
@@ -609,12 +532,10 @@ void Watch::write_snapshot_json(std::ostream& os) const {
   for (std::size_t i = 0; i < incidents_.size(); ++i) {
     const Incident& inc = incidents_[i];
     os << (i ? ",\n" : "\n");
-    os << "    {\"kind\": \"" << to_string(inc.kind) << "\", \"subject\": \"";
-    json_escape_to(os, inc.subject);
-    os << "\", \"severity\": " << inc.severity << ", \"opened_ns\": " << inc.opened
-       << ", \"closed_ns\": " << inc.closed << ", \"detail\": \"";
-    json_escape_to(os, inc.detail);
-    os << "\"}";
+    os << "    {\"kind\": \"" << to_string(inc.kind) << "\", \"subject\": \""
+       << trace::json_escape(inc.subject) << "\", \"severity\": " << inc.severity
+       << ", \"opened_ns\": " << inc.opened << ", \"closed_ns\": " << inc.closed
+       << ", \"detail\": \"" << trace::json_escape(inc.detail) << "\"}";
   }
   os << (incidents_.empty() ? "]\n" : "\n  ]\n");
   os << "}\n";
@@ -627,7 +548,7 @@ void Watch::export_metrics(telemetry::MetricsRegistry& reg) const {
   reg.gauge("watch_incidents_open").set(static_cast<double>(open_incidents_));
   reg.gauge("watch_exchange_p95_ms").set(exchange_p95_ms());
   reg.gauge("watch_publish_epoch").set(static_cast<double>(publish_epoch_));
-  for (int k = 0; k < 4; ++k) {
+  for (int k = 0; k < Incident::kKinds; ++k) {
     reg.counter(std::string("watch_incidents_total{kind=\"") +
                 to_string(static_cast<Incident::Kind>(k)) + "\"}")
         .value = incidents_by_kind_[k];

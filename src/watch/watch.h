@@ -10,9 +10,10 @@
 ///     cost, per-size-bucket observed floors (the uncontended minimum), and
 ///     message/byte counters — updated in O(1) with zero allocation;
 ///   - an anomaly engine raising structured Incidents (congested link,
-///     straggler rank, interference spike, exchange-p95 SLO breach) with
-///     open/close hysteresis, each open snapshotting the FlightRecorder
-///     tail and dropping an instant event into the chrome trace;
+///     interference spike) with open/close hysteresis, each open
+///     snapshotting the FlightRecorder tail and dropping an instant event
+///     into the chrome trace. Slow and stalled ranks are not its business:
+///     dtrace::ProgressMonitor is the job's one straggler/stall detector;
 ///   - a LinkCostOracle feedback API: published per-node/per-link cost
 ///     factors (capability degradation vs the healthiest observed wire)
 ///     that sched placement and recover_replace consult under
@@ -55,9 +56,10 @@ const char* to_string(WireClass c);
 
 /// One structured anomaly, with its evidence attached.
 struct Incident {
-  enum class Kind { kCongestedLink, kStragglerRank, kInterferenceSpike, kSloBreach };
+  enum class Kind { kCongestedLink, kInterferenceSpike };
+  static constexpr int kKinds = 2;
   Kind kind = Kind::kCongestedLink;
-  std::string subject;  ///< "link n0->n2 host-inter", "rank 5", "tenant 1", "exchange-p95"
+  std::string subject;  ///< "link n0->n2 host-inter", "tenant 1"
   std::string detail;   ///< human-readable evidence at open time
   double severity = 0.0;  ///< stretch / ratio that tripped the detector
   sim::Time opened = 0;
@@ -112,38 +114,8 @@ class Watch final : public LinkCostOracle, public simpi::JobObserver {
     bool seen_first = false;      ///< warm-up group already dropped
   };
 
-  struct Config {
-    double ewma_alpha = 0.25;
-    /// Hysteresis: consecutive breaching observations to open an incident,
-    /// consecutive clear observations to close it.
-    int open_after = 3;
-    int close_after = 4;
-    /// Congested link: per-byte wire cost exceeds (1 + stretch) x the
-    /// class/bucket floor. Messages below min_bytes are too noisy to vote.
-    double congestion_stretch = 1.0;
-    std::uint64_t congestion_min_bytes = 4096;
-    /// Straggler rank: EWMA exchange latency exceeds factor x the median
-    /// rank's EWMA.
-    double straggler_factor = 2.0;
-    /// Interference spike: a tenant's window stretch exceeds this
-    /// (evaluated at publish()).
-    double interference_spike = 0.75;
-    /// Exchange-p95 SLO in milliseconds; 0 disables the detector.
-    double slo_p95_ms = 0.0;
-    /// Link/node cost factors inside [1, 1 + deadband) snap to exactly 1.0,
-    /// so healthy-machine jitter never perturbs live-cost placement.
-    double cost_deadband = 0.25;
-    /// FlightRecorder events captured into each incident.
-    std::size_t flight_tail = 16;
-    /// Bound on stored incidents (beyond it, opens are counted, not stored).
-    std::size_t max_incidents = 256;
-  };
-
-  Watch() : Watch(Config{}) {}
-  explicit Watch(Config cfg);
-
   // --- wiring (Cluster::set_watch) -----------------------------------------
-  /// Preallocates every lane/rank slot: after configure, the hot path never
+  /// Preallocates every lane slot: after configure, the hot path never
   /// allocates. Resets all estimator state.
   void configure(int num_nodes, int world_size);
   void set_flight(const telemetry::FlightRecorder* f) { flight_ = f; }
@@ -221,8 +193,6 @@ class Watch final : public LinkCostOracle, public simpi::JobObserver {
   double window_interference(int tenant, const TenantWindow& w) const;
   /// p95 of per-rank exchange latency (ms) over the current window.
   double exchange_p95_ms() const { return exch_p95_.value(); }
-  /// EWMA exchange latency of one rank in ms (0 = no data).
-  double rank_latency_ms(int world_rank) const;
 
   const std::vector<Incident>& incidents() const { return incidents_; }
   int open_incidents() const { return open_incidents_; }
@@ -236,8 +206,6 @@ class Watch final : public LinkCostOracle, public simpi::JobObserver {
   void write_snapshot_json(std::ostream& os) const;
   /// Prometheus-ready gauges/counters into `reg` (watch_* namespace).
   void export_metrics(telemetry::MetricsRegistry& reg) const;
-
-  const Config& config() const { return cfg_; }
 
  private:
   struct BucketStats {
@@ -264,13 +232,6 @@ class Watch final : public LinkCostOracle, public simpi::JobObserver {
     double win_actual_ns = 0.0;
     double win_floor_ns = 0.0;
     // Congestion hysteresis.
-    int breach_streak = 0;
-    int clear_streak = 0;
-    bool incident_open = false;
-    int incident_idx = -1;
-  };
-  struct RankStats {
-    Ewma lat_ms;
     int breach_streak = 0;
     int clear_streak = 0;
     bool incident_open = false;
@@ -307,29 +268,22 @@ class Watch final : public LinkCostOracle, public simpi::JobObserver {
                     double severity, sim::Time at);
   void close_incident(int idx, sim::Time at);
 
-  Config cfg_;
   int num_nodes_ = 0;
   int world_size_ = 0;
   std::vector<LaneStats> lanes_;                    // nodes^2 x classes
   double class_floor_[kWireClasses][kSizeBuckets] = {};  // global min ns/byte
-  std::vector<RankStats> ranks_;
   std::vector<int> tenant_of_;                      // world rank -> tenant (-1 none)
   std::vector<TenantStats> tenants_;
-  std::vector<double> scratch_;                     // straggler median, preallocated
 
   P2Quantile exch_p95_{0.95};
   std::uint64_t exchange_completions_ = 0;
   std::uint64_t messages_ = 0;
   std::uint64_t window_ = 0;  // bumped by clear_window()
-  int slo_breach_streak_ = 0;
-  int slo_clear_streak_ = 0;
-  bool slo_incident_open_ = false;
-  int slo_incident_idx_ = -1;
 
   std::vector<Incident> incidents_;
   int open_incidents_ = 0;
   std::uint64_t incidents_opened_ = 0;
-  std::uint64_t incidents_by_kind_[4] = {};
+  std::uint64_t incidents_by_kind_[Incident::kKinds] = {};
 
   std::vector<double> published_node_;  // factor per node (empty until publish)
   std::vector<double> published_link_;  // factor per (src*nodes+dst)

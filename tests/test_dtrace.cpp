@@ -4,6 +4,7 @@
 // the progress/stall monitor's detection thresholds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstring>
 #include <map>
@@ -527,6 +528,36 @@ TEST(DtraceProgress, FinishFlagsStalledAndMissingRanks) {
   EXPECT_EQ(mon.alerts()[1].rank, 2);
   EXPECT_EQ(mon.alerts()[1].seq, 6u);
   EXPECT_NE(mon.alerts()[1].detail.find("never began"), std::string::npos);
+}
+
+TEST(DtraceProgress, HoldsOnlyUnfinishedExchanges) {
+  // An exchange every rank finished is evaluated and dropped, so a long
+  // clean run holds nothing, and a later stall is still flagged.
+  ProgressMonitor mon;
+  mon.set_world(3);
+  sim::Time t = sim::from_seconds(1.0);
+  std::size_t max_held = 0;
+  for (std::uint64_t seq = 1; seq <= 50; ++seq) {
+    for (int r = 0; r < 3; ++r) mon.on_exchange_begin(r, seq, t);
+    for (int r = 0; r < 3; ++r) {
+      max_held = std::max(max_held, mon.exchanges_held());
+      complete(mon, r, seq, t + 100 * sim::kMicrosecond);
+    }
+    t += sim::kMillisecond;
+  }
+  EXPECT_LE(max_held, 1u);
+  EXPECT_EQ(mon.exchanges_held(), 0u);
+  // Exchange 51: rank 1 begins it and never completes.
+  for (int r = 0; r < 3; ++r) mon.on_exchange_begin(r, 51, t);
+  complete(mon, 0, 51, t + 100 * sim::kMicrosecond);
+  complete(mon, 2, 51, t + 100 * sim::kMicrosecond);
+
+  EXPECT_EQ(mon.exchanges_seen(), 51u);
+  mon.finish(t + 5 * sim::kMillisecond);
+  ASSERT_EQ(mon.alerts().size(), 1u) << mon.str();
+  EXPECT_EQ(mon.alerts()[0].rank, 1);
+  EXPECT_EQ(mon.alerts()[0].seq, 51u);
+  EXPECT_NE(mon.str().find("over 51 exchanges"), std::string::npos) << mon.str();
 }
 
 TEST(DtraceProgress, AlertSnapshotsFlightTailAndInflightContexts) {

@@ -788,6 +788,32 @@ TEST(DomainTelemetry, CountsExchangesAndLatency) {
   EXPECT_FALSE(tel.flight().empty());
 }
 
+TEST(DomainTelemetry, RevokedExchangeStartIsATransportError) {
+  // exchange_start aborts into recovery on a revoked job through Job::fail,
+  // the one transport-error exit, so the sink counts every rank's abort.
+  Cluster cluster(topo::summit(), 2, 2);
+  Telemetry tel;
+  cluster.set_telemetry(&tel);
+  int revoked = 0;
+  cluster.run([&](RankCtx& ctx) {
+    DistributedDomain dd(ctx, {24, 24, 24});
+    dd.set_radius(1);
+    dd.add_data<float>("q0");
+    dd.realize();
+    ctx.comm.barrier();
+    ctx.comm.job().revoke();
+    try {
+      dd.exchange_start();
+    } catch (const simpi::TransportError& e) {
+      if (e.code() == simpi::TransportError::Code::kRevoked) ++revoked;
+    }
+  });
+  EXPECT_EQ(revoked, 4);
+  EXPECT_EQ(tel.metrics().counter_value("mpi_transport_errors_total"), 4u);
+  EXPECT_NE(tel.last_dump().find("exchange_start: communicator revoked"), std::string::npos)
+      << tel.last_dump();
+}
+
 TEST(DomainTelemetry, PerMethodCountersMatchMethodBytesHistogram) {
   Cluster cluster(topo::summit(), 1, 1);
   Telemetry tel;
