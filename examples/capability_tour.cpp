@@ -35,8 +35,8 @@ void tour(const stencil::topo::NodeArchetype& arch, int ranks_per_node) {
 
     if (ctx.rank() == 0) {
       std::printf("  rank 0 methods: ");
-      for (const auto& [m, n] : dd.local_method_histogram()) {
-        std::printf("%s x%d  ", to_string(m), n);
+      for (const auto& [m, nb] : dd.method_bytes_histogram()) {
+        std::printf("%s x%d  ", to_string(m), nb.first);
       }
       std::printf("\n");
     }

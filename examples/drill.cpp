@@ -143,9 +143,10 @@ namespace {
 
 struct RunResult {
   Dim3 node_extent, gpu_extent, global_extent, subdomain_size;
-  std::map<Method, int> rank0_methods;
-  // Per-method (transfer count, payload bytes) over rank 0's realized
-  // transfer set — reflects runtime demotions, unlike the static plan.
+  // Per-method (transfer count, payload bytes) over rank 0's transfer
+  // table: right after realize(), and after the last exchange (with any
+  // runtime demotions).
+  std::map<Method, std::pair<int, std::size_t>> rank0_methods;
   std::map<Method, std::pair<int, std::size_t>> rank0_method_bytes;
   // With --persistent: rank 0's compiled plans and cache counters.
   std::string rank0_plan_dump;
@@ -172,7 +173,7 @@ RunResult run_config(const cli::Options& opt) {
       out.gpu_extent = hp.gpu_extent();
       out.global_extent = hp.global_extent();
       out.subdomain_size = hp.subdomain_size({0, 0, 0});
-      out.rank0_methods = dd.local_method_histogram();
+      out.rank0_methods = dd.method_bytes_histogram();
     }
 
     ctx.comm.barrier();
@@ -230,7 +231,7 @@ int run_explore(const cli::Options& opt) {
               r.node_extent.str().c_str(), r.gpu_extent.str().c_str(),
               r.global_extent.str().c_str(), r.subdomain_size.str().c_str());
   std::printf("rank 0 transfers:");
-  for (const auto& [m, n] : r.rank0_methods) std::printf(" %s x%d", to_string(m), n);
+  for (const auto& [m, nb] : r.rank0_methods) std::printf(" %s x%d", to_string(m), nb.first);
   std::printf("\nexchange time (max over ranks, avg of %d): %.3f ms (simulated)\n", opt.iters,
               r.exchange_ms);
   return 0;

@@ -148,8 +148,8 @@ std::string run_demotion(explain::Ledger* led) {
     }
     if (ctx.rank() == 0) {
       art << "methods after revocation:";
-      for (const auto& [m, n] : dd.local_method_histogram())
-        art << " " << to_string(m) << "=" << n;
+      for (const auto& [m, nb] : dd.method_bytes_histogram())
+        art << " " << to_string(m) << "=" << nb.first;
       art << "\n";
     }
   });

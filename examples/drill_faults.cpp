@@ -19,9 +19,9 @@ namespace stencil::drill {
 
 namespace {
 
-void print_histogram(const char* when, const std::map<Method, int>& h) {
+void print_histogram(const char* when, const std::map<Method, std::pair<int, std::size_t>>& h) {
   std::printf("  methods %s:", when);
-  for (const auto& [m, n] : h) std::printf(" %s=%d", to_string(m), n);
+  for (const auto& [m, nb] : h) std::printf(" %s=%d", to_string(m), nb.first);
   std::printf("\n");
 }
 
@@ -213,7 +213,7 @@ int run_fault(const cli::Options& opt) {
     dd.set_methods(MethodFlags::kAll |
                    (opt.drill == "cuda" ? MethodFlags::kCudaAwareMpi : MethodFlags::kNone));
     dd.realize();
-    if (ctx.rank() == 0) print_histogram("before", dd.local_method_histogram());
+    if (ctx.rank() == 0) print_histogram("before", dd.method_bytes_histogram());
 
     auto epoch = [&](const char* tag) {
       for (int it = 0; it < opt.iters; ++it) {
@@ -234,7 +234,7 @@ int run_fault(const cli::Options& opt) {
     ctx.engine().sleep_until(t_fault + sim::kMicrosecond);
     ctx.comm.barrier();
     epoch("degraded");
-    if (ctx.rank() == 0) print_histogram("after", dd.local_method_histogram());
+    if (ctx.rank() == 0) print_histogram("after", dd.method_bytes_histogram());
   });
 
   print_fault_lane(rec);

@@ -36,8 +36,8 @@ int main() {
                     ld.size().str().c_str(), ld.gpu());
       });
       std::printf("rank 0 transfer methods:\n");
-      for (const auto& [method, count] : dd.local_method_histogram()) {
-        std::printf("  %-16s x%d\n", to_string(method), count);
+      for (const auto& [method, nb] : dd.method_bytes_histogram()) {
+        std::printf("  %-16s x%d\n", to_string(method), nb.first);
       }
     }
 

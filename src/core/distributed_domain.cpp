@@ -41,7 +41,7 @@ DistributedDomain::DistributedDomain(RankCtx& ctx, Dim3 domain)
   if (domain_.x <= 0 || domain_.y <= 0 || domain_.z <= 0) {
     throw std::invalid_argument("DistributedDomain: domain extents must be positive");
   }
-  install_admission();
+  plan_cache_.set_admission([this](const plan::CompiledPlan& p) { return admission_report(p); });
 }
 
 void DistributedDomain::require_unrealized(const char* what) const {
@@ -102,6 +102,13 @@ void DistributedDomain::set_persistent(bool on) {
   persistent_ = on;
 }
 
+std::vector<Transfer> DistributedDomain::transfers() const {
+  std::vector<Transfer> out;
+  out.reserve(xfers_.size());
+  for (const auto& xp : xfers_) out.push_back(xp->t);
+  return out;
+}
+
 std::map<Method, std::pair<int, std::size_t>> DistributedDomain::method_bytes_histogram() const {
   std::map<Method, std::pair<int, std::size_t>> h;
   for (const auto& xp : xfers_) {
@@ -110,6 +117,27 @@ std::map<Method, std::pair<int, std::size_t>> DistributedDomain::method_bytes_hi
     e.second += xp->bytes;
   }
   return h;
+}
+
+void DistributedDomain::export_transfer_gauges() const {
+  auto* tel = ctx_.cluster.telemetry();
+  if (tel == nullptr) return;
+  telemetry::MetricsRegistry& reg = tel->metrics();
+  const auto h = method_bytes_histogram();
+  for (const Method m : {Method::kStaged, Method::kCudaAwareMpi, Method::kColocated, Method::kPeer,
+                         Method::kKernel}) {
+    const std::string name =
+        std::string("exchange_plan_transfers{method=\"") + to_string(m) + "\"}";
+    const auto it = h.find(m);
+    // A demotion can drain a method entirely: zero its series rather than
+    // let a stale value misreport the table.
+    if (it != h.end()) {
+      reg.gauge(name).set(static_cast<double>(it->second.first));
+    } else if (reg.gauges().count(name) != 0) {
+      reg.gauge(name).set(0.0);
+    }
+  }
+  reg.gauge("exchange_plan_total_transfers").set(static_cast<double>(xfers_.size()));
 }
 
 std::size_t DistributedDomain::add_data_bytes(const std::string& name, std::size_t elem_size) {
@@ -188,17 +216,20 @@ void DistributedDomain::realize() {
     }
   }
 
-  // Phase 3: capability specialization. The plan is built in partition
-  // (virtual) GPU coordinates with tags inside this tenant's tag window,
-  // then translated to physical GPU ids so every downstream consumer —
-  // streams, buffers, machine cost queries, IPC — sees real hardware.
-  plan_ = ExchangePlan::for_rank(*placement_, ctx_.comm.rank(), part_rpn(), flags_, nbhd_,
-                                 boundary_, tenant_id());
+  // Phase 3: capability specialization. The transfers are derived in
+  // partition (virtual) GPU coordinates with tags inside this tenant's tag
+  // window, then translated to physical GPU ids so every downstream
+  // consumer — streams, buffers, machine cost queries, IPC — sees real
+  // hardware.
+  ExchangePlan derived = ExchangePlan::for_rank(*placement_, ctx_.comm.rank(), part_rpn(),
+                                                flags_, nbhd_, boundary_, tenant_id());
   if (tv != nullptr) {
-    plan_.map_gpus([tv](int vgpu) { return tv->phys_gpu(vgpu); });
+    derived.map_gpus([tv](int vgpu) { return tv->phys_gpu(vgpu); });
   }
-  build_transfer_states();
-  if (auto* tel = ctx_.cluster.telemetry()) plan_.export_metrics(tel->metrics());
+  for (const Transfer& t : derived.transfers()) {
+    if (auto xp = make_transfer_state(t)) xfers_.push_back(std::move(xp));
+  }
+  export_transfer_gauges();
   record_specialization();
   build_aggregation_groups();
   colocated_setup();
@@ -239,8 +270,11 @@ void DistributedDomain::build_aggregation_groups() {
   build(recv_layout, recv_groups_);
 }
 
-void DistributedDomain::build_one_transfer(TransferState& x, const Transfer& t) {
+std::unique_ptr<DistributedDomain::TransferState> DistributedDomain::make_transfer_state(
+    const Transfer& t) {
   const auto& hp = placement_->partition();
+  auto xp = std::make_unique<TransferState>();
+  TransferState& x = *xp;
   x.t = t;
   x.i_send = t.src_rank == ctx_.comm.rank();
   x.i_recv = t.dst_rank == ctx_.comm.rank();
@@ -253,20 +287,12 @@ void DistributedDomain::build_one_transfer(TransferState& x, const Transfer& t) 
                            xfer::dir_str(t.dir) + ": slab shapes differ");
   }
   x.bytes = static_cast<std::size_t>(x.src_region.volume()) * bytes_per_point_;
-  if (x.bytes == 0) return;  // asymmetric radius: nothing moves this way
+  if (x.bytes == 0) return nullptr;  // asymmetric radius: nothing moves this way
   if (x.i_send) x.src_ld = local_by_subdomain(t.src_idx);
   if (x.i_recv) x.dst_ld = local_by_subdomain(t.dst_idx);
 
   ensure_buffers(x);
-}
-
-void DistributedDomain::build_transfer_states() {
-  for (const Transfer& t : plan_.transfers()) {
-    auto xp = std::make_unique<TransferState>();
-    build_one_transfer(*xp, t);
-    if (xp->bytes == 0) continue;  // asymmetric radius: nothing moves this way
-    xfers_.push_back(std::move(xp));
-  }
+  return xp;
 }
 
 void DistributedDomain::colocated_setup() {
@@ -366,11 +392,10 @@ void DistributedDomain::demote_transfer(TransferState& x, Method target) {
                 now, now);
   }
   x.t.method = target;
-  plan_.set_method(x.t.tag, target);
   if (auto* tel = ctx_.cluster.telemetry()) {
     tel->on_demotion(x.t.tag, to_string(from), to_string(target), ctx_.engine().now());
-    plan_.export_metrics(tel->metrics());
   }
+  export_transfer_gauges();
   // The specialization table changed shape: version it and dirty the
   // transfer's frozen programs in every cached plan. The next acquire
   // rebuilds only those entries (partial invalidation, not a recompile).
@@ -1086,13 +1111,14 @@ std::vector<DistributedDomain::Rehome> DistributedDomain::recover_replace(
     local_index_by_subdomain_[rh.lin] = locals_.size() - 1;
   }
 
-  // Re-derive the exchange plan against the re-homed placement and diff it
-  // per tag (tags are structural — subdomain index × direction — so they
-  // survive re-homing). Unchanged endpoints keep their runtime state and
-  // method, incl. earlier demotions; changed endpoints are rebuilt and
+  // Re-derive this rank's transfers against the re-homed placement and diff
+  // them per tag (tags are structural — subdomain index × direction — so
+  // they survive re-homing). Unchanged endpoints keep their runtime state
+  // and method, incl. earlier demotions; changed endpoints are rebuilt and
   // forced down to a method that works in the post-failure world; transfers
   // new to this rank (adopted subdomains) are appended.
-  ExchangePlan next = ExchangePlan::for_rank(*placement_, me, rpn, flags_, nbhd_, boundary_);
+  const ExchangePlan next =
+      ExchangePlan::for_rank(*placement_, me, rpn, flags_, nbhd_, boundary_);
   std::map<int, std::size_t> by_tag;
   for (std::size_t i = 0; i < xfers_.size(); ++i) by_tag[xfers_[i]->t.tag] = i;
 
@@ -1103,37 +1129,30 @@ std::vector<DistributedDomain::Rehome> DistributedDomain::recover_replace(
       const Transfer& ot = xfers_[it->second]->t;
       if (ot.src_gpu == nt.src_gpu && ot.dst_gpu == nt.dst_gpu && ot.src_rank == nt.src_rank &&
           ot.dst_rank == nt.dst_rank) {
-        next.set_method(nt.tag, ot.method);
         ++kept;
         continue;
       }
       Transfer t = nt;
       t.method = forced_method(t);
-      auto xp = std::make_unique<TransferState>();
-      build_one_transfer(*xp, t);
-      xfers_[it->second] = std::move(xp);
-      next.set_method(t.tag, t.method);
+      xfers_[it->second] = make_transfer_state(t);
       plan_cache_.invalidate_tag(t.tag);
       ++rebuilt;
     } else {
       Transfer t = nt;
       t.method = forced_method(t);
-      auto xp = std::make_unique<TransferState>();
-      build_one_transfer(*xp, t);
-      if (xp->bytes == 0) continue;  // asymmetric radius: nothing moves
+      auto xp = make_transfer_state(t);
+      if (xp == nullptr) continue;  // asymmetric radius: nothing moves
       xfers_.push_back(std::move(xp));
-      next.set_method(t.tag, t.method);
       ++appended;
     }
   }
-  plan_ = std::move(next);
   // Version the specialization table: stale cached plans migrate on their
   // next acquire (dirty programs rebuilt, appended transfers compiled in).
   // (resync_seq is a separate step: the caller aligns seq_ across survivors
   // once it has agreed on the maximum.)
   ++topo_epoch_;
+  export_transfer_gauges();
   if (auto* tel = ctx_.cluster.telemetry()) {
-    plan_.export_metrics(tel->metrics());
     tel->on_recover_step("replace",
                          "moved=" + std::to_string(moves.size()) +
                              " kept=" + std::to_string(kept) +
@@ -1260,14 +1279,13 @@ void DistributedDomain::note_exchange_complete() {
 // Exchange plans (persistent mode): compile the specialized transfer set into
 // a frozen schedule — persistent MPI requests for the message phases and
 // instantiated vgpu graphs for the stream phases — then replay it with zero
-// per-iteration setup. Plans are compiled lazily, one per (method flags,
-// aggregation, quantity subset), and partially rebuilt after fault demotions.
+// per-iteration setup. Plans are compiled lazily, one per quantity subset,
+// and partially rebuilt after fault demotions.
 // ---------------------------------------------------------------------------
 
 plan::CompiledPlan& DistributedDomain::acquire_plan() {
   plan::PlanStats& stats = plan_cache_.stats();
-  plan::CompiledPlan* p =
-      plan_cache_.find(static_cast<std::uint32_t>(flags_), aggregate_remote_, active_qs_);
+  plan::CompiledPlan* p = plan_cache_.find(active_qs_);
   if (p != nullptr && p->key.topo_epoch == topo_epoch_ && p->dirty_count() == 0) {
     ++stats.hits;
     if (auto* tel = ctx_.cluster.telemetry()) tel->on_plan_event("hit");

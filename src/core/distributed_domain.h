@@ -84,8 +84,9 @@ class DistributedDomain {
   /// phases and instantiated vgpu graphs for the pack/copy/unpack phases —
   /// and every later exchange replays it with zero setup work. May be
   /// toggled at any exchange boundary (also after realize()); plans are
-  /// compiled lazily per (method flags, aggregation, quantity subset) and
-  /// partially rebuilt when fault injection demotes a transfer.
+  /// compiled lazily per quantity subset (method flags and aggregation are
+  /// frozen at realize()) and partially rebuilt when fault injection demotes
+  /// a transfer.
   void set_persistent(bool on);
   bool persistent() const { return persistent_; }
 
@@ -132,10 +133,12 @@ class DistributedDomain {
   std::size_t num_subdomains() const { return locals_.size(); }
   LocalDomain& subdomain(std::size_t i) { return *locals_[i]; }
   const Placement& placement() const;
-  const std::vector<Transfer>& transfers() const { return plan_.transfers(); }
-  std::map<Method, int> local_method_histogram() const { return plan_.method_histogram(); }
-  /// Per-method (transfer count, payload bytes) over the realized transfer
-  /// set — what `drill plan` prints. Reflects runtime demotions.
+  /// This rank's transfer table: every transfer it sends or receives that
+  /// moves bytes, each with the method the exchange issues. Reflects runtime
+  /// demotions and recovery re-homing.
+  std::vector<Transfer> transfers() const;
+  /// Per-method (transfer count, payload bytes) over transfers() — what
+  /// `drill plan` prints.
   std::map<Method, std::pair<int, std::size_t>> method_bytes_histogram() const;
   std::uint64_t exchanges_done() const { return seq_; }
 
@@ -180,17 +183,16 @@ class DistributedDomain {
   verify::ExchangeModel verify_model(const plan::CompiledPlan& p) const;
   /// Run the static verifier on a plan: global send/recv matching, deadlock
   /// freedom, tag-space hygiene, buffer-overlap hazards.
-  verify::Report verify_plan(const plan::CompiledPlan& p) const;
-  /// Fail-fast admission (on by default): every freshly compiled plan and
-  /// every fault-demotion/recovery migration is statically verified before
-  /// its first replay; findings throw plan::AdmissionError out of
+  ///
+  /// Fail-fast admission is always on: every freshly compiled plan and every
+  /// fault-demotion/recovery migration is statically verified before its
+  /// first replay; findings throw plan::AdmissionError out of
   /// exchange_start(). Admission costs O(own transfers) per rank: the job
   /// is verified once per key, and each rank checks that its artifact's
   /// message and token ops equal its derived program, then checks its own
   /// buffer hazards. Any other outcome runs verify_plan, so a rejection
   /// reads exactly as verify_plan's report.
-  void set_verify_plans(bool on);
-  bool verify_plans() const { return verify_plans_; }
+  verify::Report verify_plan(const plan::CompiledPlan& p) const;
 
   template <typename F>
   void for_each_subdomain(F&& f) {
@@ -263,10 +265,10 @@ class DistributedDomain {
   struct AggGroup;
 
   void require_unrealized(const char* what) const;
-  void build_transfer_states();
   // Construct one transfer's runtime state (regions, buffers, streams per
-  // method). Shared by realize() and the recovery rebuild path.
-  void build_one_transfer(TransferState& x, const Transfer& t);
+  // method), or nullptr for a transfer that moves no bytes (asymmetric
+  // radius). Shared by realize() and the recovery rebuild path.
+  std::unique_ptr<TransferState> make_transfer_state(const Transfer& t);
   // Specialization for a transfer rebuilt mid-run: COLOCATED is excluded
   // (its IPC handshake belongs to the pre-failure world) and PEER requires
   // the peer link to actually be enabled.
@@ -282,8 +284,8 @@ class DistributedDomain {
   // down the specialization chain to STAGED. Demotions are permanent: a
   // capability that comes back is not re-promoted.
   void maybe_respecialize();
-  // Rewrite one transfer's method (state + plan, so method_histogram()
-  // reflects it) and record the decision on the trace's "fault" lane.
+  // Rewrite one transfer's method in its state (the one table transfers()
+  // and the gauges read) and record the decision on the trace's "fault" lane.
   // Also bumps the topology epoch, dirties the transfer's programs in every
   // cached plan, and allocates what the new method needs.
   void demote_transfer(TransferState& x, Method target);
@@ -371,8 +373,12 @@ class DistributedDomain {
   // (DESIGN.md §11). Zero virtual-time cost.
   void note_exchange_complete();
 
-  // Install (or clear) the PlanCache admission hook per verify_plans_.
-  void install_admission();
+  // Export the transfer table as gauges: one
+  // `exchange_plan_transfers{method="..."}` series per method and
+  // `exchange_plan_total_transfers`. Re-exported after every demotion and
+  // recovery, so the gauges show the current table (the paper's Table II,
+  // live). No-op without a telemetry sink.
+  void export_transfer_gauges() const;
   // The admission hook: "" for a clean plan, else the findings text.
   std::string admission_report(const plan::CompiledPlan& p) const;
 
@@ -417,11 +423,12 @@ class DistributedDomain {
   std::size_t bytes_per_point_ = 0;
 
   std::shared_ptr<const Placement> placement_;
-  ExchangePlan plan_;
   std::vector<std::unique_ptr<LocalDomain>> locals_;
   // Keyed by linearized global subdomain index: after recovery re-homing a
   // GPU may host several subdomains, so gpu id no longer identifies one.
   std::map<std::int64_t, std::size_t> local_index_by_subdomain_;
+  // The rank's one transfer table, in ExchangePlan::for_rank order
+  // (recovery appends adopted transfers); zero-byte transfers are skipped.
   std::vector<std::unique_ptr<TransferState>> xfers_;
   std::vector<std::unique_ptr<AggGroup>> send_groups_;
   std::vector<std::unique_ptr<AggGroup>> recv_groups_;
@@ -433,7 +440,6 @@ class DistributedDomain {
 
   // Exchange-plan state (persistent mode).
   bool persistent_ = false;
-  bool verify_plans_ = true;
   bool live_costs_ = false;
   std::uint64_t topo_epoch_ = 0;
   plan::PlanCache plan_cache_;

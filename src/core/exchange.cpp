@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "core/tagspace.h"
-#include "telemetry/metrics.h"
 
 namespace stencil {
 
@@ -121,34 +120,10 @@ std::map<Method, int> ExchangePlan::method_histogram() const {
   return h;
 }
 
-void ExchangePlan::export_metrics(telemetry::MetricsRegistry& reg) const {
-  // Zero out stale series first: a demotion can drain a method entirely,
-  // and a gauge that silently kept its old value would misreport the table.
-  for (const Method m : {Method::kStaged, Method::kCudaAwareMpi, Method::kColocated, Method::kPeer,
-                         Method::kKernel}) {
-    const auto it = reg.gauges().find(std::string("exchange_plan_transfers{method=\"") +
-                                      to_string(m) + "\"}");
-    if (it != reg.gauges().end()) {
-      reg.gauge(it->first).set(0.0);
-    }
-  }
-  for (const auto& [m, n] : method_histogram()) {
-    reg.gauge(std::string("exchange_plan_transfers{method=\"") + to_string(m) + "\"}")
-        .set(static_cast<double>(n));
-  }
-  reg.gauge("exchange_plan_total_transfers").set(static_cast<double>(transfers_.size()));
-}
-
 void ExchangePlan::map_gpus(const std::function<int(int)>& fn) {
   for (auto& t : transfers_) {
     t.src_gpu = fn(t.src_gpu);
     t.dst_gpu = fn(t.dst_gpu);
-  }
-}
-
-void ExchangePlan::set_method(int tag, Method m) {
-  for (auto& t : transfers_) {
-    if (t.tag == tag) t.method = m;
   }
 }
 

@@ -7,10 +7,6 @@
 #include "core/method_flags.h"
 #include "core/placement.h"
 
-namespace stencil::telemetry {
-class MetricsRegistry;
-}
-
 namespace stencil {
 
 /// One directed halo transfer: subdomain at src_idx sends its dir-facing
@@ -66,10 +62,6 @@ class ExchangePlan {
 
   std::map<Method, int> method_histogram() const;
 
-  /// Rewrite the method of the transfer with this tag (runtime demotion:
-  /// the exchange layer downgrades a transfer whose capability was lost).
-  void set_method(int tag, Method m);
-
   /// Rank owning a subdomain under this ownership layout.
   static int rank_of(const Placement& placement, Dim3 global_idx, int ranks_per_node);
 
@@ -78,12 +70,6 @@ class ExchangePlan {
   /// peer (a rebuild after a fault passes the live capability).
   static Method specialize(const Transfer& t, bool same_node, MethodFlags flags,
                            bool peer_ok = true);
-
-  /// Export the specialization table as gauges: one
-  /// `exchange_plan_transfers{method="..."}` series per realized method.
-  /// Re-exported after every runtime demotion, so the gauges always show
-  /// the *current* table (the paper's Table II, live).
-  void export_metrics(telemetry::MetricsRegistry& reg) const;
 
  private:
   static Transfer make_transfer(const Placement& placement, Dim3 src_idx, Dim3 dst_idx, Dim3 dir,

@@ -77,13 +77,4 @@ enum class Neighborhood {
   kFull,        // 26 neighbors
 };
 
-inline int neighbor_count(Neighborhood n) {
-  switch (n) {
-    case Neighborhood::kFaces: return 6;
-    case Neighborhood::kFacesEdges: return 18;
-    case Neighborhood::kFull: return 26;
-  }
-  return 0;
-}
-
 }  // namespace stencil

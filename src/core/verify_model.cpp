@@ -362,7 +362,8 @@ AdmissionKey DistributedDomain::admission_key(const plan::CompiledPlan& p) const
                                                     flags_, nbhd_, boundary_, tenant_id());
   std::map<int, Method> derived;
   for (const Transfer& t : fresh.transfers()) derived.emplace(t.tag, t.method);
-  for (const Transfer& t : plan_.transfers()) {
+  for (const auto& xp : xfers_) {
+    const Transfer& t = xp->t;
     const auto it = derived.find(t.tag);
     if (it != derived.end() && it->second != t.method) k.demotions.emplace_back(t.tag, t.method);
   }
@@ -478,19 +479,6 @@ std::string DistributedDomain::admission_report(const plan::CompiledPlan& p) con
   std::ostringstream os;
   r.write(os);
   return os.str();
-}
-
-void DistributedDomain::set_verify_plans(bool on) {
-  verify_plans_ = on;
-  install_admission();
-}
-
-void DistributedDomain::install_admission() {
-  if (!verify_plans_) {
-    plan_cache_.set_admission(nullptr);
-    return;
-  }
-  plan_cache_.set_admission([this](const plan::CompiledPlan& p) { return admission_report(p); });
 }
 
 }  // namespace stencil

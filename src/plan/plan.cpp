@@ -98,9 +98,9 @@ void CompiledPlan::describe(std::ostream& os) const {
   }
 }
 
-CompiledPlan* PlanCache::find(std::uint32_t flags, bool agg, const std::vector<std::size_t>& qs) {
+CompiledPlan* PlanCache::find(const std::vector<std::size_t>& qs) {
   for (auto& p : plans_) {
-    if (p->key.same_config(flags, agg, qs)) return p.get();
+    if (p->key.quantities == qs) return p.get();
   }
   return nullptr;
 }

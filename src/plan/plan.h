@@ -18,24 +18,20 @@ class MetricsRegistry;
 
 namespace stencil::plan {
 
-/// Identity of one compiled exchange schedule. Two exchanges reuse the same
-/// plan iff everything the schedule depends on matches: the method flags the
-/// domain was realized with, the remote-aggregation mode, and the exact
-/// quantity subset (selective exchange packs different bytes per transfer, so
-/// each subset compiles to its own plan). `topo_epoch` is *not* part of the
-/// lookup: it versions the specialization table, and a cached plan whose
-/// epoch lags the domain's is migrated in place — only the programs the
-/// fault injector dirtied are rebuilt.
+/// Identity of one compiled exchange schedule. Within one realized domain
+/// the method flags and the remote-aggregation mode are frozen at realize(),
+/// so the only lookup field is the exact quantity subset (selective exchange
+/// packs different bytes per transfer, so each subset compiles to its own
+/// plan); the flags and mode are kept for str(), which names the plan.
+/// `topo_epoch` is *not* part of the lookup either: it versions the
+/// specialization table, and a cached plan whose epoch lags the domain's is
+/// migrated in place — only the programs the fault injector dirtied are
+/// rebuilt.
 struct PlanKey {
   std::uint64_t topo_epoch = 0;
   std::uint32_t method_flags = 0;
   bool aggregated = false;
   std::vector<std::size_t> quantities;  // sorted, as validated by exchange()
-
-  /// Lookup equality: everything except the epoch.
-  bool same_config(std::uint32_t flags, bool agg, const std::vector<std::size_t>& qs) const {
-    return method_flags == flags && aggregated == agg && quantities == qs;
-  }
 
   std::string str() const;
 };
@@ -128,9 +124,9 @@ class AdmissionError : public std::runtime_error {
   std::string report_;
 };
 
-/// The per-domain plan cache. Owns every compiled plan; lookups match on
-/// configuration (flags, aggregation, quantity subset) and never on epoch —
-/// epoch mismatches are repaired by the domain via partial rebuild.
+/// The per-domain plan cache. Owns every compiled plan; lookups match on the
+/// quantity subset and never on epoch — epoch mismatches are repaired by the
+/// domain via partial rebuild.
 class PlanCache {
  public:
   /// Admission hook: returns a findings report for a plan, or the empty
@@ -139,7 +135,7 @@ class PlanCache {
   /// lowers the plan to a verify::ExchangeModel and runs stencil_verify).
   using AdmissionFn = std::function<std::string(const CompiledPlan&)>;
 
-  /// Install (or clear, with nullptr) the admission hook.
+  /// Install the admission hook (a domain installs its own at construction).
   void set_admission(AdmissionFn fn) { admission_ = std::move(fn); }
   bool has_admission() const { return static_cast<bool>(admission_); }
 
@@ -148,8 +144,8 @@ class PlanCache {
   /// releases the plan's requests and erase()s it, so it never replays.
   void admit(const CompiledPlan& p);
 
-  /// The plan for this configuration, or nullptr (caller compiles one).
-  CompiledPlan* find(std::uint32_t flags, bool agg, const std::vector<std::size_t>& qs);
+  /// The plan for this quantity subset, or nullptr (caller compiles one).
+  CompiledPlan* find(const std::vector<std::size_t>& qs);
 
   /// Insert an empty plan for `key` and return it (stable address).
   CompiledPlan& emplace(PlanKey key);

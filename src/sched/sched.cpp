@@ -536,7 +536,7 @@ Scheduler::WaveResult Scheduler::run_wave(const std::vector<Admission>& wave, Ru
     cluster_.set_collector(&col);
   }
   if (opt_.checker != nullptr) cluster_.set_checker(opt_.checker);
-  const bool collect_models = rep != nullptr && opt_.cross_verify;
+  const bool collect_models = rep != nullptr;
 
   const double t0 = sim::to_seconds(cluster_.engine().now());
   cluster_.run([&](RankCtx& ctx) {

@@ -189,9 +189,6 @@ class Scheduler {
     /// Attach a dtrace::Collector per wave and attribute critical-path time
     /// to tenants (TenantReport::blame_ms).
     bool blame = false;
-    /// Collect each persistent tenant's verified exchange model and run the
-    /// cross-tenant tag/channel disjointness pass after every wave.
-    bool cross_verify = true;
     /// Optional happens-before checker attached for the duration of runs.
     check::Checker* checker = nullptr;
     /// Consult the cluster watch's *published* link-cost factors in

@@ -28,12 +28,6 @@ int ceil_log2(int n) {
   return hops;
 }
 
-// Pipelined hop chaining: the next hop may start once the previous has
-// streamed enough to keep it fed, but not before the previous hop started.
-sim::Time cut_through_ready(const sim::Span& prev, sim::Duration dur) {
-  return std::max(prev.start, prev.end - dur);
-}
-
 std::byte* payload_ptr(const Payload& p) {
   if (p.raw != nullptr) return static_cast<std::byte*>(p.raw);
   if (p.buf != nullptr && p.buf->mode() == vgpu::MemMode::kMaterialized) {
@@ -360,13 +354,15 @@ void Job::complete_match(Request::Record& send, Request::Record& recv) {
       } else if (dev_s) {
         span = machine_.schedule_d2h(sgpu, bytes, ready);
         const sim::Span hc = machine_.schedule_host_copy(
-            cpu(recv.dst), bytes, cut_through_ready(span, sim::transfer_time(bytes, arch.bw_host_mem)));
+            cpu(recv.dst), bytes,
+            machine_.cut_through_ready(span, sim::transfer_time(bytes, arch.bw_host_mem)));
         span = {span.start, hc.end};
       } else {
         const sim::Span hc = machine_.schedule_host_copy(cpu(recv.dst), bytes, ready);
         const sim::Span h2d = machine_.schedule_h2d(
             rgpu, bytes,
-            cut_through_ready(hc, sim::transfer_time(bytes, arch.bw_nvlink_cpu_gpu * arch.eff_nvlink)));
+            machine_.cut_through_ready(
+                hc, sim::transfer_time(bytes, arch.bw_nvlink_cpu_gpu * arch.eff_nvlink)));
         span = {hc.start, h2d.end};
       }
     } else {
@@ -384,14 +380,14 @@ void Job::complete_match(Request::Record& send, Request::Record& recv) {
         begin = prev.start;
       }
       const sim::Duration net_dur = sim::transfer_time(bytes, arch.bw_nic * arch.eff_nic);
-      const sim::Span net =
-          machine_.schedule_internode(node_s, node_r, bytes, dev_s ? cut_through_ready(prev, net_dur) : r);
+      const sim::Span net = machine_.schedule_internode(
+          node_s, node_r, bytes, dev_s ? machine_.cut_through_ready(prev, net_dur) : r);
       if (begin == 0) begin = net.start;
       prev = net;
       if (dev_r) {
         const sim::Duration h2d_dur =
             sim::transfer_time(bytes, arch.bw_nvlink_cpu_gpu * arch.eff_nvlink);
-        prev = machine_.schedule_h2d(rgpu, bytes, cut_through_ready(prev, h2d_dur));
+        prev = machine_.schedule_h2d(rgpu, bytes, machine_.cut_through_ready(prev, h2d_dur));
       }
       span = {begin, prev.end};
       if (dev_s) runtime_.occupy_default_stream(sgpu, span.end);
@@ -669,8 +665,6 @@ sim::Time Job::rank_fail_time(int r) const {
   return t;
 }
 
-bool Job::rank_alive(int r) const { return rank_fail_time(r) > eng_.now(); }
-
 void Job::revoke() {
   if (revoked_) return;
   revoked_ = true;
@@ -781,12 +775,6 @@ Request Comm::recv_init(const Payload& p, int src, int tag) {
 }
 
 void Comm::start(Request& r) { job_->start(r); }
-
-void Comm::startall(std::vector<Request>& rs) {
-  for (auto& r : rs) {
-    if (r.valid()) job_->start(r);
-  }
-}
 
 void Comm::request_free(Request& r) { job_->request_free(r); }
 

@@ -125,7 +125,6 @@ class Job {
   /// r/ranks_per_node drives the slot's gpus_per_node/ranks_per_node GPUs).
   /// Pure oracle over the installed fault plan; kForever without an injector.
   sim::Time rank_fail_time(int r) const;
-  bool rank_alive(int r) const;
 
   /// Ranks still participating (world size minus retired ranks). Collectives
   /// count to this target.
@@ -142,7 +141,6 @@ class Job {
   void revoke();
   bool revoked() const { return revoked_; }
   void clear_revoke() { revoked_ = false; }
-  std::uint64_t comm_epoch() const { return comm_epoch_; }
 
   /// Acknowledge a dead rank: cancel every unmatched request it posted
   /// (notifying the observers), shrink the collective target, and wake all
@@ -287,7 +285,6 @@ class Comm {
   Request send_init(const Payload& p, int dst, int tag);
   Request recv_init(const Payload& p, int src, int tag);
   void start(Request& r);
-  void startall(std::vector<Request>& rs);
   /// Free a persistent handle. Freeing while active is linted by the checker;
   /// the in-flight operation still completes (deferred-free semantics).
   void request_free(Request& r);

@@ -363,10 +363,6 @@ void Engine::begin_shutdown(std::exception_ptr err) {
   shutdown_ = true;
 }
 
-void Engine::set_block_detail(std::string detail) {
-  current_actor().block_detail = std::move(detail);
-}
-
 void Gate::wait(Engine& eng, std::string detail) {
   Engine::Actor& self = eng.current_actor();
   if (eng.shutdown_) throw SimulationAborted("simulation aborted during gate wait");

@@ -92,8 +92,6 @@ class Engine {
   /// Name of the calling actor (empty if none was given).
   const std::string& actor_name() const;
 
-  int actor_count() const { return static_cast<int>(actors_.size()); }
-
   /// Block the calling actor for d nanoseconds of virtual time (d <= 0 is a
   /// no-op that does not reschedule).
   void sleep_for(Duration d);
@@ -131,11 +129,6 @@ class Engine {
                           (static_cast<double>(now_) * 1e-9)
                     : 0.0;
   }
-
-  /// Annotate the calling actor's next block for deadlock diagnostics
-  /// (what it is about to wait for). Gate::wait also accepts the detail
-  /// directly; this entry point serves multi-step wait loops.
-  void set_block_detail(std::string detail);
 
   /// Observer invoked with the diagnostic just before a detected deadlock
   /// aborts the simulation. Runs on the detecting actor's stack: it must

@@ -70,10 +70,6 @@ sim::Resource& Machine::xbus(int node, bool forward) {
   return xbus_[static_cast<std::size_t>(node) * 2 + (forward ? 0 : 1)];
 }
 
-sim::Time Machine::cut_through_ready(const sim::Span& prev, sim::Duration dur) {
-  return std::max(prev.start, prev.end - dur);
-}
-
 double Machine::link_scale(int cls, int a, int b, sim::Time t) const {
   if (fault_ == nullptr) return 1.0;
   const double s = fault_->link_scale(static_cast<fault::LinkClass>(cls), a, b, t);

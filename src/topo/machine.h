@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -89,12 +90,18 @@ class Machine {
   // --- raw resources (stats, tracing, tests) -----------------------------
   sim::Resource& kernel_queue(int ggpu) { return kernel_[static_cast<std::size_t>(ggpu)]; }
   sim::Resource& host_link_out(int ggpu) { return d2h_[static_cast<std::size_t>(ggpu)]; }
-  sim::Resource& host_link_in(int ggpu) { return h2d_[static_cast<std::size_t>(ggpu)]; }
   sim::Resource& nic_out(int node) { return nic_out_[static_cast<std::size_t>(node)]; }
   sim::Resource& nic_in(int node) { return nic_in_[static_cast<std::size_t>(node)]; }
 
   /// Clear all queued work from every resource (between measurements).
   void reset_resources();
+
+  /// The one pipelining rule for chained hops (wire, host copies, H2D): the
+  /// next hop may start once `prev` has streamed enough to keep a hop of
+  /// length `dur` fed, and not before `prev` itself started.
+  static sim::Time cut_through_ready(const sim::Span& prev, sim::Duration dur) {
+    return std::max(prev.start, prev.end - dur);
+  }
 
  private:
   sim::Resource& p2p(int src_ggpu, int dst_ggpu);
@@ -103,9 +110,6 @@ class Machine {
   // link is glacial rather than free (transfer_time(bytes, 0) == 0).
   double link_scale(int cls, int a, int b, sim::Time t) const;
   double device_scale(int ggpu, sim::Time t) const;
-  // Pipelined hop: may start once `prev` has streamed enough to keep a hop
-  // of length `dur` fed, and may not start before prev itself started.
-  static sim::Time cut_through_ready(const sim::Span& prev, sim::Duration dur);
 
   NodeArchetype arch_;
   int num_nodes_;

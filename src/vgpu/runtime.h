@@ -157,7 +157,6 @@ class Runtime {
 
   /// Default mode for new allocations (benchmarks flip this to kPhantom).
   void set_mem_mode(MemMode m) { mem_mode_ = m; }
-  MemMode mem_mode() const { return mem_mode_; }
 
   // --- memory -----------------------------------------------------------
   Buffer alloc_device(int ggpu, std::size_t bytes);

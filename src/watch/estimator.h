@@ -109,12 +109,17 @@ class P2Quantile {
   double value() const {
     if (n_ == 0) return 0.0;
     if (n_ < 5) {
-      double sorted[5];
-      std::copy(h_, h_ + n_, sorted);
-      std::sort(sorted, sorted + n_);
-      const double rank = std::ceil(q_ * static_cast<double>(n_));
-      auto idx = rank <= 1.0 ? 0 : static_cast<std::uint64_t>(rank) - 1;
-      if (idx >= n_) idx = n_ - 1;
+      // Insertion sort of the (at most four) buffered samples into a
+      // fixed-size array, so every index is visibly in bounds.
+      const int n = static_cast<int>(n_);
+      double sorted[4] = {};
+      for (int i = 0; i < n; ++i) {
+        int j = i;
+        for (; j > 0 && sorted[j - 1] > h_[i]; --j) sorted[j] = sorted[j - 1];
+        sorted[j] = h_[i];
+      }
+      const double rank = std::ceil(q_ * static_cast<double>(n));
+      const int idx = rank <= 1.0 ? 0 : std::min(static_cast<int>(rank), n) - 1;
       return sorted[idx];
     }
     return h_[2];

@@ -131,7 +131,6 @@ void Watch::on_message(int src_rank, int dst_rank, int src_node, int dst_node, b
   bs.bytes += bytes;
   if (bs.floor_pb == 0.0 || pb < bs.floor_pb) bs.floor_pb = pb;
   if (bs.win_floor_pb == 0.0 || pb < bs.win_floor_pb) bs.win_floor_pb = pb;
-  bs.ewma_pb.observe(pb);
   if (class_floor_[ci][b] == 0.0 || pb < class_floor_[ci][b]) class_floor_[ci][b] = pb;
 
   ++lane.msgs;

@@ -14,9 +14,9 @@
 ///     snapshotting the FlightRecorder tail and dropping an instant event
 ///     into the chrome trace. Slow and stalled ranks are not its business:
 ///     dtrace::ProgressMonitor is the job's one straggler/stall detector;
-///   - a LinkCostOracle feedback API: published per-node/per-link cost
-///     factors (capability degradation vs the healthiest observed wire)
-///     that sched placement and recover_replace consult under
+///   - link-cost feedback: published per-node/per-link cost factors
+///     (capability degradation vs the healthiest observed wire) that sched
+///     placement and recover_replace read from the Watch under
 ///     set_live_costs(true);
 ///   - exporters: a deterministic `watch-v1` JSON snapshot, Prometheus
 ///     gauges via MetricsRegistry.
@@ -27,11 +27,11 @@
 /// no wall clock anywhere (slint-clean), so two identical seeded runs
 /// produce identical snapshots.
 ///
-/// Determinism contract for the oracle: live estimators update on every
-/// message, but oracle queries read the *published* snapshot, which changes
-/// only at publish() — callers publish at quiescent points (between waves,
-/// before a recovery incident), so every rank that must agree on a
-/// placement decision reads the same epoch.
+/// Determinism contract for the cost factors: live estimators update on
+/// every message, but the factor queries read the *published* snapshot,
+/// which changes only at publish() — callers publish at quiescent points
+/// (between waves, before a recovery incident), so every rank that must
+/// agree on a placement decision reads the same epoch.
 
 #include <cstdint>
 #include <iosfwd>
@@ -68,23 +68,9 @@ struct Incident {
 };
 const char* to_string(Incident::Kind k);
 
-/// Live link-cost feedback consumed by sched placement and recover_replace.
-/// Factors are >= 1 multipliers on the nominal internode cost: 1 = as good
-/// as the healthiest observed wire of the same class, 2 = twice the
-/// per-byte cost. Implementations must return stable values between
-/// explicit publication points (see Watch::publish).
-class LinkCostOracle {
- public:
-  virtual ~LinkCostOracle() = default;
-  /// Aggregate factor for internode traffic touching `node`.
-  virtual double node_cost_factor(int node) const = 0;
-  /// Directional factor for src-node -> dst-node wires.
-  virtual double link_cost_factor(int src_node, int dst_node) const = 0;
-};
-
 /// Attached as a Job observer (Cluster::set_watch): every delivered message
 /// and every exchange-completion heartbeat feeds it.
-class Watch final : public LinkCostOracle, public simpi::JobObserver {
+class Watch final : public simpi::JobObserver {
  public:
   /// Coarse log2 size buckets (one per factor-of-4 of message size): a
   /// per-byte floor is only comparable between messages of similar size,
@@ -148,14 +134,20 @@ class Watch final : public LinkCostOracle, public simpi::JobObserver {
   /// windows, exchange sketch). Learned floors/EWMAs are untouched.
   void clear_window();
 
-  // --- oracle (published view; see publish()) ------------------------------
+  // --- link-cost feedback (published view; see publish()) -------------------
   /// Copy the live per-node/per-link factors into the published snapshot
-  /// read by the oracle interface, evaluate tenant interference-spike
+  /// the two queries below read, evaluate tenant interference-spike
   /// incidents, and bump the epoch. Call at quiescent points only.
   void publish();
   std::uint64_t publish_epoch() const { return publish_epoch_; }
-  double node_cost_factor(int node) const override;
-  double link_cost_factor(int src_node, int dst_node) const override;
+  /// Live link-cost feedback for sched placement and recover_replace, from
+  /// the published snapshot: stable between publish() calls. Factors are
+  /// >= 1 multipliers on the nominal internode cost: 1 = as good as the
+  /// healthiest observed wire of the same class, 2 = twice the per-byte
+  /// cost. The first is the aggregate for internode traffic touching
+  /// `node`, the second the directional src-node -> dst-node factor.
+  double node_cost_factor(int node) const;
+  double link_cost_factor(int src_node, int dst_node) const;
   /// Live (unpublished) factors, for reports and tests.
   double live_node_cost_factor(int node) const;
   double live_link_cost_factor(int src_node, int dst_node) const;
@@ -219,7 +211,6 @@ class Watch final : public LinkCostOracle, public simpi::JobObserver {
     /// would remember the healthy past forever.
     double win_floor_pb = 0.0;     // min ns/byte this window (0 = none)
     double recent_floor_pb = 0.0;  // previous window's floor (0 = none)
-    Ewma ewma_pb;
   };
   struct LaneStats {
     std::uint64_t msgs = 0;

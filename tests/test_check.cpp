@@ -661,9 +661,9 @@ TEST(CheckMpi, RecycledTidKeepsOriginalName) {
 // including fault-driven demotion. The acceptance bar is zero findings.
 // ---------------------------------------------------------------------------
 
-int histogram_count(const std::map<Method, int>& h, Method m) {
+int histogram_count(const std::map<Method, std::pair<int, std::size_t>>& h, Method m) {
   auto it = h.find(m);
-  return it == h.end() ? 0 : it->second;
+  return it == h.end() ? 0 : it->second.first;
 }
 
 struct ExchangeCase {
@@ -692,7 +692,7 @@ void run_checked_exchange(const ExchangeCase& c, std::vector<Method> expect_meth
     dd.set_staged_zero_copy(c.zero_copy);
     dd.set_pack_mode(c.pack_mode);
     dd.realize();
-    const auto hist = dd.local_method_histogram();
+    const auto hist = dd.method_bytes_histogram();
     for (Method m : expect_methods) {
       EXPECT_GT(histogram_count(hist, m), 0) << "method not exercised: " << to_string(m);
     }
@@ -771,7 +771,7 @@ TEST(CheckExchange, FaultDemotionStaysClean) {
     dd.set_methods(MethodFlags::kAllCudaAware | MethodFlags::kStaged);
     dd.realize();
 
-    const auto before = dd.local_method_histogram();
+    const auto before = dd.method_bytes_histogram();
     EXPECT_GT(histogram_count(before, Method::kPeer), 0);
     EXPECT_GT(histogram_count(before, Method::kColocated), 0);
     EXPECT_GT(histogram_count(before, Method::kCudaAwareMpi), 0);
@@ -792,7 +792,7 @@ TEST(CheckExchange, FaultDemotionStaysClean) {
       EXPECT_EQ(verify_halos(dd, domain, 2), 0) << "post-fault iteration " << it;
     }
 
-    const auto after = dd.local_method_histogram();
+    const auto after = dd.method_bytes_histogram();
     EXPECT_EQ(histogram_count(after, Method::kPeer), 0);
     EXPECT_EQ(histogram_count(after, Method::kColocated), 0);
     EXPECT_EQ(histogram_count(after, Method::kCudaAwareMpi), 0);

@@ -3,11 +3,13 @@
 #include <cstring>
 #include <functional>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "check/checker.h"
 #include "core/cluster.h"
 #include "core/distributed_domain.h"
+#include "core/region.h"
 #include "fault/fault.h"
 #include "halo_oracle.h"
 #include "telemetry/telemetry.h"
@@ -111,7 +113,7 @@ TEST(DistributedDomain, LocalHistogramMatchesMethods) {
     dd.add_data<float>("q");
     dd.set_methods(MethodFlags::kAll);
     dd.realize();
-    const auto h = dd.local_method_histogram();
+    const auto h = dd.method_bytes_histogram();
     EXPECT_EQ(h.count(Method::kCudaAwareMpi), 0u);
     EXPECT_GT(h.count(Method::kColocated), 0u);  // 6 ranks: everything colocated
   });
@@ -176,9 +178,9 @@ TEST(DistributedDomain, DeterministicExchangeTimes) {
 
 namespace {
 
-int method_count(const std::map<Method, int>& h, Method m) {
+int method_count(const std::map<Method, std::pair<int, std::size_t>>& h, Method m) {
   const auto it = h.find(m);
-  return it == h.end() ? 0 : it->second;
+  return it == h.end() ? 0 : it->second.first;
 }
 
 }  // namespace
@@ -239,13 +241,13 @@ TEST(EagerSchedule, RebuildsOnEveryKeyChange) {
     EXPECT_EQ(exchange_checked({0, 1}, "full exchange after the selective one"), full);
 
     // Same quantity list as the exchange before: only the epoch changes.
-    EXPECT_GT(method_count(dd.local_method_histogram(), Method::kPeer), 0);
+    EXPECT_GT(method_count(dd.method_bytes_histogram(), Method::kPeer), 0);
     ctx.engine().sleep_until(t_fault + sim::kMicrosecond);
     ctx.comm.barrier();
     const std::uint64_t epoch = dd.topology_epoch();
     exchange_checked({0, 1}, "demoting exchange");
     EXPECT_GT(dd.topology_epoch(), epoch);
-    EXPECT_EQ(method_count(dd.local_method_histogram(), Method::kPeer), 0);
+    EXPECT_EQ(method_count(dd.method_bytes_histogram(), Method::kPeer), 0);
     exchange_checked({0, 1}, "exchange after the demotion");
 
     if (ctx.rank() == kDead) return;  // dies quietly; the others re-home its subdomains
@@ -315,4 +317,142 @@ TEST(EagerSchedule, PhantomMatchesMaterializedSchedule) {
   });
   // One rank: KERNEL self-exchanges and PEER strided 3-D copies.
   expect_same(1, 1, [](DistributedDomain& dd) { dd.set_pack_mode(stencil::PackMode::kMemcpy3D); });
+}
+
+namespace {
+
+// Per-method transfer counts, as published by the cluster telemetry's
+// exchange_plan_transfers gauges (zero series omitted) and by a histogram.
+std::map<Method, int> gauge_counts(const stencil::telemetry::MetricsRegistry& reg) {
+  std::map<Method, int> out;
+  for (const Method m : {Method::kStaged, Method::kCudaAwareMpi, Method::kColocated,
+                         Method::kPeer, Method::kKernel}) {
+    const auto it = reg.gauges().find(std::string("exchange_plan_transfers{method=\"") +
+                                      stencil::to_string(m) + "\"}");
+    if (it != reg.gauges().end() && it->second.value != 0.0) {
+      out[m] = static_cast<int>(it->second.value);
+    }
+  }
+  return out;
+}
+
+std::map<Method, int> counts(const std::map<Method, std::pair<int, std::size_t>>& h) {
+  std::map<Method, int> out;
+  for (const auto& [m, nb] : h) out[m] = nb.first;
+  return out;
+}
+
+// Payload bytes of one transfer: its sender's interior slab.
+std::size_t slab_bytes(const DistributedDomain& dd, const stencil::Transfer& t,
+                       std::size_t bytes_per_point) {
+  const Dim3 sz = dd.placement().partition().subdomain_size(t.src_idx);
+  return static_cast<std::size_t>(stencil::interior_slab(sz, t.dir, dd.radius()).volume()) *
+         bytes_per_point;
+}
+
+}  // namespace
+
+// A rank keeps one transfer table. After a PEER->STAGED fault demotion, and
+// again after recover_replace, transfers(), method_bytes_histogram() and the
+// exchange_plan_transfers gauges describe the same methods, and those are
+// the methods the exchange issues: the job's MPI bytes per exchange are
+// exactly the bytes of the STAGED transfers the ranks' tables say they sent.
+// (Demotions happen at exchange_start, so each exchange is compared with the
+// table after it.) The two ranks are translates of each other (periodic
+// domain, one rank per node), so their tables match and the shared gauges
+// are unambiguous until recovery leaves one survivor.
+TEST(TransferTable, DescribesIssuedMethodsAcrossDemotionAndRecovery) {
+  namespace fault = stencil::fault;
+  namespace sim = stencil::sim;
+  constexpr std::size_t kBytesPerPoint = 2 * sizeof(float);
+  constexpr int kDead = 1;
+  const sim::Time t_fault = sim::from_seconds(1.0);
+  fault::FaultPlan plan;
+  plan.revoke_peer(t_fault, -1, -1);
+  fault::Injector inj(plan);
+
+  Cluster cluster(stencil::topo::summit(), 2, 1);
+  stencil::telemetry::Telemetry tel;
+  cluster.set_telemetry(&tel);
+  cluster.set_fault_injector(&inj);
+  const auto& reg = tel.metrics();
+  const std::uint64_t& mpi_bytes = tel.metrics().counter("mpi_bytes_total").value;
+
+  enum Stage { kBeforeFault, kDemoted, kRecovered, kStages };
+  std::uint64_t issued[kStages] = {};    // job MPI bytes of the stage's exchange
+  std::uint64_t expected[kStages] = {};  // summed over ranks from their tables
+  std::map<Method, int> hist[2][kStages];
+  cluster.run([&](RankCtx& ctx) {
+    DistributedDomain dd(ctx, {48, 48, 48});
+    dd.set_radius(1);
+    dd.add_data<float>("a");
+    dd.add_data<float>("b");
+    dd.set_methods(MethodFlags::kAll);
+    dd.realize();
+    const auto exchange_and_check = [&](Stage s, const char* what) {
+      SCOPED_TRACE(std::string(what) + ", rank " + std::to_string(ctx.rank()));
+      const std::uint64_t before = mpi_bytes;
+      ctx.comm.barrier();
+      dd.exchange();
+      ctx.comm.barrier();
+      if (ctx.rank() == 0) issued[s] = mpi_bytes - before;
+
+      const std::vector<stencil::Transfer> table = dd.transfers();
+      std::map<Method, int> listed;
+      for (const stencil::Transfer& t : table) {
+        ++listed[t.method];
+        const bool message = t.method == Method::kStaged || t.method == Method::kCudaAwareMpi;
+        if (message && t.src_rank == ctx.rank()) expected[s] += slab_bytes(dd, t, kBytesPerPoint);
+      }
+      hist[ctx.rank()][s] = counts(dd.method_bytes_histogram());
+      EXPECT_EQ(listed, hist[ctx.rank()][s]);
+      EXPECT_EQ(gauge_counts(reg), listed);
+      const auto total = reg.gauges().find("exchange_plan_total_transfers");
+      ASSERT_NE(total, reg.gauges().end());
+      EXPECT_DOUBLE_EQ(total->second.value, static_cast<double>(table.size()));
+    };
+
+    exchange_and_check(kBeforeFault, "before the fault");
+    EXPECT_GT(hist[ctx.rank()][kBeforeFault][Method::kPeer], 0);
+
+    ctx.engine().sleep_until(t_fault + sim::kMicrosecond);
+    exchange_and_check(kDemoted, "after the demotion");
+    EXPECT_EQ(hist[ctx.rank()][kDemoted].count(Method::kPeer), 0u);
+
+    if (ctx.rank() == kDead) return;  // dies quietly; rank 0 adopts its subdomains
+    ctx.comm.job().retire_rank(kDead);
+    dd.recover_replace({kDead});
+    exchange_and_check(kRecovered, "after recover_replace");
+  });
+
+  for (const Stage s : {kBeforeFault, kDemoted}) {
+    EXPECT_EQ(hist[0][s], hist[1][s]) << "stage " << s;
+  }
+  EXPECT_GT(hist[0][kDemoted][Method::kStaged], hist[0][kBeforeFault][Method::kStaged]);
+  for (const Stage s : {kBeforeFault, kDemoted, kRecovered}) {
+    EXPECT_EQ(issued[s], expected[s]) << "stage " << s;
+  }
+  EXPECT_GT(issued[kDemoted], issued[kBeforeFault]);
+}
+
+// A zero-width face moves no bytes, so its transfers are not in the table:
+// with only the -x halo (width 2), the only transfers that move bytes are
+// those sent along +x.
+TEST(TransferTable, ListsOnlyTransfersThatMoveBytes) {
+  Cluster cluster(stencil::topo::summit(), 1, 2);
+  cluster.run([&](RankCtx& ctx) {
+    DistributedDomain dd(ctx, {48, 48, 48});
+    dd.set_radius(stencil::Radius::faces(2, 0, 0, 0, 0, 0));
+    dd.add_data<float>("q");
+    dd.realize();
+    const std::vector<stencil::Transfer> table = dd.transfers();
+    ASSERT_FALSE(table.empty());
+    int histogram_total = 0;
+    for (const auto& [m, nb] : dd.method_bytes_histogram()) histogram_total += nb.first;
+    EXPECT_EQ(static_cast<std::size_t>(histogram_total), table.size());
+    for (const stencil::Transfer& t : table) {
+      EXPECT_EQ(t.dir, (Dim3{1, 0, 0})) << "tag " << t.tag;
+      EXPECT_GT(slab_bytes(dd, t, sizeof(float)), 0u) << "tag " << t.tag;
+    }
+  });
 }

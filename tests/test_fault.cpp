@@ -493,9 +493,9 @@ TEST(FaultSimpi, StormUnderDropAndDelayKeepsOrderAndIntegrity) {
 // Exchange-layer degradation: the acceptance scenario.
 // ---------------------------------------------------------------------------
 
-int histogram_count(const std::map<Method, int>& h, Method m) {
+int histogram_count(const std::map<Method, std::pair<int, std::size_t>>& h, Method m) {
   auto it = h.find(m);
-  return it == h.end() ? 0 : it->second;
+  return it == h.end() ? 0 : it->second.first;
 }
 
 // The Fig.-12a-style drill: a single-node job loses peer access and every
@@ -522,7 +522,7 @@ TEST(FaultExchange, PeerAndIpcLossMidRunStaysBitExact) {
     dd.realize();
 
     // Healthy epoch: PEER and COLOCATED transfers are in play.
-    const auto before = dd.local_method_histogram();
+    const auto before = dd.method_bytes_histogram();
     EXPECT_GT(histogram_count(before, Method::kPeer), 0);
     EXPECT_GT(histogram_count(before, Method::kColocated), 0);
     fill_interior(dd, 2);
@@ -530,7 +530,7 @@ TEST(FaultExchange, PeerAndIpcLossMidRunStaysBitExact) {
     dd.exchange();
     ctx.comm.barrier();
     EXPECT_EQ(verify_halos(dd, domain, 2), 0);
-    EXPECT_EQ(dd.local_method_histogram(), before);  // nothing demoted yet
+    EXPECT_EQ(dd.method_bytes_histogram(), before);  // nothing demoted yet
 
     // Cross the fault instant, then keep exchanging.
     ctx.engine().sleep_until(t_fault + sim::kMicrosecond);
@@ -545,7 +545,7 @@ TEST(FaultExchange, PeerAndIpcLossMidRunStaysBitExact) {
 
     // Every PEER pair lost its capability and landed on STAGED; the stale
     // IPC mappings pushed COLOCATED down too.
-    const auto after = dd.local_method_histogram();
+    const auto after = dd.method_bytes_histogram();
     EXPECT_EQ(histogram_count(after, Method::kPeer), 0);
     EXPECT_EQ(histogram_count(after, Method::kColocated), 0);
     EXPECT_GT(histogram_count(after, Method::kStaged),
@@ -584,7 +584,7 @@ TEST(FaultExchange, CudaAwareDisableDemotesRemoteTransfers) {
     dd.set_methods(MethodFlags::kAllCudaAware | MethodFlags::kStaged);
     dd.realize();
 
-    const auto before = dd.local_method_histogram();
+    const auto before = dd.method_bytes_histogram();
     EXPECT_GT(histogram_count(before, Method::kCudaAwareMpi), 0);
     fill_interior(dd, 1);
     ctx.comm.barrier();
@@ -600,7 +600,7 @@ TEST(FaultExchange, CudaAwareDisableDemotesRemoteTransfers) {
     ctx.comm.barrier();
     EXPECT_EQ(verify_halos(dd, domain, 1), 0);
 
-    const auto after = dd.local_method_histogram();
+    const auto after = dd.method_bytes_histogram();
     EXPECT_EQ(histogram_count(after, Method::kCudaAwareMpi), 0);
     EXPECT_GT(histogram_count(after, Method::kStaged), 0);
   });

@@ -56,19 +56,19 @@ TEST(PlanCache, LookupIgnoresEpochAndMatchesConfig) {
   plan::CompiledPlan& p = cache.emplace(key);
   EXPECT_EQ(cache.size(), 1u);
 
-  // Same config, any epoch: hit (epoch mismatches are migrated, not missed).
-  EXPECT_EQ(cache.find(0x5, true, {0, 2}), &p);
-  // Any config difference: miss.
-  EXPECT_EQ(cache.find(0x4, true, {0, 2}), nullptr);
-  EXPECT_EQ(cache.find(0x5, false, {0, 2}), nullptr);
-  EXPECT_EQ(cache.find(0x5, true, {0}), nullptr);
+  // Same quantity subset, any epoch: hit (epoch mismatches are migrated,
+  // not missed). Flags and aggregation are frozen at realize(), so the
+  // subset is the whole lookup.
+  EXPECT_EQ(cache.find({0, 2}), &p);
+  // Another subset: miss.
+  EXPECT_EQ(cache.find({0}), nullptr);
 
   // A second subset gets its own entry whose address stays stable.
   plan::PlanKey k2 = key;
   k2.quantities = {1};
   plan::CompiledPlan& p2 = cache.emplace(k2);
-  EXPECT_EQ(cache.find(0x5, true, {0, 2}), &p);
-  EXPECT_EQ(cache.find(0x5, true, {1}), &p2);
+  EXPECT_EQ(cache.find({0, 2}), &p);
+  EXPECT_EQ(cache.find({1}), &p2);
   EXPECT_EQ(cache.size(), 2u);
 }
 
@@ -360,9 +360,9 @@ TEST(GraphCapture, EventEdgesInsideAGraphOrderItsStreams) {
 // Planned exchanges: shared helpers.
 // ---------------------------------------------------------------------------
 
-int histogram_count(const std::map<Method, int>& h, Method m) {
+int histogram_count(const std::map<Method, std::pair<int, std::size_t>>& h, Method m) {
   auto it = h.find(m);
-  return it == h.end() ? 0 : it->second;
+  return it == h.end() ? 0 : it->second.first;
 }
 
 // ---------------------------------------------------------------------------
@@ -548,7 +548,7 @@ TEST(PlannedExchange, FaultDemotionRebuildsOnlyAffectedPrograms) {
     dd.set_persistent(true);
     dd.realize();
 
-    const auto before = dd.local_method_histogram();
+    const auto before = dd.method_bytes_histogram();
     EXPECT_GT(histogram_count(before, Method::kPeer), 0);
     EXPECT_GT(histogram_count(before, Method::kColocated), 0);
     EXPECT_GT(histogram_count(before, Method::kCudaAwareMpi), 0);
@@ -572,7 +572,7 @@ TEST(PlannedExchange, FaultDemotionRebuildsOnlyAffectedPrograms) {
     }
 
     // The storm demoted every PEER / COLOCATED / CUDA-aware transfer...
-    const auto after = dd.local_method_histogram();
+    const auto after = dd.method_bytes_histogram();
     EXPECT_EQ(histogram_count(after, Method::kPeer), 0);
     EXPECT_EQ(histogram_count(after, Method::kColocated), 0);
     EXPECT_EQ(histogram_count(after, Method::kCudaAwareMpi), 0);
@@ -625,7 +625,7 @@ void run_planned_exchange(const PlannedCase& c, std::vector<Method> expect_metho
     dd.set_pack_mode(c.pack_mode);
     dd.set_persistent(true);
     dd.realize();
-    const auto hist = dd.local_method_histogram();
+    const auto hist = dd.method_bytes_histogram();
     for (Method m : expect_methods) {
       EXPECT_GT(histogram_count(hist, m), 0) << "method not exercised: " << to_string(m);
     }
@@ -809,7 +809,7 @@ void run_zero_copy_fallback(bool persistent) {
     dd.set_staged_zero_copy(true);
     dd.set_persistent(persistent);
     dd.realize();
-    EXPECT_GT(histogram_count(dd.local_method_histogram(), Method::kColocated), 0);
+    EXPECT_GT(histogram_count(dd.method_bytes_histogram(), Method::kColocated), 0);
 
     fill_interior(dd, 2);
     ctx.comm.barrier();
@@ -827,7 +827,7 @@ void run_zero_copy_fallback(bool persistent) {
       ctx.comm.barrier();
       EXPECT_EQ(verify_halos(dd, domain, 2), 0) << "post-fault iteration " << it;
     }
-    const auto after = dd.local_method_histogram();
+    const auto after = dd.method_bytes_histogram();
     EXPECT_EQ(histogram_count(after, Method::kColocated), 0);
     EXPECT_GT(histogram_count(after, Method::kStaged), 0);
     ctx.comm.barrier();

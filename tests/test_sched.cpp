@@ -166,7 +166,6 @@ TEST(SchedPolicy, StrictPriorityOrdersWavesAndBackfills) {
   cluster.set_mem_mode(stencil::vgpu::MemMode::kPhantom);
   Scheduler::Options opt;
   opt.policy = SchedPolicy::kStrictPriority;
-  opt.cross_verify = false;
   Scheduler sched(cluster, opt);
   JobSpec a = small_job("low-first", "u", 8);
   a.priority = 1;
@@ -192,7 +191,6 @@ TEST(SchedPolicy, FairShareAlternatesUsers) {
   cluster.set_mem_mode(stencil::vgpu::MemMode::kPhantom);
   Scheduler::Options opt;
   opt.policy = SchedPolicy::kFairShare;
-  opt.cross_verify = false;
   Scheduler sched(cluster, opt);
   // alice submits two whole-machine jobs, then bob one: with zero usage all
   // around, submit order seeds wave 0 with alice; her accumulated usage then
@@ -295,7 +293,6 @@ TEST(SchedRun, BlameAttributesCriticalPathToTenants) {
   Cluster cluster(stencil::topo::summit(), 2, 6);
   Scheduler::Options opt;
   opt.blame = true;
-  opt.cross_verify = false;
   Scheduler sched(cluster, opt);
   sched.submit(small_job("left", "u", 6));
   sched.submit(small_job("right", "u", 6));
@@ -313,11 +310,7 @@ TEST(SchedRun, TenantTelemetryIsIsolated) {
   // counters of one tenant must reflect only its own iterations.
   Cluster cluster(stencil::topo::summit(), 2, 6);
   cluster.set_mem_mode(stencil::vgpu::MemMode::kPhantom);
-  Scheduler sched(cluster, [] {
-    Scheduler::Options o;
-    o.cross_verify = false;
-    return o;
-  }());
+  Scheduler sched(cluster);
   std::atomic<int> wrong{0};
   for (const char* name : {"a", "b"}) {
     JobSpec s = small_job(name, "u", 6);

@@ -508,7 +508,7 @@ void run_verified_exchange(const VerifyCase& c) {
     dd.set_methods(c.flags);
     dd.set_remote_aggregation(c.aggregate);
     dd.set_persistent(true);
-    ASSERT_TRUE(dd.verify_plans());  // admission is on by default
+    ASSERT_TRUE(dd.plan_cache().has_admission());  // admission is always on
     dd.realize();
     dd.exchange();
     dd.exchange({0});  // selective subsets compile (and admit) their own plans
@@ -805,21 +805,4 @@ TEST(PlanAdmission, RejectedPlanLeavesDomainIdleAndIsRecompiled) {
     ctx.comm.barrier();
   });
   EXPECT_TRUE(chk.report().clean()) << dump(chk.report());
-}
-
-// Disabling verification removes the admission hook entirely.
-TEST(VerifyPlans, OptOutSkipsAdmission) {
-  Cluster cluster(topo::summit(), 1, 2);
-  cluster.run([&](RankCtx& ctx) {
-    DistributedDomain dd(ctx, {32, 32, 32});
-    dd.set_radius(1);
-    dd.add_data<float>("a");
-    dd.set_methods(MethodFlags::kAll);
-    dd.set_persistent(true);
-    dd.set_verify_plans(false);
-    dd.realize();
-    dd.exchange();
-    EXPECT_EQ(dd.plan_stats().verifications, 0u);
-    ctx.comm.barrier();
-  });
 }
