@@ -4,6 +4,7 @@
 // real cost (the other bench binaries report simulated/virtual time).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -18,6 +19,7 @@
 #include "core/partition.h"
 #include "core/placement.h"
 #include "qap/qap.h"
+#include "simpi/mpi.h"
 #include "simtime/engine.h"
 #include "simtime/resource.h"
 #include "topo/archetype.h"
@@ -209,6 +211,68 @@ static void BM_SteadyEagerExchange(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SteadyEagerExchange)->UseManualTime()->Unit(benchmark::kMillisecond);
+
+static void BM_SimpiMessageRate(benchmark::State& state) {
+  // Real seconds per message through simpi alone, on Arg ranks (6 per
+  // node): each round, every rank posts irecvs from 26 neighbours, then
+  // its 26 isends, then drains the recvs with wait_any and the sends with
+  // waitall. Payloads are phantom pinned host buffers above the eager
+  // limit, so each message takes the rendezvous path of a STAGED halo
+  // transfer and no bytes move. Rounds scale so one iteration is about
+  // 40k messages whatever the job size.
+  namespace simpi = stencil::simpi;
+  using Clock = std::chrono::steady_clock;
+  constexpr int kNeighbours = 26;
+  constexpr std::size_t kBytes = 4 * simpi::Job::kEagerLimit;
+  const int ranks = static_cast<int>(state.range(0));
+  const int rounds = std::max(4, 40000 / (ranks * kNeighbours));
+  for (auto _ : state) {
+    sim::Engine eng;
+    stencil::topo::Machine machine(stencil::topo::summit(), ranks / 6);
+    stencil::vgpu::Runtime rt(eng, machine);
+    rt.set_mem_mode(stencil::vgpu::MemMode::kPhantom);
+    simpi::Job job(eng, machine, rt, 6);
+    Clock::time_point start, done;
+    job.run([&](simpi::Comm& comm) {
+      const int me = comm.rank();
+      const int n = comm.size();
+      stencil::vgpu::Buffer buf = rt.alloc_pinned_host(comm.node(), kBytes);
+      const simpi::Payload payload = simpi::Payload::of(buf, 0, kBytes);
+      std::vector<simpi::Request> recvs;
+      std::vector<simpi::Request> sends;
+      comm.barrier();
+      if (me == 0) start = Clock::now();
+      for (int round = 0; round < rounds; ++round) {
+        // Neighbour k sends to me + 1 + k with tag k, so I hear tag k from
+        // me - 1 - k.
+        for (int k = 0; k < kNeighbours; ++k) {
+          recvs.push_back(comm.irecv(payload, ((me - 1 - k) % n + n) % n, k));
+        }
+        for (int k = 0; k < kNeighbours; ++k) {
+          sends.push_back(comm.isend(payload, (me + 1 + k) % n, k));
+        }
+        while (comm.wait_any(recvs) >= 0) {
+        }
+        comm.waitall(sends);
+        recvs.clear();
+        sends.clear();
+      }
+      comm.barrier();
+      if (me == 0) done = Clock::now();
+    });
+    const double messages = static_cast<double>(ranks) * kNeighbours * rounds;
+    state.SetIterationTime(std::chrono::duration<double>(done - start).count() / messages);
+  }
+}
+// Manual time is per message, so a time-based stop would run hundreds of
+// thousands of jobs: fix the iteration count instead.
+BENCHMARK(BM_SimpiMessageRate)
+    ->Arg(6)
+    ->Arg(384)
+    ->ArgName("ranks")
+    ->Iterations(10)
+    ->UseManualTime()
+    ->Unit(benchmark::kNanosecond);
 
 static void BM_PlanAdmission(benchmark::State& state) {
   // Real seconds to set up a persistent job of Arg ranks, 6 per node: the

@@ -40,8 +40,7 @@ ExchangeConfig recovery_config() {
   return cfg;
 }
 
-void realize_domain(stencil::RankCtx& ctx, stencil::DistributedDomain& dd,
-                    const ExchangeConfig& cfg) {
+void realize_domain(stencil::DistributedDomain& dd, const ExchangeConfig& cfg) {
   dd.set_radius(cfg.radius);
   for (int q = 0; q < cfg.quantities; ++q) dd.add_data<float>("q" + std::to_string(q));
   dd.set_methods(cfg.flags);
@@ -66,7 +65,7 @@ CadenceCost measure_cadence(const ExchangeConfig& cfg, std::int64_t cadence) {
 
   cluster.run([&](stencil::RankCtx& ctx) {
     stencil::DistributedDomain dd(ctx, cfg.domain);
-    realize_domain(ctx, dd, cfg);
+    realize_domain(dd, cfg);
     recover::RecoveryManager rm(ctx, dd, cadence);
     ctx.comm.barrier();
     dd.exchange();  // warm-up
@@ -108,7 +107,7 @@ MttrResult measure_mttr(const ExchangeConfig& cfg, std::int64_t cadence, int kil
 
   cluster.run([&](stencil::RankCtx& ctx) {
     stencil::DistributedDomain dd(ctx, cfg.domain);
-    realize_domain(ctx, dd, cfg);
+    realize_domain(dd, cfg);
     recover::RecoveryManager rm(ctx, dd, cadence);
     std::int64_t it = 0, trip = 0;
     while (it < cfg.iterations) {

@@ -204,12 +204,14 @@ std::string run_recover(explain::Ledger* led) {
 double timed_phase(Cluster& cluster, int iters) {
   double sum_ms = 0.0;
   cluster.run([&](RankCtx& ctx) {
-    // One rank per node and one quantity give a single inter-node face
-    // message per exchange direction — the regime the linear what-if model
-    // assumes (no queueing on the shared NIC, wire serial with the plan).
+    // One rank per node, one quantity and remote aggregation give a single
+    // inter-node message per exchange direction — the regime the linear
+    // what-if model assumes (no queueing on the shared NIC, wire serial with
+    // the plan).
     DistributedDomain dd(ctx, Dim3{96, 96, 96});
     dd.set_radius(1);
     dd.add_data<float>("q0");
+    dd.set_remote_aggregation(true);
     dd.realize();
     for (int it = 0; it < iters; ++it) {
       ctx.comm.barrier();

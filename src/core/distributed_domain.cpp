@@ -454,8 +454,11 @@ void DistributedDomain::maybe_respecialize() {
       case Method::kPeer:
         // Peer access between distinct GPUs revoked: the direct copy path
         // is gone. COLOCATED does not apply within one rank, so fall all
-        // the way down to STAGED (MPI to self over shared memory).
-        if (x.t.src_gpu != x.t.dst_gpu && !ctx_.rt.peer_enabled(x.t.src_gpu, x.t.dst_gpu)) {
+        // the way down to STAGED (MPI to self over shared memory). A pair
+        // that is not peer-capable (a rank's GPUs on different sockets)
+        // never had peer access enabled, so it has none to lose.
+        if (x.t.src_gpu != x.t.dst_gpu && ctx_.rt.can_access_peer(x.t.src_gpu, x.t.dst_gpu) &&
+            !ctx_.rt.peer_enabled(x.t.src_gpu, x.t.dst_gpu)) {
           target = Method::kStaged;
         }
         break;

@@ -77,6 +77,9 @@ MsgInfo msg_info(const Request::Record& rec) {
 
 }  // namespace
 
+static_assert(offsetof(Request::Record, attempts) + sizeof(int) <= 64,
+              "matching and wait fields must share the Record's first 64 bytes");
+
 Job::Job(sim::Engine& eng, topo::Machine& machine, vgpu::Runtime& runtime, int ranks_per_node)
     : eng_(eng), machine_(machine), runtime_(runtime), ranks_per_node_(ranks_per_node) {
   if (ranks_per_node_ <= 0) throw std::invalid_argument("Job: ranks_per_node must be positive");
@@ -125,8 +128,7 @@ void Job::run(const std::function<void(Comm&)>& body) {
   for (JobObserver* o : observers_) o->on_job_end();
 }
 
-std::shared_ptr<Request::Record> Job::make_record(bool is_send, int me, int peer, int tag,
-                                                  const Payload& p) {
+Request Job::make_record(bool is_send, int me, int peer, int tag, const Payload& p) {
   if (peer < 0 || peer >= world_size_) throw std::out_of_range("simpi: peer rank out of range");
   if (p.is_device() && !machine_.arch().cuda_aware_mpi) {
     throw std::runtime_error(
@@ -134,21 +136,24 @@ std::shared_ptr<Request::Record> Job::make_record(bool is_send, int me, int peer
   }
   eng_.sleep_for(machine_.arch().cpu_issue);  // CPU cost of the MPI call
 
-  auto rec = std::make_shared<Request::Record>();
-  rec->serial = next_request_serial_++;
-  rec->is_send = is_send;
-  rec->src = is_send ? me : peer;
-  rec->dst = is_send ? peer : me;
-  rec->tag = tag;
-  rec->payload = p;
-  rec->post_time = eng_.now();
-  return rec;
+  Request r(new Request::Record);
+  Request::Record& rec = *r.rec_;
+  rec.serial = next_request_serial_++;
+  rec.is_send = is_send;
+  rec.src = is_send ? me : peer;
+  rec.dst = is_send ? peer : me;
+  rec.tag = tag;
+  rec.payload = p;
+  rec.device = p.is_device();
+  rec.post_time = eng_.now();
+  return r;
 }
 
-void Job::enqueue(const std::shared_ptr<Request::Record>& rec_sp) {
-  Request::Record& rec = *rec_sp;
+void Job::enqueue(const Request& r) {
+  Request::Record& rec = *r.rec_;
   rec.epoch = comm_epoch_;
-  if (rec.is_send && !rec.payload.is_device() && rec.payload.bytes <= kEagerLimit) {
+  rec.data = payload_ptr(rec.payload);
+  if (rec.is_send && !rec.device && rec.payload.bytes <= kEagerLimit) {
     // Eager protocol: buffer the payload inside the library (re-staged on
     // every persistent start: the contents differ each iteration even though
     // the envelope is frozen); the send completes immediately and the data
@@ -156,8 +161,8 @@ void Job::enqueue(const std::shared_ptr<Request::Record>& rec_sp) {
     rec.buffered = true;
     rec.matched = true;
     rec.complete_at = rec.post_time;
-    if (const std::byte* sp = payload_ptr(rec.payload); sp != nullptr && rec.payload.bytes > 0) {
-      rec.staged.assign(sp, sp + rec.payload.bytes);
+    if (rec.data != nullptr && rec.payload.bytes > 0) {
+      rec.staged.assign(rec.data, rec.data + rec.payload.bytes);
     }
   }
   if (!observers_.empty()) {
@@ -165,34 +170,46 @@ void Job::enqueue(const std::shared_ptr<Request::Record>& rec_sp) {
     if (!rec.persistent) {
       for (JobObserver* o : observers_) o->on_post(m);
     }
-    for (JobObserver* o : observers_) o->on_queued(m);  // before try_match can consume it
+    for (JobObserver* o : observers_) o->on_queued(m);  // before matching can consume it
   }
-  auto& queue = rec.is_send ? unmatched_sends_[static_cast<std::size_t>(rec.dst)]
-                            : unmatched_recvs_[static_cast<std::size_t>(rec.dst)];
-  queue.push_back(rec_sp);
-  try_match(rec.dst);
+  // No queued pair was matchable before this post, so only the new record can
+  // match, and at most once: with the oldest opposite record of its (src, tag)
+  // (MPI non-overtaking per (src, tag)). A matched record never enters a queue.
+  const std::size_t bucket = static_cast<std::size_t>(rec.dst);
+  auto& opposite = rec.is_send ? unmatched_recvs_[bucket] : unmatched_sends_[bucket];
+  const auto it = std::find_if(opposite.begin(), opposite.end(), [&](const Request& q) {
+    return q.rec_->src == rec.src && q.rec_->tag == rec.tag;
+  });
+  if (it == opposite.end()) {
+    (rec.is_send ? unmatched_sends_[bucket] : unmatched_recvs_[bucket]).push_back(r);
+    return;
+  }
+  const Request other = std::move(*it);
+  opposite.erase(it);
+  if (rec.is_send) {
+    complete_match(rec, *other.rec_);
+  } else {
+    complete_match(*other.rec_, rec);
+  }
 }
 
-std::shared_ptr<Request::Record> Job::post(bool is_send, int me, int peer, int tag,
-                                           const Payload& p) {
-  auto rec = make_record(is_send, me, peer, tag, p);
-  enqueue(rec);
-  return rec;
+Request Job::post(bool is_send, int me, int peer, int tag, const Payload& p) {
+  Request r = make_record(is_send, me, peer, tag, p);
+  enqueue(r);
+  return r;
 }
 
-std::shared_ptr<Request::Record> Job::init(bool is_send, int me, int peer, int tag,
-                                           const Payload& p) {
-  auto rec = make_record(is_send, me, peer, tag, p);  // local call, no data motion
-  rec->persistent = true;
-  const MsgInfo m = msg_info(*rec);
+Request Job::init(bool is_send, int me, int peer, int tag, const Payload& p) {
+  Request r = make_record(is_send, me, peer, tag, p);  // local call, no data motion
+  r.rec_->persistent = true;
+  const MsgInfo m = msg_info(*r.rec_);
   for (JobObserver* o : observers_) o->on_persistent_init(m);
-  return rec;  // nothing enters matching until start()
+  return r;  // nothing enters matching until start()
 }
 
 void Job::start(Request& r) {
   if (!r.valid()) throw std::logic_error("simpi: start on an invalid Request");
-  auto rec_sp = r.rec_;
-  auto& rec = *rec_sp;
+  auto& rec = *r.rec_;
   if (!rec.persistent) throw std::logic_error("simpi: start on a non-persistent request");
   // Notify before rejecting, so the checker can lint the double start.
   const MsgInfo m = msg_info(rec);
@@ -215,7 +232,7 @@ void Job::start(Request& r) {
   rec.post_time = eng_.now();
   rec.active = true;
   ++rec.starts;
-  enqueue(rec_sp);
+  enqueue(r);
 }
 
 void Job::request_free(Request& r) {
@@ -225,32 +242,7 @@ void Job::request_free(Request& r) {
   for (JobObserver* o : observers_) o->on_persistent_free(rec.serial, active);
   // Deferred-free semantics: an in-flight operation stays in the matching
   // queues and still completes/delivers; only the caller's handle dies.
-  r.rec_.reset();
-}
-
-void Job::try_match(int dst_rank) {
-  auto& sends = unmatched_sends_[static_cast<std::size_t>(dst_rank)];
-  auto& recvs = unmatched_recvs_[static_cast<std::size_t>(dst_rank)];
-  // Match in recv-post order (MPI non-overtaking per (src, tag)).
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (auto rit = recvs.begin(); rit != recvs.end(); ++rit) {
-      auto& recv = **rit;
-      auto sit = std::find_if(sends.begin(), sends.end(), [&](const auto& s) {
-        return s->src == recv.src && s->tag == recv.tag;
-      });
-      if (sit != sends.end()) {
-        auto send_rec = *sit;
-        auto recv_rec = *rit;
-        sends.erase(sit);
-        recvs.erase(rit);
-        complete_match(*send_rec, *recv_rec);
-        progress = true;
-        break;  // iterators invalidated; rescan
-      }
-    }
-  }
+  r = Request();
 }
 
 sim::Time Job::device_ready_barrier(const Request::Record& send, const Request::Record& recv,
@@ -258,10 +250,10 @@ sim::Time Job::device_ready_barrier(const Request::Record& send, const Request::
   // The profiled MPI implementation calls cudaDeviceSynchronize before its
   // internal copies, so the message cannot move until all prior work on the
   // involved devices has drained.
-  if (send.payload.is_device()) {
+  if (send.device) {
     ready = std::max(ready, runtime_.device_frontier(send.payload.buf->owner()));
   }
-  if (recv.payload.is_device()) {
+  if (recv.device) {
     ready = std::max(ready, runtime_.device_frontier(recv.payload.buf->owner()));
   }
   return ready;
@@ -277,12 +269,14 @@ void Job::complete_match(Request::Record& send, Request::Record& recv) {
   const int node_r = node_of_rank(recv.dst);
   const bool same_node = node_s == node_r;
   const auto& arch = machine_.arch();
-  const bool device = send.payload.is_device() || recv.payload.is_device();
+  const bool device = send.device || recv.device;
   // Report the resolution, then wake both endpoints.
   const auto resolve = [&](const Delivery& d) {
-    const MsgInfo ms = msg_info(send);
-    const MsgInfo mr = msg_info(recv);
-    for (JobObserver* o : observers_) o->on_match(ms, mr, d);
+    if (!observers_.empty()) {
+      const MsgInfo ms = msg_info(send);
+      const MsgInfo mr = msg_info(recv);
+      for (JobObserver* o : observers_) o->on_match(ms, mr, d);
+    }
     rank_gates_[static_cast<std::size_t>(send.src)]->notify_all(eng_);
     rank_gates_[static_cast<std::size_t>(recv.dst)]->notify_all(eng_);
   };
@@ -329,8 +323,8 @@ void Job::complete_match(Request::Record& send, Request::Record& recv) {
     }
   }
 
-  const bool dev_s = send.payload.is_device();
-  const bool dev_r = recv.payload.is_device();
+  const bool dev_s = send.device;
+  const bool dev_r = recv.device;
   // Instant both endpoints were ready, before any resource queuing: the
   // watch measures span.end - wire_ready so queueing on shared wires counts
   // as observed cost.
@@ -409,9 +403,9 @@ void Job::complete_match(Request::Record& send, Request::Record& recv) {
   }
 
   // Move real payload bytes (skipped when either side is phantom).
-  std::byte* dp = payload_ptr(recv.payload);
+  std::byte* dp = recv.data;
   const std::byte* sp =
-      send.buffered ? (send.staged.empty() ? nullptr : send.staged.data()) : payload_ptr(send.payload);
+      send.buffered ? (send.staged.empty() ? nullptr : send.staged.data()) : send.data;
   if (dp != nullptr && sp != nullptr && bytes > 0) std::memcpy(dp, sp, bytes);
 
   if (!send.buffered) {
@@ -428,7 +422,7 @@ void Job::cancel_unmatched(Request::Record& rec) {
   auto& queue = rec.is_send ? unmatched_sends_[static_cast<std::size_t>(rec.dst)]
                             : unmatched_recvs_[static_cast<std::size_t>(rec.dst)];
   queue.erase(std::remove_if(queue.begin(), queue.end(),
-                             [&](const auto& q) { return q.get() == &rec; }),
+                             [&](const Request& q) { return q.rec_ == &rec; }),
               queue.end());
   rec.cancelled = true;
   for (JobObserver* o : observers_) o->on_request_cancel(rec.serial);
@@ -519,9 +513,9 @@ int Job::wait_any(std::vector<Request>& rs, int me) {
       if (!rs[i].valid()) continue;
       // Inactive persistent entries carry stale completion state from the
       // previous iteration; treat them like REQUEST_NULL here.
-      if (rs[i].rec_->persistent && !rs[i].rec_->active) continue;
-      any_valid = true;
       const auto& rec = *rs[i].rec_;
+      if (rec.persistent && !rec.active) continue;
+      any_valid = true;
       if (rec.matched && (best < 0 || rec.complete_at < best_t)) {
         best = static_cast<int>(i);
         best_t = rec.complete_at;
@@ -529,9 +523,9 @@ int Job::wait_any(std::vector<Request>& rs, int me) {
     }
     if (!any_valid) return -1;
     if (best >= 0) {
-      auto rec = rs[static_cast<std::size_t>(best)].rec_;
+      const Request held = std::move(rs[static_cast<std::size_t>(best)]);
+      Request::Record* rec = held.rec_;
       eng_.sleep_until(best_t);
-      rs[static_cast<std::size_t>(best)].rec_.reset();
       done(*rec);
       if (rec->failed) {
         fail(TransportError::Code::kRetriesExhausted, rec->is_send ? rec->dst : rec->src,
@@ -688,7 +682,7 @@ void Job::retire_rank(int r) {
   for (auto* queues : {&unmatched_sends_, &unmatched_recvs_}) {
     for (auto& q : *queues) {
       for (auto it = q.begin(); it != q.end();) {
-        Request::Record& rec = **it;
+        Request::Record& rec = *it->rec_;
         const int poster = rec.is_send ? rec.src : rec.dst;
         if (poster == r) {
           rec.cancelled = true;
@@ -729,8 +723,7 @@ void Job::release_drained(int me) {
 
 void Job::reset(Request& r) {
   if (!r.valid()) return;
-  auto rec_sp = r.rec_;
-  auto& rec = *rec_sp;
+  auto& rec = *r.rec_;
   if (rec.persistent && !rec.active) return;  // nothing in flight
   if (!rec.matched) {
     if (!rec.cancelled) cancel_unmatched(rec);
@@ -743,17 +736,17 @@ void Job::reset(Request& r) {
     if (rec.complete_at > eng_.now()) eng_.sleep_until(rec.complete_at);
     done(rec);
   }
-  if (!rec.persistent) r.rec_.reset();
+  if (!rec.persistent) r = Request();
 }
 
 // --- Comm ------------------------------------------------------------------
 
 Request Comm::isend(const Payload& p, int dst, int tag) {
-  return Request(job_->post(true, world_rank(), members_[static_cast<std::size_t>(dst)], tag, p));
+  return job_->post(true, world_rank(), members_[static_cast<std::size_t>(dst)], tag, p);
 }
 
 Request Comm::irecv(const Payload& p, int src, int tag) {
-  return Request(job_->post(false, world_rank(), members_[static_cast<std::size_t>(src)], tag, p));
+  return job_->post(false, world_rank(), members_[static_cast<std::size_t>(src)], tag, p);
 }
 
 void Comm::send(const Payload& p, int dst, int tag) {
@@ -767,11 +760,11 @@ void Comm::recv(const Payload& p, int src, int tag) {
 }
 
 Request Comm::send_init(const Payload& p, int dst, int tag) {
-  return Request(job_->init(true, world_rank(), members_[static_cast<std::size_t>(dst)], tag, p));
+  return job_->init(true, world_rank(), members_[static_cast<std::size_t>(dst)], tag, p);
 }
 
 Request Comm::recv_init(const Payload& p, int src, int tag) {
-  return Request(job_->init(false, world_rank(), members_[static_cast<std::size_t>(src)], tag, p));
+  return job_->init(false, world_rank(), members_[static_cast<std::size_t>(src)], tag, p);
 }
 
 void Comm::start(Request& r) { job_->start(r); }

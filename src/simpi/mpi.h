@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "simpi/observer.h"
@@ -65,10 +66,20 @@ class TransportError : public std::runtime_error {
 };
 
 /// Handle to a pending nonblocking operation. Copyable; all copies refer to
-/// the same operation.
+/// the same operation. The count is a plain integer and the record is freed
+/// with its last handle: a Job and every Request it issues live on one
+/// engine thread (actors are fibers on it), so no handle ever crosses
+/// threads, also when several jobs run side by side on separate engines.
 class Request {
  public:
   Request() = default;
+  Request(const Request& o) : Request(o.rec_) {}
+  Request(Request&& o) noexcept : rec_(std::exchange(o.rec_, nullptr)) {}
+  Request& operator=(Request o) noexcept {
+    std::swap(rec_, o.rec_);
+    return *this;
+  }
+  ~Request();
   bool valid() const { return rec_ != nullptr; }
 
   struct Record;  // implementation detail, public only so helpers can name it
@@ -76,8 +87,8 @@ class Request {
  private:
   friend class Job;
   friend class Comm;
-  explicit Request(std::shared_ptr<Record> rec) : rec_(std::move(rec)) {}
-  std::shared_ptr<Record> rec_;
+  explicit Request(Record* rec);
+  Record* rec_ = nullptr;
 };
 
 /// One simulated MPI job: `ranks_per_node * machine.num_nodes()` ranks, each
@@ -169,15 +180,15 @@ class Job {
   friend class Comm;
 
   // A fresh Record after the argument checks and the call's CPU cost.
-  std::shared_ptr<Request::Record> make_record(bool is_send, int me, int peer, int tag,
-                                               const Payload& p);
-  // Enter matching (post, or persistent start): stage eager sends, notify.
-  void enqueue(const std::shared_ptr<Request::Record>& rec);
-  std::shared_ptr<Request::Record> post(bool is_send, int me, int peer, int tag, const Payload& p);
-  std::shared_ptr<Request::Record> init(bool is_send, int me, int peer, int tag, const Payload& p);
+  Request make_record(bool is_send, int me, int peer, int tag, const Payload& p);
+  // Enter matching (post, or persistent start): stage eager sends, notify,
+  // then match against the oldest opposite record with the same (src, tag)
+  // or queue.
+  void enqueue(const Request& r);
+  Request post(bool is_send, int me, int peer, int tag, const Payload& p);
+  Request init(bool is_send, int me, int peer, int tag, const Payload& p);
   void start(Request& r);
   void request_free(Request& r);
-  void try_match(int dst_rank);
   void complete_match(Request::Record& send, Request::Record& recv);
   // Drop this still-unmatched record from its queue (wait timeout path).
   void cancel_unmatched(Request::Record& rec);
@@ -200,9 +211,11 @@ class Job {
 
   std::vector<sim::Resource> cpu_;                       // per rank
   std::vector<std::unique_ptr<sim::Gate>> rank_gates_;   // per rank: wakes its waits
-  // Unmatched queues, bucketed by destination rank, in post order.
-  std::vector<std::deque<std::shared_ptr<Request::Record>>> unmatched_sends_;
-  std::vector<std::deque<std::shared_ptr<Request::Record>>> unmatched_recvs_;
+  // Unmatched queues, bucketed by destination rank, in post order. Between
+  // posts no queued send matches a queued recv of the same bucket (a post
+  // matches at once or queues), so a post scans only the opposite queue.
+  std::vector<std::deque<Request>> unmatched_sends_;
+  std::vector<std::deque<Request>> unmatched_recvs_;
 
   // Barrier state.
   int barrier_arrived_ = 0;
@@ -221,38 +234,54 @@ class Job {
   int drain_acks_ = 0;
 };
 
+// Field order is access order: everything matching, wait() and wait_any()
+// read sits in the first 64 bytes; the serial (read by observers only), the
+// payload, the eager staging buffer and the persistent start count follow.
 struct Request::Record {
-  std::uint64_t serial = 0;  // job-unique identity (for observers)
+  std::uint32_t refs = 0;  // Request handles (the unmatched queues hold one)
   bool is_send = false;
-  int src = -1;
-  int dst = -1;
-  int tag = 0;
-  Payload payload;
-  sim::Time post_time = 0;
   bool matched = false;
-  sim::Time complete_at = 0;
-  bool cancelled = false;
-  // Fault injection: the match was resolved but delivery failed (message
-  // dropped and the retry budget exhausted). wait() throws TransportError
-  // at complete_at instead of returning. `attempts` counts transmissions.
-  bool failed = false;
-  int attempts = 1;
-  // Eager protocol: small host-memory sends are buffered inside the library
-  // and complete immediately (like real MPI's eager path), so a blocking
-  // small send never deadlocks against an out-of-order receiver.
-  bool buffered = false;
-  std::vector<std::byte> staged;
   // Persistent requests (MPI_Send_init/MPI_Recv_init): the Record is created
   // once, then re-armed by start(); `active` tracks started-but-not-completed
   // and `starts` counts the re-arms. Identity (serial) never changes, so
   // observers see one reusable record across thousands of iterations.
   bool persistent = false;
   bool active = false;
-  std::uint64_t starts = 0;
+  bool cancelled = false;
+  // Fault injection: the match was resolved but delivery failed (message
+  // dropped and the retry budget exhausted). wait() throws TransportError
+  // at complete_at instead of returning. `attempts` counts transmissions.
+  bool failed = false;
+  // Eager protocol: small host-memory sends are buffered inside the library
+  // and complete immediately (like real MPI's eager path), so a blocking
+  // small send never deadlocks against an out-of-order receiver.
+  bool buffered = false;
+  bool device = false;  // payload.is_device(), fixed at post
+  int src = -1;
+  int dst = -1;
+  int tag = 0;
+  sim::Time complete_at = 0;
+  sim::Time post_time = 0;
   // Communicator epoch at post/start time: a revoke bumps the job epoch and
   // any still-unmatched record from an older epoch completes with kRevoked.
   std::uint64_t epoch = 0;
+  // The payload's bytes, resolved when the record enters matching; null for
+  // phantom buffers (timing only).
+  std::byte* data = nullptr;
+  int attempts = 1;
+  std::uint64_t serial = 0;  // job-unique identity (for observers)
+  Payload payload;
+  std::vector<std::byte> staged;
+  std::uint64_t starts = 0;
 };
+
+inline Request::Request(Record* rec) : rec_(rec) {
+  if (rec_ != nullptr) ++rec_->refs;
+}
+
+inline Request::~Request() {
+  if (rec_ != nullptr && --rec_->refs == 0) delete rec_;
+}
 
 /// The per-rank communicator handle (the world communicator; split() yields
 /// sub-communicators whose ranks translate to world ranks internally).

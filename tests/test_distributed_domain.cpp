@@ -352,6 +352,58 @@ std::size_t slab_bytes(const DistributedDomain& dd, const stencil::Transfer& t,
 
 }  // namespace
 
+// A fault plan whose first fault lies in the future leaves the exchanges
+// before it as a fault-free run has them. With one rank per Summit node, a
+// rank drives both sockets: its cross-socket PEER pairs are not
+// peer-capable, so they never had peer access to lose and stay PEER.
+TEST(FaultDemotion, FutureFaultPlanMatchesFaultFreeRun) {
+  namespace fault = stencil::fault;
+  namespace sim = stencil::sim;
+  struct FirstExchange {
+    std::uint64_t mpi_bytes = 0;
+    std::map<Method, int> hist[2];
+    sim::Duration took[2] = {};
+  };
+  const auto first_exchange = [](const fault::Injector* inj) {
+    FirstExchange out;
+    Cluster cluster(stencil::topo::summit(), 2, 1);
+    stencil::telemetry::Telemetry tel;
+    cluster.set_telemetry(&tel);
+    if (inj != nullptr) cluster.set_fault_injector(inj);
+    const std::uint64_t& mpi_bytes = tel.metrics().counter("mpi_bytes_total").value;
+    cluster.run([&](RankCtx& ctx) {
+      DistributedDomain dd(ctx, {48, 48, 48});
+      dd.set_radius(1);
+      dd.add_data<float>("a");
+      dd.add_data<float>("b");
+      dd.set_methods(MethodFlags::kAll);
+      dd.realize();
+      const std::uint64_t before = mpi_bytes;
+      ctx.comm.barrier();
+      const sim::Time t0 = ctx.engine().now();
+      dd.exchange();
+      out.took[ctx.rank()] = ctx.engine().now() - t0;
+      ctx.comm.barrier();
+      if (ctx.rank() == 0) out.mpi_bytes = mpi_bytes - before;
+      out.hist[ctx.rank()] = counts(dd.method_bytes_histogram());
+    });
+    return out;
+  };
+  fault::FaultPlan plan;
+  plan.revoke_peer(sim::from_seconds(1.0), -1, -1);
+  fault::Injector inj(plan);
+  const FirstExchange clean = first_exchange(nullptr);
+  const FirstExchange planned = first_exchange(&inj);
+  EXPECT_GT(clean.mpi_bytes, 0u);
+  EXPECT_EQ(planned.mpi_bytes, clean.mpi_bytes);
+  for (int r = 0; r < 2; ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    EXPECT_GT(clean.hist[r].count(Method::kPeer), 0u);
+    EXPECT_EQ(planned.hist[r], clean.hist[r]);
+    EXPECT_EQ(planned.took[r], clean.took[r]);
+  }
+}
+
 // A rank keeps one transfer table. After a PEER->STAGED fault demotion, and
 // again after recover_replace, transfers(), method_bytes_histogram() and the
 // exchange_plan_transfers gauges describe the same methods, and those are
@@ -382,6 +434,7 @@ TEST(TransferTable, DescribesIssuedMethodsAcrossDemotionAndRecovery) {
   std::uint64_t issued[kStages] = {};    // job MPI bytes of the stage's exchange
   std::uint64_t expected[kStages] = {};  // summed over ranks from their tables
   std::map<Method, int> hist[2][kStages];
+  int peer_not_capable[2][kStages] = {};  // PEER transfers between GPUs without peer access
   cluster.run([&](RankCtx& ctx) {
     DistributedDomain dd(ctx, {48, 48, 48});
     dd.set_radius(1);
@@ -401,6 +454,9 @@ TEST(TransferTable, DescribesIssuedMethodsAcrossDemotionAndRecovery) {
       std::map<Method, int> listed;
       for (const stencil::Transfer& t : table) {
         ++listed[t.method];
+        if (t.method == Method::kPeer && !ctx.rt.can_access_peer(t.src_gpu, t.dst_gpu)) {
+          ++peer_not_capable[ctx.rank()][s];
+        }
         const bool message = t.method == Method::kStaged || t.method == Method::kCudaAwareMpi;
         if (message && t.src_rank == ctx.rank()) expected[s] += slab_bytes(dd, t, kBytesPerPoint);
       }
@@ -413,11 +469,18 @@ TEST(TransferTable, DescribesIssuedMethodsAcrossDemotionAndRecovery) {
     };
 
     exchange_and_check(kBeforeFault, "before the fault");
-    EXPECT_GT(hist[ctx.rank()][kBeforeFault][Method::kPeer], 0);
+    EXPECT_GT(hist[ctx.rank()][kBeforeFault][Method::kPeer],
+              peer_not_capable[ctx.rank()][kBeforeFault]);
+    EXPECT_GT(peer_not_capable[ctx.rank()][kBeforeFault], 0);
 
     ctx.engine().sleep_until(t_fault + sim::kMicrosecond);
     exchange_and_check(kDemoted, "after the demotion");
-    EXPECT_EQ(hist[ctx.rank()][kDemoted].count(Method::kPeer), 0u);
+    // After the revoke, the PEER transfers left are exactly those between
+    // GPUs that are not peer-capable: they never had peer access to lose.
+    const std::map<Method, int>& demoted = hist[ctx.rank()][kDemoted];
+    const int peer_left = demoted.count(Method::kPeer) != 0 ? demoted.at(Method::kPeer) : 0;
+    EXPECT_EQ(peer_left, peer_not_capable[ctx.rank()][kBeforeFault]);
+    EXPECT_EQ(peer_not_capable[ctx.rank()][kDemoted], peer_not_capable[ctx.rank()][kBeforeFault]);
 
     if (ctx.rank() == kDead) return;  // dies quietly; rank 0 adopts its subdomains
     ctx.comm.job().retire_rank(kDead);

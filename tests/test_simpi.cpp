@@ -118,6 +118,125 @@ TEST(Simpi, PerTagOrderingPreserved) {
   });
 }
 
+// A post matches the oldest queued opposite record with its (src, tag), so
+// messages of one (src, tag) land in post order whether the recvs were
+// posted before the sends or after them. Three sources send two tags each,
+// interleaved; the receiver pre-posts the first two recvs of every stream
+// in an order unlike the senders', and posts the rest once the sends queue.
+TEST(Simpi, PostMatchesOldestOfSameSourceAndTag) {
+  constexpr int kSources = 3;
+  constexpr int kTags = 2;
+  constexpr int kPerStream = 4;
+  constexpr int kEarly = 2;  // recvs per stream posted before the sends
+  constexpr int kReceiver = kSources;
+  const auto value = [](int src, int tag, int seq) { return 100 * src + 10 * tag + seq; };
+  World w(2, 2);
+  w.job.run([&](simpi::Comm& comm) {
+    if (comm.rank() != kReceiver) {
+      std::vector<int> out(kTags * kPerStream);
+      std::vector<simpi::Request> sends;
+      comm.barrier();  // the receiver's early recvs are posted
+      for (int seq = 0; seq < kPerStream; ++seq) {
+        for (int tag = 0; tag < kTags; ++tag) {
+          int& v = out[static_cast<std::size_t>(seq * kTags + tag)];
+          v = value(comm.rank(), tag, seq);
+          sends.push_back(comm.isend(simpi::Payload::of_values(&v, 1), kReceiver, tag));
+        }
+      }
+      comm.barrier();  // every send is posted
+      comm.waitall(sends);
+      return;
+    }
+    std::vector<int> got(kSources * kTags * kPerStream, -1);
+    const auto slot = [&](int src, int tag, int seq) -> int& {
+      return got[static_cast<std::size_t>((src * kTags + tag) * kPerStream + seq)];
+    };
+    std::vector<simpi::Request> recvs;
+    const auto post = [&](int src, int tag, int seq) {
+      recvs.push_back(comm.irecv(simpi::Payload::of_values(&slot(src, tag, seq), 1), src, tag));
+    };
+    for (int seq = 0; seq < kEarly; ++seq) {
+      for (int tag = kTags - 1; tag >= 0; --tag) {
+        for (int src = kSources - 1; src >= 0; --src) post(src, tag, seq);
+      }
+    }
+    comm.barrier();
+    comm.barrier();
+    for (int seq = kEarly; seq < kPerStream; ++seq) {
+      for (int src = 0; src < kSources; ++src) {
+        for (int tag = kTags - 1; tag >= 0; --tag) post(src, tag, seq);
+      }
+    }
+    comm.waitall(recvs);
+    for (int src = 0; src < kSources; ++src) {
+      for (int tag = 0; tag < kTags; ++tag) {
+        for (int seq = 0; seq < kPerStream; ++seq) {
+          EXPECT_EQ(slot(src, tag, seq), value(src, tag, seq))
+              << "src " << src << " tag " << tag << " seq " << seq;
+        }
+      }
+    }
+  });
+}
+
+// Resetting an unmatched recv takes it out of matching: a recv re-posted on
+// the same (src, tag) gets the first message, and the reset one gets none.
+TEST(Simpi, ResetRecvLeavesQueueMatchable) {
+  World w(1, 2);
+  w.job.run([](simpi::Comm& comm) {
+    if (comm.rank() == 0) {
+      comm.barrier();  // the receiver has reset and re-posted
+      for (int v : {11, 22}) comm.send(simpi::Payload::of_values(&v, 1), 1, 3);
+      return;
+    }
+    int stale = -1;
+    int first = -1;
+    int second = -1;
+    simpi::Request r = comm.irecv(simpi::Payload::of_values(&stale, 1), 0, 3);
+    comm.reset(r);
+    EXPECT_FALSE(r.valid());
+    simpi::Request a = comm.irecv(simpi::Payload::of_values(&first, 1), 0, 3);
+    comm.barrier();
+    comm.recv(simpi::Payload::of_values(&second, 1), 0, 3);
+    comm.wait(a);
+    EXPECT_EQ(first, 11);
+    EXPECT_EQ(second, 22);
+    EXPECT_EQ(stale, -1);
+  });
+}
+
+// The library keeps a posted operation alive without the caller's handle:
+// a rendezvous isend whose handle is destroyed before its recv is posted,
+// and a persistent start freed while in flight, both still deliver.
+TEST(Simpi, DroppedHandleStillDelivers) {
+  constexpr std::size_t kCount = 2 * simpi::Job::kEagerLimit / sizeof(int);  // not eager
+  World w(1, 2);
+  w.job.run([&](simpi::Comm& comm) {
+    std::vector<int> a(kCount);
+    std::vector<int> b(kCount);
+    if (comm.rank() == 0) {
+      std::iota(a.begin(), a.end(), 0);
+      std::iota(b.begin(), b.end(), 7);
+      comm.isend(simpi::Payload::of_values(a.data(), kCount), 1, 1);  // handle dropped here
+      simpi::Request p = comm.send_init(simpi::Payload::of_values(b.data(), kCount), 1, 2);
+      comm.start(p);
+      comm.request_free(p);
+      EXPECT_FALSE(p.valid());
+      comm.barrier();  // handles gone before either recv is posted
+      comm.barrier();  // the receiver has both payloads; the buffers may go
+      return;
+    }
+    comm.barrier();
+    comm.recv(simpi::Payload::of_values(a.data(), kCount), 0, 1);
+    comm.recv(simpi::Payload::of_values(b.data(), kCount), 0, 2);
+    comm.barrier();
+    EXPECT_EQ(a.front(), 0);
+    EXPECT_EQ(a.back(), static_cast<int>(kCount) - 1);
+    EXPECT_EQ(b.front(), 7);
+    EXPECT_EQ(b.back(), static_cast<int>(kCount) + 6);
+  });
+}
+
 TEST(Simpi, TruncationDetected) {
   World w(1, 2);
   EXPECT_THROW(w.job.run([](simpi::Comm& comm) {
