@@ -159,10 +159,11 @@ int main(int argc, char** argv) {
 
   // --- live link-cost feedback under a degraded NIC ------------------------
   // Node 0's NIC runs at 25% from t=0. A whole-machine calibration job
-  // teaches the watch every wire's cost (its wave end publishes the
-  // factors), then one 12-rank job is placed node-aware: the static-cost
-  // run ties node choice by id and lands on the degraded node 0; the
-  // live-cost run reads the published factors and routes around it.
+  // runs first, then one 12-rank job is placed node-aware. With no watch
+  // attached (static costs) node choice ties by id and lands on the degraded
+  // node 0; with a watch attached, the calibration teaches it every wire's
+  // cost (its wave end publishes the factors) and placement routes around
+  // node 0.
   std::printf("\n== degraded-link placement (node 0 NIC at 25%%) ==\n");
   const auto degraded_run = [&](bool live_costs) {
     fault::FaultPlan plan;
@@ -173,10 +174,9 @@ int main(int argc, char** argv) {
     cluster.set_mem_mode(stencil::vgpu::MemMode::kPhantom);
     cluster.set_fault_injector(&inj);
     watch::Watch live;
-    cluster.set_watch(&live);
+    if (live_costs) cluster.set_watch(&live);
     sched::Scheduler::Options opt;
     opt.place = sched::PlacePolicy::kNodeAware;
-    opt.live_costs = live_costs;
     sched::Scheduler scheduler(cluster, opt);
     sched::JobSpec calib;
     calib.name = "calibrate";

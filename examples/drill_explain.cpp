@@ -67,7 +67,6 @@ std::string run_multitenant(explain::Ledger* led) {
 
   sched::Scheduler::Options opt;
   opt.place = sched::PlacePolicy::kNodeAware;
-  opt.live_costs = true;
   sched::Scheduler sch(cluster, opt);
 
   const struct {

@@ -266,10 +266,10 @@ int run_tenant(const cli::Options& opt) {
   const auto mod = [&](int k) { return static_cast<int>(opt.seed % static_cast<unsigned>(k)); };
   Cluster cluster(opt.arch, opt.nodes, opt.rpn);
   check::Checker checker(cluster.engine());
+  if (opt.check) cluster.set_checker(&checker);
   sched::Scheduler::Options sopt;
   sopt.place = opt.policy;
   sopt.solo_baseline = true;  // solo re-runs repeat the fill + halo verify
-  if (opt.check) sopt.checker = &checker;
   sched::Scheduler scheduler(cluster, sopt);
 
   // Seed-varied tenant mix: sizes, radii, and quantities rotate with the

@@ -119,27 +119,6 @@ std::map<Method, std::pair<int, std::size_t>> DistributedDomain::method_bytes_hi
   return h;
 }
 
-void DistributedDomain::export_transfer_gauges() const {
-  auto* tel = ctx_.cluster.telemetry();
-  if (tel == nullptr) return;
-  telemetry::MetricsRegistry& reg = tel->metrics();
-  const auto h = method_bytes_histogram();
-  for (const Method m : {Method::kStaged, Method::kCudaAwareMpi, Method::kColocated, Method::kPeer,
-                         Method::kKernel}) {
-    const std::string name =
-        std::string("exchange_plan_transfers{method=\"") + to_string(m) + "\"}";
-    const auto it = h.find(m);
-    // A demotion can drain a method entirely: zero its series rather than
-    // let a stale value misreport the table.
-    if (it != h.end()) {
-      reg.gauge(name).set(static_cast<double>(it->second.first));
-    } else if (reg.gauges().count(name) != 0) {
-      reg.gauge(name).set(0.0);
-    }
-  }
-  reg.gauge("exchange_plan_total_transfers").set(static_cast<double>(xfers_.size()));
-}
-
 std::size_t DistributedDomain::add_data_bytes(const std::string& name, std::size_t elem_size) {
   require_unrealized("add_data");
   if (elem_size == 0) throw std::invalid_argument("add_data: zero element size");
@@ -229,7 +208,6 @@ void DistributedDomain::realize() {
   for (const Transfer& t : derived.transfers()) {
     if (auto xp = make_transfer_state(t)) xfers_.push_back(std::move(xp));
   }
-  export_transfer_gauges();
   record_specialization();
   build_aggregation_groups();
   colocated_setup();
@@ -395,7 +373,6 @@ void DistributedDomain::demote_transfer(TransferState& x, Method target) {
   if (auto* tel = ctx_.cluster.telemetry()) {
     tel->on_demotion(x.t.tag, to_string(from), to_string(target), ctx_.engine().now());
   }
-  export_transfer_gauges();
   // The specialization table changed shape: version it and dirty the
   // transfer's frozen programs in every cached plan. The next acquire
   // rebuilds only those entries (partial invalidation, not a recompile).
@@ -1070,16 +1047,14 @@ std::vector<DistributedDomain::Rehome> DistributedDomain::recover_replace(
   }
   if (load.empty()) throw std::runtime_error("recover_replace: no surviving GPUs");
 
-  // Live-cost bias (see set_live_costs): published per-node factors from
-  // the watch inflate the apparent load of GPUs on degraded nodes. Reading
-  // the *published* table keeps every survivor's answer identical.
+  // Live-cost bias: the attached watch's published per-node factors inflate
+  // the apparent load of GPUs on degraded nodes. Reading the *published*
+  // table keeps every survivor's answer identical.
   std::vector<int> node_bias(static_cast<std::size_t>(hp.num_nodes()), 0);
-  if (live_costs_) {
-    if (const watch::Watch* w = ctx_.cluster.watch(); w != nullptr) {
-      for (int n = 0; n < hp.num_nodes(); ++n) {
-        node_bias[static_cast<std::size_t>(n)] =
-            static_cast<int>(std::lround((w->node_cost_factor(n) - 1.0) * 2.0));
-      }
+  if (const watch::Watch* w = ctx_.cluster.watch(); w != nullptr) {
+    for (int n = 0; n < hp.num_nodes(); ++n) {
+      node_bias[static_cast<std::size_t>(n)] =
+          static_cast<int>(std::lround((w->node_cost_factor(n) - 1.0) * 2.0));
     }
   }
 
@@ -1154,7 +1129,6 @@ std::vector<DistributedDomain::Rehome> DistributedDomain::recover_replace(
   // (resync_seq is a separate step: the caller aligns seq_ across survivors
   // once it has agreed on the maximum.)
   ++topo_epoch_;
-  export_transfer_gauges();
   if (auto* tel = ctx_.cluster.telemetry()) {
     tel->on_recover_step("replace",
                          "moved=" + std::to_string(moves.size()) +
@@ -1187,10 +1161,10 @@ void DistributedDomain::exchange_finish() {
   // event synchronize — not a virtual-time sleep to the same instant — so
   // the send's read of the staging buffer has a happens-before edge from
   // the pack/D2H writes it consumes. Eager mode starts them in data-ready
-  // order, groups interleaved (the Sender state machines' "advance when
-  // your CUDA phase completes" loop). A plan starts them in its frozen
-  // order, transfers then groups, and COLOCATED fallback sends queued by
-  // Phase 2 ride as plain isends this generation.
+  // order, groups interleaved (the kSend ops of the transfer op lists,
+  // sorted by when their pack phase completes). A plan starts them in its
+  // frozen order, transfers then groups, and COLOCATED fallback sends
+  // queued by Phase 2 ride as plain isends this generation.
   const auto start_group = [&](AggGroup& g, simpi::Request& req) {
     for (const auto& m : g.members) rt.event_synchronize(m.first->ready_ev);
     if (p != nullptr) {
@@ -1275,7 +1249,6 @@ void DistributedDomain::note_exchange_complete() {
   for (const auto& [method, mb] : per) {
     tel->on_exchange_end(me, seq_, to_string(method), mb.first, mb.second, now);
   }
-  plan_cache_.stats().export_to(tel->metrics());
 }
 
 // ---------------------------------------------------------------------------

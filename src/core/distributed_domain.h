@@ -120,7 +120,7 @@ class DistributedDomain {
   /// copies, colocated pushes), then returns. The application typically
   /// launches *interior* compute kernels next — they only need cells the
   /// exchange does not touch — and calls finish() before computing on the
-  /// boundary. finish() drives the remaining sender/receiver state machines
+  /// boundary. finish() runs the remaining ops of every transfer's op list
   /// to completion (§III-D).
   void exchange_start();
   void exchange_finish();
@@ -233,18 +233,16 @@ class DistributedDomain {
   /// transfers whose endpoints changed are rebuilt (forced down to PEER /
   /// STAGED; never COLOCATED, whose handshake needs the old world). Bumps
   /// the topology epoch so cached plans migrate on next acquire.
+  ///
+  /// With a watch attached to the cluster (stencil::watch), the greedy
+  /// adoption reads its *published* per-node cost factors: GPUs on nodes
+  /// whose wires have measurably degraded look more loaded, so orphans land
+  /// on healthy nodes first. Published factors only change at
+  /// Watch::publish() — a quiescent point — so every survivor still computes
+  /// the same answer with no communication. Unpublished and healthy factors
+  /// are exactly 1, so with no watch, before the first publish, or on a
+  /// healthy machine the adoption is the static policy's.
   std::vector<Rehome> recover_replace(const std::vector<int>& dead_ranks);
-
-  /// When on, recover_replace biases its greedy adoption by the *published*
-  /// per-node cost factors of the cluster's attached watch (stencil::watch):
-  /// GPUs on nodes whose wires have measurably degraded look more loaded,
-  /// so orphans land on healthy nodes first. Published factors only change
-  /// at Watch::publish() — a quiescent point — so every survivor still
-  /// computes the same answer with no communication. Off (or with no watch,
-  /// or before the first publish) the behavior is byte-identical to the
-  /// static policy.
-  void set_live_costs(bool on) { live_costs_ = on; }
-  bool live_costs() const { return live_costs_; }
 
   /// Exchanges are pairwise, not globally synchronized, so ranks can be a
   /// few iterations apart when an incident hits. Survivors agree on
@@ -285,9 +283,10 @@ class DistributedDomain {
   // capability that comes back is not re-promoted.
   void maybe_respecialize();
   // Rewrite one transfer's method in its state (the one table transfers()
-  // and the gauges read) and record the decision on the trace's "fault" lane.
-  // Also bumps the topology epoch, dirties the transfer's programs in every
-  // cached plan, and allocates what the new method needs.
+  // and method_bytes_histogram() read) and record the decision on the
+  // trace's "fault" lane. Also bumps the topology epoch, dirties the
+  // transfer's programs in every cached plan, and allocates what the new
+  // method needs.
   void demote_transfer(TransferState& x, Method target);
   // Allocate the streams and buffers x's method needs on the sides of the
   // transfer this rank owns, keeping any it already has.
@@ -369,16 +368,10 @@ class DistributedDomain {
 
   // End of both the eager and planned finish paths: the completion
   // heartbeat, then — only while a cluster telemetry sink is attached —
-  // per-method message/byte counters and the plan-stats snapshot
-  // (DESIGN.md §11). Zero virtual-time cost.
+  // per-method message/byte counters (DESIGN.md §11). Zero virtual-time
+  // cost.
   void note_exchange_complete();
 
-  // Export the transfer table as gauges: one
-  // `exchange_plan_transfers{method="..."}` series per method and
-  // `exchange_plan_total_transfers`. Re-exported after every demotion and
-  // recovery, so the gauges show the current table (the paper's Table II,
-  // live). No-op without a telemetry sink.
-  void export_transfer_gauges() const;
   // The admission hook: "" for a clean plan, else the findings text.
   std::string admission_report(const plan::CompiledPlan& p) const;
 
@@ -440,7 +433,6 @@ class DistributedDomain {
 
   // Exchange-plan state (persistent mode).
   bool persistent_ = false;
-  bool live_costs_ = false;
   std::uint64_t topo_epoch_ = 0;
   plan::PlanCache plan_cache_;
   plan::CompiledPlan* cur_plan_ = nullptr;  // plan driving the in-flight exchange, if any

@@ -2,8 +2,6 @@
 
 #include <map>
 
-#include "telemetry/metrics.h"
-
 namespace stencil::plan {
 
 std::string PlanKey::str() const {
@@ -23,16 +21,6 @@ std::string PlanStats::str() const {
          " rebuilt=" + std::to_string(rebuilt_programs) + " replays=" + std::to_string(replays) +
          " verifications=" + std::to_string(verifications) +
          " rejections=" + std::to_string(rejections);
-}
-
-void PlanStats::export_to(telemetry::MetricsRegistry& reg) const {
-  reg.gauge("plan_stats_compiles").set(static_cast<double>(compiles));
-  reg.gauge("plan_stats_hits").set(static_cast<double>(hits));
-  reg.gauge("plan_stats_invalidations").set(static_cast<double>(invalidations));
-  reg.gauge("plan_stats_rebuilt_programs").set(static_cast<double>(rebuilt_programs));
-  reg.gauge("plan_stats_replays").set(static_cast<double>(replays));
-  reg.gauge("plan_stats_verifications").set(static_cast<double>(verifications));
-  reg.gauge("plan_stats_rejections").set(static_cast<double>(rejections));
 }
 
 std::size_t CompiledPlan::dirty_count() const {

@@ -12,10 +12,6 @@
 #include "simpi/mpi.h"
 #include "vgpu/runtime.h"
 
-namespace stencil::telemetry {
-class MetricsRegistry;
-}
-
 namespace stencil::plan {
 
 /// Identity of one compiled exchange schedule. Within one realized domain
@@ -36,8 +32,10 @@ struct PlanKey {
   std::string str() const;
 };
 
-/// Counters the cache keeps across the run; `drill plan` and the zero-setup
-/// tests read them.
+/// One rank's counters, kept by its cache across the run; `drill plan`, the
+/// zero-setup tests and perfbench read them through
+/// DistributedDomain::plan_stats(). The job-wide record is the cluster
+/// telemetry's `plan_*s_total` counters (DESIGN.md §11), not a copy of these.
 struct PlanStats {
   std::uint64_t compiles = 0;          // full plan compilations (cache misses)
   std::uint64_t hits = 0;              // exact reuses (no rebuild at all)
@@ -48,9 +46,6 @@ struct PlanStats {
   std::uint64_t rejections = 0;        // plans refused at admission
 
   std::string str() const;
-
-  /// Snapshot every counter into `plan_stats_*` gauges (DESIGN.md §11).
-  void export_to(telemetry::MetricsRegistry& reg) const;
 };
 
 /// The frozen form of one transfer's op list (core/transfer_ops.h, which

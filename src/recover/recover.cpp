@@ -349,7 +349,6 @@ bool RecoveryManager::maybe_checkpoint(std::int64_t iter) {
   if (cadence_ == 0 || iter % cadence_ != 0) return false;
   store_.checkpoint(iter);
   ++stats_.checkpoints;
-  export_metrics();
   return true;
 }
 
@@ -366,7 +365,6 @@ std::int64_t RecoveryManager::recover(const FailureEvent& ev, std::int64_t iter)
       record_step("retry (replay iteration " + std::to_string(iter) + ")", 0.0,
                   "shrink + rollback to checkpoint floor", 3.0, ev.what,
                   "transient fault: nothing died, nothing to re-place");
-      export_metrics();
       return iter;
     case FailureKind::kCapability:
       ++stats_.capability_demotions;
@@ -374,7 +372,6 @@ std::int64_t RecoveryManager::recover(const FailureEvent& ev, std::int64_t iter)
       record_step("demote (fail-down, replay iteration " + std::to_string(iter) + ")", 1.0,
                   "shrink + rollback to checkpoint floor", 3.0, ev.what,
                   "capability revoked: re-specialize affected transfers to staged");
-      export_metrics();
       return iter;
     case FailureKind::kLocalDeviceLoss:
       // We are the casualty. Stop touching shared state, then park until
@@ -471,7 +468,6 @@ std::int64_t RecoveryManager::recover(const FailureEvent& ev, std::int64_t iter)
   ++stats_.recoveries;
   stats_.last_mttr = eng.now() - first_fail;
   stats_.last_floor = back;
-  export_metrics();
   note_step(ctx_, "shrink",
             "live=" + std::to_string(job.live_count()) + " floor=" + std::to_string(back) +
                 " mttr_ns=" + std::to_string(stats_.last_mttr));
@@ -482,17 +478,6 @@ std::int64_t RecoveryManager::recover(const FailureEvent& ev, std::int64_t iter)
               "replays " + std::to_string(iter - back) + " iteration(s), mttr_ns=" +
                   std::to_string(stats_.last_mttr));
   return back;
-}
-
-void RecoveryManager::export_metrics() {
-  telemetry::Telemetry* tel = ctx_.cluster.telemetry();
-  if (tel == nullptr) return;
-  auto& reg = tel->metrics();
-  reg.gauge("recover_checkpoints").set(static_cast<double>(stats_.checkpoints));
-  reg.gauge("recover_recoveries").set(static_cast<double>(stats_.recoveries));
-  reg.gauge("recover_ranks_retired").set(static_cast<double>(stats_.ranks_retired));
-  reg.gauge("recover_last_mttr_ns").set(static_cast<double>(stats_.last_mttr));
-  reg.gauge("recover_last_floor").set(static_cast<double>(stats_.last_floor));
 }
 
 }  // namespace stencil::recover

@@ -112,7 +112,9 @@ class CheckpointStore {
   std::uint64_t committed_ = 0;
 };
 
-/// Counters the manager keeps (also exported as telemetry gauges).
+/// One rank's counters (`drill fault --recover` and bench_recovery read
+/// them). The job-wide record is the cluster telemetry's
+/// `recover_steps_total{step=...}` counters, fed per ladder step.
 struct RecoveryStats {
   std::uint64_t checkpoints = 0;
   std::uint64_t transient_retries = 0;
@@ -168,7 +170,6 @@ class RecoveryManager {
   std::int64_t cadence() const { return cadence_; }
 
  private:
-  void export_metrics();
   // Decision provenance (stencil::explain): one kRecoverStep record per
   // ladder rung taken, scored by ladder position (0 retry ... 3 shrink,
   // 4 cold restart), with the avoided more-drastic rung as the rejected

@@ -299,14 +299,14 @@ std::optional<Admission> Scheduler::try_place(const JobSpec& spec, const Machine
     int c = 0;
     std::vector<int> nodes;
   };
-  // Live link costs (Options::live_costs): the watch's published per-node
-  // factor lf >= 1 scales what a node's wire is worth — healthy nodes are
-  // preferred when picking candidates, own traffic terminating on a
-  // degraded node costs b*(lf-1) extra, and overlapping a co-tenant on a
-  // degraded wire hurts lf times as much. All factors at 1 (healthy
-  // machine, no watch, nothing published) reduce every comparison and term
-  // to the static policy — placements are then bit-identical.
-  const watch::Watch* w = opt_.live_costs ? cluster_.watch() : nullptr;
+  // Live link costs: the attached watch's published per-node factor lf >= 1
+  // scales what a node's wire is worth — healthy nodes are preferred when
+  // picking candidates, own traffic terminating on a degraded node costs
+  // b*(lf-1) extra, and overlapping a co-tenant on a degraded wire hurts lf
+  // times as much. All factors at 1 (healthy machine, no watch, nothing
+  // published) reduce every comparison and term to the static policy —
+  // placements are then bit-identical.
+  const watch::Watch* w = cluster_.watch();
   const auto node_score = [&](const std::vector<int>& cand, std::uint64_t own,
                               std::uint64_t b) {
     double score = static_cast<double>(own);
@@ -535,7 +535,6 @@ Scheduler::WaveResult Scheduler::run_wave(const std::vector<Admission>& wave, Ru
     col.set_tenant_labels(tenant_names);
     cluster_.set_collector(&col);
   }
-  if (opt_.checker != nullptr) cluster_.set_checker(opt_.checker);
   const bool collect_models = rep != nullptr;
 
   const double t0 = sim::to_seconds(cluster_.engine().now());
@@ -560,7 +559,6 @@ Scheduler::WaveResult Scheduler::run_wave(const std::vector<Admission>& wave, Ru
     dd.set_neighborhood(spec.nbhd);
     dd.set_boundary(spec.boundary);
     dd.set_persistent(spec.persistent);
-    if (spec.configure) spec.configure(dd);
     dd.realize();
     if (spec.prologue) spec.prologue(dd);
     const int sr = tctx.comm.rank();
@@ -613,7 +611,6 @@ Scheduler::WaveResult Scheduler::run_wave(const std::vector<Admission>& wave, Ru
           sim::to_seconds(rs.critical) * 1e3;
     }
   }
-  if (opt_.checker != nullptr) cluster_.set_checker(nullptr);
 
   if (collect_models && models.size() > 1) {
     std::sort(models.begin(), models.end(),

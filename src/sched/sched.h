@@ -26,13 +26,21 @@
 ///               own internode traffic plus overlap with the residual
 ///               per-node link load of already-admitted co-tenants — the
 ///               QAP idea of the paper's placement stage lifted one level,
-///               from GPUs-within-a-node to jobs-within-a-machine.
+///               from GPUs-within-a-node to jobs-within-a-machine. With a
+///               watch attached to the cluster, the published per-node cost
+///               factors weight those terms (exactly 1 until a degraded
+///               wire is published).
 ///
 /// Two queue disciplines, both preemption-free with backfill (a job that
 /// fits the residual machine may start ahead of a blocked one; nothing is
 /// ever evicted): kFairShare orders users by accumulated GPU·iteration
 /// usage, kStrictPriority by (priority, submit order). Jobs that can never
 /// fit even an empty machine are rejected at submit.
+///
+/// Observers are the Cluster's: whatever is attached to it (happens-before
+/// checker, watch, telemetry, explain ledger) sees every tenant of every
+/// wave, solo re-runs included. The one the scheduler attaches itself is
+/// Options::blame's per-wave collector.
 
 #include <cstddef>
 #include <cstdint>
@@ -42,7 +50,6 @@
 #include <string>
 #include <vector>
 
-#include "check/checker.h"
 #include "core/cluster.h"
 #include "core/dim3.h"
 #include "core/distributed_domain.h"
@@ -79,9 +86,6 @@ struct JobSpec {
   /// verify admission, and the scheduler can collect the verified model for
   /// the cross-tenant pass.
   bool persistent = true;
-  /// Optional extra per-rank configuration, called on the tenant's
-  /// DistributedDomain after the standard knobs, before realize().
-  std::function<void(DistributedDomain&)> configure;
   /// Called right after realize(), before the first exchange — the place to
   /// fill grid quantities.
   std::function<void(DistributedDomain&)> prologue;
@@ -189,15 +193,6 @@ class Scheduler {
     /// Attach a dtrace::Collector per wave and attribute critical-path time
     /// to tenants (TenantReport::blame_ms).
     bool blame = false;
-    /// Optional happens-before checker attached for the duration of runs.
-    check::Checker* checker = nullptr;
-    /// Consult the cluster watch's *published* link-cost factors in
-    /// kNodeAware placement: degraded wires make their nodes more expensive
-    /// to own traffic on and worse to overlap with. With no watch attached,
-    /// nothing published yet, or all factors at 1 (healthy machine), the
-    /// scores — and therefore every placement — are bit-identical to the
-    /// static policy.
-    bool live_costs = false;
   };
 
   explicit Scheduler(Cluster& cluster) : Scheduler(cluster, Options{}) {}

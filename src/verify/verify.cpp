@@ -7,6 +7,8 @@
 #include <sstream>
 #include <tuple>
 
+#include "trace/recorder.h"
+
 namespace stencil::verify {
 
 const char* to_string(OpKind k) {
@@ -108,44 +110,19 @@ std::string Report::summary() const {
   return os.str();
 }
 
-namespace {
-
-void json_escape(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << ' ';
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
 void Report::write_json(std::ostream& os, const std::string& plan_name) const {
-  os << "{\"schema\":\"verify-v1\",\"plan\":";
-  json_escape(os, plan_name);
-  os << ",\"clean\":" << (clean() ? "true" : "false")
+  os << "{\"schema\":\"verify-v1\",\"plan\":\"" << trace::json_escape(plan_name)
+     << "\",\"clean\":" << (clean() ? "true" : "false")
      << ",\"finding_count\":" << findings_.size() << ",\"findings\":[";
   for (std::size_t i = 0; i < findings_.size(); ++i) {
     const Finding& f = findings_[i];
     if (i != 0) os << ",";
     os << "{\"kind\":\"" << to_string(f.kind) << "\",\"rank\":" << f.rank
-       << ",\"peer\":" << f.peer << ",\"tag\":" << f.tag << ",\"detail\":";
-    json_escape(os, f.detail);
-    os << ",\"ops\":[";
+       << ",\"peer\":" << f.peer << ",\"tag\":" << f.tag << ",\"detail\":\""
+       << trace::json_escape(f.detail) << "\",\"ops\":[";
     for (std::size_t j = 0; j < f.ops.size(); ++j) {
       if (j != 0) os << ",";
-      json_escape(os, f.ops[j]);
+      os << '"' << trace::json_escape(f.ops[j]) << '"';
     }
     os << "]}";
   }

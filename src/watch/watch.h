@@ -16,16 +16,18 @@
 ///     dtrace::ProgressMonitor is the job's one straggler/stall detector;
 ///   - link-cost feedback: published per-node/per-link cost factors
 ///     (capability degradation vs the healthiest observed wire) that sched
-///     placement and recover_replace read from the Watch under
-///     set_live_costs(true);
+///     kNodeAware placement and recover_replace read whenever a Watch is
+///     attached — attaching it is the only switch;
 ///   - exporters: a deterministic `watch-v1` JSON snapshot, Prometheus
 ///     gauges via MetricsRegistry.
 ///
-/// The layer is pure bookkeeping: hooks cost no virtual time, so enabled
+/// The hooks are pure bookkeeping: they cost no virtual time, so enabled
 /// and disabled runs are bit-identical in timing, and a disabled run is
-/// byte-identical in every artifact. All state derives from virtual time —
-/// no wall clock anywhere (slint-clean), so two identical seeded runs
-/// produce identical snapshots.
+/// byte-identical in every artifact. Only published factors feed back into
+/// decisions, and unpublished or healthy factors are exactly 1 (the
+/// dead-band), which leaves every placement and adoption as without a
+/// Watch. All state derives from virtual time — no wall clock anywhere
+/// (slint-clean), so two identical seeded runs produce identical snapshots.
 ///
 /// Determinism contract for the cost factors: live estimators update on
 /// every message, but the factor queries read the *published* snapshot,

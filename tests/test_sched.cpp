@@ -208,9 +208,9 @@ TEST(SchedPolicy, FairShareAlternatesUsers) {
 TEST(SchedRun, CoTenantsExchangeBitExactWithCleanChecker) {
   Cluster cluster(stencil::topo::summit(), 4, 6);
   stencil::check::Checker checker(cluster.engine());
+  cluster.set_checker(&checker);
   Scheduler::Options opt;
   opt.place = PlacePolicy::kNodeAware;
-  opt.checker = &checker;
   opt.solo_baseline = true;
   Scheduler sched(cluster, opt);
 

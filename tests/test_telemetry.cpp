@@ -856,17 +856,11 @@ TEST(DomainTelemetry, PlanStatsCountersAndExport) {
     EXPECT_EQ(ps.replays, 2u);
     EXPECT_EQ(ps.invalidations, 0u);
     EXPECT_NE(ps.str().find("compiles=1"), std::string::npos);
-
-    MetricsRegistry fresh;
-    ps.export_to(fresh);
-    EXPECT_DOUBLE_EQ(fresh.gauges().at("plan_stats_hits").value, 1.0);
   });
   const auto& m = tel.metrics();
   EXPECT_EQ(m.counter_value("plan_compiles_total"), 1u);
   EXPECT_EQ(m.counter_value("plan_hits_total"), 1u);
   EXPECT_EQ(m.counter_value("plan_replays_total"), 2u);
-  EXPECT_DOUBLE_EQ(m.gauges().at("plan_stats_compiles").value, 1.0);
-  EXPECT_DOUBLE_EQ(m.gauges().at("plan_stats_replays").value, 2.0);
 }
 
 TEST(DomainTelemetry, ClusterWideTelemetryCapturesSubstrate) {
@@ -884,19 +878,6 @@ TEST(DomainTelemetry, ClusterWideTelemetryCapturesSubstrate) {
   EXPECT_GT(m.counter_value("mpi_bytes_total"), 0u);
   EXPECT_GT(m.counter_value("mpi_sends_posted_total"), 0u);
   EXPECT_EQ(m.counter_value("mpi_messages_lost_total"), 0u);
-}
-
-TEST(DomainTelemetry, ExchangePlanGaugesExported) {
-  Cluster cluster(topo::summit(), 1, 1);
-  Telemetry tel;
-  cluster.set_telemetry(&tel);
-  std::size_t transfers = 0;
-  run_small_domain(cluster, 1, false,
-                   [&](DistributedDomain& dd) { transfers = dd.transfers().size(); });
-  const auto& g = tel.metrics().gauges();
-  const auto it = g.find("exchange_plan_total_transfers");
-  ASSERT_NE(it, g.end());
-  EXPECT_DOUBLE_EQ(it->second.value, static_cast<double>(transfers));
 }
 
 TEST(DomainTelemetry, ClusterSinkSeesEveryRank) {
@@ -988,8 +969,7 @@ TEST(DomainTelemetry, DetachedDomainKeepsNothing) {
     const std::string label = std::string("{method=\"") + to_string(method) + "\"}";
     EXPECT_EQ(m.counter_value("exchange_messages_total" + label), 2 * n) << label;
   }
-  // realize() and exchange 1 ran detached: no plan gauges, no early events.
-  EXPECT_EQ(m.gauges().count("exchange_plan_total_transfers"), 0u);
+  // realize() and exchange 1 ran detached: no early events.
   for (const auto& ev : tel.flight().tail(tel.flight().size())) {
     EXPECT_GE(ev.exchange_seq, 2u) << to_string(ev.kind) << " " << ev.lane;
   }

@@ -306,48 +306,83 @@ TEST(Determinism, IdenticalRunsProduceIdenticalSnapshots) {
 
 namespace {
 
-/// Teach an attached watch a published 4x penalty on every wire touching
-/// `bad_node` of a `nodes`-node machine (synthetic samples: the oracle only
-/// sees per-message costs, so taught and measured state are equivalent).
-void teach_degraded_node(Watch& w, int nodes, int bad_node) {
+/// Teach an attached watch a published `penalty`x cost on every wire
+/// touching `bad_node` of a `nodes`-node machine (synthetic samples: the
+/// oracle only sees per-message costs, so taught and measured state are
+/// equivalent).
+void teach_degraded_node(Watch& w, int nodes, int bad_node, double penalty) {
   const std::uint64_t bytes = 8192;
   for (int s = 0; s < nodes; ++s)
     for (int d = 0; d < nodes; ++d) {
       if (s == d) continue;
-      const double pb = (s == bad_node || d == bad_node) ? 4.0 : 1.0;
+      const double pb = (s == bad_node || d == bad_node) ? penalty : 1.0;
       for (int i = 0; i < 3; ++i) feed(w, s, d, bytes, pb);
     }
   w.publish();
 }
 
+/// What the cluster knows of its wire costs when placement or recovery
+/// reads them.
+enum class Costs { kNoWatch, kUnpublished, kHealthy, kDegraded };
+
+/// Attach `live` to a 3-node cluster and teach it what `costs` describes.
+void attach_costs(Cluster& cluster, Watch& live, Costs costs) {
+  if (costs == Costs::kNoWatch) return;
+  cluster.set_watch(&live);
+  // Healthy: node 0's wires 20% slow, jitter inside the cost dead-band.
+  if (costs == Costs::kHealthy) teach_degraded_node(live, 3, /*bad_node=*/0, 1.2);
+  if (costs == Costs::kDegraded) teach_degraded_node(live, 3, /*bad_node=*/0, 4.0);
+}
+
+/// Nodes kNodeAware placement picks for one 6-GPU job (exactly one node of
+/// the three).
+std::vector<int> probe_nodes(Costs costs) {
+  Watch live;
+  Cluster cluster(topo::summit(), 3, 6);
+  cluster.set_mem_mode(stencil::vgpu::MemMode::kPhantom);
+  attach_costs(cluster, live, costs);
+  sched::Scheduler::Options opt;
+  opt.place = sched::PlacePolicy::kNodeAware;
+  sched::Scheduler scheduler(cluster, opt);
+  sched::JobSpec s;
+  s.name = "probe";
+  s.user = "test";
+  s.gpus = 6;
+  s.domain = {48, 48, 48};
+  s.radius = 1;
+  s.quantities = 1;
+  s.iterations = 2;
+  scheduler.submit(s);
+  const sched::RunReport rep = scheduler.run();
+  EXPECT_EQ(rep.tenants.size(), 1u);
+  return rep.tenants.front().nodes;
+}
+
+/// GPUs recover_replace adopts the orphans of rank 17 (the last rank of
+/// node 2) onto. Every survivor computes the same greedy adoption, so rank
+/// 0's answer is the placement.
+std::vector<int> adopters(Costs costs) {
+  Watch live;
+  Cluster cluster(topo::summit(), 3, 6);
+  cluster.set_mem_mode(stencil::vgpu::MemMode::kPhantom);
+  attach_costs(cluster, live, costs);
+  std::vector<int> new_gpus;
+  cluster.run([&](RankCtx& ctx) {
+    DistributedDomain dd(ctx, {48, 48, 48});
+    dd.set_radius(1);
+    dd.add_data<float>("q0");
+    dd.realize();
+    if (ctx.rank() != 0) return;
+    for (const auto& rh : dd.recover_replace({17})) new_gpus.push_back(rh.new_gpu);
+  });
+  return new_gpus;
+}
+
 }  // namespace
 
 TEST(Feedback, SchedPlacementRoutesAroundDegradedNodeUnderLiveCosts) {
-  const auto run_one = [](bool live_costs) {
-    stencil::watch::Watch live;
-    Cluster cluster(topo::summit(), 3, 6);
-    cluster.set_mem_mode(stencil::vgpu::MemMode::kPhantom);
-    cluster.set_watch(&live);
-    teach_degraded_node(live, 3, /*bad_node=*/0);
-    sched::Scheduler::Options opt;
-    opt.place = sched::PlacePolicy::kNodeAware;
-    opt.live_costs = live_costs;
-    sched::Scheduler scheduler(cluster, opt);
-    sched::JobSpec s;
-    s.name = "probe";
-    s.user = "test";
-    s.gpus = 6;  // exactly one node of the three
-    s.domain = {48, 48, 48};
-    s.radius = 1;
-    s.quantities = 1;
-    s.iterations = 2;
-    scheduler.submit(s);
-    const sched::RunReport rep = scheduler.run();
-    EXPECT_EQ(rep.tenants.size(), 1u);
-    return rep.tenants.front().nodes;
-  };
-  const std::vector<int> static_nodes = run_one(false);
-  const std::vector<int> live_nodes = run_one(true);
+  const std::vector<int> static_nodes = probe_nodes(Costs::kNoWatch);
+  const std::vector<int> live_nodes = probe_nodes(Costs::kDegraded);
   // Static node-aware ties break by node id and land on the degraded node 0;
   // live costs read the published 4x factor and route around it.
   ASSERT_EQ(static_nodes.size(), 1u);
@@ -357,28 +392,8 @@ TEST(Feedback, SchedPlacementRoutesAroundDegradedNodeUnderLiveCosts) {
 }
 
 TEST(Feedback, RecoverReplaceAvoidsDegradedNodeUnderLiveCosts) {
-  const auto adopters = [](bool live_costs) {
-    stencil::watch::Watch live;
-    Cluster cluster(topo::summit(), 3, 6);
-    cluster.set_mem_mode(stencil::vgpu::MemMode::kPhantom);
-    cluster.set_watch(&live);
-    teach_degraded_node(live, 3, /*bad_node=*/0);
-    std::vector<int> new_gpus;
-    cluster.run([&](RankCtx& ctx) {
-      DistributedDomain dd(ctx, {48, 48, 48});
-      dd.set_radius(1);
-      dd.add_data<float>("q0");
-      dd.realize();
-      dd.set_live_costs(live_costs);
-      if (ctx.rank() != 0) return;
-      // Rank 17 (the last rank of node 2) dies; every survivor computes the
-      // same greedy adoption, so rank 0's answer is the placement.
-      for (const auto& rh : dd.recover_replace({17})) new_gpus.push_back(rh.new_gpu);
-    });
-    return new_gpus;
-  };
-  const std::vector<int> static_gpus = adopters(false);
-  const std::vector<int> live_gpus = adopters(true);
+  const std::vector<int> static_gpus = adopters(Costs::kNoWatch);
+  const std::vector<int> live_gpus = adopters(Costs::kDegraded);
   ASSERT_FALSE(static_gpus.empty());
   ASSERT_FALSE(live_gpus.empty());
   // 6 GPUs per node on this shape: node = gpu / 6. The static tie-break
@@ -389,5 +404,20 @@ TEST(Feedback, RecoverReplaceAvoidsDegradedNodeUnderLiveCosts) {
   EXPECT_TRUE(static_hits_bad);
   for (const int g : live_gpus) {
     EXPECT_NE(g / 6, 0) << "orphan adopted onto degraded node 0 (gpu " << g << ")";
+  }
+}
+
+// An attached watch is the only switch for live costs, so it must be neutral
+// until it has something to say: never published, or published on a healthy
+// machine (jitter inside the dead-band publishes every factor as exactly 1),
+// placement and adoption are the static policy's.
+TEST(Feedback, LiveCostsNeutralUntilPublished) {
+  const std::vector<int> static_nodes = probe_nodes(Costs::kNoWatch);
+  const std::vector<int> static_gpus = adopters(Costs::kNoWatch);
+  ASSERT_FALSE(static_gpus.empty());
+  for (const Costs c : {Costs::kUnpublished, Costs::kHealthy}) {
+    SCOPED_TRACE(c == Costs::kUnpublished ? "unpublished" : "healthy");
+    EXPECT_EQ(probe_nodes(c), static_nodes);
+    EXPECT_EQ(adopters(c), static_gpus);
   }
 }
