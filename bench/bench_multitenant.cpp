@@ -5,21 +5,18 @@
 //   - aggregate exchange throughput (moved bytes over the wave makespan),
 //   - per-tenant p95 exchange latency and the solo-baseline p95 of the same
 //     job re-run alone on the identical slice,
-//   - interference (co-run p95 / solo p95 - 1), the *online* interference
-//     the attached stencil::watch estimated live (no solo re-run needed),
-//     and critical-path blame per tenant (dtrace + telemetry::CriticalPath).
+//   - interference (co-run p95 / solo p95 - 1) and critical-path blame per
+//     tenant (dtrace + telemetry::CriticalPath).
 //
 // Expected shape: kNodeAware isolates each tenant on its own node slice and
 // achieves the lowest worst-tenant interference; kSpread fans every tenant
 // across every NIC and pays the most. The bench exits non-zero if node-aware
-// placement loses that comparison, if the online estimate disagrees with the
-// post-hoc number beyond tolerance, or if live-cost placement under a
-// degraded NIC loses to static placement — CI runs all three as acceptance
+// placement loses that comparison or if live-cost placement under a
+// degraded NIC loses to static placement — CI runs both as acceptance
 // checks.
 //
 // bench_multitenant [tenants] [--json[=PATH]]   (bench-v1 JSON rows:
 // label = placement policy, variant = tenant name)
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <numeric>
@@ -62,12 +59,9 @@ int main(int argc, char** argv) {
 
   double aware_worst = 0.0;
   double other_best_worst = 1e300;
-  int agree_failures = 0;
   for (const auto& pol : policies) {
     stencil::Cluster cluster(topo::summit(), 4, 6);
     cluster.set_mem_mode(stencil::vgpu::MemMode::kPhantom);
-    watch::Watch live;
-    cluster.set_watch(&live);
     sched::Scheduler::Options opt;
     opt.place = pol.place;
     opt.solo_baseline = true;
@@ -94,22 +88,10 @@ int main(int argc, char** argv) {
     double worst = 0.0;
     for (const auto& t : rep.tenants) {
       std::printf("  %-8s nodes=%zu  p95=%8.3f ms  solo=%8.3f ms  interference=%+6.1f%%"
-                  "  online=%+6.1f%%  blame=%8.3f ms\n",
+                  "  blame=%8.3f ms\n",
                   t.name.c_str(), t.nodes.size(), t.p95_ms, t.solo_p95_ms,
-                  t.interference * 100.0, t.online_interference * 100.0, t.blame_ms);
+                  t.interference * 100.0, t.blame_ms);
       if (t.interference > worst) worst = t.interference;
-      // The live estimate must agree with the post-hoc solo-baseline number
-      // at steady state: within 25% relative error, with a small absolute
-      // floor for tenants whose interference is essentially zero (isolated
-      // slices have nothing to measure).
-      const double tol = std::max(0.25 * std::abs(t.interference), 0.05);
-      if (std::abs(t.online_interference - t.interference) > tol) {
-        std::fprintf(stderr,
-                     "bench_multitenant: %s/%s online interference %.4f disagrees with "
-                     "post-hoc %.4f (tolerance %.4f)\n",
-                     pol.name, t.name.c_str(), t.online_interference, t.interference, tol);
-        ++agree_failures;
-      }
       if (emit_json) {
         ExchangeConfig cfg;
         cfg.nodes = t.vnodes;
@@ -151,11 +133,6 @@ int main(int argc, char** argv) {
   }
   std::printf("node-aware worst-tenant interference %.4f <= best other policy %.4f\n",
               aware_worst, tenants > 1 ? other_best_worst : 0.0);
-  if (agree_failures != 0) {
-    std::fprintf(stderr, "bench_multitenant: %d online-vs-posthoc disagreement(s)\n",
-                 agree_failures);
-    return 1;
-  }
 
   // --- live link-cost feedback under a degraded NIC ------------------------
   // Node 0's NIC runs at 25% from t=0. A whole-machine calibration job

@@ -256,7 +256,7 @@ WhatIfOutcome run_whatif_healthy(int iters) {
         if (s == d) continue;
         for (int c = 0; c < watch::kWireClasses; ++c) {
           const auto wc = static_cast<watch::WireClass>(c);
-          const double ns = live.lane_window_actual_ns(s, d, wc);
+          const double ns = live.lane_window_wire_ns(s, d, wc);
           if (ns <= 0.0) continue;
           lanes.push_back({s, d, ns, live.live_link_cost_factor(s, d)});
         }

@@ -132,7 +132,7 @@ double predict_healthy_exchange_ms(double observed_ms, std::uint64_t exchanges,
   double worst_observed = 0.0;
   double worst_healthy = 0.0;
   for (const auto& l : lanes) {
-    const double per_ex = l.actual_ns / static_cast<double>(exchanges);
+    const double per_ex = l.wire_ns / static_cast<double>(exchanges);
     worst_observed = std::max(worst_observed, per_ex);
     worst_healthy = std::max(worst_healthy, per_ex / std::max(1.0, l.factor));
   }

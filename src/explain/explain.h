@@ -165,8 +165,8 @@ class Ledger {
 struct LaneObservation {
   int src_node = 0;
   int dst_node = 0;
-  double actual_ns = 0.0;  ///< window wire time, summed over messages
-  double factor = 1.0;     ///< live link cost factor (1 = healthy)
+  double wire_ns = 0.0;  ///< window wire occupancy, summed over messages
+  double factor = 1.0;   ///< live link cost factor (1 = healthy)
 };
 
 /// Predict the healthy-link per-exchange latency (ms) from a recorded

@@ -510,26 +510,16 @@ Scheduler::WaveResult Scheduler::run_wave(const std::vector<Admission>& wave, Ru
                   std::vector<double>(wave[w].world_ranks.size(), 0.0));
   }
 
-  // Watch integration: attribute this wave's wire traffic to tenants and
-  // start a fresh window. Watch tenant ids are *job* ids — stable across
-  // waves and solo re-runs, so a job's solo window refines the same
-  // baselines its co-run window is judged against. Solo re-runs
-  // (rep == nullptr) flow through here too.
+  // Each wave (solo re-runs included) is one watch window.
   watch::Watch* wtc = cluster_.watch();
-  if (wtc != nullptr) {
-    std::vector<int> tmap(static_cast<std::size_t>(world), -1);
-    int num_tenants = 0;
-    for (const Admission& adm : wave) {
-      for (const int r : adm.world_ranks) tmap[static_cast<std::size_t>(r)] = adm.job;
-      num_tenants = std::max(num_tenants, adm.job + 1);
-    }
-    wtc->set_tenant_map(tmap, num_tenants);
-    wtc->clear_window();
-  }
+  if (wtc != nullptr) wtc->clear_window();
 
   std::vector<verify::ExchangeModel> models;
 
+  // The blame collector takes the cluster's one recorder slot for this wave
+  // only: the caller's recorder goes back in afterwards.
   dtrace::Collector col;
+  trace::Recorder* const caller_recorder = cluster_.recorder();
   const bool blame = rep != nullptr && opt_.blame;
   if (blame) {
     col.set_tenant_labels(tenant_names);
@@ -580,13 +570,9 @@ Scheduler::WaveResult Scheduler::run_wave(const std::vector<Admission>& wave, Ru
 
   WaveResult res;
   if (wtc != nullptr) {
-    // Freeze each tenant's window, publish the live cost tables at this
-    // quiescent point (the wave is over; no actor is running) so the next
-    // wave's placement and any recover_replace read one epoch, then fold
-    // the windows into the per-job baselines for later evaluation.
-    for (const Admission& adm : wave) {
-      res.watch_windows[adm.job] = wtc->tenant_window(adm.job);
-    }
+    // Publish the live cost tables at this quiescent point (the wave is
+    // over; no actor is running) so the next wave's placement and any
+    // recover_replace read one epoch.
     wtc->publish();
     wtc->clear_window();
   }
@@ -599,7 +585,7 @@ Scheduler::WaveResult Scheduler::run_wave(const std::vector<Admission>& wave, Ru
   }
 
   if (blame) {
-    cluster_.set_collector(nullptr);
+    cluster_.set_recorder(caller_recorder);
     telemetry::CriticalPath cp(col.records());
     cp.add_flow_edges(col.flows());
     const telemetry::Analysis an = cp.analyze();
@@ -632,7 +618,6 @@ RunReport Scheduler::run() {
   RunReport rep;
   const int gpr = cluster_.gpus_per_rank();
   std::vector<std::pair<Admission, std::size_t>> done;  // (placement, rep.tenants index)
-  std::map<std::size_t, watch::Watch::TenantWindow> windows;  // rep.tenants index -> window
 
   explain::Ledger* led = cluster_.explain_ledger();
   while (queued() > 0) {
@@ -733,9 +718,6 @@ RunReport Scheduler::run() {
       if (const auto it = wr.blame_ms.find(adm.tenant); it != wr.blame_ms.end()) {
         t.blame_ms = it->second;
       }
-      if (const auto it = wr.watch_windows.find(adm.job); it != wr.watch_windows.end()) {
-        windows[rep.tenants.size()] = it->second;
-      }
       done.emplace_back(adm, rep.tenants.size());
       rep.tenants.push_back(std::move(t));
     }
@@ -750,15 +732,6 @@ RunReport Scheduler::run() {
       TenantReport& t = rep.tenants[ti];
       t.solo_p95_ms = percentile(steady(solo.iter_ms.front()), 0.95);
       if (t.solo_p95_ms > 0.0) t.interference = t.p95_ms / t.solo_p95_ms - 1.0;
-    }
-  }
-
-  // Evaluate the frozen co-run windows now: the solo re-runs above carried
-  // the same traffic uncontended and folded into each job's baselines, so
-  // every window is judged against its job's least-contended behavior.
-  if (const watch::Watch* w = cluster_.watch(); w != nullptr) {
-    for (const auto& [ti, win] : windows) {
-      rep.tenants[ti].online_interference = w->window_interference(rep.tenants[ti].job, win);
     }
   }
 

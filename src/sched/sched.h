@@ -7,8 +7,8 @@
 /// physical machine into per-job TenantView slices (core/tenant.h), runs the
 /// admitted set concurrently as one SPMD wave (each tenant on its own
 /// sub-communicator split from the world), and keeps full isolation:
-/// per-tenant tag windows (core/tagspace.h), per-tenant watch windows, and a
-/// cross-tenant static verify pass over every admitted plan.
+/// per-tenant tag windows (core/tagspace.h) and a cross-tenant static verify
+/// pass over every admitted plan.
 ///
 /// Allocation granularity is the *rank slot*: each world rank drives a fixed
 /// contiguous block of gpus_per_rank physical GPUs (the jsrun layout the
@@ -40,7 +40,9 @@
 /// Observers are the Cluster's: whatever is attached to it (happens-before
 /// checker, watch, telemetry, explain ledger) sees every tenant of every
 /// wave, solo re-runs included. The one the scheduler attaches itself is
-/// Options::blame's per-wave collector.
+/// Options::blame's per-wave collector, which holds the cluster's recorder
+/// slot for its wave only and then hands back whatever recorder the caller
+/// had attached.
 
 #include <cstddef>
 #include <cstdint>
@@ -157,11 +159,6 @@ struct TenantReport {
   std::uint64_t bytes_per_exchange = 0;
   std::uint64_t internode_bytes = 0;
   double blame_ms = 0.0;           ///< critical-path time owned by this tenant
-  /// Live estimate from the cluster's watch (stencil::watch), captured at
-  /// the end of the tenant's wave: observed wire time over floor-predicted
-  /// wire time - 1. 0 when no watch is attached or the tenant moved no
-  /// wire bytes. Unlike `interference` it needs no solo re-run.
-  double online_interference = 0.0;
 };
 
 struct RunReport {
@@ -234,10 +231,6 @@ class Scheduler {
     std::vector<std::vector<double>> iter_ms;  ///< [job-in-wave][iteration]
     double duration_ms = 0.0;
     std::map<int, double> blame_ms;  ///< tenant -> critical-path time
-    /// Frozen per-tenant watch windows from this wave, keyed by job id
-    /// (empty when the cluster has no watch attached); evaluated lazily in
-    /// run() so the solo re-runs refine the baselines first.
-    std::map<int, watch::Watch::TenantWindow> watch_windows;
   };
 
   MachineState empty_state() const;

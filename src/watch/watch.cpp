@@ -15,9 +15,6 @@ constexpr int kCloseAfter = 4;
 // vote.
 constexpr double kCongestionStretch = 1.0;
 constexpr std::uint64_t kCongestionMinBytes = 4096;
-// Interference spike: a tenant's window stretch exceeds this (evaluated at
-// publish()).
-constexpr double kInterferenceSpike = 0.75;
 // Link/node cost factors inside [1, 1 + deadband) snap to exactly 1.0, so
 // healthy-machine jitter never perturbs live-cost placement.
 constexpr double kCostDeadband = 0.25;
@@ -41,7 +38,6 @@ const char* to_string(WireClass c) {
 const char* to_string(Incident::Kind k) {
   switch (k) {
     case Incident::Kind::kCongestedLink: return "congested-link";
-    case Incident::Kind::kInterferenceSpike: return "interference-spike";
   }
   return "?";
 }
@@ -62,8 +58,6 @@ void Watch::configure(int num_nodes, int world_size) {
                 LaneStats{});
   for (auto& c : class_floor_)
     for (auto& b : c) b = 0.0;
-  tenant_of_.clear();
-  tenants_.clear();
   exch_p95_.reset();
   exchange_completions_ = 0;
   messages_ = 0;
@@ -107,17 +101,18 @@ void Watch::close_incident(int idx, sim::Time at) {
   if (idx >= 0 && idx < static_cast<int>(incidents_.size())) incidents_[idx].closed = at;
 }
 
-void Watch::on_message(int src_rank, int dst_rank, int src_node, int dst_node, bool device,
-                       std::uint64_t bytes, sim::Time ready, sim::Span span) {
+void Watch::on_message(int src_node, int dst_node, bool device, std::uint64_t bytes,
+                       sim::Time ready, sim::Span span) {
   if (lanes_.empty() || bytes == 0) return;
   if (src_node < 0 || src_node >= num_nodes_ || dst_node < 0 || dst_node >= num_nodes_) return;
   const bool inter = src_node != dst_node;
   const WireClass wc = device ? (inter ? WireClass::kDevInter : WireClass::kDevIntra)
                               : (inter ? WireClass::kHostInter : WireClass::kHostIntra);
   // Two costs per message: wire occupancy (span duration) feeds the
-  // capability estimators — floors, EWMAs, congestion — because it is
-  // immune to queueing; the queue-inclusive time (completion minus ready)
-  // feeds the tenant windows, because queueing is what contention costs.
+  // capability estimators — floors, EWMAs, congestion — and the window wire
+  // time, because it is immune to queueing; the queue-inclusive time
+  // (completion minus ready) feeds only the lane window stretch, because
+  // queueing is what contention costs.
   const double actual_ns = static_cast<double>(span.end - ready);
   const double occ_ns = static_cast<double>(span.end - span.start);
   if (actual_ns <= 0.0 || occ_ns <= 0.0) return;
@@ -139,21 +134,9 @@ void Watch::on_message(int src_rank, int dst_rank, int src_node, int dst_node, b
   ++lane.win_msgs;
   lane.win_bytes += bytes;
   lane.win_actual_ns += actual_ns;
+  lane.win_wire_ns += occ_ns;
   lane.win_floor_ns += class_floor_[ci][b] * static_cast<double>(bytes);
   ++messages_;
-
-  // Tenant attribution (src side owns the send cost).
-  if (src_rank >= 0 && src_rank < static_cast<int>(tenant_of_.size())) {
-    const int t = tenant_of_[static_cast<std::size_t>(src_rank)];
-    if (t >= 0 && t < static_cast<int>(tenants_.size())) {
-      TenantWindow& tw = tenants_[static_cast<std::size_t>(t)].win;
-      const int cb = ci * kSizeBuckets + b;
-      tw.bytes[cb] += bytes;
-      tw.actual_ns[cb] += actual_ns;
-      ++tw.msgs;
-    }
-  }
-  (void)dst_rank;
 
   // Congested-link detector with hysteresis. Only messages large enough to
   // be bandwidth-dominated vote, and only once the class floor has settled
@@ -184,58 +167,17 @@ void Watch::on_message(int src_rank, int dst_rank, int src_node, int dst_node, b
   }
 }
 
-void Watch::on_match(const simpi::MsgInfo& send, const simpi::MsgInfo& recv,
+void Watch::on_match(const simpi::MsgInfo& send, const simpi::MsgInfo&,
                      const simpi::Delivery& d) {
   if (!d.delivered) return;
-  on_message(send.src, recv.dst, d.src_node, d.dst_node, d.device, send.bytes, d.ready, d.span);
+  on_message(d.src_node, d.dst_node, d.device, send.bytes, d.ready, d.span);
 }
 
-void Watch::on_exchange_complete(int world_rank, std::uint64_t seq, sim::Duration latency,
+void Watch::on_exchange_complete(int world_rank, std::uint64_t, sim::Duration latency,
                                  sim::Time) {
   if (world_rank < 0 || world_rank >= world_size_) return;
-  const double ms = sim::to_millis(latency);
-  exch_p95_.observe(ms);
+  exch_p95_.observe(sim::to_millis(latency));
   ++exchange_completions_;
-
-  // Tenant attribution: group completions by seq and keep the max across
-  // the tenant's ranks — the per-iteration barrier guarantees every rank
-  // finishes exchange k before any completes k+1, so a seq change closes
-  // the group. The resulting per-iteration-max stream feeds the window's
-  // exchange-p95 sketch, the primary online-interference signal.
-  if (world_rank < static_cast<int>(tenant_of_.size())) {
-    const int t = tenant_of_[static_cast<std::size_t>(world_rank)];
-    if (t >= 0 && t < static_cast<int>(tenants_.size())) {
-      TenantWindow& tw = tenants_[static_cast<std::size_t>(t)].win;
-      const long long sq = static_cast<long long>(seq);
-      if (tw.cur_seq != sq) {
-        flush_exchange_group(&tw);
-        tw.cur_seq = sq;
-        tw.cur_max_ms = ms;
-      } else if (ms > tw.cur_max_ms) {
-        tw.cur_max_ms = ms;
-      }
-    }
-  }
-}
-
-void Watch::flush_exchange_group(TenantWindow* w) {
-  if (w->cur_seq < 0) return;
-  if (!w->seen_first) {
-    w->seen_first = true;  // warm-up: plan compile + admission ride on it
-  } else {
-    w->exch_p95.observe(w->cur_max_ms);
-    ++w->exchanges;
-  }
-  w->cur_seq = -1;
-  w->cur_max_ms = 0.0;
-}
-
-void Watch::set_tenant_map(const std::vector<int>& tenant_of_rank, int num_tenants) {
-  tenant_of_ = tenant_of_rank;
-  // Grow-only: a tenant id keeps its learned baselines across remappings, so
-  // a solo re-run of the same tenant refines — never restarts — its model.
-  const std::size_t n = static_cast<std::size_t>(num_tenants < 0 ? 0 : num_tenants);
-  if (tenants_.size() < n) tenants_.resize(n);
 }
 
 void Watch::clear_window() {
@@ -243,29 +185,12 @@ void Watch::clear_window() {
     l.win_msgs = 0;
     l.win_bytes = 0;
     l.win_actual_ns = 0.0;
+    l.win_wire_ns = 0.0;
     l.win_floor_ns = 0.0;
     for (auto& b : l.buckets) {
       if (b.win_floor_pb > 0.0) b.recent_floor_pb = b.win_floor_pb;
       b.win_floor_pb = 0.0;
     }
-  }
-  for (auto& t : tenants_) {
-    // Fold the closing window into the tenant's baselines: the min across
-    // windows is the tenant's least-contended behavior with its inherent
-    // self-queuing included (a solo window serializes the same messages a
-    // co-run window does).
-    flush_exchange_group(&t.win);
-    for (int cb = 0; cb < kWireClasses * kSizeBuckets; ++cb) {
-      if (t.win.bytes[cb] == 0) continue;
-      const double avg = t.win.actual_ns[cb] / static_cast<double>(t.win.bytes[cb]);
-      if (t.base_avg_pb[cb] == 0.0 || avg < t.base_avg_pb[cb]) t.base_avg_pb[cb] = avg;
-    }
-    if (t.win.exch_p95.count() >= 3) {
-      const double p = t.win.exch_p95.value();
-      if (p > 0.0 && (t.base_exch_p95_ms == 0.0 || p < t.base_exch_p95_ms))
-        t.base_exch_p95_ms = p;
-    }
-    t.win = TenantWindow{};
   }
   exch_p95_.reset();
   ++window_;
@@ -342,37 +267,7 @@ void Watch::publish() {
       published_link_[static_cast<std::size_t>(s) * static_cast<std::size_t>(num_nodes_) +
                       static_cast<std::size_t>(d)] = live_link_cost_factor(s, d);
   ++publish_epoch_;
-
-  // Interference-spike incidents are evaluated here (window-granular, at a
-  // quiescent point) rather than per message.
-  for (std::size_t t = 0; t < tenants_.size(); ++t) {
-    TenantStats& ts = tenants_[t];
-    if (ts.win.msgs == 0) continue;
-    const double stretch = tenant_online_interference(static_cast<int>(t));
-    // publish() runs outside the engine; stamp incidents with a zero time —
-    // the window ordinal in the detail string localizes them.
-    if (stretch > kInterferenceSpike) {
-      ts.clear_streak = 0;
-      if (++ts.breach_streak >= 1 && !ts.incident_open) {  // window-level: open on first
-        ts.incident_open = true;
-        std::ostringstream subject, detail;
-        subject << "tenant " << t;
-        detail << "online interference " << stretch << " over threshold "
-               << kInterferenceSpike << " (window " << window_ << ")";
-        ts.incident_idx = open_incident(Incident::Kind::kInterferenceSpike, subject.str(),
-                                        detail.str(), stretch, 0);
-      }
-    } else {
-      ts.breach_streak = 0;
-      if (ts.incident_open) {
-        ts.incident_open = false;
-        close_incident(ts.incident_idx, 0);
-        ts.incident_idx = -1;
-      }
-    }
-  }
 }
-
 double Watch::node_cost_factor(int node) const {
   if (node < 0 || node >= static_cast<int>(published_node_.size())) return 1.0;
   return published_node_[static_cast<std::size_t>(node)];
@@ -419,60 +314,11 @@ double Watch::lane_window_stretch(int src_node, int dst_node, WireClass c) const
   return s < 0.0 ? 0.0 : s;
 }
 
-double Watch::lane_window_actual_ns(int src_node, int dst_node, WireClass c) const {
+double Watch::lane_window_wire_ns(int src_node, int dst_node, WireClass c) const {
   if (lanes_.empty() || src_node < 0 || src_node >= num_nodes_ || dst_node < 0 ||
       dst_node >= num_nodes_)
     return 0.0;
-  return lanes_[lane_index(src_node, dst_node, c)].win_actual_ns;
-}
-
-double Watch::tenant_online_interference(int tenant) const {
-  if (tenant < 0 || tenant >= static_cast<int>(tenants_.size())) return 0.0;
-  return window_interference(tenant, tenants_[static_cast<std::size_t>(tenant)].win);
-}
-
-Watch::TenantWindow Watch::tenant_window(int tenant) const {
-  if (tenant < 0 || tenant >= static_cast<int>(tenants_.size())) return TenantWindow{};
-  TenantWindow w = tenants_[static_cast<std::size_t>(tenant)].win;
-  // The caller freezes at a quiescent point: close the trailing iteration
-  // group so the copy's p95 covers every completed iteration.
-  flush_exchange_group(&w);
-  return w;
-}
-
-double Watch::window_interference(int tenant, const TenantWindow& w) const {
-  if (tenant < 0 || tenant >= static_cast<int>(tenants_.size())) return 0.0;
-  const TenantStats& ts = tenants_[static_cast<std::size_t>(tenant)];
-
-  // Primary signal: the window's exchange-p95 against the tenant's best
-  // window exchange-p95 — the same quantity a post-hoc solo baseline
-  // measures, so the two estimates converge by construction. Baselines keep
-  // improving after a window froze (solo re-runs fold in at clear_window),
-  // so frozen windows are evaluated lazily.
-  if (w.exch_p95.count() >= 3 && ts.base_exch_p95_ms > 0.0) {
-    const double p = w.exch_p95.value();
-    if (p > 0.0) {
-      const double s = p / ts.base_exch_p95_ms - 1.0;
-      return s < 0.0 ? 0.0 : s;
-    }
-  }
-
-  // Fallback: queue-inclusive wire time against the tenant's best window
-  // average per (class, bucket) cell. Cells with no baseline predict
-  // themselves (contributing zero stretch) rather than inflating.
-  double actual = 0.0, predicted = 0.0;
-  for (int cb = 0; cb < kWireClasses * kSizeBuckets; ++cb) {
-    if (w.bytes[cb] == 0) continue;
-    const double self_avg = w.actual_ns[cb] / static_cast<double>(w.bytes[cb]);
-    const double base = (ts.base_avg_pb[cb] > 0.0 && ts.base_avg_pb[cb] < self_avg)
-                            ? ts.base_avg_pb[cb]
-                            : self_avg;
-    actual += w.actual_ns[cb];
-    predicted += base * static_cast<double>(w.bytes[cb]);
-  }
-  if (predicted <= 0.0) return 0.0;
-  const double s = actual / predicted - 1.0;
-  return s < 0.0 ? 0.0 : s;
+  return lanes_[lane_index(src_node, dst_node, c)].win_wire_ns;
 }
 
 void Watch::write_snapshot_json(std::ostream& os) const {
@@ -514,15 +360,6 @@ void Watch::write_snapshot_json(std::ostream& os) const {
   os << "  \"published_node_cost_factors\": [";
   for (std::size_t n = 0; n < published_node_.size(); ++n)
     os << (n ? ", " : "") << published_node_[n];
-  os << "],\n";
-
-  os << "  \"tenants\": [";
-  for (std::size_t t = 0; t < tenants_.size(); ++t) {
-    os << (t ? ", " : "") << "{\"tenant\": " << t
-       << ", \"msgs\": " << tenants_[t].win.msgs
-       << ", \"online_interference\": " << tenant_online_interference(static_cast<int>(t))
-       << "}";
-  }
   os << "],\n";
 
   os << "  \"incidents_opened\": " << incidents_opened_ << ",\n";

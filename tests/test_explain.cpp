@@ -4,9 +4,11 @@
 #include <stdexcept>
 
 #include "explain/explain.h"
+#include "watch/watch.h"
 
 namespace explain = stencil::explain;
 namespace qap = stencil::qap;
+namespace watch = stencil::watch;
 
 namespace {
 
@@ -198,6 +200,21 @@ TEST(WhatIf, PredictHealthyEdgeCases) {
   EXPECT_DOUBLE_EQ(explain::predict_healthy_exchange_ms(2.5, 1, {{0, 1, 4.0e5, 0.5}}), 2.5);
   // The subtraction never predicts a negative latency.
   EXPECT_DOUBLE_EQ(explain::predict_healthy_exchange_ms(0.5, 1, {{0, 1, 9.0e6, 100.0}}), 0.0);
+}
+
+TEST(WhatIf, PredictHealthyReadsWireOccupancyNotQueueing) {
+  // Two 1 MiB messages ready at 0 serialize on one lane: 20 us on the wire,
+  // 30 us counting the second one's wait. The exchange took 25 us at cost
+  // factor 10, so healthy the lane's 20 us shrinks to 2 us: 25 - 18 = 7 us.
+  // The queue-inclusive 30 us would subtract 27 us and clamp to 0.
+  using stencil::sim::kMicrosecond;
+  watch::Watch w;
+  w.configure(2, 2);
+  w.on_message(0, 1, /*device=*/false, 1 << 20, 0, {0, 10 * kMicrosecond});
+  w.on_message(0, 1, /*device=*/false, 1 << 20, 0, {10 * kMicrosecond, 20 * kMicrosecond});
+  const double wire_ns = w.lane_window_wire_ns(0, 1, watch::WireClass::kHostInter);
+  EXPECT_NEAR(explain::predict_healthy_exchange_ms(0.025, 1, {{0, 1, wire_ns, 10.0}}), 0.007,
+              1e-12);
 }
 
 TEST(WhatIf, RescoreIdentityReproducesRecordedObjective) {

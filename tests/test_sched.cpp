@@ -18,6 +18,7 @@
 #include "halo_oracle.h"
 #include "sched/sched.h"
 #include "topo/archetype.h"
+#include "trace/recorder.h"
 
 using stencil::Boundary;
 using stencil::Cluster;
@@ -303,6 +304,32 @@ TEST(SchedRun, BlameAttributesCriticalPathToTenants) {
   EXPECT_GT(total_blame, 0.0);
   EXPECT_GT(rep.makespan_ms, 0.0);
   EXPECT_GT(rep.aggregate_gb_s, 0.0);
+}
+
+TEST(SchedRun, BlameRestoresCallerRecorder) {
+  // The blame collector holds the cluster's recorder slot for its wave
+  // only: afterwards the caller's recorder is attached again and records
+  // what the cluster runs next.
+  Cluster cluster(stencil::topo::summit(), 1, 2);
+  cluster.set_mem_mode(stencil::vgpu::MemMode::kPhantom);
+  stencil::trace::Recorder rec;
+  cluster.set_recorder(&rec);
+  Scheduler::Options opt;
+  opt.blame = true;
+  Scheduler sched(cluster, opt);
+  sched.submit(small_job("blamed", "u", 2));
+  const RunReport rep = sched.run();
+  ASSERT_EQ(rep.tenants.size(), 1u);
+  EXPECT_GT(rep.tenants.front().blame_ms, 0.0);
+  EXPECT_EQ(cluster.recorder(), &rec);
+  const std::size_t before = rec.records().size();
+  cluster.run([](RankCtx& ctx) {
+    DistributedDomain dd(ctx, {32, 32, 32});
+    dd.add_data<float>("q");
+    dd.realize();
+    dd.exchange();
+  });
+  EXPECT_GT(rec.records().size(), before);
 }
 
 TEST(SchedRun, TenantTelemetryIsIsolated) {

@@ -1,8 +1,8 @@
 // stencil::watch — live performance layer tests: estimator convergence and
 // quantile error bounds, congestion-incident hysteresis (true positive and
-// no-false-positive), windowed-floor cost oracle behavior, snapshot
-// determinism across identical seeded runs, and the live-cost feedback
-// paths into sched placement and recover_replace.
+// no-false-positive), windowed-floor cost oracle behavior, window wire
+// time, snapshot determinism across identical seeded runs, and the live-cost
+// feedback paths into sched placement and recover_replace.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -47,8 +47,7 @@ struct Lcg {
 void feed(Watch& w, int src_node, int dst_node, std::uint64_t bytes, double pb,
           stencil::sim::Time at = 0) {
   const auto dur = static_cast<stencil::sim::Time>(pb * static_cast<double>(bytes));
-  w.on_message(/*src_rank=*/src_node, /*dst_rank=*/dst_node, src_node, dst_node,
-               /*device=*/false, bytes, at, {at, at + dur});
+  w.on_message(src_node, dst_node, /*device=*/false, bytes, at, {at, at + dur});
 }
 
 }  // namespace
@@ -248,23 +247,21 @@ TEST(Oracle, UnpublishedAndOutOfRangeFactorsAreNeutral) {
   EXPECT_DOUBLE_EQ(w.live_link_cost_factor(0, 0), 1.0);  // intra-node
 }
 
-// --- tenant windows ---------------------------------------------------------
+// --- window wire time -------------------------------------------------------
 
-TEST(TenantWindow, ExchangeGroupsDropWarmupAndTrackPerIterationMax) {
+TEST(Window, WireTimeSumsOccupancyAndStretchKeepsQueueing) {
   Watch w;
   w.configure(2, 4);
-  w.set_tenant_map({0, 0, -1, -1}, 1);
-  using stencil::sim::kMillisecond;
-  // Three iteration groups; the first (plan compile + admission) is warm-up.
-  for (std::uint64_t seq = 0; seq < 3; ++seq) {
-    w.on_exchange_complete(0, seq, 2 * kMillisecond, 0);
-    w.on_exchange_complete(1, seq, (seq == 1 ? 5 : 3) * kMillisecond, 0);
-  }
-  const Watch::TenantWindow tw = w.tenant_window(0);
-  EXPECT_EQ(tw.exchanges, 2u);  // groups 1 and 2; group 0 dropped
-  // Nearest-rank p95 of {5, 3} is the max of the kept groups.
-  EXPECT_DOUBLE_EQ(tw.exch_p95.value(), 5.0);
-  EXPECT_DOUBLE_EQ(w.tenant_window(7).exch_p95.value(), 0.0);  // unknown tenant
+  using stencil::sim::kMicrosecond;
+  // Two 1 MiB messages ready at 0 serialize on one lane: each is 10 us on
+  // the wire, and the second waits 10 us for the first.
+  w.on_message(0, 1, /*device=*/false, 1 << 20, 0, {0, 10 * kMicrosecond});
+  w.on_message(0, 1, /*device=*/false, 1 << 20, 0, {10 * kMicrosecond, 20 * kMicrosecond});
+  EXPECT_DOUBLE_EQ(w.lane_window_wire_ns(0, 1, WireClass::kHostInter), 20'000.0);
+  // The stretch is queue-inclusive: 30 us against a 20 us floor.
+  EXPECT_NEAR(w.lane_window_stretch(0, 1, WireClass::kHostInter), 0.5, 1e-12);
+  w.clear_window();
+  EXPECT_DOUBLE_EQ(w.lane_window_wire_ns(0, 1, WireClass::kHostInter), 0.0);
 }
 
 // --- determinism ------------------------------------------------------------
