@@ -56,6 +56,25 @@ static void BM_EngineTokenHandoff(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineTokenHandoff)->Arg(2)->Arg(12)->Arg(48)->Arg(384);
 
+// Every actor pays the same fixed cost in lockstep, as ranks do for each
+// MPI call and stream issue (sleep_for(cpu_issue)): the pattern behind most
+// of weak64's events.
+static void BM_EngineFixedSleep(benchmark::State& state) {
+  const int actors = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sim::Engine eng;
+    std::vector<std::function<void()>> bodies;
+    for (int i = 0; i < actors; ++i) {
+      bodies.push_back([] {
+        for (int k = 0; k < 1000; ++k) sim::Engine::current()->sleep_for(5000);
+      });
+    }
+    eng.run(std::move(bodies));
+  }
+  state.SetItemsProcessed(state.iterations() * actors * 1000);
+}
+BENCHMARK(BM_EngineFixedSleep)->Arg(384);
+
 static void BM_ResourceAcquire(benchmark::State& state) {
   sim::Resource r;
   sim::Time t = 0;

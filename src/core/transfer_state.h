@@ -45,43 +45,48 @@ struct DistributedDomain::IpcEventChannel {
 /// Per-transfer runtime state: streams, packed buffers, staging buffers,
 /// and in-flight requests. A transfer where this rank is both sender and
 /// receiver (PEER, KERNEL, or MPI-to-self) populates both halves.
+///
+/// Field order is access order: what every issued op reads (the op list,
+/// the active size, the streams, the ready event and the requests) sits in
+/// the first 136 bytes; the buffers an op resolves its operands to follow,
+/// then the transfer itself, and last what kernel bodies, set-up and
+/// COLOCATED flow control read.
 struct DistributedDomain::TransferState {
-  Transfer t;
-  bool i_send = false;
-  bool i_recv = false;
-  LocalDomain* src_ld = nullptr;
-  LocalDomain* dst_ld = nullptr;
-  Region3 src_region{};
-  Region3 dst_region{};
-  std::size_t bytes = 0;         // full-quantity-set message size
-  std::size_t active_bytes = 0;  // size for the exchange in flight
-
-  vgpu::Stream src_stream;
-  vgpu::Stream dst_stream;
-  vgpu::Buffer src_pack;  // device, on src GPU
-  vgpu::Buffer dst_pack;  // device, on dst GPU
-  vgpu::Buffer src_host;  // pinned host (STAGED sender)
-  vgpu::Buffer dst_host;  // pinned host (STAGED receiver)
-
-  std::unique_ptr<IpcEventChannel> channel;  // COLOCATED receiver owns
-  IpcEventChannel* peer_channel = nullptr;   // COLOCATED sender's view
-  vgpu::IpcMappedPtr mapped;                 // sender's mapping of dst_pack
-
   // This rank's op list for the exchange in flight, lowered with the eager
   // schedule (once per active quantity list and topology epoch) and again
   // when a demotion changes the method. Bit i of `bodies` says whether
   // ops[i] moves real bytes: a kernel over phantom memory gets no body.
   xfer::OpList ops;
   std::uint16_t bodies = 0;
-
-  vgpu::Event ready_ev;  // sender: packed (+staged) data ready for MPI
-  simpi::Request send_req;
-  simpi::Request recv_req;
-
+  bool i_send = false;
+  bool i_recv = false;
   // Membership in an AggGroup, fixed at realize(). A transfer demoted to
   // STAGED later is not a member, so the staged phases handle it
   // individually even when aggregation is on.
   bool aggregated = false;
+  std::size_t active_bytes = 0;  // size for the exchange in flight
+
+  vgpu::Stream src_stream;
+  vgpu::Stream dst_stream;
+  vgpu::Event ready_ev;  // sender: packed (+staged) data ready for MPI
+  simpi::Request send_req;
+  simpi::Request recv_req;
+
+  vgpu::Buffer src_pack;  // device, on src GPU
+  vgpu::Buffer dst_pack;  // device, on dst GPU
+  vgpu::Buffer src_host;  // pinned host (STAGED sender)
+  vgpu::Buffer dst_host;  // pinned host (STAGED receiver)
+
+  Transfer t;
+  Region3 src_region{};
+  Region3 dst_region{};
+  LocalDomain* src_ld = nullptr;
+  LocalDomain* dst_ld = nullptr;
+  std::size_t bytes = 0;  // full-quantity-set message size
+
+  std::unique_ptr<IpcEventChannel> channel;  // COLOCATED receiver owns
+  IpcEventChannel* peer_channel = nullptr;   // COLOCATED sender's view
+  vgpu::IpcMappedPtr mapped;                 // sender's mapping of dst_pack
 
   /// Whether `op`, one of `ops`, moves real bytes (see `bodies`).
   bool has_body(const xfer::Op& op) const { return (bodies >> (&op - ops.begin()) & 1u) != 0; }

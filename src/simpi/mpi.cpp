@@ -177,14 +177,15 @@ void Job::enqueue(const Request& r) {
   // (MPI non-overtaking per (src, tag)). A matched record never enters a queue.
   const std::size_t bucket = static_cast<std::size_t>(rec.dst);
   auto& opposite = rec.is_send ? unmatched_recvs_[bucket] : unmatched_sends_[bucket];
-  const auto it = std::find_if(opposite.begin(), opposite.end(), [&](const Request& q) {
-    return q.rec_->src == rec.src && q.rec_->tag == rec.tag;
+  const auto it = std::find_if(opposite.begin(), opposite.end(), [&](const Queued& q) {
+    return q.src == rec.src && q.tag == rec.tag;
   });
   if (it == opposite.end()) {
-    (rec.is_send ? unmatched_sends_[bucket] : unmatched_recvs_[bucket]).push_back(r);
+    (rec.is_send ? unmatched_sends_[bucket] : unmatched_recvs_[bucket])
+        .push_back(Queued{rec.src, rec.tag, r});
     return;
   }
-  const Request other = std::move(*it);
+  const Request other = std::move(it->req);
   opposite.erase(it);
   if (rec.is_send) {
     complete_match(rec, *other.rec_);
@@ -422,7 +423,7 @@ void Job::cancel_unmatched(Request::Record& rec) {
   auto& queue = rec.is_send ? unmatched_sends_[static_cast<std::size_t>(rec.dst)]
                             : unmatched_recvs_[static_cast<std::size_t>(rec.dst)];
   queue.erase(std::remove_if(queue.begin(), queue.end(),
-                             [&](const Request& q) { return q.rec_ == &rec; }),
+                             [&](const Queued& q) { return q.req.rec_ == &rec; }),
               queue.end());
   rec.cancelled = true;
   for (JobObserver* o : observers_) o->on_request_cancel(rec.serial);
@@ -682,7 +683,7 @@ void Job::retire_rank(int r) {
   for (auto* queues : {&unmatched_sends_, &unmatched_recvs_}) {
     for (auto& q : *queues) {
       for (auto it = q.begin(); it != q.end();) {
-        Request::Record& rec = *it->rec_;
+        Request::Record& rec = *it->req.rec_;
         const int poster = rec.is_send ? rec.src : rec.dst;
         if (poster == r) {
           rec.cancelled = true;

@@ -214,8 +214,15 @@ class Job {
   // Unmatched queues, bucketed by destination rank, in post order. Between
   // posts no queued send matches a queued recv of the same bucket (a post
   // matches at once or queues), so a post scans only the opposite queue.
-  std::vector<std::deque<Request>> unmatched_sends_;
-  std::vector<std::deque<Request>> unmatched_recvs_;
+  // Each entry carries its record's (src, tag), so the scan reads keys
+  // packed in the queue instead of one cold record per entry.
+  struct Queued {
+    int src;
+    int tag;
+    Request req;
+  };
+  std::vector<std::deque<Queued>> unmatched_sends_;
+  std::vector<std::deque<Queued>> unmatched_recvs_;
 
   // Barrier state.
   int barrier_arrived_ = 0;

@@ -175,6 +175,11 @@ void Engine::run(std::vector<std::function<void()>> bodies, std::vector<std::str
   actors_.clear();
   actors_.reserve(bodies.size());
   queue_.clear();
+  for (Lane& l : lanes_) {
+    l.head = 0;
+    l.size = 0;
+    l.ring.resize(bodies.size());
+  }
   for (std::size_t i = 0; i < bodies.size(); ++i) {
     auto a = std::make_unique<Actor>();
     a->body = std::move(bodies[i]);
@@ -259,23 +264,28 @@ void Engine::switch_to(Fiber& from, Actor* to, [[maybe_unused]] bool from_done) 
 
 void Engine::sleep_for(Duration d) {
   if (d <= 0) return;
-  sleep_until(now_ + d);
+  Actor& self = current_actor();
+  if (shutdown_) throw SimulationAborted("simulation aborted during sleep");
+  sleep(self, now_ + d, d);
 }
 
 void Engine::sleep_until(Time t) {
   Actor& self = current_actor();
   if (shutdown_) throw SimulationAborted("simulation aborted during sleep");
   if (t <= now_) return;
-  self.wake_time = t;
-  self.seq = next_seq_++;
-  block_and_reschedule(self, State::kTimed);
+  sleep(self, t, kHeap);
 }
 
 void Engine::yield() {
   Actor& self = current_actor();
   if (shutdown_) throw SimulationAborted("simulation aborted during yield");
-  self.wake_time = now_;
-  self.seq = next_seq_++;  // go to the back of the same-time queue
+  sleep(self, now_, 0);  // a fresh seq: the back of the same-time queue
+}
+
+void Engine::sleep(Actor& self, Time t, Duration lane) {
+  self.wake_time = t;
+  self.seq = next_seq_++;
+  self.lane = lane;
   block_and_reschedule(self, State::kTimed);
 }
 
@@ -293,11 +303,31 @@ void Engine::wake(Actor& a) {
   a.state = State::kTimed;
   a.wake_time = now_;
   a.seq = next_seq_++;
+  a.lane = 0;
   push(a);
 }
 
 void Engine::push(Actor& a) {
-  queue_.push_back(Wakeup{a.wake_time, a.seq, &a});
+  const Wakeup w{a.wake_time, a.seq, &a};
+  if (a.lane != kHeap) {
+    Lane* lane = nullptr;
+    for (Lane& l : lanes_) {
+      if (l.size == 0) {
+        if (lane == nullptr) lane = &l;
+      } else if (l.d == a.lane) {
+        lane = &l;
+        break;
+      }
+    }
+    if (lane != nullptr) {
+      if (lane->size == 0) lane->d = a.lane;
+      std::size_t tail = lane->head + lane->size++;
+      if (tail >= lane->ring.size()) tail -= lane->ring.size();
+      lane->ring[tail] = w;
+      return;
+    }
+  }
+  queue_.push_back(w);
   std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
 }
 
@@ -313,9 +343,27 @@ Engine::Actor* Engine::successor(Actor* blocking) {
   return nullptr;
 }
 
+const Engine::Wakeup* Engine::first(Lane*& from) {
+  const Wakeup* best = queue_.empty() ? nullptr : &queue_.front();
+  from = nullptr;
+  for (Lane& l : lanes_) {
+    if (l.size != 0 && (best == nullptr || *best > l.front())) {
+      best = &l.front();
+      from = &l;
+    }
+  }
+  return best;
+}
+
 Engine::Actor* Engine::pop_live() {
-  while (!queue_.empty()) {
-    const Wakeup top = queue_.front();
+  Lane* lane = nullptr;
+  while (const Wakeup* next = first(lane)) {
+    const Wakeup top = *next;
+    if (lane != nullptr) {
+      if (++lane->head == lane->ring.size()) lane->head = 0;
+      --lane->size;
+      return top.actor;  // never stale
+    }
     std::pop_heap(queue_.begin(), queue_.end(), std::greater<>{});
     queue_.pop_back();
     // A stale entry's actor was rescheduled since, or is no longer waiting.
@@ -325,13 +373,14 @@ Engine::Actor* Engine::pop_live() {
 }
 
 Engine::Actor* Engine::pick_next(Actor* blocking) {
-  // The top entry, live or stale, wakes no later than any live one, and the
-  // blocking actor's seq is the newest. So the blocking actor goes next when
-  // it wakes strictly before the top; it then never touches the queue, which
-  // keeps a lone actor's sleeps cheap.
+  // The first entry, live or stale, wakes no later than any live one, and
+  // the blocking actor's seq is the newest. So the blocking actor goes next
+  // when it wakes strictly before that entry; it then never touches the
+  // queue, which keeps a lone actor's sleeps cheap.
   Actor* best = blocking;
-  if (blocking == nullptr ||
-      (!queue_.empty() && queue_.front().wake_time <= blocking->wake_time)) {
+  Lane* lane = nullptr;
+  const Wakeup* next = blocking != nullptr ? first(lane) : nullptr;
+  if (blocking == nullptr || (next != nullptr && next->wake_time <= blocking->wake_time)) {
     if (blocking != nullptr) push(*blocking);
     best = pop_live();
     if (best == nullptr) return nullptr;
@@ -386,6 +435,7 @@ bool Gate::wait_until(Engine& eng, Time deadline, std::string detail) {
   self.gate_notified = false;
   self.wake_time = deadline;
   self.seq = eng.next_seq_++;
+  self.lane = Engine::kHeap;
   waiters_.push_back(&self);
   // Timed, not gate-blocked: the deadline guarantees a wakeup, so this
   // waiter never participates in a deadlock.

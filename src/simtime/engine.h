@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -61,8 +62,11 @@ class DeadlockError : public std::runtime_error {
 /// actor blocks (sleep_until, Gate wait, or finishing), it selects the next
 /// actor and switches straight to it. Selection is by (wake_time, admission
 /// sequence), so a given program produces a bit-identical schedule on every
-/// run. The run queue is a binary heap, so a selection costs O(log N) in the
-/// number of actors, and a switch is a few register moves with no syscall.
+/// run. A sleep_for(d) wakeup joins a FIFO lane for d (yield and gate
+/// wakes: the lane for 0), and a wakeup at an absolute time joins a binary
+/// heap, so the fixed costs that make up most sleeps are queued and picked
+/// in O(1), deadlines in O(log N) in the number of actors. A switch is a
+/// few register moves with no syscall.
 ///
 /// Virtual time is global and monotonically non-decreasing. Code executed by
 /// an actor between engine calls takes zero virtual time; model CPU cost by
@@ -158,19 +162,29 @@ class Engine {
     void start(void* bottom);
   };
 
+  // Field order is access order: what a pick and a switch read comes first.
   struct Actor {
-    std::function<void()> body;
-    std::string name;
-    int id = 0;
-    Fiber fiber;
     State state = State::kTimed;
+    int id = 0;
     Time wake_time = 0;
     std::uint64_t seq = 0;  // admission order for same-time tie-breaks
+    // The lane the pending wakeup joins: sleep_for's d, 0 for yield and
+    // gate wakes, kHeap for an absolute time.
+    Duration lane = kHeap;
+    Fiber fiber;
+    std::function<void()> body;
+    std::string name;
     Gate* gate = nullptr;   // which gate, when kGateBlocked (diagnostics)
     bool gate_notified = false;  // wait_until: woken by notify, not timeout
     std::string block_detail;    // caller-supplied reason for the block
     Time blocked_at = 0;
   };
+
+  // Actor::lane of a wakeup at an absolute time, which only the heap orders.
+  static constexpr Duration kHeap = -1;
+  // Lanes beside the heap: enough for the distinct fixed costs one job
+  // sleeps at a time (its CPU issue cost, yields and gate wakes).
+  static constexpr std::size_t kLanes = 4;
 
   // A run-queue entry: `actor` wakes at `wake_time`, unless it has been
   // rescheduled since (its seq moved on) or is no longer kTimed. Such a
@@ -185,17 +199,39 @@ class Engine {
     }
   };
 
+  // The wakeups of sleep_for(d) for one d, in push order. Pushes come at a
+  // non-decreasing now() with fresh seqs, so push order is key order, and
+  // the head is the lane's first wakeup. A lane entry is never stale: only
+  // a notified wait_until leaves a second entry, and its deadline sits in
+  // the heap. So an actor has at most one lane entry, and a ring of one slot
+  // per actor never fills. An empty lane takes the next d that finds no
+  // lane of its own.
+  struct Lane {
+    Duration d = 0;
+    std::size_t head = 0;
+    std::size_t size = 0;
+    std::vector<Wakeup> ring;
+    const Wakeup& front() const { return ring[head]; }
+  };
+
   static void fiber_main();
   // Suspend `from` and resume `to` (run()'s caller if null); from_done: never resumed.
   void switch_to(Fiber& from, Actor* to, bool from_done);
   // Move the calling actor to `state`, switch to the next actor, and return
   // once the calling actor is picked again. For kTimed, the caller has set
-  // its wake_time and a fresh seq.
+  // its wake_time, a fresh seq and its lane.
   void block_and_reschedule(Actor& self, State state);
+  // Set the calling actor's wakeup, which joins `lane`, and block until it.
+  void sleep(Actor& self, Time t, Duration lane);
   // Make a waiting actor kTimed at now() behind every actor queued for now(),
   // and queue it.
   void wake(Actor& a);
+  // Queue a's wakeup in the lane for a.lane, or in the heap when a.lane is
+  // kHeap or no lane is free for it.
   void push(Actor& a);
+  // The first entry over the heap top and the lane heads; `from` is its
+  // lane, or null for the heap top. Null when nothing is queued.
+  const Wakeup* first(Lane*& from);
   // Pop entries up to the first live one and return its actor; nullptr once
   // the queue runs dry.
   Actor* pop_live();
@@ -204,8 +240,8 @@ class Engine {
   // Pick the next runnable actor (min wake_time, then min seq) and mark it
   // running; advances virtual time. Returns nullptr when no actor can run.
   // `blocking` is the calling actor when it has just become kTimed, else
-  // null. It is not in the queue yet: it competes with the top entry
-  // directly, and is queued only when it loses.
+  // null. It is not in the queue yet: it competes with the first
+  // queued entry directly, and is queued only when it loses.
   Actor* pick_next(Actor* blocking);
   void begin_shutdown(std::exception_ptr err);
   // Build the diagnostic over gate-blocked actors, feed the watchdog, and
@@ -215,6 +251,7 @@ class Engine {
 
   std::vector<std::unique_ptr<Actor>> actors_;
   std::vector<Wakeup> queue_;  // min-heap on (wake_time, seq), lazily pruned
+  std::array<Lane, kLanes> lanes_;
   std::size_t timed_ = 0;      // actors in kTimed: the run-queue depth
   Fiber main_;  // run()'s caller while the actors run
   Time now_ = 0;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cfenv>
 #include <cstdint>
@@ -302,6 +303,98 @@ TEST(Engine, ManyActorsDeterministicSchedule2048) {
   EXPECT_EQ(s.events, 12288u);
   EXPECT_EQ(s.switches, 12288u);
   EXPECT_EQ(s.depth, 2048u);
+}
+
+namespace {
+// 63 workers take seeded random steps over every way to block: sleep_for
+// over seven durations (more than the engine has lanes), sleep_until (on
+// multiples of 10, so heap deadlines tie with lane wakeups), yield, Gate
+// waits and wait_until, notified or timed out. Actor 0 notifies every gate
+// each 7 ns until the workers finish, so no plain wait is left hanging. It
+// gives up at a virtual-time limit the program never reaches, so an engine
+// that starves the workers fails the test (with a deadlock) instead of
+// looping.
+Schedule mixed_schedule(sim::Engine& eng) {
+  constexpr int kActors = 64;
+  constexpr sim::Duration kDurations[] = {1, 2, 3, 5, 8, 13, 21};
+  Schedule s;
+  std::array<sim::Gate, 3> gates;
+  int finished = 0;
+  std::vector<std::function<void()>> bodies;
+  bodies.push_back([&] {
+    auto* e = sim::Engine::current();
+    const sim::Time limit = e->now() + 100 * sim::kMicrosecond;
+    while (finished < kActors - 1 && e->now() < limit) {
+      e->sleep_for(7);
+      for (auto& g : gates) g.notify_all(*e);
+    }
+  });
+  for (int i = 1; i < kActors; ++i) {
+    bodies.push_back([&, i] {
+      auto* e = sim::Engine::current();
+      std::uint64_t x = 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(i);
+      for (int k = 0; k < 40; ++k) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        const auto r = static_cast<int>(x >> 33);
+        const int arg = (r >> 4) % 97;
+        std::string step;
+        switch (r % 10) {
+          case 0: case 1: case 2: case 3:
+            e->sleep_for(kDurations[arg % 7]);
+            step = "s";
+            break;
+          case 4:
+            e->sleep_until((e->now() / 10 + 1 + arg % 4) * 10);
+            step = "u";
+            break;
+          case 5:
+            e->yield();
+            step = "y";
+            break;
+          case 6:
+            gates[static_cast<std::size_t>(arg % 3)].wait(*e);
+            step = "w";
+            break;
+          case 7:
+            step = gates[static_cast<std::size_t>(arg % 3)].wait_until(*e, e->now() + 1 + arg % 12)
+                       ? "n"
+                       : "t";
+            break;
+          default:
+            gates[static_cast<std::size_t>(arg % 3)].notify_all(*e);
+            step = "x";
+            break;
+        }
+        s.log.push_back(std::to_string(i) + step + std::to_string(e->now()));
+      }
+      ++finished;
+    });
+  }
+  eng.run(std::move(bodies));
+  s.events = eng.events_processed();
+  s.switches = eng.context_switches();
+  s.depth = eng.max_run_queue_depth();
+  return s;
+}
+}  // namespace
+
+TEST(Engine, LanesKeepHeapOrder) {
+  // Pinned to the schedule of the engine that kept every wakeup in one
+  // heap: the FIFO lanes beside it must change no pick. The second run on
+  // the same engine checks that the lanes start over with each run().
+  sim::Engine eng;
+  const Schedule a = mixed_schedule(eng);
+  const Schedule b = mixed_schedule(eng);
+  ASSERT_EQ(a.log.size(), 63u * 40u);
+  EXPECT_EQ(fnv1a(a.log), 0xa48f8db806365b25ull);
+  EXPECT_EQ(fnv1a(b.log), 0x1a8a4d828bbddcf8ull);
+  // The counters run on across runs.
+  EXPECT_EQ(a.events, 2124u);
+  EXPECT_EQ(a.switches, 2086u);
+  EXPECT_EQ(a.depth, 64u);
+  EXPECT_EQ(b.events, 4248u);
+  EXPECT_EQ(b.switches, 4165u);
+  EXPECT_EQ(b.depth, 64u);
 }
 
 TEST(Engine, ContextSwitchFastPath) {

@@ -237,6 +237,96 @@ TEST(Simpi, DroppedHandleStillDelivers) {
   });
 }
 
+namespace {
+
+/// Records every post's envelope by serial, and the serials cancelled.
+struct CancelLog : simpi::JobObserver {
+  std::vector<simpi::MsgInfo> posts;
+  std::vector<std::uint64_t> cancelled;
+  void on_post(const simpi::MsgInfo& m) override { posts.push_back(m); }
+  void on_request_cancel(std::uint64_t serial) override { cancelled.push_back(serial); }
+  // "send r0->r2 tag=4" for a cancelled serial.
+  std::string envelope(std::uint64_t serial) const {
+    for (const auto& m : posts) {
+      if (m.serial != serial) continue;
+      return (m.is_send ? "send r" : "recv r") + std::to_string(m.src) + "->r" +
+             std::to_string(m.dst) + " tag=" + std::to_string(m.tag);
+    }
+    return "?";
+  }
+};
+
+}  // namespace
+
+// Retiring rank 0 cancels the send and the recv it left queued, and nothing
+// else: not rank 1's sends of the same tag queued around it for the same
+// receiver, not rank 2's recv that shares rank 0's recv's (src, tag), and
+// not rank 2's recv from rank 0. The live records then match oldest-first,
+// and a recv posted from rank 0 afterwards finds no ghost to match.
+TEST(Simpi, RetirePurgesOnlyTheDeadRanksQueuedRecords) {
+  constexpr sim::Time kUs = sim::kMicrosecond;
+  CancelLog log;
+  World w(1, 3);
+  w.job.attach(&log);
+  std::vector<std::string> at_retire;
+  w.job.run([&](simpi::Comm& comm) {
+    auto& eng = comm.job().engine();
+    int v[2] = {1, 2};
+    int dead_out = 9;
+    int dead_in = -1;
+    if (comm.rank() == 0) {
+      eng.sleep_until(20 * kUs);
+      comm.isend(simpi::Payload::of_values(&dead_out, 1), 2, 4);
+      comm.irecv(simpi::Payload::of_values(&dead_in, 1), 1, 6);
+      comm.barrier();
+      return;  // dies with both records queued
+    }
+    if (comm.rank() == 1) {
+      std::vector<simpi::Request> sends;
+      eng.sleep_until(10 * kUs);
+      sends.push_back(comm.isend(simpi::Payload::of_values(&v[0], 1), 2, 4));
+      eng.sleep_until(30 * kUs);
+      sends.push_back(comm.isend(simpi::Payload::of_values(&v[1], 1), 2, 4));
+      comm.barrier();
+      comm.barrier();  // rank 0 is retired
+      int late[2] = {61, 62};
+      for (int& x : late) sends.push_back(comm.isend(simpi::Payload::of_values(&x, 1), 2, 6));
+      comm.waitall(sends);
+      return;
+    }
+    int got6[2] = {-1, -1};
+    int from_dead8 = -1;
+    eng.sleep_until(15 * kUs);
+    simpi::Request r6a = comm.irecv(simpi::Payload::of_values(&got6[0], 1), 1, 6);
+    eng.sleep_until(25 * kUs);
+    simpi::Request r8 = comm.irecv(simpi::Payload::of_values(&from_dead8, 1), 0, 8);
+    eng.sleep_until(35 * kUs);
+    simpi::Request r6b = comm.irecv(simpi::Payload::of_values(&got6[1], 1), 1, 6);
+    comm.barrier();
+    comm.job().retire_rank(0);
+    for (std::uint64_t s : log.cancelled) at_retire.push_back(log.envelope(s));
+    comm.barrier();
+    int got4[2] = {-1, -1};
+    for (int& x : got4) comm.recv(simpi::Payload::of_values(&x, 1), 1, 4);
+    int ghost = -1;
+    simpi::Request r4 = comm.irecv(simpi::Payload::of_values(&ghost, 1), 0, 4);
+    EXPECT_FALSE(comm.test(r4));
+    comm.wait(r6a);
+    comm.wait(r6b);
+    EXPECT_EQ(got4[0], 1);
+    EXPECT_EQ(got4[1], 2);
+    EXPECT_EQ(got6[0], 61);
+    EXPECT_EQ(got6[1], 62);
+    EXPECT_FALSE(comm.test(r8));
+    comm.reset(r4);
+    comm.reset(r8);
+    EXPECT_EQ(ghost, -1);
+    EXPECT_EQ(from_dead8, -1);
+  });
+  EXPECT_EQ(at_retire, (std::vector<std::string>{"send r0->r2 tag=4", "recv r1->r0 tag=6"}));
+  EXPECT_EQ(log.cancelled.size(), 4u);  // and the two resets
+}
+
 TEST(Simpi, TruncationDetected) {
   World w(1, 2);
   EXPECT_THROW(w.job.run([](simpi::Comm& comm) {
