@@ -831,9 +831,9 @@ void DistributedDomain::colocated_send(TransferState& x, const xfer::Op* first,
   } else {
     // Flow control: the receiver must have unpacked the previous
     // generation before we overwrite its buffer.
-    colocated_gate_wait(x.peer_channel->gate, x.t.dst_rank, x.t.tag,
-                        [&] { return x.peer_channel->done_gen + 1 >= seq_; },
-                        "colocated flow-control");
+    ctx_.comm.job().channel_wait(x.peer_channel->gate, x.t.dst_rank, x.t.tag,
+                                 [&] { return x.peer_channel->done_gen + 1 >= seq_; },
+                                 "colocated flow-control");
     try {
       // The receiver records done_ev after each unpack; until the first
       // generation lands there is nothing to wait for — waiting on an
@@ -879,9 +879,9 @@ void DistributedDomain::colocated_recv(TransferState& x, const xfer::Op* first,
                                        const xfer::Op* last) {
   auto& rt = ctx_.rt;
   auto& eng = ctx_.engine();
-  colocated_gate_wait(x.channel->gate, x.t.src_rank, x.t.tag,
-                      [&] { return x.channel->data_gen >= seq_ || x.channel->demoted; },
-                      "colocated data");
+  ctx_.comm.job().channel_wait(x.channel->gate, x.t.src_rank, x.t.tag,
+                               [&] { return x.channel->data_gen >= seq_ || x.channel->demoted; },
+                               "colocated data");
   if (x.channel->demoted) {
     // The sender lost its IPC mapping and rerouted this generation over
     // MPI. Adopt STAGED on this side too and run its receive: no irecv was
@@ -912,32 +912,6 @@ void DistributedDomain::colocated_recv(TransferState& x, const xfer::Op* first,
   rt.record_event(x.channel->done_ev, x.dst_stream);
   x.channel->done_gen = seq_;
   x.channel->gate.notify_all(eng);
-}
-
-void DistributedDomain::colocated_gate_wait(sim::Gate& gate, int peer_rank, int tag,
-                                            const std::function<bool()>& done,
-                                            const char* what) {
-  auto& eng = ctx_.engine();
-  simpi::Job& job = ctx_.comm.job();
-  while (!done()) {
-    const std::string detail = std::string(what) + " tag=" + std::to_string(tag);
-    if (job.revoked()) {
-      job.fail(simpi::TransportError::Code::kRevoked, peer_rank, tag,
-               detail + ": communicator revoked (recovery pending)");
-    }
-    const sim::Time peer_fail = job.rank_fail_time(peer_rank);
-    if (peer_fail == fault::kForever) {
-      gate.wait(eng, detail);
-      continue;
-    }
-    const fault::Injector* inj = ctx_.machine.fault_injector();
-    const sim::Time deadline = peer_fail + (inj != nullptr ? inj->detect_latency() : sim::Time{0});
-    if (eng.now() >= deadline) {
-      job.fail(simpi::TransportError::Code::kPeerDead, peer_rank, tag,
-               detail + ": peer rank " + std::to_string(peer_rank) + " died");
-    }
-    gate.wait_until(eng, deadline, detail);
-  }
 }
 
 Method DistributedDomain::forced_method(const Transfer& t) const {

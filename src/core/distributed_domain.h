@@ -357,14 +357,6 @@ class DistributedDomain {
   // list; a stale IPC mapping demotes the transfer and runs STAGED's ops.
   void colocated_send(TransferState& x, const xfer::Op* first, const xfer::Op* last);
   void colocated_recv(TransferState& x, const xfer::Op* first, const xfer::Op* last);
-  // Park on a COLOCATED channel gate until `done` holds, but stay
-  // failure-aware: a pending revoke or a dead peer surfaces as a
-  // TransportError (kRevoked / kPeerDead) instead of a silent hang — the
-  // IPC channel has no MPI envelope, so the simpi dead-peer deadline never
-  // covers these waits. The detail text ("<what> tag=<tag>") is built only
-  // when the wait parks or throws.
-  void colocated_gate_wait(sim::Gate& gate, int peer_rank, int tag,
-                           const std::function<bool()>& done, const char* what);
 
   // End of both the eager and planned finish paths: the completion
   // heartbeat, then — only while a cluster telemetry sink is attached —

@@ -401,10 +401,11 @@ std::int64_t RecoveryManager::recover(const FailureEvent& ev, std::int64_t iter)
   // shrink-comm collectives and the post-recovery barrier block until every
   // survivor joins) or the incident would wedge.
   sim::Time first_fail = fault::kForever;
+  sim::Time horizon = fault::kForever;  // the failure detector's bound
   for (int r = 0; r < job.world_size(); ++r) {
-    if (processed_.count(r) != 0) continue;
-    const sim::Time ft = job.rank_fail_time(r);
-    if (ft <= eng.now() && ft < first_fail) first_fail = ft;
+    if (processed_.count(r) != 0 || job.rank_fail_time(r) > eng.now()) continue;
+    first_fail = std::min(first_fail, job.rank_fail_time(r));
+    horizon = std::min(horizon, job.detected_at(r, 0));
   }
   if (first_fail == fault::kForever) {
     // A revoke with no unprocessed death behind it (e.g. a scripted
@@ -417,10 +418,8 @@ std::int64_t RecoveryManager::recover(const FailureEvent& ev, std::int64_t iter)
                 "revoke with no unprocessed death behind it");
     return iter;
   }
-  const fault::Injector* inj = ctx_.machine.fault_injector();
-  const sim::Time horizon = first_fail + (inj != nullptr ? inj->detect_latency() : sim::Time{0});
-  // Failure-detector bound: deaths by the horizon fold into this incident
-  // on every survivor identically; later deaths form the next incident.
+  // Deaths by the horizon fold into this incident on every survivor
+  // identically; later deaths form the next incident.
   eng.sleep_until(horizon);
 
   std::vector<int> dead;

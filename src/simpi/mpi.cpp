@@ -36,10 +36,13 @@ std::byte* payload_ptr(const Payload& p) {
   return nullptr;  // phantom: timing only
 }
 
+int peer_of(const Request::Record& rec) { return rec.is_send ? rec.dst : rec.src; }
+
 // What a pending operation is waiting for, for the deadlock diagnostic.
-std::string wait_detail(bool is_send, int src, int dst, int tag) {
-  return (is_send ? "send dst=" + std::to_string(dst) : "recv src=" + std::to_string(src)) +
-         " tag=" + std::to_string(tag);
+std::string wait_detail(const Request::Record& rec) {
+  return (rec.is_send ? "send dst=" + std::to_string(rec.dst)
+                      : "recv src=" + std::to_string(rec.src)) +
+         " tag=" + std::to_string(rec.tag);
 }
 
 // Virtual time the full retry schedule of rp can take: the initial timeout
@@ -443,141 +446,108 @@ void Job::wait(Request& r, int me) {
   if (!r.valid()) throw std::logic_error("simpi: wait on an invalid Request");
   auto& rec = *r.rec_;
   if (rec.persistent && !rec.active) return;  // MPI: wait on inactive is a no-op
-  const fault::Injector* inj = machine_.fault_injector();
-  const int peer = rec.is_send ? rec.dst : rec.src;
-  // The diagnostic text, built only when the wait parks or throws.
-  const auto detail = [&rec] { return wait_detail(rec.is_send, rec.src, rec.dst, rec.tag); };
-  // Two bounds make an unmatched wait finite under fault injection: the
-  // retry budget (a live peer that wanted to match would have done so within
-  // it) and the failure detector (a dead peer can never match after its
-  // failure instant plus the detection bound).
-  sim::Time retry_deadline = fault::kForever;
-  if (!rec.matched && inj != nullptr && inj->retry_policy().enabled()) {
-    retry_deadline = std::max(eng_.now(), rec.post_time) + retry_budget(inj->retry_policy());
-  }
-  sim::Time dead_deadline = fault::kForever;
-  const sim::Time peer_fail = rank_fail_time(peer);
-  if (!rec.matched && inj != nullptr && peer_fail != fault::kForever) {
-    dead_deadline = std::max(rec.post_time, peer_fail) + inj->detect_latency();
-  }
-  while (!rec.matched) {
-    if (rec.epoch < comm_epoch_) {
-      // The communicator was revoked while this operation was pending.
-      cancel_unmatched(rec);
-      fail(TransportError::Code::kRevoked, peer, rec.tag,
-           "simpi: " + detail() + " revoked at t=" + sim::format_duration(eng_.now()) +
-               " (communicator revoked)");
+  if (!rec.matched) {
+    // The retry budget bounds an unmatched wait: a live peer that wanted to
+    // match would have done so within it.
+    sim::Time timeout_at = fault::kForever;
+    if (const fault::Injector* inj = machine_.fault_injector();
+        inj != nullptr && inj->retry_policy().enabled()) {
+      timeout_at = std::max(eng_.now(), rec.post_time) + retry_budget(inj->retry_policy());
     }
-    const sim::Time deadline = std::min(retry_deadline, dead_deadline);
-    if (deadline == fault::kForever) {
-      rank_gates_[static_cast<std::size_t>(me)]->wait(eng_, detail());
-      continue;
-    }
-    const bool notified =
-        rank_gates_[static_cast<std::size_t>(me)]->wait_until(eng_, deadline, detail());
-    if (notified || rec.matched) continue;
-    cancel_unmatched(rec);
-    if (eng_.now() >= dead_deadline) {
-      fail(TransportError::Code::kPeerDead, peer, rec.tag,
-           "simpi: " + detail() + " peer rank " + std::to_string(peer) + " died at t=" +
-               sim::format_duration(peer_fail) + " (detected t=" +
-               sim::format_duration(eng_.now()) + ")");
-    }
-    fail(TransportError::Code::kTimeout, peer, rec.tag,
-         "simpi: " + detail() + " timed out at t=" + sim::format_duration(eng_.now()) +
-             " (no matching peer)");
+    await_first(std::span<Request>(&r, 1), me, timeout_at, /*any=*/false);
   }
-  eng_.sleep_until(rec.complete_at);
-  done(rec);
-  if (rec.failed) {
-    fail(TransportError::Code::kRetriesExhausted, peer, rec.tag,
-         "simpi: " + detail() + " lost after " + std::to_string(rec.attempts) +
-             " attempts (retries exhausted)");
-  }
+  finish(rec);
 }
 
 bool Job::test(Request& r) {
   if (!r.valid()) throw std::logic_error("simpi: test on an invalid Request");
   auto& rec = *r.rec_;
   if (rec.persistent && !rec.active) return true;  // inactive: trivially complete
-  const bool complete = rec.matched && rec.complete_at <= eng_.now();
-  if (complete) done(rec);
-  return complete;
+  if (!rec.matched || rec.complete_at > eng_.now()) return false;
+  finish(rec);
+  return true;
 }
 
 int Job::wait_any(std::vector<Request>& rs, int me) {
+  const int i = await_first(rs, me, fault::kForever, /*any=*/true);
+  if (i < 0) return -1;
+  const Request held = std::move(rs[static_cast<std::size_t>(i)]);
+  finish(*held.rec_);
+  return i;
+}
+
+int Job::await_first(std::span<Request> rs, int me, sim::Time timeout_at, bool any) {
+  // Inactive persistent entries carry stale completion state from the
+  // previous iteration; treat them like REQUEST_NULL here.
+  const auto active = [](const Request::Record* rec) {
+    return rec != nullptr && (!rec->persistent || rec->active);
+  };
+  const auto fail_entry = [&](Request::Record& rec, TransportError::Code code,
+                              const std::string& why) {
+    cancel_unmatched(rec);
+    fail(code, peer_of(rec), rec.tag, "simpi: " + wait_detail(rec) + " " + why);
+  };
   for (;;) {
     int best = -1;
     sim::Time best_t = 0;
-    bool any_valid = false;
+    bool pending = false;
     for (std::size_t i = 0; i < rs.size(); ++i) {
-      if (!rs[i].valid()) continue;
-      // Inactive persistent entries carry stale completion state from the
-      // previous iteration; treat them like REQUEST_NULL here.
-      const auto& rec = *rs[i].rec_;
-      if (rec.persistent && !rec.active) continue;
-      any_valid = true;
-      if (rec.matched && (best < 0 || rec.complete_at < best_t)) {
+      const Request::Record* rec = rs[i].rec_;
+      if (!active(rec)) continue;
+      pending = true;
+      if (rec->matched && (best < 0 || rec->complete_at < best_t)) {
         best = static_cast<int>(i);
-        best_t = rec.complete_at;
+        best_t = rec->complete_at;
       }
     }
-    if (!any_valid) return -1;
-    if (best >= 0) {
-      const Request held = std::move(rs[static_cast<std::size_t>(best)]);
-      Request::Record* rec = held.rec_;
-      eng_.sleep_until(best_t);
-      done(*rec);
-      if (rec->failed) {
-        fail(TransportError::Code::kRetriesExhausted, rec->is_send ? rec->dst : rec->src,
-             rec->tag,
-             "simpi: " + wait_detail(rec->is_send, rec->src, rec->dst, rec->tag) +
-                 " lost after " + std::to_string(rec->attempts) + " attempts (retries exhausted)");
-      }
-      return best;
-    }
-    // No completion available. A pending entry from a revoked epoch or
-    // toward a dead peer will never complete; surface it instead of parking
-    // forever.
-    const fault::Injector* inj = machine_.fault_injector();
-    sim::Time dead_deadline = fault::kForever;
-    std::size_t dead_idx = 0;
+    if (best >= 0 || !pending) return best;
+    // Nothing can complete. A pending entry from a revoked epoch or toward a
+    // dead peer never will; surface it instead of parking forever.
+    sim::Time dead_at = fault::kForever;
+    std::size_t dead = 0;
     for (std::size_t i = 0; i < rs.size(); ++i) {
-      if (!rs[i].valid()) continue;
-      auto& rec = *rs[i].rec_;
-      if (rec.persistent && !rec.active) continue;
-      if (rec.matched) continue;
-      if (rec.epoch < comm_epoch_) {
-        cancel_unmatched(rec);
-        fail(TransportError::Code::kRevoked, rec.is_send ? rec.dst : rec.src, rec.tag,
-             "simpi: " + wait_detail(rec.is_send, rec.src, rec.dst, rec.tag) + " revoked at t=" +
-                 sim::format_duration(eng_.now()) + " (communicator revoked)");
+      Request::Record* rec = rs[i].rec_;
+      if (!active(rec)) continue;
+      if (rec->epoch < comm_epoch_) {
+        fail_entry(*rec, TransportError::Code::kRevoked,
+                   "revoked at t=" + sim::format_duration(eng_.now()) + " (communicator revoked)");
       }
-      const int peer = rec.is_send ? rec.dst : rec.src;
-      const sim::Time pf = rank_fail_time(peer);
-      if (inj != nullptr && pf != fault::kForever) {
-        const sim::Time d = std::max(rec.post_time, pf) + inj->detect_latency();
-        if (d < dead_deadline) {
-          dead_deadline = d;
-          dead_idx = i;
-        }
+      const sim::Time d = detected_at(peer_of(*rec), rec->post_time);
+      if (d < dead_at) {
+        dead_at = d;
+        dead = i;
       }
     }
-    if (dead_deadline == fault::kForever) {
-      rank_gates_[static_cast<std::size_t>(me)]->wait(eng_, "waitany");
+    sim::Gate& gate = *rank_gates_[static_cast<std::size_t>(me)];
+    std::string detail = any ? "waitany" : wait_detail(*rs[0].rec_);
+    const sim::Time deadline = std::min(timeout_at, dead_at);
+    if (deadline == fault::kForever) {
+      gate.wait(eng_, std::move(detail));
       continue;
     }
-    const bool notified =
-        rank_gates_[static_cast<std::size_t>(me)]->wait_until(eng_, dead_deadline, "waitany");
-    if (notified) continue;
-    auto& rec = *rs[dead_idx].rec_;
+    if (gate.wait_until(eng_, deadline, std::move(detail))) continue;
+    const bool peer_dead = eng_.now() >= dead_at;
+    Request::Record& rec = *rs[peer_dead ? dead : 0].rec_;
     if (rec.matched) continue;  // an in-flight pre-death message still delivered
-    cancel_unmatched(rec);
-    const int peer = rec.is_send ? rec.dst : rec.src;
-    fail(TransportError::Code::kPeerDead, peer, rec.tag,
-         "simpi: " + wait_detail(rec.is_send, rec.src, rec.dst, rec.tag) + " peer rank " +
-             std::to_string(peer) + " died at t=" + sim::format_duration(rank_fail_time(peer)) +
-             " (detected t=" + sim::format_duration(eng_.now()) + ")");
+    const std::string now = sim::format_duration(eng_.now());
+    if (peer_dead) {
+      fail_entry(rec, TransportError::Code::kPeerDead,
+                 "peer rank " + std::to_string(peer_of(rec)) + " died at t=" +
+                     sim::format_duration(rank_fail_time(peer_of(rec))) + " (detected t=" + now +
+                     ")");
+    }
+    fail_entry(rec, TransportError::Code::kTimeout,
+               "timed out at t=" + now + " (no matching peer)");
+  }
+}
+
+void Job::finish(Request::Record& rec) {
+  eng_.sleep_until(rec.complete_at);
+  done(rec);
+  if (rec.failed) {
+    fail(TransportError::Code::kRetriesExhausted, peer_of(rec), rec.tag,
+         "simpi: " + wait_detail(rec) + " lost after " + std::to_string(rec.attempts) +
+             " attempts (retries exhausted)");
   }
 }
 
@@ -602,23 +572,22 @@ void Job::barrier(int me) {
     release_barrier();
     eng_.sleep_until(barrier_release_);
   } else {
-    const fault::Injector* inj = machine_.fault_injector();
     while (barrier_generation_ == gen) {
       // A scripted-but-unretired dead rank can never arrive; bound the wait
       // by the failure detector so the barrier raises kPeerDead instead of
       // deadlocking. (Once the rank is retired the target shrinks instead.)
+      // Every waiter of every barrier runs this scan, so it is skipped when
+      // no rank can die.
       sim::Time hazard = fault::kForever;
       int dead_rank = -1;
-      if (inj != nullptr && inj->has_terminal_failures()) {
-        for (int r = 0; r < world_size_; ++r) {
-          if (retired_[static_cast<std::size_t>(r)]) continue;
-          const sim::Time pf = rank_fail_time(r);
-          if (pf == fault::kForever) continue;
-          const sim::Time d = pf + inj->detect_latency();
-          if (d < hazard) {
-            hazard = d;
-            dead_rank = r;
-          }
+      const fault::Injector* inj = machine_.fault_injector();
+      const int scan = inj != nullptr && inj->has_terminal_failures() ? world_size_ : 0;
+      for (int r = 0; r < scan; ++r) {
+        if (retired_[static_cast<std::size_t>(r)]) continue;
+        const sim::Time d = detected_at(r, 0);
+        if (d < hazard) {
+          hazard = d;
+          dead_rank = r;
         }
       }
       if (hazard == fault::kForever) {
@@ -658,6 +627,33 @@ sim::Time Job::rank_fail_time(int r) const {
     t = std::min(t, all_gpus);
   }
   return t;
+}
+
+sim::Time Job::detected_at(int r, sim::Time since) const {
+  const sim::Time t = rank_fail_time(r);
+  if (t == fault::kForever) return fault::kForever;  // also: no injector
+  return std::max(since, t) + machine_.fault_injector()->detect_latency();
+}
+
+void Job::channel_wait(sim::Gate& gate, int peer, int tag, const std::function<bool()>& ready,
+                       const char* what) {
+  while (!ready()) {
+    const std::string detail = std::string(what) + " tag=" + std::to_string(tag);
+    if (revoked_) {
+      fail(TransportError::Code::kRevoked, peer, tag,
+           detail + ": communicator revoked (recovery pending)");
+    }
+    const sim::Time deadline = detected_at(peer, 0);
+    if (deadline == fault::kForever) {
+      gate.wait(eng_, detail);
+      continue;
+    }
+    if (eng_.now() >= deadline) {
+      fail(TransportError::Code::kPeerDead, peer, tag,
+           detail + ": peer rank " + std::to_string(peer) + " died");
+    }
+    gate.wait_until(eng_, deadline, detail);
+  }
 }
 
 void Job::revoke() {

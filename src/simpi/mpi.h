@@ -4,6 +4,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,16 +41,16 @@ struct Payload {
   bool is_device() const { return buf != nullptr && buf->space() == vgpu::MemSpace::kDevice; }
 };
 
-/// Thrown from wait/wait_any instead of hanging when fault injection is
-/// active: either the peer never produced a matching message within the
-/// retry budget (kTimeout), or the message was lost and every retry was
-/// dropped too (kRetriesExhausted). Terminal failures add two ULFM-style
-/// codes: kPeerDead (the peer rank is permanently dead — scripted kGpuFail/
-/// kNodeFail — and the failure-detector bound has elapsed) and kRevoked
-/// (another rank revoked the communicator while this operation was pending;
-/// see Job::revoke). Without a retry policy or terminal faults the library
-/// keeps its MPI-faithful behaviour (block forever; the engine's deadlock
-/// detector fires if nothing else can run).
+/// Thrown instead of hanging when fault injection is active: a
+/// single-request wait (wait, send, recv) found no matching peer within the
+/// retry budget (kTimeout; wait_any has no budget), or the message was lost
+/// and every retry was dropped too (kRetriesExhausted). Terminal failures
+/// add two ULFM-style codes: kPeerDead (the peer rank is permanently dead —
+/// scripted kGpuFail/kNodeFail — and Job::detected_at has passed) and
+/// kRevoked (another rank revoked the communicator while this operation was
+/// pending; see Job::revoke). Without a retry policy or terminal faults the
+/// library keeps its MPI-faithful behaviour (block forever; the engine's
+/// deadlock detector fires if nothing else can run).
 class TransportError : public std::runtime_error {
  public:
   enum class Code { kTimeout, kRetriesExhausted, kPeerDead, kRevoked };
@@ -137,6 +138,11 @@ class Job {
   /// Pure oracle over the installed fault plan; kForever without an injector.
   sim::Time rank_fail_time(int r) const;
 
+  /// The failure detector: when a wait pending since `since` learns that
+  /// rank `r` is dead, max(since, rank_fail_time(r)) + the plan's detection
+  /// latency; fault::kForever for a rank that never dies.
+  sim::Time detected_at(int r, sim::Time since) const;
+
   /// Ranks still participating (world size minus retired ranks). Collectives
   /// count to this target.
   int live_count() const { return world_size_ - retired_count_; }
@@ -171,6 +177,13 @@ class Job {
   /// an in-flight exchange without tripping the checker's unwaited lint.
   void reset(Request& r);
 
+  /// Park on a COLOCATED channel's gate until `ready()` holds. The channel
+  /// has no MPI envelope, so the wait checks for failure itself: kRevoked on
+  /// a revoke (seen when it next wakes), kPeerDead at detected_at(peer, 0).
+  /// The deadlock detail and error text start with "<what> tag=<tag>".
+  void channel_wait(sim::Gate& gate, int peer, int tag, const std::function<bool()>& ready,
+                    const char* what);
+
   /// The one transport-error exit: notify the observers (telemetry counts
   /// it, logs it to the flight ring and captures a dump), then throw. Every
   /// layer that aborts on a transport condition throws through here.
@@ -190,11 +203,19 @@ class Job {
   void start(Request& r);
   void request_free(Request& r);
   void complete_match(Request::Record& send, Request::Record& recv);
-  // Drop this still-unmatched record from its queue (wait timeout path).
+  // Drop this still-unmatched record from its queue (wait failure paths).
   void cancel_unmatched(Request::Record& rec);
   void wait(Request& r, int me);
   bool test(Request& r);
   int wait_any(std::vector<Request>& rs, int me);
+  // The blocking loop of wait (`any` false) and wait_any: the index of the
+  // active entry that completes first, or -1 if none is active. It fails an
+  // entry posted before a revoke (kRevoked), one whose peer is dead at its
+  // detected_at (kPeerDead), and rs[0] at `timeout_at` (kTimeout).
+  int await_first(std::span<Request> rs, int me, sim::Time timeout_at, bool any);
+  // The completion step of wait, wait_any and test: sleep to complete_at,
+  // mark done, and throw kRetriesExhausted for a lost message.
+  void finish(Request::Record& rec);
   void barrier(int me);
   // Completion of a request observed by the calling actor.
   void done(Request::Record& rec);
@@ -241,8 +262,8 @@ class Job {
   int drain_acks_ = 0;
 };
 
-// Field order is access order: everything matching, wait() and wait_any()
-// read sits in the first 64 bytes; the serial (read by observers only), the
+// Field order is access order: everything matching and the waits read sits
+// in the first 64 bytes; the serial (read by observers only), the
 // payload, the eager staging buffer and the persistent start count follow.
 struct Request::Record {
   std::uint32_t refs = 0;  // Request handles (the unmatched queues hold one)
@@ -256,7 +277,7 @@ struct Request::Record {
   bool active = false;
   bool cancelled = false;
   // Fault injection: the match was resolved but delivery failed (message
-  // dropped and the retry budget exhausted). wait() throws TransportError
+  // dropped and the retry budget exhausted). finish() throws TransportError
   // at complete_at instead of returning. `attempts` counts transmissions.
   bool failed = false;
   // Eager protocol: small host-memory sends are buffered inside the library
@@ -326,13 +347,16 @@ class Comm {
   void request_free(Request& r);
 
   void wait(Request& r);
+  /// MPI_Test: false while pending, else completes the request as wait does
+  /// (a lost message throws kRetriesExhausted).
   bool test(Request& r);
   void waitall(std::vector<Request>& rs);
 
   /// MPI_Waitany: block until one of the valid requests completes, return
   /// its index, and invalidate it (REQUEST_NULL semantics). Returns -1 when
   /// no valid request remains. If several are complete, returns the one
-  /// with the earliest completion time.
+  /// with the earliest completion time. Unlike wait it has no retry budget,
+  /// so it never raises kTimeout (DESIGN.md §8 says why).
   int wait_any(std::vector<Request>& rs);
 
   void barrier();

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -487,6 +488,180 @@ TEST(FaultSimpi, StormUnderDropAndDelayKeepsOrderAndIntegrity) {
                                       return r.label.find("drop tag=") != std::string::npos;
                                     });
   EXPECT_TRUE(saw_drop);
+}
+
+// A polled test() reports a lost message like wait does: every transmission
+// of a rendezvous send is dropped, so both ends fail with kRetriesExhausted
+// instead of reporting a completion.
+TEST(FaultSimpi, TestReportsLostMessage) {
+  fault::FaultPlan plan;
+  plan.drop_messages(0, fault::kForever, -1, -1, 1.0)
+      .set_retry_policy({sim::kMillisecond, 2, 100 * sim::kMicrosecond});
+  fault::Injector inj(plan);
+  World w(1, 2);
+  w.machine.set_fault_injector(&inj);
+  std::vector<simpi::TransportError::Code> codes(2, simpi::TransportError::Code::kTimeout);
+  int errors = 0;
+  w.job.run([&](simpi::Comm& comm) {
+    std::vector<char> buf(128 * 1024);  // above the eager limit: both sides fail
+    const auto p = simpi::Payload::of_values(buf.data(), buf.size());
+    simpi::Request r = comm.rank() == 0 ? comm.isend(p, 1, 4) : comm.irecv(p, 0, 4);
+    try {
+      while (!comm.test(r)) comm.job().engine().sleep_for(10 * sim::kMicrosecond);
+    } catch (const simpi::TransportError& e) {
+      codes[static_cast<std::size_t>(comm.rank())] = e.code();
+      EXPECT_EQ(e.peer(), 1 - comm.rank());
+      EXPECT_EQ(e.tag(), 4);
+      ++errors;
+    }
+  });
+  EXPECT_EQ(errors, 2);
+  for (const auto c : codes) EXPECT_EQ(c, simpi::TransportError::Code::kRetriesExhausted);
+}
+
+// One failure outcome of rank 0's recv (src 1, tag 5), run through each wait
+// kind: wait, wait_any and (for a lost message) test must raise the same
+// code, peer, tag and text at the same virtual instant.
+enum class WaitKind { kWait, kWaitAny, kTest };
+
+struct Outcome {
+  simpi::TransportError::Code code{};
+  int peer = -2;
+  int tag = -2;
+  std::string what;
+  sim::Time at = -1;
+};
+
+TEST(FaultSimpi, WaitKindsFailAlike) {
+  using Code = simpi::TransportError::Code;
+  const fault::RetryPolicy retry{sim::kMillisecond, 2, 100 * sim::kMicrosecond};
+  const sim::Time t_fail = 500 * sim::kMicrosecond;
+  struct Row {
+    Code code;
+    fault::FaultPlan plan;
+    std::size_t bytes;                      // rank 0's recv size
+    std::function<void(simpi::Comm&)> peer;  // rank 1's part
+    std::vector<WaitKind> kinds;
+  };
+  std::vector<Row> rows;
+  rows.push_back({Code::kRevoked, fault::FaultPlan{}, 4,
+                  [](simpi::Comm& comm) {
+                    comm.job().engine().sleep_for(100 * sim::kMicrosecond);
+                    comm.job().revoke();
+                  },
+                  {WaitKind::kWait, WaitKind::kWaitAny}});
+  rows.push_back({Code::kPeerDead, fault::FaultPlan{}.fail_gpu(t_fail, 1), 4,
+                  [&](simpi::Comm& comm) { comm.job().engine().sleep_until(t_fail); },
+                  {WaitKind::kWait, WaitKind::kWaitAny}});
+  rows.push_back({Code::kRetriesExhausted,
+                  fault::FaultPlan{}.drop_messages(0, fault::kForever, -1, -1, 1.0)
+                      .set_retry_policy(retry),
+                  128 * 1024,
+                  [](simpi::Comm& comm) {
+                    std::vector<char> buf(128 * 1024);
+                    EXPECT_THROW(comm.send(simpi::Payload::of_values(buf.data(), buf.size()), 0, 5),
+                                 simpi::TransportError);
+                  },
+                  {WaitKind::kWait, WaitKind::kWaitAny, WaitKind::kTest}});
+  rows.push_back({Code::kTimeout, fault::FaultPlan{}.set_retry_policy(retry), 4,
+                  [](simpi::Comm&) {}, {WaitKind::kWait}});
+
+  for (const Row& row : rows) {
+    const auto run = [&](WaitKind kind, sim::Time test_at) {
+      fault::Injector inj(row.plan);
+      World w(1, 2, topo::pcie_box(2));  // rank r drives GPU r
+      w.machine.set_fault_injector(&inj);
+      Outcome out;
+      w.job.run([&](simpi::Comm& comm) {
+        if (comm.rank() == 1) {
+          row.peer(comm);
+          return;
+        }
+        auto& eng = comm.job().engine();
+        std::vector<char> buf(row.bytes);
+        simpi::Request r = comm.irecv(simpi::Payload::of_values(buf.data(), buf.size()), 1, 5);
+        try {
+          switch (kind) {
+            case WaitKind::kWait:
+              comm.wait(r);
+              break;
+            case WaitKind::kWaitAny: {
+              std::vector<simpi::Request> rs{simpi::Request(), r};
+              comm.wait_any(rs);
+              break;
+            }
+            case WaitKind::kTest:
+              eng.sleep_until(test_at - 1);
+              EXPECT_FALSE(comm.test(r));
+              eng.sleep_until(test_at);
+              comm.test(r);
+              break;
+          }
+          ADD_FAILURE() << "no TransportError";
+        } catch (const simpi::TransportError& e) {
+          out = {e.code(), e.peer(), e.tag(), e.what(), eng.now()};
+        }
+      });
+      return out;
+    };
+    const Outcome ref = run(WaitKind::kWait, 0);
+    EXPECT_EQ(ref.code, row.code) << ref.what;
+    EXPECT_EQ(ref.peer, 1);
+    EXPECT_EQ(ref.tag, 5);
+    EXPECT_EQ(ref.what.rfind("simpi: recv src=1 tag=5 ", 0), 0u) << ref.what;
+    for (const WaitKind kind : row.kinds) {
+      const Outcome got = run(kind, ref.at);
+      SCOPED_TRACE(ref.what + " via kind " + std::to_string(static_cast<int>(kind)));
+      EXPECT_EQ(got.code, ref.code);
+      EXPECT_EQ(got.peer, ref.peer);
+      EXPECT_EQ(got.tag, ref.tag);
+      EXPECT_EQ(got.what, ref.what);
+      EXPECT_EQ(got.at, ref.at);
+    }
+  }
+}
+
+// wait_any has no retry budget, so it never raises kTimeout: a peer that
+// posts long after the budget still matches, and with no sender at all the
+// engine's deadlock detector names the wait. A budget there would break the
+// recovery ladder: the halo drain waits with wait_any behind lossy retries
+// that can outlast one budget, and a drain that timed out would leave its
+// exchange in flight when the transient rung replays the iteration.
+TEST(FaultSimpi, WaitAnyHasNoRetryBudget) {
+  fault::FaultPlan plan;
+  plan.set_retry_policy({sim::kMillisecond, 2, 100 * sim::kMicrosecond});
+  fault::Injector inj(plan);
+  World w(1, 2);
+  w.machine.set_fault_injector(&inj);
+  const sim::Time late = 20 * sim::kMillisecond;  // well past the ~3.3 ms budget
+  int got = -1;
+  w.job.run([&](simpi::Comm& comm) {
+    int v = 42;
+    if (comm.rank() == 0) {
+      std::vector<simpi::Request> rs{comm.irecv(simpi::Payload::of_values(&got, 1), 1, 7)};
+      EXPECT_EQ(comm.wait_any(rs), 0);
+      EXPECT_GE(comm.job().engine().now(), late);
+    } else {
+      comm.job().engine().sleep_until(late);
+      comm.send(simpi::Payload::of_values(&v, 1), 0, 7);
+    }
+  });
+  EXPECT_EQ(got, 42);
+
+  World lonely(1, 2);
+  lonely.machine.set_fault_injector(&inj);
+  try {
+    lonely.job.run([](simpi::Comm& comm) {
+      int v = 0;
+      if (comm.rank() != 0) return;
+      std::vector<simpi::Request> rs{comm.irecv(simpi::Payload::of_values(&v, 1), 1, 7)};
+      comm.wait_any(rs);
+    });
+    FAIL() << "expected DeadlockError";
+  } catch (const sim::DeadlockError& e) {
+    ASSERT_EQ(e.report().actors.size(), 1u);
+    EXPECT_EQ(e.report().actors[0].detail, "waitany");
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Compare two bench-v1 JSON documents (or directories of them) and report
-per-key latency regressions.
+every row whose latency changed.
 
 Every row in a bench-v1 document is keyed by (bench, label+config, variant);
 for each key present in both baseline and candidate the median and p95
-latencies are compared, and a relative increase beyond --threshold (default
-10%) counts as a regression. Most benches here run in deterministic virtual
-time, so any drift at all is a model change — the threshold exists to absorb
-the few wall-clock-adjacent rows and float formatting.
+latencies are compared exactly. Any difference, faster or slower, is
+reported as CHANGED: the committed baselines are virtual time, so a drift
+of any size or sign is a model change, and a wrong speed-up needs the same
+look as a slowdown.
 
 Usage:
-  bench_compare.py BASELINE CANDIDATE [--threshold 0.10] [--require]
+  bench_compare.py BASELINE CANDIDATE [--require]
 
 BASELINE / CANDIDATE are either two bench-v1 .json files or two directories;
 for directories, every BENCH_*.json in BASELINE is compared against the
@@ -19,13 +19,13 @@ bench stopped emitting). Candidate-only files and rows — things with no
 baseline yet — are reported as NEW, never as errors.
 
 When an `EXPLAIN_<name>.json` (explain-v1, stencil::explain) sits next to a
-`BENCH_<name>.json` on both sides, any >threshold regression in that bench
-also prints the decision-log diff — decisions whose chosen option or score
+`BENCH_<name>.json` on both sides, any changed row in that bench also
+prints the decision-log diff — decisions whose chosen option or score
 changed between baseline and candidate — so a perf delta arrives with its
 why attached.
 
 Exit status: 0 when clean or advisory (no --require); 1 with --require when
-any regression, schema problem, or missing file/key is found.
+any changed row, schema problem, or missing file/key is found.
 """
 
 import argparse
@@ -63,12 +63,12 @@ def index_rows(doc):
     return rows
 
 
-def compare_docs(base_doc, cand_doc, threshold, report):
-    """Appends report lines; returns (regressions, missing)."""
+def compare_docs(base_doc, cand_doc, report):
+    """Appends report lines; returns (changed, missing)."""
     bench = base_doc.get("bench", "?")
     base = index_rows(base_doc)
     cand = index_rows(cand_doc)
-    regressions = 0
+    changed = 0
     missing = 0
 
     for key in sorted(base):
@@ -80,26 +80,20 @@ def compare_docs(base_doc, cand_doc, threshold, report):
             continue
         b = base[key].get("latency_ms") or {}
         c = cand[key].get("latency_ms") or {}
-        worst = 0.0
-        worst_stat = None
+        deltas = []
         for stat in ("median", "p95"):
             bv, cv = b.get(stat, 0.0), c.get(stat, 0.0)
-            if bv <= 0.0:
-                continue  # zero baselines carry no regression signal
-            rel = (cv - bv) / bv
-            if rel > worst:
-                worst, worst_stat = rel, (stat, bv, cv)
-        if worst > threshold:
-            stat, bv, cv = worst_stat
-            report.append(
-                f"REGRESS  {name} — {stat} {bv:.6g} -> {cv:.6g} (+{100.0 * worst:.1f}%)"
-            )
-            regressions += 1
+            if cv != bv:
+                rel = f" ({100.0 * (cv - bv) / bv:+.1f}%)" if bv != 0.0 else ""
+                deltas.append(f"{stat} {bv:.6g} -> {cv:.6g}{rel}")
+        if deltas:
+            report.append(f"CHANGED  {name} — " + ", ".join(deltas))
+            changed += 1
 
     for key in sorted(set(cand) - set(base)):
         label, variant, _ = key
         report.append(f"NEW      {bench}: {label} [{variant}] — no baseline yet")
-    return regressions, missing
+    return changed, missing
 
 
 def pair_files(base, cand):
@@ -200,14 +194,12 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("baseline", help="bench-v1 file or directory of BENCH_*.json baselines")
     ap.add_argument("candidate", help="bench-v1 file or directory to compare against the baseline")
-    ap.add_argument("--threshold", type=float, default=0.10,
-                    help="relative median/p95 increase that counts as a regression (default 0.10)")
     ap.add_argument("--require", action="store_true",
-                    help="exit 1 on any regression or missing row/file (default: advisory)")
+                    help="exit 1 on any changed or missing row/file (default: advisory)")
     args = ap.parse_args()
 
     report = []
-    regressions = 0
+    changed = 0
     missing = 0
     compared = 0
     try:
@@ -225,12 +217,12 @@ def main():
                 continue
             base_doc = load_doc(base_path)
             cand_doc = load_doc(cand_path)
-            r, m = compare_docs(base_doc, cand_doc, args.threshold, report)
-            regressions += r
+            r, m = compare_docs(base_doc, cand_doc, report)
+            changed += r
             missing += m
             compared += 1
             if r > 0:
-                # A regression's "why": diff the decision logs, if both runs
+                # A change's "why": diff the decision logs, if both runs
                 # exported them next to their bench files.
                 diff_explain(explain_path_for(base_path), explain_path_for(cand_path), report)
     except (OSError, ValueError, json.JSONDecodeError) as e:
@@ -239,9 +231,8 @@ def main():
 
     for line in report:
         print(line)
-    verdict_bad = regressions > 0 or missing > 0
-    print(f"bench_compare: {compared} file(s) compared, {regressions} regression(s), "
-          f"{missing} missing, threshold {100.0 * args.threshold:.0f}%"
+    verdict_bad = changed > 0 or missing > 0
+    print(f"bench_compare: {compared} file(s) compared, {changed} changed, {missing} missing"
           + ("" if args.require else " (advisory)"))
     return 1 if (verdict_bad and args.require) else 0
 
