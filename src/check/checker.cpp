@@ -15,7 +15,8 @@ std::string stream_desc(const vgpu::Stream& s) {
          (s.id == 0 ? std::string("/default") : "/s" + std::to_string(s.id));
 }
 
-std::string req_desc(const simpi::MsgInfo& m) {
+template <class R>  // simpi::MsgInfo or Checker::RequestName
+std::string req_desc(const R& m) {
   return std::string(m.persistent ? "persistent " : "") + (m.is_send ? "isend" : "irecv") + " r" +
          std::to_string(m.src) + "->r" + std::to_string(m.dst) + " tag=" + std::to_string(m.tag) +
          " (req#" + std::to_string(m.serial) + ")";
@@ -28,6 +29,11 @@ std::string edge_hint(const std::string& from, const std::string& to) {
 }
 
 }  // namespace
+
+const std::string& Checker::Label::text() const {
+  if (p_->text.empty()) p_->text = req_desc(p_->req);  // a request, named for the first time
+  return p_->text;
+}
 
 Checker::HostState& Checker::host() {
   const int actor = eng_.actor_id();
@@ -44,9 +50,18 @@ Checker::HostState& Checker::host() {
   return it->second;
 }
 
-void Checker::log_hb(std::string from, std::string to, std::uint64_t msg) {
+void Checker::log_hb(const std::string& from, const std::string& to, std::uint64_t msg) {
   if (hb_edges_.size() >= kMaxHbEdges) return;
-  hb_edges_.push_back({std::move(from), std::move(to), eng_.now(), msg});
+  hb_edges_.push_back({from, to, eng_.now(), msg});
+}
+
+const std::string& Checker::mpi_name(int src, int dst) {
+  const std::uint64_t key =
+      static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32 |
+      static_cast<std::uint32_t>(dst);
+  auto [it, fresh] = mpi_names_.try_emplace(key);
+  if (fresh) it->second = "mpi.r" + std::to_string(src) + "->r" + std::to_string(dst);
+  return it->second;
 }
 
 void Checker::add_finding(Finding f) {
@@ -61,7 +76,8 @@ Checker::StreamState& Checker::stream_state(const vgpu::Stream& s) {
     StreamState st;
     st.tid = new_tid();
     st.device = s.device;
-    st.desc = "stream " + stream_desc(s);
+    st.name = stream_desc(s);
+    st.desc = "stream " + st.name;
     it = streams_.emplace(key, std::move(st)).first;
   }
   return it->second;
@@ -93,13 +109,13 @@ void Checker::fold(StreamState& ss) {
 
 void Checker::add_race(FindingKind kind, const AccessRec& prior, const AccessRec& cur) {
   const std::string key =
-      std::string(to_string(kind)) + "|" + prior.label->text + "|" + cur.label->text;
+      std::string(to_string(kind)) + "|" + prior.label.text() + "|" + cur.label.text();
   if (!reported_.insert(key).second) return;
   Finding f;
   f.kind = kind;
-  f.first = prior.label->text + " @ t=" + sim::format_duration(prior.when);
-  f.second = cur.label->text + " @ t=" + sim::format_duration(cur.when);
-  f.missing_edge = edge_hint(prior.label->thread, cur.label->thread);
+  f.first = prior.label.text() + " @ t=" + sim::format_duration(prior.when);
+  f.second = cur.label.text() + " @ t=" + sim::format_duration(cur.when);
+  f.missing_edge = edge_hint(prior.label.thread(), cur.label.thread());
   f.at = eng_.now();
   add_finding(std::move(f));
 }
@@ -113,26 +129,72 @@ void Checker::check_pair(const AccessRec& prior, bool prior_is_write, const Acce
            prior, cur);
 }
 
-void Checker::apply_access(Segment& seg, const AccessRec& rec, const VClock& clock, bool write) {
-  if (write) {
-    if (seg.write.label) check_pair(seg.write, true, rec, clock, true);
-    for (const AccessRec& r : seg.reads) check_pair(r, false, rec, clock, true);
-    seg.write = rec;
-    seg.reads.clear();
+Checker::History* Checker::new_history() {
+  if (free_histories_.empty()) {
+    histories_.push_back(std::make_unique<History>());
+    return histories_.back().get();
+  }
+  History* h = free_histories_.back();
+  free_histories_.pop_back();
+  return h;
+}
+
+void Checker::release(History* h) {
+  if (--h->refs != 0) return;
+  // Back to the free list, keeping the reads' capacity; drop the label
+  // counts so labels die with their last live record.
+  h->write = AccessRec{};
+  h->reads.clear();
+  free_histories_.push_back(h);
+}
+
+Checker::History* Checker::successor(History* prior, const AccessRec& rec, const VClock& clock,
+                                     bool write) {
+  History*& memo = prior == nullptr ? fresh_[write] : prior->next[write];
+  if (memo != nullptr) return memo;
+  History* h = new_history();
+  if (prior == nullptr) {
+    if (write) {
+      h->write = rec;
+    } else {
+      h->reads.push_back(rec);
+    }
+  } else if (write) {
+    if (prior->write.label) check_pair(prior->write, true, rec, clock, true);
+    for (const AccessRec& r : prior->reads) check_pair(r, false, rec, clock, true);
+    h->write = rec;
   } else {
-    if (seg.write.label) check_pair(seg.write, true, rec, clock, false);
+    if (prior->write.label) check_pair(prior->write, true, rec, clock, false);
+    h->write = prior->write;
     // Keep only reads not already ordered before this one (their causal
     // history is contained in rec's, so rec subsumes them for any future
     // write's race check).
-    seg.reads.erase(std::remove_if(seg.reads.begin(), seg.reads.end(),
-                                   [&](const AccessRec& r) {
-                                     return r.at.ordered_before(clock);
-                                   }),
-                    seg.reads.end());
-    // Rows that several packs read at once (a face, its edges and its
-    // corners) gather 3 or 7 reads: start with room for 4.
-    if (seg.reads.capacity() == 0) seg.reads.reserve(4);
-    seg.reads.push_back(rec);
+    for (const AccessRec& r : prior->reads) {
+      if (!r.at.ordered_before(clock)) h->reads.push_back(r);
+    }
+    h->reads.push_back(rec);
+  }
+  // The memo holds a count on the successor and on the prior, so neither is
+  // freed (and its address reused) before the op ends.
+  if (prior != nullptr && prior->next[!write] == nullptr) {  // prior's first memo entry
+    retain(prior);
+    memo_.push_back(prior);
+  }
+  retain(h);
+  memo = h;
+  return h;
+}
+
+void Checker::end_op() {
+  for (History* h : memo_) {
+    for (History*& n : h->next) {
+      if (n != nullptr) release(std::exchange(n, nullptr));
+    }
+    release(h);
+  }
+  memo_.clear();
+  for (History*& n : fresh_) {
+    if (n != nullptr) release(std::exchange(n, nullptr));
   }
 }
 
@@ -140,79 +202,68 @@ void Checker::record_accesses(std::span<const vgpu::MemAccess> accesses, const A
                               const VClock& clock) {
   const vgpu::Buffer* buf = nullptr;
   Shadow* segs = nullptr;
-  Shadow::iterator it;
+  Shadow::Pos it;
   std::size_t walked = 0;  // end of the previous access to *buf
   for (const vgpu::MemAccess& a : accesses) {
     if (a.buf == nullptr || a.bytes == 0) continue;
     const bool resume = a.buf == buf && a.offset >= walked;
     if (a.buf != buf) {
       buf = a.buf;
-      segs = &shadow_.try_emplace(buf->id(), &segment_pool_).first->second;
+      segs = &shadow_[buf->id()];
     }
     it = record_access(*segs, it, resume, a, rec, clock);
     walked = a.offset + a.bytes;
   }
+  end_op();
 }
 
-Checker::Shadow::iterator Checker::record_access(Shadow& segs, Shadow::iterator it, bool resume,
-                                                 const vgpu::MemAccess& a, const AccessRec& rec,
-                                                 const VClock& clock) {
+Checker::Shadow::Pos Checker::record_access(Shadow& segs, Shadow::Pos it, bool resume,
+                                            const vgpu::MemAccess& a, const AccessRec& rec,
+                                            const VClock& clock) {
   const std::size_t lo = a.offset;
   const std::size_t hi = a.offset + a.bytes;
   std::size_t cur = lo;
 
   // Find the first segment ending after lo. Accesses of one op usually come
-  // in offset order (rows of a region), so step forward from where the
-  // previous access left the walk; every segment before `it` ends at or
-  // before that access's end. Otherwise, or after a few steps, search.
-  bool found = false;
-  if (resume) {
-    for (int step = 0; step < 8 && !found; ++step) {
-      if (it == segs.end() || it->second.end > lo) {
-        found = true;
-      } else {
-        ++it;
-      }
-    }
-  }
-  if (!found) {
-    it = segs.lower_bound(lo);
-    if (it != segs.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second.end > lo) it = prev;
-    }
-  }
-  // A new segment [cur, end) just before `it`, with this access applied.
-  const auto fresh = [&](std::size_t end) {
-    Segment& seg = segs.emplace_hint(it, cur, Segment{})->second;
-    seg.end = end;
-    apply_access(seg, rec, clock, a.write);
+  // in offset order (rows of a region), so seek on from where the previous
+  // access left the walk: every segment before `it` ends at or before that
+  // access's end. Otherwise search the whole shadow.
+  it = resume ? segs.seek(it, lo) : segs.find(lo);
+  // Insert [start, end) with history h just before `it`, which then points
+  // at the new segment. The segment takes its own count on h.
+  const auto insert = [&](std::size_t start, std::size_t end, History* h) {
+    retain(h);
+    it = segs.insert(it, {start, end, h});
   };
   while (cur < hi) {
-    if (it == segs.end() || it->first >= hi) {
-      fresh(hi);
-      return it;
+    if (segs.at_end(it) || segs[it].start >= hi) {  // a gap up to hi
+      insert(cur, hi, successor(nullptr, rec, clock, a.write));
+      return segs.next(it);
     }
-    if (it->first > cur) {  // gap before the next segment
-      fresh(it->first);
-      cur = it->first;
+    const Shadow::Segment s = segs[it];
+    if (s.start > cur) {  // a gap before the next segment
+      insert(cur, s.start, successor(nullptr, rec, clock, a.write));
+      cur = s.start;
+      it = segs.next(it);
       continue;
     }
-    if (it->first < cur) {  // split off the untouched left part
-      Segment right = it->second;
-      it->second.end = cur;
-      it = segs.emplace_hint(std::next(it), cur, std::move(right));
+    if (s.start < cur) {  // split off the untouched left part
+      segs[it].start = cur;
+      insert(s.start, cur, s.value);
+      it = segs.next(it);
       continue;
     }
-    // it->first == cur: trim to the accessed range, then apply.
-    if (it->second.end > hi) {
-      Segment right = it->second;
-      it->second.end = hi;
-      segs.emplace_hint(std::next(it), hi, std::move(right));
+    // s.start == cur: trim to the accessed range, then apply.
+    if (s.end > hi) {
+      segs[it].start = hi;
+      insert(cur, hi, s.value);
     }
-    apply_access(it->second, rec, clock, a.write);
-    cur = it->second.end;
-    ++it;
+    Shadow::Segment& seg = segs[it];
+    History* next = successor(seg.value, rec, clock, a.write);
+    retain(next);
+    release(std::exchange(seg.value, next));
+    cur = seg.end;
+    it = segs.next(it);
   }
   return it;
 }
@@ -258,15 +309,16 @@ void Checker::on_record_event(const vgpu::Event& ev, const vgpu::Stream& s) {
   // Re-recording overwrites: an event captures the stream frontier of its
   // most recent record, exactly like CUDA.
   EventState& es = events_[&ev];
-  es.clock = stream_state(s).clock;
-  es.src_desc = stream_desc(s);
+  const StreamState& ss = stream_state(s);
+  es.clock = ss.clock;
+  es.src_desc = ss.name;
 }
 
 void Checker::on_stream_wait_event(const vgpu::Stream& s, const vgpu::Event& ev) {
   if (!ev.recorded) {
     Finding f;
     f.kind = FindingKind::kWaitUnrecordedEvent;
-    f.first = "stream_wait_event on [" + stream_desc(s) + "]";
+    f.first = "stream_wait_event on [" + stream_state(s).name + "]";
     f.second = "event was never recorded; the wait is a no-op and orders nothing";
     f.missing_edge = "record_event must happen-before the wait that consumes it";
     f.at = eng_.now();
@@ -278,7 +330,7 @@ void Checker::on_stream_wait_event(const vgpu::Stream& s, const vgpu::Event& ev)
     StreamState& ss = stream_state(s);
     fold(ss);  // the device saw only the stream's ops, not what it waits on
     ss.clock.join(it->second.clock);
-    log_hb(it->second.src_desc, stream_desc(s));
+    log_hb(it->second.src_desc, ss.name);
   }
 }
 
@@ -315,8 +367,9 @@ void Checker::on_event_query(const vgpu::Event& ev, bool complete) {
 
 void Checker::on_stream_synchronize(const vgpu::Stream& s) {
   HostState& h = host();
-  raise(h.clock, h.version, stream_state(s).clock);
-  log_hb(stream_desc(s), h.desc);
+  const StreamState& ss = stream_state(s);
+  raise(h.clock, h.version, ss.clock);
+  log_hb(ss.name, h.desc);
 }
 
 void Checker::on_device_synchronize(int ggpu) {
@@ -324,7 +377,8 @@ void Checker::on_device_synchronize(int ggpu) {
   DeviceClocks& dc = devices_[ggpu];
   fold(dc);
   raise(h.clock, h.version, dc.all);
-  log_hb("gpu" + std::to_string(ggpu), h.desc);
+  if (dc.name.empty()) dc.name = "gpu" + std::to_string(ggpu);
+  log_hb(dc.name, h.desc);
 }
 
 void Checker::on_stream_destroy(const vgpu::Stream& s) {
@@ -333,9 +387,9 @@ void Checker::on_stream_destroy(const vgpu::Stream& s) {
   if (!ss.clock.leq(host().clock)) {
     Finding f;
     f.kind = FindingKind::kStreamDestroyedPending;
-    f.first = "destroy_stream [" + stream_desc(s) + "]";
+    f.first = "destroy_stream [" + ss.name + "]";
     f.second = "last unsynchronized op: " +
-               (ss.last_label ? ss.last_label->text : std::string());
+               (ss.last_label ? ss.last_label.text() : std::string());
     f.missing_edge = "synchronize the stream (or an event recorded after its last op) "
                      "before destroying it";
     f.at = eng_.now();
@@ -387,8 +441,7 @@ void Checker::on_post(const simpi::MsgInfo& m) {
     rs.tid = h.free_tids.back();
     h.free_tids.pop_back();
   }
-  const std::string desc = req_desc(m);
-  rs.label = Label::make(desc, desc);
+  rs.label = Label::request(m);
   rs.is_send = m.is_send;
   rs.src = m.src;
   rs.dst = m.dst;
@@ -403,7 +456,7 @@ void Checker::on_post(const simpi::MsgInfo& m) {
     record_accesses({&read, 1}, AccessRec{Epoch{rs.tid, ep}, rs.label, eng_.now()},
                     rs.completion);
   }
-  log_hb(h.desc, "mpi.r" + std::to_string(m.src) + "->r" + std::to_string(m.dst), m.serial);
+  log_hb(h.desc, mpi_name(m.src, m.dst), m.serial);
   requests_.emplace(m.serial, std::move(rs));
 }
 
@@ -484,7 +537,7 @@ void Checker::on_request_done(std::uint64_t serial, sim::Time) {
   HostState& h = host();
   raise(h.clock, h.version, rs.completion);
   if (rs.src >= 0) {
-    log_hb("mpi.r" + std::to_string(rs.src) + "->r" + std::to_string(rs.dst), h.desc, serial);
+    log_hb(mpi_name(rs.src, rs.dst), h.desc, serial);
   }
   // Retire a non-persistent request's tid to this waiter. The completion it
   // just joined carries the request's last epoch (a send's tid only moves at
@@ -515,6 +568,7 @@ void Checker::on_barrier_arrive(std::uint64_t generation) {
   }
   HostState& h = host();
   BarrierState& b = barriers_[generation];
+  if (b.name.empty()) b.name = "barrier#" + std::to_string(generation);
   b.clock.join(h.clock);
   ++b.waiting;
   h.barrier = generation;
@@ -526,8 +580,10 @@ void Checker::on_barrier_release(std::uint64_t generation) {
   if (it != barriers_.end()) {
     raise(h.clock, h.version, it->second.clock);
     it->second.released = true;
+    log_hb(it->second.name, h.desc);
+  } else {
+    log_hb("barrier#" + std::to_string(generation), h.desc);
   }
-  log_hb("barrier#" + std::to_string(generation), h.desc);
   leave_barrier(h);
 }
 
@@ -544,8 +600,7 @@ void Checker::on_persistent_init(const simpi::MsgInfo& m) {
   // Like on_post, but nothing is in flight yet: no send-buffer read is
   // recorded until the first start re-arms the request.
   ReqState rs;
-  const std::string desc = req_desc(m);
-  rs.label = Label::make(desc, desc);
+  rs.label = Label::request(m);
   rs.tid = new_tid();
   rs.is_send = m.is_send;
   rs.persistent = true;
@@ -564,7 +619,7 @@ void Checker::on_persistent_start(const simpi::MsgInfo& m) {
     // Second start before the previous operation completed: MPI erroneous.
     Finding f;
     f.kind = FindingKind::kPersistentRestart;
-    f.first = rs.label->text;
+    f.first = rs.label.text();
     f.second = "start #" + std::to_string(rs.starts + 1) + " while start #" +
                std::to_string(rs.starts) + " is still in flight";
     f.missing_edge = "the previous start must complete (wait/test/wait_any) before the next";
@@ -595,7 +650,7 @@ void Checker::on_persistent_free(std::uint64_t serial, bool active) {
   if (active) {
     Finding f;
     f.kind = FindingKind::kPersistentFreedActive;
-    f.first = rs.label->text;
+    f.first = rs.label.text();
     f.second = "freed while start #" + std::to_string(rs.starts) + " is still in flight";
     f.missing_edge = "complete the active operation before request_free";
     f.at = eng_.now();
@@ -629,8 +684,8 @@ void Checker::finish() {
           leaked[i]->tag != leaked[j]->tag) {
         Finding f;
         f.kind = FindingKind::kTagMismatch;
-        f.first = leaked[i]->label->text;
-        f.second = leaked[j]->label->text;
+        f.first = leaked[i]->label.text();
+        f.second = leaked[j]->label.text();
         f.missing_edge = "tags must match for the pair to rendezvous";
         f.at = eng_.now();
         add_finding(std::move(f));
@@ -643,7 +698,7 @@ void Checker::finish() {
     if (consumed[i]) continue;
     Finding f;
     f.kind = FindingKind::kRequestNeverWaited;
-    f.first = leaked[i]->label->text;
+    f.first = leaked[i]->label.text();
     f.second = leaked[i]->resolved ? "completed but never waited (request leak)"
                                    : "never matched and never waited";
     f.missing_edge = "every request must reach wait/test/wait_any before teardown";
@@ -664,7 +719,7 @@ void Checker::finish() {
     f.kind = FindingKind::kStreamDestroyedPending;
     f.first = "[" + ss.desc + "] has unsynchronized work at teardown";
     f.second = "last unsynchronized op: " +
-               (ss.last_label ? ss.last_label->text : std::string());
+               (ss.last_label ? ss.last_label.text() : std::string());
     f.missing_edge = "synchronize the stream before the job ends";
     f.at = eng_.now();
     add_finding(std::move(f));

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <memory_resource>
 #include <optional>
 #include <set>
 #include <span>
@@ -13,6 +12,7 @@
 #include <vector>
 
 #include "check/report.h"
+#include "check/shadow.h"
 #include "check/vclock.h"
 #include "simpi/observer.h"
 #include "simtime/engine.h"
@@ -78,6 +78,17 @@ class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
   /// this stays at one or two however many barriers a run passes.
   std::size_t barrier_clocks() const { return barriers_.size(); }
 
+  /// Shadow segments over every buffer seen, and the distinct access
+  /// histories they share. Both stay flat across repeated exchanges once the
+  /// shadow has its shape; a history leaked by a lost count would grow the
+  /// second.
+  std::size_t shadow_segments() const {
+    std::size_t n = 0;
+    for (const auto& [id, segs] : shadow_) n += segs.size();
+    return n;
+  }
+  std::size_t live_histories() const { return histories_.size() - free_histories_.size(); }
+
   /// Run teardown lints (unwaited requests, tag-mismatched pairs, streams
   /// with unsynchronized work). Called automatically at Job end; call
   /// directly when driving the Runtime without a Job.
@@ -112,26 +123,42 @@ class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
   void on_persistent_free(std::uint64_t serial, bool active) override;
 
  private:
+  /// What names a request in findings: its envelope, rendered into text
+  /// only when a finding or lint needs it.
+  struct RequestName {
+    std::uint64_t serial = 0;
+    int src = -1, dst = -1, tag = 0;
+    bool is_send = false;
+    bool persistent = false;
+  };
+
   /// How a recorded access renders in a finding: the op's trace label and
   /// the logical thread that performed it. Built once per (stream, op label)
-  /// or request, and shared, immutable, by every shadow record it names. The
-  /// thread name is captured here because request tids are reused: a tid
-  /// alone cannot name the thread that made an old record.
+  /// or request, and shared, immutable, by every access history that names
+  /// it. The thread name is captured here because request tids are reused:
+  /// a tid alone cannot name the thread that made an old record.
   struct AccessLabel {
-    std::string text;    // trace label of the op plus its thread, or the request
-    std::string thread;  // description of the performing thread (edge hints)
+    std::string text;    // trace label of the op plus its thread; a request's, once rendered
+    std::string thread;  // description of the performing thread; empty for a request
+    RequestName req;     // a request label's envelope
     std::size_t refs = 0;
   };
 
-  /// Counted handle on an AccessLabel, freed with its last handle. Every
-  /// shadow record holds one, so copies happen once per accessed row; the
-  /// count is a plain integer, because a checker is only ever called from
-  /// its engine's thread (actors are fibers on it).
+  /// Counted handle on an AccessLabel, freed with its last handle. Access
+  /// histories hold one per record; the count is a plain integer, because a
+  /// checker is only ever called from its engine's thread (actors are fibers
+  /// on it).
   class Label {
    public:
     Label() = default;
     static Label make(std::string text, std::string thread) {
-      return Label(new AccessLabel{std::move(text), std::move(thread)});
+      return Label(new AccessLabel{std::move(text), std::move(thread), {}, 0});
+    }
+    /// A request's label: its description is built on the first text() call,
+    /// not at every post.
+    static Label request(const simpi::MsgInfo& m) {
+      const RequestName r{m.serial, m.src, m.dst, m.tag, m.is_send, m.persistent};
+      return Label(new AccessLabel{{}, {}, r, 0});
     }
     Label(const Label& o) : Label(o.p_) {}
     Label(Label&& o) noexcept : p_(std::exchange(o.p_, nullptr)) {}
@@ -142,8 +169,11 @@ class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
     ~Label() {
       if (p_ != nullptr && --p_->refs == 0) delete p_;
     }
-    const AccessLabel* operator->() const { return p_; }
     explicit operator bool() const { return p_ != nullptr; }
+    /// The access's text; a request's is its description.
+    const std::string& text() const;
+    /// The performing thread's description; a request is its own thread.
+    const std::string& thread() const { return p_->thread.empty() ? text() : p_->thread; }
 
    private:
     explicit Label(AccessLabel* p) : p_(p) {
@@ -162,14 +192,24 @@ class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
     sim::Time when = 0;
   };
 
-  /// Access history of one byte range of one buffer. Segments are disjoint
-  /// and keyed by start offset in the per-buffer map; they split whenever a
-  /// new access covers them partially.
-  struct Segment {
-    std::size_t end = 0;
+  /// The access history of some bytes: the last write and the reads since
+  /// that no later read subsumes. Immutable once built, and shared by every
+  /// shadow segment whose bytes have that history (counted by `refs`), so an
+  /// op checks races and builds a successor once per distinct history it
+  /// meets, not once per row.
+  struct History {
     AccessRec write;  // no write yet while write.label is empty
     std::vector<AccessRec> reads;
+    std::uint32_t refs = 0;
+    /// Memo of the op being recorded (see successor), not part of the
+    /// content: the history this one becomes under the op's read [0] and
+    /// write [1]. Both are null between ops.
+    History* next[2] = {nullptr, nullptr};
   };
+
+  /// One buffer's shadow: disjoint segments, each pointing at its history
+  /// and holding one count on it.
+  using Shadow = SegmentMap<History*>;
 
   struct HostState {
     Tid tid = 0;
@@ -185,6 +225,7 @@ class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
     Tid tid = 0;
     int device = 0;
     VClock clock;      // knowledge of the last op enqueued on the stream
+    std::string name;  // "gpu0/s1" (hb-edge log)
     std::string desc;  // "stream gpu0/s1"
     Label last_label;  // for the destroy-with-pending-work lint
     /// One interned AccessLabel per distinct op label issued on the stream.
@@ -208,6 +249,7 @@ class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
     VClock dflt;  // join of default-stream ops + CUDA-aware MPI occupation
     std::uint64_t dflt_version = 0;
     std::vector<StreamState*> unfolded;
+    std::string name;  // "gpu0" (hb-edge log), built at the first device sync
   };
 
   struct EventState {
@@ -218,9 +260,10 @@ class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
   /// One barrier generation, from its first arrival until every actor that
   /// arrived has left it, released or failed out.
   struct BarrierState {
-    VClock clock;     // join of the arrivals' host clocks
-    int waiting = 0;  // actors that arrived and have not left
+    VClock clock;      // join of the arrivals' host clocks
+    int waiting = 0;   // actors that arrived and have not left
     bool released = false;
+    std::string name;  // "barrier#7" (hb-edge log)
   };
 
   /// One MPI request, from post until it is both done (its waiter joined the
@@ -244,8 +287,6 @@ class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
     int src = -1, dst = -1, tag = 0;
     Label label;  // the request's description, as both text and thread
   };
-
-  using Shadow = std::pmr::map<std::size_t, Segment>;  // disjoint segments by start offset
 
   /// State of the calling host actor, created with a fresh tid on first use.
   HostState& host();
@@ -271,19 +312,29 @@ class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
   /// Record [a.offset, a.offset + a.bytes) in `segs` and return the first
   /// segment starting at or after its end. With `resume`, `it` is such a
   /// return for an earlier access that ended at or before a.offset, and the
-  /// walk steps on from there instead of searching the map.
-  Shadow::iterator record_access(Shadow& segs, Shadow::iterator it, bool resume,
-                                 const vgpu::MemAccess& a, const AccessRec& rec,
-                                 const VClock& clock);
+  /// walk steps on from there instead of searching.
+  Shadow::Pos record_access(Shadow& segs, Shadow::Pos it, bool resume, const vgpu::MemAccess& a,
+                            const AccessRec& rec, const VClock& clock);
+  /// The history that bytes with history `prior` (nullptr: never accessed)
+  /// have after the current op's access: computed, with its race checks, on
+  /// the first call per (prior, write) in an op and memoized for the rest.
+  History* successor(History* prior, const AccessRec& rec, const VClock& clock, bool write);
+  /// Drop the current op's memo (and the counts it held).
+  void end_op();
+  History* new_history();
+  static void retain(History* h) { ++h->refs; }
+  void release(History* h);
   void check_pair(const AccessRec& prior, bool prior_is_write, const AccessRec& cur,
                   const VClock& clock, bool cur_is_write);
-  void apply_access(Segment& seg, const AccessRec& rec, const VClock& clock, bool write);
   void add_race(FindingKind kind, const AccessRec& prior, const AccessRec& cur);
   /// Files a finding: notifies the telemetry sink, then adds to the report.
   void add_finding(Finding f);
   /// Append to the hb-edge log (no-op past kMaxHbEdges). `msg` carries the
   /// message identity (request serial) for edges derived from MPI matching.
-  void log_hb(std::string from, std::string to, std::uint64_t msg = 0);
+  void log_hb(const std::string& from, const std::string& to, std::uint64_t msg = 0);
+  /// "mpi.r0->r1": the hb-edge name of messages from rank `src` to `dst`,
+  /// built once per pair.
+  const std::string& mpi_name(int src, int dst);
 
   sim::Engine& eng_;
   CheckReport report_;
@@ -302,10 +353,17 @@ class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
   std::unordered_map<const vgpu::Event*, EventState> events_;
   std::unordered_map<std::uint64_t, ReqState> requests_;  // by serial
   std::map<std::uint64_t, BarrierState> barriers_;         // by generation
-  // Shadow memory: buffer id -> segments, whose nodes come from one pool
-  // (declared first, so it outlives the maps).
-  std::pmr::unsynchronized_pool_resource segment_pool_;
+  // Shadow memory: buffer id -> segments. Histories are owned by
+  // `histories_`; a released one goes on `free_histories_` for reuse.
   std::unordered_map<std::uint64_t, Shadow> shadow_;
+  std::vector<std::unique_ptr<History>> histories_;
+  std::vector<History*> free_histories_;
+  // The op being recorded: the histories it memoized a successor on (each
+  // holding one count), and the successors of never-accessed bytes under
+  // its read [0] and write [1].
+  std::vector<History*> memo_;
+  History* fresh_[2] = {nullptr, nullptr};
+  std::unordered_map<std::uint64_t, std::string> mpi_names_;  // by (src, dst)
   std::uint64_t versions_ = 0;  // last clock version handed out (see raise)
   std::vector<telemetry::HbEdge> hb_edges_;
   // Race dedup: (kind, first label, second label) already reported.

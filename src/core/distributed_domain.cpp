@@ -380,6 +380,7 @@ void DistributedDomain::demote_transfer(TransferState& x, Method target) {
   plan_cache_.invalidate_tag(x.t.tag);
   ensure_buffers(x);
   lower(x);
+  access_lists_.clear();
 }
 
 bool DistributedDomain::peer_use_3d(const TransferState& x) const {
@@ -635,6 +636,7 @@ void DistributedDomain::build_schedule() {
     }
   }
   for (auto& xp : xfers_) lower(*xp);
+  access_lists_.clear();
   // Phase 5 lands in completion order and phases 4 and 7 follow the
   // requests, so only the other five are walked.
   using P = xfer::Phase;
@@ -728,7 +730,7 @@ void DistributedDomain::issue(TransferState& x, const xfer::Op& op, const Slot& 
     case OpKind::kSelf:
       rt.launch_kernel(s, x.active_bytes, xfer::op_label(op.kind, x.t.dir),
                        body([&x, this] { x.src_ld->self_exchange(x.t.dir, active_qs_); }),
-                       op_access(x, op, active_qs_));
+                       op_access(x, op));
       break;
     case OpKind::kPack:
     case OpKind::kPackZeroCopy: {
@@ -737,9 +739,9 @@ void DistributedDomain::issue(TransferState& x, const xfer::Op& op, const Slot& 
           body([&x, out, this] { x.src_ld->pack_region(*out, x.src_region, active_qs_); });
       const std::string& label = xfer::op_label(op.kind, x.t.dir);
       if (op.kind == OpKind::kPack) {
-        rt.launch_kernel(s, x.active_bytes, label, pack, op_access(x, op, active_qs_));
+        rt.launch_kernel(s, x.active_bytes, label, pack, op_access(x, op));
       } else {
-        rt.launch_zero_copy_kernel(s, x.active_bytes, label, pack, op_access(x, op, active_qs_));
+        rt.launch_zero_copy_kernel(s, x.active_bytes, label, pack, op_access(x, op));
       }
       break;
     }
@@ -748,7 +750,7 @@ void DistributedDomain::issue(TransferState& x, const xfer::Op& op, const Slot& 
       rt.launch_kernel(
           s, x.active_bytes, xfer::op_label(op.kind, x.t.dir),
           body([&x, in, this] { x.dst_ld->unpack_region(*in, x.dst_region, active_qs_); }),
-          op_access(x, op, active_qs_));
+          op_access(x, op));
       break;
     }
     case OpKind::kCopyD2H:
@@ -784,6 +786,14 @@ void DistributedDomain::issue(TransferState& x, const xfer::Op& op, const Slot& 
     default:
       throw std::logic_error("issue: not stream work");
   }
+}
+
+const vgpu::AccessList& DistributedDomain::op_access(TransferState& x, const xfer::Op& op) {
+  static const vgpu::AccessList kNone;
+  if (ctx_.cluster.checker() == nullptr) return kNone;
+  auto [it, fresh] = access_lists_.try_emplace(&op);
+  if (fresh) it->second = op_access(x, op, active_qs_);
+  return it->second;
 }
 
 vgpu::AccessList DistributedDomain::op_access(TransferState& x, const xfer::Op& op,
@@ -1103,6 +1113,7 @@ std::vector<DistributedDomain::Rehome> DistributedDomain::recover_replace(
   // (resync_seq is a separate step: the caller aligns seq_ across survivors
   // once it has agreed on the maximum.)
   ++topo_epoch_;
+  access_lists_.clear();
   if (auto* tel = ctx_.cluster.telemetry()) {
     tel->on_recover_step("replace",
                          "moved=" + std::to_string(moves.size()) +

@@ -3,6 +3,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/cluster.h"
@@ -311,6 +312,9 @@ class DistributedDomain {
   // quantities `qs` (memcpys derive their own).
   vgpu::AccessList op_access(TransferState& x, const xfer::Op& op,
                              const std::vector<std::size_t>& qs) const;
+  // The same for the active quantities, built once per lowering while a
+  // checker is attached (access_lists_); empty without one.
+  const vgpu::AccessList& op_access(TransferState& x, const xfer::Op& op);
 
   // PEER pack avoidance (§VI): strided 3D copy instead of pack kernels,
   // per configuration or the kAuto cost model.
@@ -450,6 +454,12 @@ class DistributedDomain {
     std::vector<std::pair<sim::Time, AggGroup*>> pending_group_sends;       // (all-ready, group)
   };
   InFlight inflight_;
+
+  // Checker annotations of the lowered ops (op_access), by op: filled on
+  // first issue while a checker is attached, cleared whenever ops are
+  // lowered again (build_schedule, demote_transfer) or transfers replaced
+  // (recover_replace).
+  std::unordered_map<const xfer::Op*, vgpu::AccessList> access_lists_;
 };
 
 }  // namespace stencil

@@ -10,7 +10,6 @@ const char* to_string(FailureKind k) {
   switch (k) {
     case FailureKind::kNone: return "none";
     case FailureKind::kTransient: return "transient";
-    case FailureKind::kCapability: return "capability";
     case FailureKind::kLocalDeviceLoss: return "local-device-loss";
     case FailureKind::kPeerDeath: return "peer-death";
   }
@@ -52,12 +51,8 @@ FailureEvent classify(const std::exception& e, simpi::Job& job, int me, sim::Tim
     ev.tag = dl->device();
     return ev;
   }
-  if (dynamic_cast<const vgpu::CapabilityError*>(&e) != nullptr) {
-    // The exchange layer demotes the transfer itself (fail-down); by the
-    // time this surfaces the retry is all that is left to do.
-    ev.kind = FailureKind::kCapability;
-    return ev;
-  }
+  // A CapabilityError is kNone too: the exchange layer demotes the transfer
+  // itself (fail-down) and never lets one escape an exchange.
   return ev;  // kNone: not ours to handle
 }
 
@@ -360,18 +355,14 @@ std::int64_t RecoveryManager::recover(const FailureEvent& ev, std::int64_t iter)
     case FailureKind::kNone:
       throw std::logic_error("recover: unclassified failure: " + ev.what);
     case FailureKind::kTransient:
+      // The error interrupted an exchange: return its requests and streams
+      // to rest so the replayed iteration can start a fresh one.
+      dd_.recover_abort();
       ++stats_.transient_retries;
       note_step(ctx_, "retry", ev.what);
       record_step("retry (replay iteration " + std::to_string(iter) + ")", 0.0,
                   "shrink + rollback to checkpoint floor", 3.0, ev.what,
                   "transient fault: nothing died, nothing to re-place");
-      return iter;
-    case FailureKind::kCapability:
-      ++stats_.capability_demotions;
-      note_step(ctx_, "demote", ev.what);
-      record_step("demote (fail-down, replay iteration " + std::to_string(iter) + ")", 1.0,
-                  "shrink + rollback to checkpoint floor", 3.0, ev.what,
-                  "capability revoked: re-specialize affected transfers to staged");
       return iter;
     case FailureKind::kLocalDeviceLoss:
       // We are the casualty. Stop touching shared state, then park until

@@ -16,13 +16,13 @@
 namespace stencil::recover {
 
 /// What a caught exception means for the recovery ladder (DESIGN.md §13).
-/// The ladder escalates: retry (transient loss) -> demote (capability gone,
-/// already handled by the exchange layer's fail-down) -> re-place + shrink
-/// (a rank is permanently dead) -> die (the failed rank is *us*).
+/// The ladder escalates: retry (transient loss) -> re-place + shrink (a rank
+/// is permanently dead) -> die (the failed rank is *us*). A lost capability
+/// is not a rung: the exchange layer demotes the transfer itself (fail-down)
+/// and never lets the CapabilityError escape.
 enum class FailureKind {
   kNone,            // not a recoverable failure: rethrow
-  kTransient,       // timeout / retries exhausted: back off and retry
-  kCapability,      // capability lost, transfer demoted: just retry
+  kTransient,       // timeout / retries exhausted: abort the exchange and retry
   kLocalDeviceLoss, // our own GPU/node died: abort, drain, exit
   kPeerDeath,       // a peer rank is permanently dead: full recovery
 };
@@ -118,7 +118,6 @@ class CheckpointStore {
 struct RecoveryStats {
   std::uint64_t checkpoints = 0;
   std::uint64_t transient_retries = 0;
-  std::uint64_t capability_demotions = 0;
   std::uint64_t recoveries = 0;
   std::uint64_t ranks_retired = 0;
   sim::Time last_mttr = 0;       // first failure instant -> recovery done
@@ -145,7 +144,7 @@ struct RecoveryStats {
 ///
 /// maybe_checkpoint(it) snapshots the state *entering* iteration `it`;
 /// recover() returns the iteration to resume from (k0: redo k0, k0+1, ...),
-/// the caller's own `iter` for transient/capability events, or kRankGone
+/// the caller's own `iter` for a transient event, or kRankGone
 /// when this rank is the casualty and must leave the SPMD body.
 class RecoveryManager {
  public:

@@ -169,6 +169,44 @@ TEST(CheckVClock, EpochOrderedBefore) {
 }
 
 // ---------------------------------------------------------------------------
+// SegmentMap: the shadow's chunked segment store.
+// ---------------------------------------------------------------------------
+
+// Unit-width segments inserted in a scrambled order, enough to split chunks
+// many times, read back in order, and found by every offset.
+TEST(CheckShadow, ChunkedInsertsKeepOrderAndFindEveryOffset) {
+  using Map = check::SegmentMap<int>;
+  constexpr int kN = 1000;  // about 30 chunks after splits
+  Map m;
+  for (int k = 0; k < kN; ++k) {
+    const int v = (k * 389) % kN;  // 389 is coprime with kN: a permutation
+    const auto at = static_cast<std::size_t>(2 * v);
+    Map::Pos p = m.find(at);
+    ASSERT_TRUE(m.at_end(p) || m[p].start > at);  // the slot is free
+    p = m.insert(p, {at, at + 1, v});
+    ASSERT_EQ(m[p].value, v);
+  }
+  ASSERT_EQ(m.size(), static_cast<std::size_t>(kN));
+  Map::Pos p = m.find(0);
+  for (int v = 0; v < kN; ++v, p = m.next(p)) {
+    ASSERT_FALSE(m.at_end(p));
+    ASSERT_EQ(m[p].value, v);
+    ASSERT_EQ(m[p].start, static_cast<std::size_t>(2 * v));
+  }
+  EXPECT_TRUE(m.at_end(p));
+  // find(off): the first segment ending after off; seek from any position
+  // at or before it agrees.
+  for (std::size_t off = 0; off + 1 < 2 * kN; ++off) {
+    const Map::Pos f = m.find(off);  // segment v is [2v, 2v + 1)
+    ASSERT_EQ(m[f].value, static_cast<int>((off + 1) / 2)) << off;
+    const Map::Pos from = off >= 40 ? m.find(off - 40) : m.find(0);
+    const Map::Pos s = m.seek(from, off);
+    ASSERT_EQ(m[s].value, m[f].value) << off;
+  }
+  EXPECT_TRUE(m.at_end(m.find(2 * kN - 1)));
+}
+
+// ---------------------------------------------------------------------------
 // Runtime-level fixtures: one actor driving the virtual CUDA runtime, with
 // the checker attached directly (no MPI job, so finish() is called by hand).
 // ---------------------------------------------------------------------------
@@ -267,6 +305,38 @@ TEST(CheckRaces, ReadWriteRaceAcrossStreams) {
   });
   ASSERT_EQ(rep.count(FindingKind::kReadWriteRace), 1u) << dump(rep);
   EXPECT_EQ(rep.count(FindingKind::kWriteWriteRace), 0u) << dump(rep);
+}
+
+// Rows whose prior readers alternate between two streams have two access
+// histories. An unordered write over all of them checks each history once,
+// and reports both races in row order: the reader of row 0 first, though
+// the other reader's history is the older one.
+TEST(CheckRaces, WriteOverAlternatingReadersReportsBothInRowOrder) {
+  auto rep = run_checked([](vgpu::Runtime& rt) {
+    constexpr std::size_t kRow = 64, kRows = 8;
+    auto buf = rt.alloc_device(0, kRow * kRows);
+    auto s_even = rt.create_stream(0);
+    auto s_odd = rt.create_stream(0);
+    auto s_w = rt.create_stream(0);
+    vgpu::AccessList even, odd, all;
+    for (std::size_t r = 0; r < kRows; ++r) {
+      (r % 2 == 0 ? even : odd).push_back({&buf, r * kRow, kRow, false});
+      all.push_back({&buf, r * kRow, kRow, true});
+    }
+    rt.launch_kernel(s_odd, kRow, "odd reader", [] {}, odd);
+    rt.launch_kernel(s_even, kRow, "even reader", [] {}, even);
+    rt.launch_kernel(s_w, kRow * kRows, "writer", [] {}, all);
+    rt.stream_synchronize(s_even);
+    rt.stream_synchronize(s_odd);
+    rt.stream_synchronize(s_w);
+  });
+  ASSERT_EQ(rep.findings().size(), 2u) << dump(rep);
+  EXPECT_EQ(rep.count(FindingKind::kReadWriteRace), 2u) << dump(rep);
+  EXPECT_EQ(rep.findings()[0].first.rfind("even reader", 0), 0u) << dump(rep);
+  EXPECT_EQ(rep.findings()[1].first.rfind("odd reader", 0), 0u) << dump(rep);
+  for (const check::Finding& f : rep.findings()) {
+    EXPECT_EQ(f.second.rfind("writer", 0), 0u) << f.second;
+  }
 }
 
 TEST(CheckRaces, LegacyDefaultStreamSerializes) {
@@ -804,12 +874,15 @@ TEST(CheckExchange, FaultDemotionStaysClean) {
 
 // The checker's thread count is a function of the live threads, not of
 // history: every exchange reuses the request tids its predecessor retired.
+// Its shadow keeps its shape, and the access histories the segments share
+// stay as many: a count lost on a history would leak it.
 TEST(CheckExchange, StateStaysFlatAcrossExchanges) {
   const Dim3 domain{48, 32, 8};
   Cluster cluster(topo::summit(), 2, 2);
   check::Checker chk(cluster.engine());
   cluster.set_checker(&chk);
   std::size_t after2 = 0, after12 = 0;
+  std::size_t segments2 = 0, segments12 = 0, histories2 = 0, histories12 = 0;
   cluster.run([&](RankCtx& ctx) {
     DistributedDomain dd(ctx, domain);
     dd.set_radius(1);
@@ -822,13 +895,26 @@ TEST(CheckExchange, StateStaysFlatAcrossExchanges) {
       dd.exchange();
       ctx.comm.barrier();
       EXPECT_EQ(verify_halos(dd, domain, 1), 0) << "exchange " << it;
-      if (ctx.comm.rank() == 0 && it == 2) after2 = chk.threads();
-      if (ctx.comm.rank() == 0 && it == 12) after12 = chk.threads();
+      if (ctx.comm.rank() == 0 && it == 2) {
+        after2 = chk.threads();
+        segments2 = chk.shadow_segments();
+        histories2 = chk.live_histories();
+      }
+      if (ctx.comm.rank() == 0 && it == 12) {
+        after12 = chk.threads();
+        segments12 = chk.shadow_segments();
+        histories12 = chk.live_histories();
+      }
       ctx.comm.barrier();  // nobody posts the next exchange before the read
     }
   });
   EXPECT_GT(after2, 0u);
   EXPECT_EQ(after2, after12);
+  EXPECT_GT(segments2, 0u);
+  EXPECT_EQ(segments2, segments12);
+  EXPECT_GT(histories2, 0u);
+  EXPECT_LE(histories2, segments2);  // segments share histories
+  EXPECT_EQ(histories2, histories12);
   EXPECT_TRUE(chk.report().clean()) << dump(chk.report());
 }
 
@@ -925,6 +1011,66 @@ TEST(CheckExchange, ComputeOverlapOnBoundaryRaces) {
             f.second.find("eager compute") != std::string::npos;
   }
   EXPECT_TRUE(named) << dump(chk.report());
+}
+
+// A finding without its virtual time: "<label> @ t=..." -> "<label>".
+std::string untimed(const std::string& s) { return s.substr(0, s.rfind(" @ t=")); }
+
+// Runs `before` exchanges named by their quantity lists (empty: all), then
+// one full exchange with a compute kernel racing it on quantity 0, and
+// returns the findings as (kind, first, second) without times.
+std::vector<std::string> planted_race_findings(
+    const std::vector<std::vector<std::size_t>>& before) {
+  const Dim3 domain{48, 32, 16};
+  Cluster cluster(topo::summit(), 1, 2);
+  check::Checker chk(cluster.engine());
+  cluster.set_checker(&chk);
+  cluster.run([&](RankCtx& ctx) {
+    DistributedDomain dd(ctx, domain);
+    dd.set_radius(1);
+    dd.add_data<float>("a");
+    dd.add_data<float>("b");
+    dd.set_methods(MethodFlags::kAll);
+    dd.realize();
+    for (const auto& qs : before) {
+      ctx.comm.barrier();
+      if (qs.empty()) {
+        dd.exchange();
+      } else {
+        dd.exchange(qs);
+      }
+      ctx.comm.barrier();
+    }
+    ctx.comm.barrier();
+    dd.exchange_start();
+    dd.for_each_subdomain([&](LocalDomain& ld) {
+      const std::size_t all = static_cast<std::size_t>(ld.storage().volume()) * sizeof(float);
+      ctx.rt.launch_kernel(ld.compute_stream(), all, "planted compute", [] {},
+                           {{&ld.data(0), 0, all, true}});
+    });
+    dd.exchange_finish();
+    dd.compute_synchronize();
+    ctx.comm.barrier();
+  });
+  std::vector<std::string> out;
+  for (const check::Finding& f : chk.report().findings()) {
+    out.push_back(std::string(to_string(f.kind)) + " | " + untimed(f.first) + " | " +
+                  untimed(f.second));
+  }
+  return out;
+}
+
+// The warm steady path reports a race exactly as a cold first exchange
+// does. The selective exchanges re-lower the ops, so access lists kept from
+// an earlier lowering (quantity 1 alone) would miss the race on quantity 0.
+TEST(CheckExchange, RaceOnWarmExchangeMatchesFirstExchange) {
+  const std::vector<std::string> cold = planted_race_findings({});
+  const std::vector<std::string> warm = planted_race_findings({{1}, {}, {1}});
+  ASSERT_FALSE(cold.empty());
+  EXPECT_EQ(warm, cold);
+  bool named = false;
+  for (const std::string& f : cold) named = named || f.find("planted compute") != std::string::npos;
+  EXPECT_TRUE(named);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "core/cluster.h"
 #include "core/distributed_domain.h"
 #include "fault/fault.h"
+#include "halo_oracle.h"
 #include "recover/recover.h"
 #include "simpi/mpi.h"
 #include "topo/archetype.h"
@@ -136,9 +137,11 @@ TEST(Classify, MapsExceptionsOnAHealthyRank) {
     ev = recover::classify(vgpu::DeviceLost(2, "xid"), job, 0, at);
     EXPECT_EQ(ev.kind, recover::FailureKind::kLocalDeviceLoss);
 
+    // The exchange layer demotes a transfer whose capability is gone; a
+    // CapabilityError that still reaches the ladder is not one of its rungs.
     ev = recover::classify(
         vgpu::CapabilityError(vgpu::CapabilityError::Kind::kPeerAccessLost, "p2p"), job, 0, at);
-    EXPECT_EQ(ev.kind, recover::FailureKind::kCapability);
+    EXPECT_EQ(ev.kind, recover::FailureKind::kNone);
 
     ev = recover::classify(std::runtime_error("unrelated"), job, 0, at);
     EXPECT_EQ(ev.kind, recover::FailureKind::kNone);
@@ -427,6 +430,65 @@ TEST(Acceptance, GpuFailMidRunShrinksAndMatchesGoldenBitExact) {
                        << first % kEdge << "," << (first / kEdge) % kEdge << ","
                        << first / (kEdge * kEdge) << "): " << wounded.field[first]
                        << " vs golden " << golden.field[first];
+}
+
+// ---------------------------------------------------------------------------
+// The transient rung: a drop window that outlasts the retry budget fails an
+// exchange on every rank; each rank aborts it and replays the iteration.
+// ---------------------------------------------------------------------------
+
+TEST(TransientRung, AbortsTheInterruptedExchangeAndReplaysBitExact) {
+  constexpr std::int64_t kEdge = 32;
+  const Dim3 domain{kEdge, kEdge, kEdge};
+  const sim::Time drop_at = 50 * sim::kMillisecond;
+
+  fault::FaultPlan plan;
+  fault::RetryPolicy rp;
+  rp.timeout = 50 * sim::kMicrosecond;
+  rp.max_retries = 1;
+  plan.set_retry_policy(rp);
+  plan.drop_messages(drop_at, drop_at + 2 * sim::kMillisecond, -1, -1, 1.0);
+  fault::Injector inj(plan);
+
+  Cluster cluster(topo::pcie_box(2), 2, 2);
+  cluster.set_fault_injector(&inj);
+  std::vector<int> transient(4, 0);  // per rank; replays inside the window fail again
+  int other = 0, finished = 0, halo_errors = 0;
+  cluster.run([&](RankCtx& ctx) {
+    DistributedDomain dd(ctx, domain);
+    dd.set_radius(1);
+    dd.add_data<float>("q0");
+    dd.realize();
+    recover::RecoveryManager rm(ctx, dd, 0);
+    // Enter the drop window after the set-up handshakes.
+    ctx.engine().sleep_until(drop_at);
+    for (std::int64_t it = 0; it < 2;) {
+      try {
+        stencil::halo_oracle::fill_interior(dd, 1);
+        dd.exchange();
+        halo_errors += stencil::halo_oracle::verify_halos(dd, domain, 1);
+        ++it;
+      } catch (const std::exception& e) {
+        const auto ev = recover::classify(e, ctx.comm.job(), ctx.rank(), ctx.engine().now());
+        if (ev.kind == recover::FailureKind::kTransient) {
+          ++transient[static_cast<std::size_t>(ctx.rank())];
+        } else {
+          ++other;
+          ADD_FAILURE() << "rank " << ctx.rank() << ": " << recover::to_string(ev.kind) << ": "
+                        << ev.what;
+          return;
+        }
+        it = rm.recover(ev, it);
+      }
+    }
+    ++finished;
+  });
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_GE(transient[static_cast<std::size_t>(r)], 1) << "rank " << r;
+  }
+  EXPECT_EQ(other, 0);
+  EXPECT_EQ(finished, 4);
+  EXPECT_EQ(halo_errors, 0);
 }
 
 // ---------------------------------------------------------------------------
