@@ -1,17 +1,16 @@
 // Reproduces Fig. 9: the timeline of overlapped exchange operations for a
 // 512^3-per-GPU subdomain with four SP quantities, one node, two MPI ranks
 // each driving two GPUs. Emits an ASCII Gantt chart (one lane per
-// CPU/GPU/link resource), a CSV with every operation span, an enriched
-// chrome trace (counters + critical-path span args), a JSON telemetry
-// report, and — new with the dtrace layer — the merged global causal trace
-// (one process per rank, flow arrows along every message/IPC handshake;
-// DESIGN.md §12). The recording runs under one dtrace::Collector across
-// both the eager exchange and the planned (persistent) replay, so the
-// global trace shows the replay's message contexts too.
+// CPU/GPU/link resource), a CSV with every operation span, a JSON telemetry
+// report, and one chrome trace: one process per rank, flow arrows along
+// every message and IPC handshake (DESIGN.md §12), critical-path span args
+// and the telemetry counters. The recording runs under one
+// dtrace::Collector across both the eager exchange and the planned
+// (persistent) replay, so the trace shows the replay's message contexts too.
 //
 //   bench_timeline [--trace-out FILE] [--trace-merge PREFIX]
 //
-// The merged trace defaults to bench_timeline_global.json (CI uploads it).
+// The trace defaults to bench_timeline.json (CI uploads it).
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -48,7 +47,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_timeline: unknown flag '%s' (try --help)\n", argv[i]);
     return 2;
   }
-  if (topt.out.empty()) topt.out = "bench_timeline_global.json";
+  if (topt.out.empty()) topt.out = "bench_timeline.json";
 
   // A Summit-flavored node with 2 GPUs per socket so that 2 ranks x 2 GPUs
   // matches the paper's Fig. 9 setup (4 GPUs total).
@@ -125,20 +124,18 @@ int main(int argc, char** argv) {
 
   std::ofstream csv("bench_timeline.csv");
   rec.write_csv(csv);
-  std::ofstream json("bench_timeline.json");
-  telemetry::write_chrome_trace(json, rec.records(), &tel.metrics(), &an);
   std::ofstream report("bench_timeline_report.json");
   telemetry::write_report_json(report, tel.metrics(), an);
 
   std::string err;
-  if (!cli::write_trace_outputs(rec, topt, &err)) {
+  if (!cli::write_trace_outputs(rec, topt, &err, &tel.metrics(), &an)) {
     std::fprintf(stderr, "bench_timeline: %s\n", err.c_str());
     return 1;
   }
-  std::printf("\n%zu operation spans written to bench_timeline.csv and "
-              "bench_timeline.json (chrome://tracing);\n"
+  std::printf("\n%zu operation spans written to bench_timeline.csv;\n"
               "telemetry + critical-path report in bench_timeline_report.json;\n"
-              "merged global causal trace in %s (open in Perfetto)\n",
+              "chrome trace (ranks, message arrows, critical path, counters) in %s\n"
+              "(open in Perfetto)\n",
               rec.records().size(), topt.out.c_str());
   return 0;
 }

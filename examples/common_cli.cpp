@@ -20,14 +20,16 @@ bool parse_trace_flag(int argc, char** argv, int* i, TraceOptions* t, std::strin
   return true;
 }
 
-bool write_trace_outputs(const dtrace::Collector& c, const TraceOptions& t, std::string* err) {
+bool write_trace_outputs(const dtrace::Collector& c, const TraceOptions& t, std::string* err,
+                         const telemetry::MetricsRegistry* counters,
+                         const telemetry::Analysis* critical) {
   if (!t.out.empty()) {
     std::ofstream f(t.out);
     if (!f) {
       *err = "cannot open " + t.out;
       return false;
     }
-    c.write_merged_chrome_trace(f);
+    c.write_chrome_trace(f, counters, critical);
   }
   if (!t.merge.empty()) {
     for (int r = -1; r <= c.max_rank(); ++r) {

@@ -36,9 +36,13 @@ bool parse_trace_flag(int argc, char** argv, int* i, TraceOptions* t, std::strin
 /// The usage lines for the trace flags (tools append them to their help).
 void print_trace_usage();
 
-/// Writes the collector's outputs as requested: merged chrome trace to
-/// t.out, per-rank documents to t.merge. False on I/O failure (*err set).
-bool write_trace_outputs(const dtrace::Collector& c, const TraceOptions& t, std::string* err);
+/// Writes the collector's outputs as requested: the chrome trace to t.out
+/// (enriched with `counters` and the `critical` chain when given, see
+/// dtrace::Collector::write_chrome_trace), per-rank documents to t.merge.
+/// False on I/O failure (*err set).
+bool write_trace_outputs(const dtrace::Collector& c, const TraceOptions& t, std::string* err,
+                         const telemetry::MetricsRegistry* counters = nullptr,
+                         const telemetry::Analysis* critical = nullptr);
 
 /// The drill's subcommands, as bits so a flag can list the ones taking it.
 enum Sub : unsigned {

@@ -42,8 +42,8 @@ bool verify_offline_merge(const cli::Options& opt, const dtrace::Collector& dire
   }
   const dtrace::Collector rebuilt = dtrace::Collector::merge(docs);
   std::ostringstream a, b;
-  direct.write_merged_chrome_trace(a);
-  rebuilt.write_merged_chrome_trace(b);
+  direct.write_chrome_trace(a);
+  rebuilt.write_chrome_trace(b);
   return a.str() == b.str();
 }
 

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
+
+#include "telemetry/critical_path.h"
+#include "telemetry/metrics.h"
 
 namespace stencil::dtrace {
 
@@ -22,6 +26,13 @@ int parse_int(const std::string& s, std::size_t i) {
     ++i;
   }
   return v;
+}
+
+/// Microseconds at nine significant digits, for the enrichment args.
+std::string micros9(sim::Time t) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.9g", sim::to_micros(t));
+  return buf;
 }
 
 }  // namespace
@@ -109,7 +120,15 @@ int Collector::max_rank() const {
   return m;
 }
 
-void Collector::write_merged_chrome_trace(std::ostream& os) const {
+std::unordered_map<std::uint64_t, const trace::OpRecord*> Collector::spans_by_id() const {
+  std::unordered_map<std::uint64_t, const trace::OpRecord*> by_id;
+  by_id.reserve(records_.size());
+  for (const auto& r : records_) by_id.emplace(r.id, &r);
+  return by_id;
+}
+
+void Collector::write_chrome_trace(std::ostream& os, const telemetry::MetricsRegistry* counters,
+                                   const telemetry::Analysis* critical) const {
   // pid = rank + 1; pid 0 holds unattributed (shared) lanes. tids are
   // assigned per process in first-appearance order — all deterministic.
   std::map<std::pair<int, std::string>, int> tids;
@@ -123,9 +142,14 @@ void Collector::write_merged_chrome_trace(std::ostream& os) const {
       tid_order.emplace_back(pid, &it->first.second);
     }
   }
-  std::unordered_map<std::uint64_t, const trace::OpRecord*> by_id;
-  by_id.reserve(records_.size());
-  for (const auto& r : records_) by_id.emplace(r.id, &r);
+  const auto by_id = spans_by_id();
+  // Chain membership by record index (Hop::span).
+  std::vector<const telemetry::Hop*> hop_of(critical ? records_.size() : 0, nullptr);
+  if (critical) {
+    for (const auto& h : critical->chain) {
+      if (h.span < hop_of.size()) hop_of[h.span] = &h;
+    }
+  }
 
   os << "{\"traceEvents\":[";
   bool first = true;
@@ -157,12 +181,21 @@ void Collector::write_merged_chrome_trace(std::ostream& os) const {
     os << "{\"ph\":\"M\",\"pid\":" << pid << ",\"tid\":" << tids.at({pid, *lane})
        << ",\"name\":\"thread_name\",\"args\":{\"name\":\"" << json_escape(*lane) << "\"}}";
   }
-  for (const auto& r : records_) {
+  sim::Time t1 = 0;
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    const trace::OpRecord& r = records_[i];
+    t1 = std::max(t1, r.end);
     sep();
+    // Clamp instants (and any malformed span) to zero duration rather than
+    // emitting a negative dur that chrome://tracing rejects.
     const sim::Duration dur = r.end > r.start ? r.end - r.start : 0;
     os << "{\"ph\":\"X\",\"pid\":" << r.rank + 1 << ",\"tid\":" << tids.at({r.rank + 1, r.lane})
        << ",\"name\":\"" << json_escape(r.label) << "\",\"ts\":" << sim::to_micros(r.start)
-       << ",\"dur\":" << sim::to_micros(dur) << ",\"args\":{\"span\":" << r.id << "}}";
+       << ",\"dur\":" << sim::to_micros(dur) << ",\"args\":{\"span\":" << r.id;
+    if (!hop_of.empty() && hop_of[i] != nullptr) {
+      os << ",\"critical\":true,\"wait_us\":" << micros9(hop_of[i]->wait);
+    }
+    os << "}}";
   }
   // Flow events: an "s" at the producer span, an "f" (bp "e": bind to the
   // enclosing slice) at the consumer span. Perfetto draws these as arrows.
@@ -181,6 +214,13 @@ void Collector::write_merged_chrome_trace(std::ostream& os) const {
        << ",\"pid\":" << c.rank + 1 << ",\"tid\":" << tids.at({c.rank + 1, c.lane})
        << ",\"name\":\"" << json_escape(f.label) << "\",\"ts\":" << sim::to_micros(c.start)
        << "}";
+  }
+  if (counters) {
+    for (const auto& [name, c] : counters->counters()) {
+      sep();
+      os << "{\"ph\":\"C\",\"pid\":0,\"name\":\"" << json_escape(name)
+         << "\",\"ts\":" << micros9(t1) << ",\"args\":{\"value\":" << c.value << "}}";
+    }
   }
   os << "]}\n";
 }
@@ -202,11 +242,11 @@ void Collector::write_rank_json(std::ostream& os, int rank) const {
   }
   os << "],\"flows\":[";
   first = true;
+  const auto by_id = spans_by_id();
   for (const auto& f : flows_) {
     // A flow is exported by the rank that owns its producer span.
-    const auto it = std::find_if(records_.begin(), records_.end(),
-                                 [&](const trace::OpRecord& r) { return r.id == f.from_span; });
-    if (it == records_.end() || it->rank != rank) continue;
+    const auto it = by_id.find(f.from_span);
+    if (it == by_id.end() || it->second->rank != rank) continue;
     if (!first) os << ",";
     first = false;
     os << "{\"id\":" << f.id << ",\"from\":" << f.from_span << ",\"to\":" << f.to_span

@@ -9,6 +9,11 @@
 
 #include "trace/recorder.h"
 
+namespace stencil::telemetry {
+class MetricsRegistry;
+struct Analysis;
+}  // namespace stencil::telemetry
+
 namespace stencil::dtrace {
 
 /// The trace context a send carries (Dapper-style propagation, DESIGN.md §12).
@@ -28,10 +33,10 @@ struct TraceContext {
 /// so contexts survive compiled-plan replay), the wire span draws an arrow
 /// from it, and the receive's completion adopts it with a marker and an
 /// arrow from the wire span. The exchange layer adds the IPC handshake
-/// arrows. The result merges into one global timeline:
-/// write_merged_chrome_trace emits one process per rank with chrome flow
-/// events (s/f arrows) drawn along every message, and write_rank_json /
-/// merge support the offline per-rank-file workflow.
+/// arrows. The result merges into one global timeline: write_chrome_trace
+/// emits one process per rank with chrome flow events (s/f arrows) drawn
+/// along every message, and write_rank_json / merge support the offline
+/// per-rank-file workflow.
 class Collector : public trace::Recorder {
  public:
   /// Rank attribution for GPU lanes needs the job shape; Cluster wires it on
@@ -73,12 +78,17 @@ class Collector : public trace::Recorder {
   /// Largest rank seen across spans (-1 when nothing is attributed).
   int max_rank() const;
 
-  /// One global timeline: a chrome trace with one process per rank
-  /// (pid = rank + 1; pid 0 holds unattributed lanes), thread-per-lane
-  /// within each process, and a flow-event pair (ph "s" at the producer,
-  /// ph "f" bp "e" at the consumer) per causal edge. Loads in Perfetto
-  /// with arrows along every message.
-  void write_merged_chrome_trace(std::ostream& os) const;
+  /// The chrome trace (chrome://tracing, Perfetto) — the library's one
+  /// writer of it. One global timeline: one process per rank (pid = rank
+  /// + 1; pid 0 holds unattributed lanes), thread-per-lane within each
+  /// process, and a flow-event pair (ph "s" at the producer, ph "f" bp "e"
+  /// at the consumer) per causal edge, so Perfetto draws arrows along
+  /// every message. Optional enrichment: with `critical` (an Analysis over
+  /// records(), whose Hop::span indexes it) each chain span's args carry
+  /// "critical":true and its "wait_us"; with `counters` every registry
+  /// counter becomes one "C" event on pid 0 at the last span end.
+  void write_chrome_trace(std::ostream& os, const telemetry::MetricsRegistry* counters = nullptr,
+                          const telemetry::Analysis* critical = nullptr) const;
 
   /// Per-rank export for the offline-merge workflow: the spans owned by
   /// `rank` plus the flow edges whose producer span `rank` owns, as a
@@ -96,6 +106,9 @@ class Collector : public trace::Recorder {
     std::uint64_t wire_span = 0;
     int src = -1, dst = -1, tag = 0;
   };
+
+  /// Span id -> recorded span, for resolving flow endpoints.
+  std::unordered_map<std::uint64_t, const trace::OpRecord*> spans_by_id() const;
 
   int world_size_ = 0;
   int gpus_per_rank_ = 0;

@@ -1,8 +1,6 @@
 #include "telemetry/export.h"
 
-#include <algorithm>
 #include <cstdio>
-#include <map>
 #include <set>
 
 namespace stencil::telemetry {
@@ -143,56 +141,6 @@ void write_prometheus(std::ostream& os, const MetricsRegistry& reg) {
     os << series(base + "_sum", labels) << " " << h.sum() << "\n";
     os << series(base + "_count", labels) << " " << h.count() << "\n";
   }
-}
-
-void write_chrome_trace(std::ostream& os, const std::vector<trace::OpRecord>& spans,
-                        const MetricsRegistry* reg, const Analysis* analysis) {
-  // Stable lane -> tid mapping, with thread-name metadata up front.
-  std::map<std::string, int> lanes;
-  for (const auto& r : spans) lanes.emplace(r.lane, 0);
-  int tid = 0;
-  for (auto& [lane, id] : lanes) id = tid++;
-
-  // Critical-chain membership by span identity (lane + start + end).
-  std::map<std::size_t, const Hop*> critical;
-  if (analysis) {
-    for (const auto& h : analysis->chain) critical.emplace(h.span, &h);
-  }
-
-  os << "{\"traceEvents\": [";
-  bool first = true;
-  const auto sep = [&] {
-    os << (first ? "\n" : ",\n");
-    first = false;
-  };
-  for (const auto& [lane, id] : lanes) {
-    sep();
-    os << "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": " << id
-       << ", \"args\": {\"name\": \"" << json_escape(lane) << "\"}}";
-  }
-  sim::Time t1 = 0;
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const auto& r = spans[i];
-    t1 = std::max(t1, r.end);
-    const double dur_us = r.end > r.start ? sim::to_micros(r.end - r.start) : 0.0;
-    sep();
-    os << "  {\"name\": \"" << json_escape(r.label) << "\", \"ph\": \"X\", \"pid\": 0, \"tid\": "
-       << lanes[r.lane] << ", \"ts\": " << fmt_double(sim::to_micros(r.start))
-       << ", \"dur\": " << fmt_double(dur_us) << ", \"args\": {\"lane\": \"" << json_escape(r.lane)
-       << "\"";
-    if (const auto it = critical.find(i); it != critical.end()) {
-      os << ", \"critical\": true, \"wait_us\": " << fmt_double(sim::to_micros(it->second->wait));
-    }
-    os << "}}";
-  }
-  if (reg) {
-    for (const auto& [name, c] : reg->counters()) {
-      sep();
-      os << "  {\"name\": \"" << json_escape(name) << "\", \"ph\": \"C\", \"pid\": 0, \"ts\": "
-         << fmt_double(sim::to_micros(t1)) << ", \"args\": {\"value\": " << c.value << "}}";
-    }
-  }
-  os << (first ? "" : "\n") << "]}\n";
 }
 
 void write_report_json(std::ostream& os, const MetricsRegistry& reg, const Analysis& analysis) {

@@ -150,33 +150,4 @@ void Recorder::write_gantt(std::ostream& os, sim::Time t0, sim::Time t1, int wid
   }
 }
 
-void Recorder::write_chrome_trace(std::ostream& os) const {
-  // Stable lane -> tid mapping in first-appearance order.
-  std::map<std::string, int> tids;
-  std::vector<const std::string*> names;
-  for (const auto& r : records_) {
-    auto [it, inserted] = tids.try_emplace(r.lane, static_cast<int>(tids.size()));
-    if (inserted) names.push_back(&it->first);
-  }
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << i
-       << ",\"name\":\"thread_name\",\"args\":{\"name\":\"" << json_escape(*names[i]) << "\"}}";
-  }
-  for (const auto& r : records_) {
-    if (!first) os << ",";
-    first = false;
-    // Clamp instants (and any malformed span) to zero duration rather than
-    // emitting a negative dur that chrome://tracing rejects.
-    const sim::Duration dur = r.end > r.start ? r.end - r.start : 0;
-    os << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << tids[r.lane] << ",\"name\":\""
-       << json_escape(r.label) << "\",\"ts\":" << sim::to_micros(r.start)
-       << ",\"dur\":" << sim::to_micros(dur) << "}";
-  }
-  os << "]}\n";
-}
-
 }  // namespace stencil::trace

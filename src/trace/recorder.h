@@ -91,10 +91,6 @@ class Recorder : public vgpu::RuntimeObserver, public simpi::JobObserver {
   /// `width` columns. t1 <= t0 means auto-fit to the recorded range.
   void write_gantt(std::ostream& os, sim::Time t0 = 0, sim::Time t1 = 0, int width = 100) const;
 
-  /// Chrome tracing format (chrome://tracing, Perfetto): one complete ("X")
-  /// event per span, lanes mapped to thread ids of a single process.
-  void write_chrome_trace(std::ostream& os) const;
-
  protected:
   std::vector<OpRecord> records_;
   std::vector<FlowEdge> flows_;

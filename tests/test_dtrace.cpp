@@ -190,7 +190,7 @@ bool is_wire_span(const OpRecord& r) {
 
 std::string merged(const Collector& col) {
   std::ostringstream os;
-  col.write_merged_chrome_trace(os);
+  col.write_chrome_trace(os);
   return os.str();
 }
 

@@ -197,7 +197,7 @@ RunOutput observed_run(const std::vector<Setter>& setters) {
   });
   o.mon.finish(cluster.engine().now());
   std::ostringstream chrome, prom, check, watch;
-  o.col.write_merged_chrome_trace(chrome);
+  o.col.write_chrome_trace(chrome);
   telemetry::write_prometheus(prom, o.tel.metrics());
   o.chk.report().write(check);
   o.live.write_snapshot_json(watch);

@@ -4,8 +4,8 @@
 
 #include "core/cluster.h"
 #include "core/distributed_domain.h"
+#include "dtrace/collector.h"
 #include "topo/machine.h"
-#include "trace/recorder.h"
 #include "vgpu/probe.h"
 
 using stencil::Cluster;
@@ -186,7 +186,7 @@ TEST(Probe, MatchesAnalyticAchievedBandwidth) {
 }
 
 TEST(ChromeTrace, EmitsValidShape) {
-  stencil::trace::Recorder rec;
+  stencil::dtrace::Collector rec;
   rec.record("gpu0.kernel", "pack \"+x\"", 1000, 2000);
   rec.record("rank0.cpu", "issue", 0, 500);
   std::ostringstream os;
@@ -200,7 +200,7 @@ TEST(ChromeTrace, EmitsValidShape) {
 }
 
 TEST(ChromeTrace, EmptyRecorder) {
-  stencil::trace::Recorder rec;
+  stencil::dtrace::Collector rec;
   std::ostringstream os;
   rec.write_chrome_trace(os);
   EXPECT_EQ(os.str(), "{\"traceEvents\":[]}\n");

@@ -702,24 +702,38 @@ TEST(Exporters, MetricsJsonIsValid) {
 }
 
 TEST(Exporters, ChromeTraceIsValidAndEnriched) {
-  std::vector<OpRecord> spans_v = {span("gpu0.d2h", "memcpy \"8B\"", 0, 10),
-                                   span("mpi.r0->r1", "msg\ntag=1", 10, 50)};
-  CriticalPath cp(spans_v);
+  dtrace::Collector col;
+  col.record("gpu0.d2h", "memcpy \"8B\"", 0, 10);
+  col.record("mpi.r0->r1", "msg\ntag=1", 10, 50);
+  CriticalPath cp(col.records());
   cp.add_edge(0, 1);
   const auto an = cp.analyze();
   MetricsRegistry reg;
   reg.counter("exchanges_total").add(2);
   std::ostringstream os;
-  telemetry::write_chrome_trace(os, spans_v, &reg, &an);
+  col.write_chrome_trace(os, &reg, &an);
   const std::string s = os.str();
   EXPECT_TRUE(json_valid(s)) << s;
   EXPECT_NE(s.find("thread_name"), std::string::npos);
-  EXPECT_NE(s.find("\"ph\": \"C\""), std::string::npos);      // counter event
-  EXPECT_NE(s.find("\"critical\": true"), std::string::npos);  // chain membership arg
-  EXPECT_NE(s.find("exchanges_total"), std::string::npos);
+  // Chain membership args sit next to each span's id.
+  EXPECT_NE(s.find("\"args\":{\"span\":1,\"critical\":true,\"wait_us\":0}"), std::string::npos)
+      << s;
+  EXPECT_NE(s.find("\"args\":{\"span\":2,\"critical\":true,\"wait_us\":0}"), std::string::npos)
+      << s;
+  // One counter event at the last span end (50 ns).
+  EXPECT_NE(s.find("{\"ph\":\"C\",\"pid\":0,\"name\":\"exchanges_total\",\"ts\":0.05,"
+                   "\"args\":{\"value\":2}}"),
+            std::string::npos)
+      << s;
+
+  // Without enrichment the same spans carry neither.
+  std::ostringstream plain;
+  col.write_chrome_trace(plain);
+  EXPECT_EQ(plain.str().find("\"critical\""), std::string::npos) << plain.str();
+  EXPECT_EQ(plain.str().find("\"ph\":\"C\""), std::string::npos) << plain.str();
 
   std::ostringstream empty;
-  telemetry::write_chrome_trace(empty, {});
+  dtrace::Collector{}.write_chrome_trace(empty, &reg);
   EXPECT_TRUE(json_valid(empty.str())) << empty.str();
 }
 

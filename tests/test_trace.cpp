@@ -2,11 +2,13 @@
 
 #include <sstream>
 
+#include "dtrace/collector.h"
 #include "simtime/time.h"
 #include "trace/recorder.h"
 
 namespace sim = stencil::sim;
 using stencil::trace::Recorder;
+using stencil::dtrace::Collector;  // the chrome-trace writer
 
 TEST(Recorder, RecordsInOrder) {
   Recorder r;
@@ -84,7 +86,7 @@ TEST(Recorder, GanttClampsOutOfRangeSpans) {
 }
 
 TEST(Recorder, ChromeTraceEscapesSpecialCharacters) {
-  Recorder r;
+  Collector r;
   r.record("lane\"with\\quote", "label\nwith\ttabs\rand\x01" "ctrl", 0, 10);
   std::ostringstream os;
   r.write_chrome_trace(os);
@@ -97,7 +99,7 @@ TEST(Recorder, ChromeTraceEscapesSpecialCharacters) {
 }
 
 TEST(Recorder, ChromeTraceClampsZeroAndNegativeDurations) {
-  Recorder r;
+  Collector r;
   r.record("x", "instant", 100, 100);
   r.record("x", "backwards", 200, 150);  // malformed span must not emit dur < 0
   std::ostringstream os;
@@ -108,7 +110,7 @@ TEST(Recorder, ChromeTraceClampsZeroAndNegativeDurations) {
 }
 
 TEST(Recorder, ChromeTraceEmptyRecorderIsValid) {
-  Recorder r;
+  Collector r;
   std::ostringstream os;
   r.write_chrome_trace(os);
   EXPECT_EQ(os.str(), "{\"traceEvents\":[]}\n");
